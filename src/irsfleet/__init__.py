@@ -8,149 +8,17 @@ baselines, and accounts per-unit energy.
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelRealization,
-    RadioParams,
-    cascade_amplification,
-    cascaded_path_loss_db,
-    cascaded_snr_db,
-    direct_path_loss_db,
-    direct_snr_db,
-    draw_nlos_set,
-    los_probability,
-    realize_channel,
-    rician_amplitude_mean,
-    snr_ratio,
-    weak_coverage_set,
-)
-from .energy import (
-    EnergyLedger,
-    IrsSizing,
-    PlatformParams,
-    SizingError,
-    flight_range,
-    fly_energy,
-    fraunhofer_distance,
-    grasp_energy,
-    mission_ledger,
-    reflect_energy,
-    size_irs,
-)
-from .geometry import DistanceTables, ScenarioLayout, build_layout, compute_distances
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    TrialError,
-    TrialMetrics,
-    TrialResult,
-    run_experiment,
-    run_trial,
-    summarize,
-    trial_rng,
-)
-from .matching import min_cost_matching
-from .planner import (
-    GainTensor,
-    InfeasiblePlacementError,
-    PlacementPlan,
-    PlanEvaluation,
-    PlanValidationError,
-    SamplingExhaustedError,
-    build_gain_tensor,
-    evaluate_plan,
-    solve_adaptive_plan,
-    solve_epoch_placement,
-    solve_fixed_plan,
-    solve_random_plan,
-    validate_plan,
-)
-from .routing import (
-    TrajectoryPlan,
-    TransitionCosts,
-    min_cost_assignment,
-    plan_trajectories,
-    transition_costs,
-    validate_trajectory,
-)
-from .scenario import (
-    GeometryConfig,
-    Scenario,
-    ScenarioError,
-    SolverOptions,
-    default_scenario,
-    load_scenario,
-    write_scenario,
-)
-from .traffic import TrafficField, TrafficModel, gate_gain, sample_traffic
+from .harness import ExperimentConfig, TrialError, run_experiment, run_trial
+from .scenario import Scenario, ScenarioError, default_scenario, load_scenario
 
 __all__ = [
     "__version__",
-    "ScenarioLayout",
-    "DistanceTables",
-    "build_layout",
-    "compute_distances",
-    "RadioParams",
-    "ChannelRealization",
-    "los_probability",
-    "draw_nlos_set",
-    "direct_path_loss_db",
-    "direct_snr_db",
-    "weak_coverage_set",
-    "rician_amplitude_mean",
-    "cascade_amplification",
-    "cascaded_path_loss_db",
-    "cascaded_snr_db",
-    "snr_ratio",
-    "realize_channel",
-    "TrafficModel",
-    "TrafficField",
-    "sample_traffic",
-    "gate_gain",
-    "PlatformParams",
-    "EnergyLedger",
-    "IrsSizing",
-    "SizingError",
-    "fly_energy",
-    "grasp_energy",
-    "reflect_energy",
-    "flight_range",
-    "mission_ledger",
-    "fraunhofer_distance",
-    "size_irs",
-    "min_cost_matching",
-    "GainTensor",
-    "PlacementPlan",
-    "PlanEvaluation",
-    "InfeasiblePlacementError",
-    "PlanValidationError",
-    "SamplingExhaustedError",
-    "build_gain_tensor",
-    "solve_epoch_placement",
-    "solve_adaptive_plan",
-    "solve_fixed_plan",
-    "solve_random_plan",
-    "evaluate_plan",
-    "validate_plan",
-    "TransitionCosts",
-    "TrajectoryPlan",
-    "transition_costs",
-    "min_cost_assignment",
-    "plan_trajectories",
-    "validate_trajectory",
+    "ExperimentConfig",
     "Scenario",
     "ScenarioError",
-    "GeometryConfig",
-    "SolverOptions",
+    "TrialError",
     "default_scenario",
     "load_scenario",
-    "write_scenario",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "TrialMetrics",
-    "TrialResult",
-    "TrialError",
-    "run_trial",
     "run_experiment",
-    "summarize",
-    "trial_rng",
+    "run_trial",
 ]

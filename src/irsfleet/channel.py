@@ -20,7 +20,6 @@ __all__ = [
     "ChannelRealization",
     "los_probability",
     "nlos_members",
-    "draw_nlos_set",
     "direct_path_loss_db",
     "direct_snr_db",
     "weak_coverage_set",
@@ -143,17 +142,6 @@ def nlos_members(p_los, draws, rule: str = "conventional") -> np.ndarray:
     if rule == "inverted":
         return p > r
     raise ValueError(f"nlos_rule must be one of {NLOS_RULES}")
-
-
-def draw_nlos_set(
-    distances: DistanceTables,
-    rng: np.random.Generator,
-    rule: str = "conventional",
-) -> np.ndarray:
-    """Draw one uniform per cell and return the sorted non-LoS cell indices."""
-    draws = rng.random(distances.d2_bs_ut.shape[0])
-    mask = nlos_members(los_probability(distances.d2_bs_ut), draws, rule)
-    return np.flatnonzero(mask)
 
 
 def direct_path_loss_db(distance_m, nlos, params: RadioParams):

@@ -1,7 +1,6 @@
 """Command-line interface: plan, sweep, energy and validate subcommands."""
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,13 +37,13 @@ from .harness import (
 )
 from .matching import min_cost_matching
 from .oracles import (
+    best_exact_size_cost,
     empirical_cascade_amplification,
     empirical_mean_amplitude,
     sample_rician_fading,
 )
-from .harness import trial_rng
 from .scenario import Scenario, default_scenario, load_scenario
-from .traffic import sample_traffic, write_traffic_csv
+from .traffic import write_traffic_csv
 
 
 def _load(args) -> Scenario:
@@ -81,13 +80,7 @@ def _cmd_plan(args) -> int:
             TRAJECTORY_HEADER,
             trajectory_rows(args.trial, result.trajectory, engine.layout),
         )
-    traffic_model = dataclasses.replace(scenario.traffic, sigma_log=float(sigma))
-    field = sample_traffic(
-        traffic_model,
-        engine.layout.n_grids,
-        trial_rng(args.seed, sigma, args.trial, 1),
-    )
-    write_traffic_csv(field, out / "traffic.csv")
+    write_traffic_csv(result.traffic, out / "traffic.csv")
 
     m = result.metrics
     print(
@@ -230,8 +223,7 @@ def _cmd_validate(args) -> int:
         size = int(match_rng.integers(0, min(rows, cols) + 1))
         cost = match_rng.integers(-32, 32, size=(rows, cols)) / 4.0
         _, total = min_cost_matching(cost, size)
-        best = _brute_force_min(cost, size)
-        ok = ok and total == best
+        ok = ok and total == best_exact_size_cost(cost, size)
     _check("matching-vs-brute-force", ok, "20 random instances", failures)
 
     platform = default_scenario().platform
@@ -248,20 +240,6 @@ def _cmd_validate(args) -> int:
         return 1
     print("all checks passed")
     return 0
-
-
-def _brute_force_min(cost, size: int) -> float:
-    from itertools import combinations, permutations
-
-    rows, cols = cost.shape
-    best = None
-    for rsel in combinations(range(rows), size):
-        for csel in combinations(range(cols), size):
-            for perm in permutations(csel):
-                total = sum(cost[r, c] for r, c in zip(rsel, perm))
-                if best is None or total < best:
-                    best = total
-    return float(best) if best is not None else 0.0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,11 +31,10 @@ from .planner import (
     solve_adaptive_plan,
     solve_fixed_plan,
     solve_random_plan,
-    validate_plan,
 )
 from .routing import TrajectoryPlan, plan_trajectories, validate_trajectory
-from .scenario import Scenario
-from .traffic import sample_traffic
+from .scenario import Scenario, scenario_as_dict
+from .traffic import TrafficField, sample_traffic
 from .channel import realize_channel
 
 __all__ = [
@@ -108,6 +107,7 @@ class TrialResult:
     plan: PlacementPlan
     tensor: GainTensor
     trajectory: TrajectoryPlan | None
+    traffic: TrafficField
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,60 +150,71 @@ class _TrialEngine:
         strategy: str,
         master_seed: int,
     ) -> TrialResult:
-        scenario = self.scenario
-        traffic_model = dataclasses.replace(scenario.traffic, sigma_log=sigma)
-        m = scenario.solver.fleet_size
+        """One trial; any failure is re-raised as a TrialError naming it."""
+        try:
+            scenario = self.scenario
+            traffic_model = dataclasses.replace(scenario.traffic, sigma_log=sigma)
+            m = scenario.solver.fleet_size
 
-        channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
-        realization = realize_channel(self.distances, scenario.radio, channel_rng)
-        traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
-        field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
-        tensor = build_gain_tensor(realization, self.distances, field, scenario.radio)
-
-        if strategy == STRATEGY_ROBOTIC:
-            plan = solve_adaptive_plan(tensor, m)
-        elif strategy == STRATEGY_TERRESTRIAL:
-            plan = solve_fixed_plan(tensor, m, scenario.solver.terrestrial_mode)
-        elif strategy == STRATEGY_RANDOM:
-            placement_rng = trial_rng(
-                master_seed, sigma, trial_index, _STREAM_PLACEMENT
+            channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
+            realization = realize_channel(self.distances, scenario.radio, channel_rng)
+            traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
+            field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
+            tensor = build_gain_tensor(
+                realization, self.distances, field, scenario.radio
             )
-            plan = solve_random_plan(
-                tensor,
-                m,
-                placement_rng,
-                scenario.solver.random_mode,
-                scenario.solver.random_max_iterations,
+
+            if strategy == STRATEGY_ROBOTIC:
+                plan = solve_adaptive_plan(tensor, m)
+            elif strategy == STRATEGY_TERRESTRIAL:
+                plan = solve_fixed_plan(tensor, m, scenario.solver.terrestrial_mode)
+            elif strategy == STRATEGY_RANDOM:
+                placement_rng = trial_rng(
+                    master_seed, sigma, trial_index, _STREAM_PLACEMENT
+                )
+                plan = solve_random_plan(
+                    tensor,
+                    m,
+                    placement_rng,
+                    scenario.solver.random_mode,
+                    scenario.solver.random_max_iterations,
+                )
+            else:
+                raise ValueError(f"unknown strategy {strategy!r}")
+
+            evaluation = evaluate_plan(plan, tensor, m)
+
+            trajectory = None
+            total_distance = 0.0
+            feasible = True
+            if strategy == STRATEGY_ROBOTIC:
+                trajectory = plan_trajectories(plan, self.layout, scenario.platform)
+                validate_trajectory(trajectory, plan, self.layout)
+                total_distance = trajectory.total_distance_m
+                feasible = trajectory.feasible
+
+            metrics = TrialMetrics(
+                strategy=strategy,
+                sigma=float(sigma),
+                trial=int(trial_index),
+                mean_gain=evaluation.objective,
+                served_traffic=float(evaluation.served_traffic.sum()),
+                total_distance_m=total_distance,
+                energy_feasible=feasible,
+                matching_weight=evaluation.matching_weight,
+                n_weak=tensor.n_weak,
             )
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-
-        validate_plan(plan, tensor, m)
-        evaluation = evaluate_plan(plan, tensor)
-
-        trajectory = None
-        total_distance = 0.0
-        feasible = True
-        if strategy == STRATEGY_ROBOTIC:
-            trajectory = plan_trajectories(plan, self.layout, scenario.platform)
-            validate_trajectory(trajectory, plan, self.layout)
-            total_distance = trajectory.total_distance_m
-            feasible = trajectory.feasible
-
-        metrics = TrialMetrics(
-            strategy=strategy,
-            sigma=float(sigma),
-            trial=int(trial_index),
-            mean_gain=evaluation.objective,
-            served_traffic=float(evaluation.served_traffic.sum()),
-            total_distance_m=total_distance,
-            energy_feasible=feasible,
-            matching_weight=evaluation.matching_weight,
-            n_weak=tensor.n_weak,
-        )
-        return TrialResult(
-            metrics=metrics, plan=plan, tensor=tensor, trajectory=trajectory
-        )
+            return TrialResult(
+                metrics=metrics,
+                plan=plan,
+                tensor=tensor,
+                trajectory=trajectory,
+                traffic=field,
+            )
+        except Exception as err:
+            raise TrialError(
+                f"strategy={strategy} sigma={sigma} trial={trial_index}: {err}"
+            ) from err
 
 
 def run_trial(
@@ -214,13 +225,7 @@ def run_trial(
     master_seed: int,
 ) -> TrialResult:
     """Run one end-to-end trial; identical inputs give bit-identical output."""
-    engine = _TrialEngine(scenario)
-    try:
-        return engine.run(sigma, trial_index, strategy, master_seed)
-    except Exception as err:
-        raise TrialError(
-            f"strategy={strategy} sigma={sigma} trial={trial_index}: {err}"
-        ) from err
+    return _TrialEngine(scenario).run(sigma, trial_index, strategy, master_seed)
 
 
 def summarize(metrics: list[TrialMetrics]) -> list[dict]:
@@ -326,30 +331,23 @@ PLACEMENT_HEADER = [
 ]
 
 
-def write_trials_csv(metrics: list[TrialMetrics], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIALS_HEADER)
-        for row in metrics:
-            writer.writerow(
-                [
-                    row.strategy,
-                    _fmt(row.sigma),
-                    row.trial,
-                    _fmt(row.mean_gain),
-                    _fmt(row.served_traffic),
-                    _fmt(row.total_distance_m),
-                    _fmt(row.energy_feasible),
-                ]
-            )
+def trials_rows(metrics: list[TrialMetrics]) -> list[list]:
+    return [
+        [
+            row.strategy,
+            _fmt(row.sigma),
+            row.trial,
+            _fmt(row.mean_gain),
+            _fmt(row.served_traffic),
+            _fmt(row.total_distance_m),
+            _fmt(row.energy_feasible),
+        ]
+        for row in metrics
+    ]
 
 
-def write_summary_csv(summaries: list[dict], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for row in summaries:
-            writer.writerow([_fmt(row[column]) for column in SUMMARY_HEADER])
+def summary_rows(summaries: list[dict]) -> list[list]:
+    return [[_fmt(row[column]) for column in SUMMARY_HEADER] for row in summaries]
 
 
 def trajectory_rows(
@@ -407,7 +405,6 @@ def placement_rows(
 ) -> list[list]:
     tensor = result.tensor
     grid_pos = {int(g): q for q, g in enumerate(tensor.weak_grids)}
-    site_pos = {int(s): j for j, s in enumerate(tensor.sites)}
     rows = []
     for t, epoch_pairs in enumerate(result.plan.assignments):
         for grid, site in epoch_pairs:
@@ -423,7 +420,7 @@ def placement_rows(
                     c,
                     _fmt(float(point[0])),
                     _fmt(float(point[1])),
-                    _fmt(float(tensor.gains[t, q, site_pos[site]])),
+                    _fmt(float(tensor.gains[t, q, site])),
                     _fmt(float(tensor.demand[t, q])),
                 ]
             )
@@ -438,26 +435,6 @@ def _write_rows(path, header: list[str], rows: list[list]) -> None:
 
 
 def write_metadata(config: ExperimentConfig, path) -> None:
-    from .scenario import _SCHEMA  # section/key listing for the echo
-
-    scenario_echo = {}
-    sections = {
-        "geometry": config.scenario.geometry,
-        "radio": config.scenario.radio,
-        "platform": config.scenario.platform,
-        "traffic": config.scenario.traffic,
-        "solver": config.scenario.solver,
-    }
-    for section, obj in sections.items():
-        scenario_echo[section] = {}
-        for key, (_, target) in _SCHEMA[section].items():
-            if target is None:
-                scenario_echo[section][key] = "independent"
-            else:
-                value = getattr(obj, target)
-                if isinstance(value, tuple):
-                    value = list(value)
-                scenario_echo[section][key] = value
     payload = {
         "package": "irsfleet",
         "version": __version__,
@@ -466,7 +443,7 @@ def write_metadata(config: ExperimentConfig, path) -> None:
         "trials": config.trials,
         "sigma_list": list(config.sigma_list),
         "strategies": list(config.strategies),
-        "scenario": scenario_echo,
+        "scenario": scenario_as_dict(config.scenario),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -494,12 +471,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for strategy in config.strategies:
         for sigma in config.sigma_list:
             for trial in range(config.trials):
-                try:
-                    result = engine.run(sigma, trial, strategy, config.master_seed)
-                except Exception as err:
-                    raise TrialError(
-                        f"strategy={strategy} sigma={sigma} trial={trial}: {err}"
-                    ) from err
+                result = engine.run(sigma, trial, strategy, config.master_seed)
                 metrics.append(result.metrics)
                 if kept is not None:
                     kept.append(result)
@@ -510,8 +482,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     summaries = summarize(metrics)
     if out is not None:
-        write_trials_csv(metrics, out / "trials.csv")
-        write_summary_csv(summaries, out / "summary.csv")
+        _write_rows(out / "trials.csv", TRIALS_HEADER, trials_rows(metrics))
+        _write_rows(out / "summary.csv", SUMMARY_HEADER, summary_rows(summaries))
         for sigma, rows in trajectory_tables.items():
             _write_rows(
                 out / f"trajectories_sigma_{_fmt(sigma)}.csv",

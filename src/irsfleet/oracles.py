@@ -1,9 +1,13 @@
-"""Monte Carlo oracles validating the closed-form fading results.
+"""Independent oracles: Monte Carlo checks of the closed-form fading
+results and exhaustive optima of the matching solver.
 
 Per-sample small-scale fading lives only here; the production path uses
 expectations. The samplers are deliberately independent of the closed
-forms they check.
+forms they check, and the brute force enumerates every feasible support
+and permutation instead of sharing any logic with the solver.
 """
+
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -11,6 +15,8 @@ __all__ = [
     "sample_rician_fading",
     "empirical_mean_amplitude",
     "empirical_cascade_amplification",
+    "best_exact_size_weight",
+    "best_exact_size_cost",
 ]
 
 
@@ -79,3 +85,24 @@ def empirical_cascade_amplification(
         total += float(np.square(s).sum())
         remaining -= block
     return total / float(n_draws)
+
+
+def best_exact_size_weight(weights, size: int) -> float:
+    """Max total weight over matchings with exactly `size` pairs."""
+    w = np.asarray(weights, dtype=float)
+    rows, cols = w.shape
+    if size == 0:
+        return 0.0
+    best = -np.inf
+    for rsel in combinations(range(rows), size):
+        for csel in combinations(range(cols), size):
+            for perm in permutations(csel):
+                total = sum(w[r, c] for r, c in zip(rsel, perm))
+                if total > best:
+                    best = total
+    return float(best)
+
+
+def best_exact_size_cost(cost, size: int) -> float:
+    """Min total cost over matchings with exactly `size` pairs."""
+    return -best_exact_size_weight(-np.asarray(cost, dtype=float), size)

@@ -14,7 +14,7 @@ import numpy as np
 from .channel import ChannelRealization, RadioParams, cascaded_snr_db, snr_ratio
 from .geometry import DistanceTables
 from .matching import min_cost_matching
-from .traffic import TrafficField
+from .traffic import TrafficField, gate_gain
 
 __all__ = [
     "GainTensor",
@@ -26,6 +26,8 @@ __all__ = [
     "STRATEGY_ROBOTIC",
     "STRATEGY_TERRESTRIAL",
     "STRATEGY_RANDOM",
+    "TERRESTRIAL_MODES",
+    "RANDOM_MODES",
     "build_gain_tensor",
     "solve_epoch_placement",
     "solve_adaptive_plan",
@@ -62,12 +64,13 @@ class GainTensor:
 
     Entries are the aggregated-over-direct SNR ratio where the cell's
     demand meets the epoch threshold, and exactly 1 otherwise. The demand
-    slice of the weak cells rides along for serving-traffic metrics.
+    slice of the weak cells rides along for serving-traffic metrics. The
+    site axis covers every candidate site, so a local site index is the
+    global one.
     """
 
     gains: np.ndarray        # (epochs, n_weak, n_sites), every entry >= 1
     weak_grids: np.ndarray   # (n_weak,) global cell indices, sorted
-    sites: np.ndarray        # (n_sites,) global site indices
     demand: np.ndarray       # (epochs, n_weak) Mbps/km^2
     thresholds: np.ndarray   # (epochs,) Mbps/km^2
 
@@ -119,7 +122,6 @@ def build_gain_tensor(
         return GainTensor(
             gains=np.ones((epochs, 0, n_sites)),
             weak_grids=weak,
-            sites=np.arange(n_sites),
             demand=np.zeros((epochs, 0)),
             thresholds=np.asarray(field.threshold, dtype=float),
         )
@@ -128,12 +130,12 @@ def build_gain_tensor(
     )
     base = snr_ratio(realization.direct_snr_db[weak][:, None], gamma_c)
     demand = field.demand[:, weak]
-    gated = demand[:, :, None] >= field.threshold[:, None, None]
-    gains = np.where(gated, base[None, :, :], 1.0)
+    gains = gate_gain(
+        base[None, :, :], demand[:, :, None], field.threshold[:, None, None]
+    )
     return GainTensor(
         gains=gains,
         weak_grids=weak,
-        sites=np.arange(n_sites),
         demand=demand,
         thresholds=np.asarray(field.threshold, dtype=float),
     )
@@ -160,9 +162,7 @@ def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
 
 
 def _to_global(tensor: GainTensor, pairs) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (int(tensor.weak_grids[q]), int(tensor.sites[j])) for q, j in pairs
-    )
+    return tuple((int(tensor.weak_grids[q]), int(j)) for q, j in pairs)
 
 
 def _objective(weight: float, epochs: int, n_weak: int) -> float:
@@ -271,51 +271,48 @@ def solve_random_plan(
     return _replicated_plan(tensor, pairs, STRATEGY_RANDOM)
 
 
-def _local_indices(tensor: GainTensor, epoch_pairs) -> list[tuple[int, int]]:
-    grid_pos = {int(g): q for q, g in enumerate(tensor.weak_grids)}
-    site_pos = {int(s): j for j, s in enumerate(tensor.sites)}
-    out = []
-    for grid, site in epoch_pairs:
-        if grid not in grid_pos:
-            raise PlanValidationError(
-                f"membership: cell {grid} is not in the weak-coverage set"
-            )
-        if site not in site_pos:
-            raise PlanValidationError(f"membership: unknown site index {site}")
-        out.append((grid_pos[grid], site_pos[site]))
-    return out
-
-
-def validate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> None:
+def validate_plan(
+    plan: PlacementPlan, tensor: GainTensor, m: int
+) -> list[list[tuple[int, int]]]:
     """Independent structural check of a plan against its tensor.
 
-    Verifies the exact placement count, cell and site exclusivity within
-    each epoch, index membership, and (for fixed strategies) that the
-    assignment never changes across epochs. Raises PlanValidationError
-    naming the violated constraint.
+    Verifies the exact placement count, index membership, cell and site
+    exclusivity within each epoch (checked in that order), and (for fixed
+    strategies) that the assignment never changes across epochs. Raises
+    PlanValidationError naming the violated constraint; otherwise returns
+    each epoch's local (weak-cell position, site) pairs.
     """
     if len(plan.assignments) != tensor.n_epochs:
         raise PlanValidationError(
             f"epoch-count: plan has {len(plan.assignments)} epochs, "
             f"tensor has {tensor.n_epochs}"
         )
+    grid_pos = {int(g): q for q, g in enumerate(tensor.weak_grids)}
+    local = []
     for t, epoch_pairs in enumerate(plan.assignments):
         if len(epoch_pairs) != m:
             raise PlanValidationError(
                 f"placement-count: epoch {t + 1} has {len(epoch_pairs)} pairs, "
                 f"expected exactly {m}"
             )
-        local = _local_indices(tensor, epoch_pairs)
-        grids = [q for q, _ in local]
-        sites = [j for _, j in local]
-        if len(set(grids)) != len(grids):
+        pairs = []
+        for grid, site in epoch_pairs:
+            if grid not in grid_pos:
+                raise PlanValidationError(
+                    f"membership: cell {grid} is not in the weak-coverage set"
+                )
+            if not 0 <= site < tensor.n_sites:
+                raise PlanValidationError(f"membership: unknown site index {site}")
+            pairs.append((grid_pos[grid], site))
+        if len({q for q, _ in pairs}) != m:
             raise PlanValidationError(
                 f"cell-exclusivity: epoch {t + 1} serves a cell more than once"
             )
-        if len(set(sites)) != len(sites):
+        if len({j for _, j in pairs}) != m:
             raise PlanValidationError(
                 f"site-exclusivity: epoch {t + 1} occupies a site more than once"
             )
+        local.append(pairs)
     if plan.strategy in FIXED_STRATEGIES:
         first = set(plan.assignments[0]) if plan.assignments else set()
         for t, epoch_pairs in enumerate(plan.assignments[1:], start=2):
@@ -324,21 +321,19 @@ def validate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> None:
                     f"fixed-placement: epoch {t} differs from epoch 1 under a "
                     f"non-relocating strategy"
                 )
+    return local
 
 
-def evaluate_plan(plan: PlacementPlan, tensor: GainTensor) -> PlanEvaluation:
+def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvaluation:
     """Recompute the objective and the served demand of a plan.
 
-    Validates feasibility first (with the placement count taken from the
-    plan itself), so an infeasible plan raises rather than scoring.
+    Validates feasibility first against the fleet size m, so an infeasible
+    plan raises rather than scoring.
     """
-    m = len(plan.assignments[0]) if plan.assignments else 0
-    validate_plan(plan, tensor, m)
     weight = 0.0
     served = np.zeros(tensor.n_epochs)
-    for t, epoch_pairs in enumerate(plan.assignments):
-        local = _local_indices(tensor, epoch_pairs)
-        for q, j in local:
+    for t, pairs in enumerate(validate_plan(plan, tensor, m)):
+        for q, j in pairs:
             weight += float(tensor.gains[t, q, j]) - 1.0
             served[t] += float(tensor.demand[t, q])
     return PlanEvaluation(

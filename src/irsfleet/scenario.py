@@ -11,6 +11,7 @@ from pathlib import Path
 from .channel import NLOS_RULES, RadioParams
 from .energy import PlatformParams
 from .geometry import ScenarioLayout, build_layout
+from .planner import RANDOM_MODES, TERRESTRIAL_MODES
 from .traffic import TrafficModel
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "Scenario",
     "default_scenario",
     "load_scenario",
+    "scenario_as_dict",
     "write_scenario",
 ]
 
@@ -41,17 +43,19 @@ class GeometryConfig:
 @dataclass(frozen=True)
 class SolverOptions:
     fleet_size: int = 10
-    terrestrial_mode: str = "epoch1"       # or "clairvoyant"
-    random_mode: str = "direct"            # or "rejection"
+    terrestrial_mode: str = "epoch1"       # one of TERRESTRIAL_MODES
+    random_mode: str = "direct"            # one of RANDOM_MODES
     random_max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
         if self.fleet_size < 0:
             raise ScenarioError("fleet_size must be nonnegative")
-        if self.terrestrial_mode not in ("epoch1", "clairvoyant"):
-            raise ScenarioError("terrestrial_mode must be epoch1 or clairvoyant")
-        if self.random_mode not in ("direct", "rejection"):
-            raise ScenarioError("random_mode must be direct or rejection")
+        for name, modes in (
+            ("terrestrial_mode", TERRESTRIAL_MODES),
+            ("random_mode", RANDOM_MODES),
+        ):
+            if getattr(self, name) not in modes:
+                raise ScenarioError(f"{name} must be {' or '.join(modes)}")
         if self.random_max_iterations < 1:
             raise ScenarioError("random_max_iterations must be positive")
 
@@ -146,18 +150,10 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "solver": {
         "fleet_size": (int, "fleet_size"),
-        "terrestrial_mode": (_parse_choice(("epoch1", "clairvoyant")), "terrestrial_mode"),
-        "random_mode": (_parse_choice(("direct", "rejection")), "random_mode"),
+        "terrestrial_mode": (_parse_choice(TERRESTRIAL_MODES), "terrestrial_mode"),
+        "random_mode": (_parse_choice(RANDOM_MODES), "random_mode"),
         "random_max_iterations": (int, "random_max_iterations"),
     },
-}
-
-_SECTION_TYPES = {
-    "geometry": GeometryConfig,
-    "radio": RadioParams,
-    "platform": PlatformParams,
-    "traffic": TrafficModel,
-    "solver": SolverOptions,
 }
 
 
@@ -209,22 +205,24 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def scenario_as_dict(scenario: Scenario) -> dict[str, dict]:
+    """Every parameter by file section and key, defaults included."""
+    return {
+        section: {
+            key: "independent" if target is None
+            else getattr(getattr(scenario, section), target)
+            for key, (_, target) in schema.items()
+        }
+        for section, schema in _SCHEMA.items()
+    }
+
+
 def write_scenario(scenario: Scenario, path) -> None:
     """Serialize a scenario with every parameter explicit, defaults included."""
-    sections = {
-        "geometry": scenario.geometry,
-        "radio": scenario.radio,
-        "platform": scenario.platform,
-        "traffic": scenario.traffic,
-        "solver": scenario.solver,
-    }
     lines = []
-    for section, obj in sections.items():
+    for section, values in scenario_as_dict(scenario).items():
         lines.append(f"[{section}]")
-        for key, (_, target) in _SCHEMA[section].items():
-            if target is None:
-                lines.append(f"{key} = independent")
-                continue
-            lines.append(f"{key} = {_format_value(getattr(obj, target))}")
+        for key, value in values.items():
+            lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
     Path(path).write_text("\n".join(lines))

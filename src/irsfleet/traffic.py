@@ -1,7 +1,6 @@
 """Spatio-temporal log-normal traffic demand and the demand-gated gain."""
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,8 +114,3 @@ def write_traffic_csv(field: TrafficField, path) -> None:
         for t in range(epochs):
             for i in range(grids):
                 writer.writerow([t + 1, i, repr(float(field.demand[t, i]))])
-
-
-def lognormal_median(mean: float, sigma: float) -> float:
-    """Median implied by a mean-calibrated log-normal: mean * exp(-sigma^2/2)."""
-    return mean * math.exp(-0.5 * sigma**2)

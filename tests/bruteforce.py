@@ -2,33 +2,18 @@
 
 These deliberately re-derive every optimum from first principles
 (enumerate all feasible supports / permutations) so the solvers are
-checked against an independent route.
+checked against an independent route. The exact-size matching optima
+live in `irsfleet.oracles`, where `irsfleet validate` uses them too.
 """
 
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
-
-def best_exact_size_weight(weights, size: int) -> float:
-    """Max total weight over matchings with exactly `size` pairs."""
-    w = np.asarray(weights, dtype=float)
-    rows, cols = w.shape
-    if size == 0:
-        return 0.0
-    best = -np.inf
-    for rsel in combinations(range(rows), size):
-        for csel in combinations(range(cols), size):
-            for perm in permutations(csel):
-                total = sum(w[r, c] for r, c in zip(rsel, perm))
-                if total > best:
-                    best = total
-    return float(best)
-
-
-def best_exact_size_cost(cost, size: int) -> float:
-    """Min total cost over matchings with exactly `size` pairs."""
-    return -best_exact_size_weight(-np.asarray(cost, dtype=float), size)
+from irsfleet.oracles import (  # noqa: F401  (re-exported for the tests)
+    best_exact_size_cost,
+    best_exact_size_weight,
+)
 
 
 def best_assignment(cost) -> tuple[tuple[int, ...], float]:

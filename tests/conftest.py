@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from irsfleet import GainTensor, default_scenario
+from irsfleet import default_scenario
+from irsfleet.planner import GainTensor
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +18,7 @@ def rng():
 def make_tensor(gains, demand=None, thresholds=None) -> GainTensor:
     """Small hand-built tensor: gains is (epochs, n_weak, n_sites)."""
     gains = np.asarray(gains, dtype=float)
-    epochs, n_weak, n_sites = gains.shape
+    epochs, n_weak, _ = gains.shape
     if demand is None:
         demand = np.full((epochs, n_weak), 100.0)
     if thresholds is None:
@@ -25,7 +26,6 @@ def make_tensor(gains, demand=None, thresholds=None) -> GainTensor:
     return GainTensor(
         gains=gains,
         weak_grids=np.arange(n_weak),
-        sites=np.arange(n_sites),
         demand=np.asarray(demand, dtype=float),
         thresholds=np.asarray(thresholds, dtype=float),
     )

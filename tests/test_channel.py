@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,23 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsfleet import (
+from irsfleet.channel import (
     RadioParams,
-    build_layout,
     cascade_amplification,
     cascaded_path_loss_db,
     cascaded_snr_db,
-    compute_distances,
     direct_path_loss_db,
     direct_snr_db,
-    draw_nlos_set,
     los_probability,
+    nlos_members,
     realize_channel,
     rician_amplitude_mean,
     snr_ratio,
     weak_coverage_set,
 )
-from irsfleet.channel import nlos_members
+from irsfleet.geometry import build_layout, compute_distances
 from irsfleet.oracles import empirical_mean_amplitude, sample_rician_fading
 
 PARAMS = RadioParams()
@@ -82,13 +81,16 @@ def test_nlos_rule_validated():
         nlos_members(np.array([0.5]), np.array([0.5]), "bogus")
 
 
-def test_draw_nlos_set_reproducible_and_calibrated():
+def test_realize_channel_nlos_set_reproducible_and_calibrated():
     layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
     tables = compute_distances(layout)
     p = los_probability(tables.d2_bs_ut)
 
-    first = draw_nlos_set(tables, np.random.Generator(np.random.Philox(42)))
-    second = draw_nlos_set(tables, np.random.Generator(np.random.Philox(42)))
+    def nlos_set(rng, params=PARAMS):
+        return realize_channel(tables, params, rng).nlos_set
+
+    first = nlos_set(np.random.Generator(np.random.Philox(42)))
+    second = nlos_set(np.random.Generator(np.random.Philox(42)))
     assert np.array_equal(first, second)
 
     trials = 10_000
@@ -96,10 +98,9 @@ def test_draw_nlos_set_reproducible_and_calibrated():
         ("conventional", float((1.0 - p).sum())),
         ("inverted", float(p.sum())),
     ):
+        params = dataclasses.replace(PARAMS, nlos_rule=rule)
         rng = np.random.Generator(np.random.Philox(7))
-        sizes = [
-            draw_nlos_set(tables, rng, rule).size for _ in range(trials)
-        ]
+        sizes = [nlos_set(rng, params).size for _ in range(trials)]
         sigma = math.sqrt(float((p * (1.0 - p)).sum()) / trials)
         assert abs(np.mean(sizes) - expect) < 3.0 * sigma
 

@@ -1,8 +1,13 @@
 import csv
+import hashlib
 import json
 
+import pytest
+
+from irsfleet import default_scenario, run_trial
 from irsfleet.cli import main
 from irsfleet.harness import PLACEMENT_HEADER, TRAJECTORY_HEADER
+from irsfleet.traffic import write_traffic_csv
 
 
 def test_plan_subcommand(tmp_path, capsys):
@@ -26,7 +31,11 @@ def test_plan_subcommand(tmp_path, capsys):
     with (out / "trajectory.csv").open() as fh:
         trows = list(csv.reader(fh))
     assert trows[0] == TRAJECTORY_HEADER
-    assert (out / "traffic.csv").exists()
+    # the traffic the trial was scored on, not a re-derived field
+    result = run_trial(default_scenario(), 2.8, 0, "robotic", 7)
+    write_traffic_csv(result.traffic, tmp_path / "expected_traffic.csv")
+    expected = (tmp_path / "expected_traffic.csv").read_bytes()
+    assert (out / "traffic.csv").read_bytes() == expected
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["generator"] == "philox"
     assert meta["master_seed"] == 7
@@ -94,3 +103,39 @@ def test_error_is_machine_readable(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     payload = json.loads(err.splitlines()[-1])
     assert "error" in payload
+
+
+# sha256 of every deterministic artifact of two small runs. Refactors must
+# keep these bytes; a change that alters an output on purpose records the
+# new digests here and says why. Recorded with numpy 2.4.6 and scipy
+# 1.17.1 (CPython 3.11); another numpy may legitimately draw other bytes.
+GOLDEN = {
+    "sweep": {
+        "trials.csv": "f55f7a0f0d34fa2b7c871ce11ccd282b8a4a20b55ce68904a911145d1045679c",
+        "summary.csv": "2de774319384170439b4dd1f17b71b6a59cee21692f19914e0bc26bdf7222c39",
+        "trajectories_sigma_1.8.csv": "a1f2655622722b7348e074a788b03e41e238c598c1614dbff03ac840018d5f87",
+        "trajectories_sigma_2.8.csv": "fa8390dd05b90ead9bf9b1279dd0e9499a2dadf6707f1ce1d60ea889932eaff6",
+        "trajectories_sigma_3.6.csv": "ec7b7b8778207bf332ee17f3d3db58660218aa3135712359700ef6ce5a891826",
+        "run_metadata.json": "6041ef76982d251c401e2864fae373d4c8eed2fc6301efe2d293275eed1417bd",
+    },
+    "plan": {
+        "placement.csv": "473b7f153f936d35bea4c35d037571f19713f7d7caabbe77888bf1f32ce12201",
+        "trajectory.csv": "abaea3a70699d7132c6075a68db37fc45c5def044c278d12f42c897bcd0109d3",
+        "traffic.csv": "0de8f294070f6d54832489be4cb117a68a1d141a426c142aa8e12df12bfee3cb",
+        "run_metadata.json": "5dd9413b6c683fc38074ec982ea1f74623a460e72e68adf623040058badf6a74",
+    },
+}
+GOLDEN_ARGS = {
+    "sweep": ["sweep", "--seed", "20260810", "--trials", "2"],
+    "plan": ["plan", "--seed", "7", "--sigma", "2.8"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_outputs_match_golden_digests(tmp_path, command):
+    out = tmp_path / command
+    assert main(GOLDEN_ARGS[command] + ["--out", str(out)]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(GOLDEN[command])
+    for name, digest in GOLDEN[command].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from irsfleet import (
+from irsfleet.channel import RadioParams
+from irsfleet.energy import (
     PlatformParams,
-    RadioParams,
     SizingError,
     flight_range,
     fly_energy,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsfleet import build_layout, compute_distances
+from irsfleet.geometry import build_layout, compute_distances
 
 HEIGHTS = (8.5, 2.0, 10.5)
 

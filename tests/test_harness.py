@@ -11,10 +11,13 @@ from irsfleet import (
     default_scenario,
     run_experiment,
     run_trial,
+)
+from irsfleet.harness import (
+    SUMMARY_HEADER,
+    TRIALS_HEADER,
     summarize,
     trial_rng,
 )
-from irsfleet.harness import SUMMARY_HEADER, TRIALS_HEADER
 from irsfleet.scenario import GeometryConfig, SolverOptions
 
 SMALL = Scenario(solver=SolverOptions(fleet_size=5))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bruteforce import best_exact_size_cost, dyadic_matrix
-from irsfleet import min_cost_matching
+from irsfleet.matching import min_cost_matching
 
 
 def test_trivial_sizes():

@@ -3,25 +3,22 @@ import pytest
 
 from bruteforce import best_exact_size_weight, dyadic_matrix
 from conftest import make_tensor
-from irsfleet import (
+from irsfleet.channel import RadioParams, realize_channel
+from irsfleet.geometry import build_layout, compute_distances
+from irsfleet.planner import (
     InfeasiblePlacementError,
+    PlacementPlan,
     PlanValidationError,
-    RadioParams,
     SamplingExhaustedError,
-    TrafficModel,
     build_gain_tensor,
-    build_layout,
-    compute_distances,
     evaluate_plan,
-    realize_channel,
-    sample_traffic,
     solve_adaptive_plan,
     solve_epoch_placement,
     solve_fixed_plan,
     solve_random_plan,
     validate_plan,
 )
-from irsfleet.planner import PlacementPlan
+from irsfleet.traffic import TrafficModel, sample_traffic
 
 
 # ------------------------------------------------------------- gain tensor
@@ -84,7 +81,7 @@ def test_epoch_placement_single_unit_example():
     assert pairs == [(1, 0)] and weight == 3.0
     plan = PlacementPlan("robotic", (((1, 0),),), 0.0, weight)
     tensor = make_tensor([[[2.0, 3.0], [4.0, 1.0]]])
-    assert evaluate_plan(plan, tensor).objective == pytest.approx(2.5)
+    assert evaluate_plan(plan, tensor, 1).objective == pytest.approx(2.5)
 
 
 def test_epoch_placement_two_unit_example():
@@ -243,7 +240,7 @@ def test_evaluate_matches_solver_objective():
     demand = np.abs(rng.normal(size=(3, 5))) * 100.0
     tensor = make_tensor(gains, demand=demand)
     plan = solve_adaptive_plan(tensor, 2)
-    ev = evaluate_plan(plan, tensor)
+    ev = evaluate_plan(plan, tensor, 2)
     assert ev.objective == plan.objective
     assert ev.matching_weight == pytest.approx(plan.matching_weight)
     # objective decomposition
@@ -258,7 +255,7 @@ def test_evaluate_matches_solver_objective():
 def test_empty_plan_evaluates_to_unit_gain():
     tensor = make_tensor(np.ones((2, 3, 3)))
     plan = solve_adaptive_plan(tensor, 0)
-    ev = evaluate_plan(plan, tensor)
+    ev = evaluate_plan(plan, tensor, 0)
     assert ev.objective == 1.0
     assert ev.served_traffic.sum() == 0.0
 
@@ -272,13 +269,18 @@ def test_empty_plan_evaluates_to_unit_gain():
         ((((0, 0), (1, 0)),), "site-exclusivity"),
         ((((9, 0), (1, 1)),), "membership"),
         ((((0, 9), (1, 1)),), "membership"),
+        # numpy indexing would wrap a negative site silently
+        ((((0, -1), (1, 1)),), "membership"),
+        # evaluate_plan checks the caller's fleet size, not the plan's own
+        ((((0, 0), (1, 1), (2, 2)),), "placement-count"),
     ],
 )
 def test_validator_names_the_violated_constraint(assignments, message):
     tensor = make_tensor(np.ones((1, 3, 3)))
     plan = PlacementPlan("robotic", assignments, 1.0, 0.0)
-    with pytest.raises(PlanValidationError, match=message):
-        validate_plan(plan, tensor, 2)
+    for check in (validate_plan, evaluate_plan):
+        with pytest.raises(PlanValidationError, match=message):
+            check(plan, tensor, 2)
 
 
 def test_validator_catches_fixed_strategy_drift():

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from bruteforce import best_assignment, best_transition_chain, dyadic_matrix
-from irsfleet import (
-    PlanValidationError,
-    PlatformParams,
-    build_layout,
-    flight_range,
+from irsfleet.energy import PlatformParams, flight_range
+from irsfleet.geometry import build_layout
+from irsfleet.planner import PlacementPlan, PlanValidationError
+from irsfleet.routing import (
     min_cost_assignment,
     plan_trajectories,
     transition_costs,
     validate_trajectory,
 )
-from irsfleet.planner import PlacementPlan
 
 LAYOUT = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
 PLATFORM = PlatformParams()

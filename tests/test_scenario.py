@@ -1,13 +1,7 @@
 import pytest
 
-from irsfleet import (
-    Scenario,
-    ScenarioError,
-    default_scenario,
-    load_scenario,
-    write_scenario,
-)
-from irsfleet.scenario import SolverOptions
+from irsfleet import Scenario, ScenarioError, default_scenario, load_scenario
+from irsfleet.scenario import SolverOptions, write_scenario
 
 
 def test_default_values_match_the_tables():

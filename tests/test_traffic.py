@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from irsfleet import TrafficModel, gate_gain, sample_traffic
-from irsfleet.traffic import default_epoch_profile, write_traffic_csv
+from irsfleet.traffic import (
+    TrafficModel,
+    default_epoch_profile,
+    gate_gain,
+    sample_traffic,
+    write_traffic_csv,
+)
 
 
 def test_default_profile_spans_the_band():
