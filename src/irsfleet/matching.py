@@ -6,11 +6,13 @@ by the caller, which is exactly what the placement problem needs (a set
 number of units in service) and what the trajectory step needs (a full
 permutation). With the count fixed, shifting all costs by a constant never
 changes the argmin, so negative costs are handled by a one-off shift.
+The solver's final dual potentials are exposed too: the trajectory step
+settles most of its lexicographic tie-break from them without re-solving.
 """
 
 import numpy as np
 
-__all__ = ["min_cost_matching"]
+__all__ = ["min_cost_matching", "min_cost_matching_with_duals"]
 
 
 def min_cost_matching(cost, size: int) -> tuple[list[tuple[int, int]], float]:
@@ -23,6 +25,20 @@ def min_cost_matching(cost, size: int) -> tuple[list[tuple[int, int]], float]:
     Raises ValueError for a non-matrix, non-finite entries, or
     size > min(shape).
     """
+    pairs, total, _, _ = min_cost_matching_with_duals(cost, size)
+    return pairs, total
+
+
+def min_cost_matching_with_duals(
+    cost, size: int
+) -> tuple[list[tuple[int, int]], float, np.ndarray, np.ndarray]:
+    """`min_cost_matching` plus the solver's final dual potentials (u, v).
+
+    For size >= 1 the reduced costs `cost[i, j] - u[i] - v[j]` are
+    nonnegative everywhere and zero on the matched pairs (up to rounding),
+    so for a full square matching `u.sum() + v.sum()` is the total. For
+    size 0 both potentials are zero.
+    """
     c_in = np.asarray(cost, dtype=float)
     if c_in.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
@@ -30,11 +46,12 @@ def min_cost_matching(cost, size: int) -> tuple[list[tuple[int, int]], float]:
     if not 0 <= size <= min(n_rows, n_cols):
         raise ValueError(f"match size {size} infeasible for {n_rows}x{n_cols} costs")
     if size == 0:
-        return [], 0.0
+        return [], 0.0, np.zeros(n_rows), np.zeros(n_cols)
     if not np.isfinite(c_in).all():
         raise ValueError("cost entries must be finite")
 
-    c = c_in - min(float(c_in.min()), 0.0)
+    shift = min(float(c_in.min()), 0.0)
+    c = c_in - shift
 
     u = np.zeros(n_rows)
     v = np.zeros(n_cols)
@@ -87,4 +104,6 @@ def min_cost_matching(cost, size: int) -> tuple[list[tuple[int, int]], float]:
     rows = np.flatnonzero(row_match >= 0)
     pairs = [(int(i), int(row_match[i])) for i in rows]
     total = float(c_in[rows, row_match[rows]].sum())
-    return pairs, total
+    # Potentials of the shifted matrix; moving the shift into u makes them
+    # potentials of the caller's matrix with the same reduced costs.
+    return pairs, total, u + shift, v

@@ -14,7 +14,7 @@ import numpy as np
 
 from .energy import EnergyLedger, PlatformParams, mission_ledger
 from .geometry import ScenarioLayout
-from .matching import min_cost_matching
+from .matching import min_cost_matching, min_cost_matching_with_duals
 from .planner import PlacementPlan, PlanValidationError
 
 __all__ = [
@@ -82,7 +82,13 @@ def min_cost_assignment(cost) -> tuple[np.ndarray, float]:
 
     Ties are broken toward the lexicographically smallest permutation:
     after the optimum is known, each row in turn takes the lowest column
-    that still admits an optimal completion. Returns (permutation, total).
+    that still admits an optimal completion, i.e. one whose total is within
+    `1e-9 * max(1, optimum)` of it. Returns (permutation, total).
+
+    One dual solve decides almost every candidate: the optimal witness's
+    column passes, and a column whose edge, or every completion of it,
+    needs a reduced cost above twice the tolerance fails. Only the rest
+    are confirmed by re-solving the completion.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -93,26 +99,66 @@ def min_cost_assignment(cost) -> tuple[np.ndarray, float]:
     if not np.isfinite(c).all() or (c < 0).any():
         raise ValueError("assignment costs must be finite and nonnegative")
 
-    _, best = min_cost_matching(c, m)
+    pairs, best, u, v = min_cost_matching_with_duals(c, m)
     tol = 1e-9 * max(1.0, abs(best))
+    # Every permutation costs `best` plus its reduced costs, all >= 0, so
+    # one edge above 2*tol (a margin for rounding in the potentials)
+    # rules it out of the tolerance.
+    tight = (c - u[:, None] - v[None, :] <= 2.0 * tol).tolist()
+    # A permutation within the tolerance that extends the accepted prefix;
+    # its column in the current row always passes.
+    witness = [j for _, j in pairs]
     perm = np.full(m, -1, dtype=int)
     available = list(range(m))
     prefix = 0.0
     for i in range(m):
-        rest_rows = np.arange(i + 1, m)
         for pos, j in enumerate(available):
-            rest_cols = available[:pos] + available[pos + 1 :]
-            sub = c[np.ix_(rest_rows, np.asarray(rest_cols, dtype=int))]
-            _, completion = min_cost_matching(sub, m - i - 1)
-            if prefix + c[i, j] + completion <= best + tol:
-                perm[i] = j
-                prefix += c[i, j]
-                available.pop(pos)
-                break
-        else:  # pragma: no cover - an optimal completion always exists
-            raise RuntimeError("failed to extend an optimal assignment prefix")
+            if j != witness[i]:
+                if not tight[i][j]:
+                    continue
+                if not _tight_detour(tight, witness, i, j, available):
+                    continue
+                rest_rows = np.arange(i + 1, m)
+                rest_cols = np.asarray(
+                    available[:pos] + available[pos + 1 :], dtype=int
+                )
+                sub = c[np.ix_(rest_rows, rest_cols)]
+                sub_pairs, completion = min_cost_matching(sub, m - i - 1)
+                if prefix + c[i, j] + completion > best + tol:
+                    continue
+                witness[i] = j
+                for r, col in sub_pairs:
+                    witness[i + 1 + r] = int(rest_cols[col])
+            perm[i] = j
+            prefix += c[i, j]
+            available.pop(pos)
+            break
     total = float(c[np.arange(m), perm].sum())
     return perm, total
+
+
+def _tight_detour(tight, witness, i, j, available) -> bool:
+    """Whether rows after i can take the available columns other than j
+    using tight edges only, once row i takes j instead of its witness column.
+
+    The witness leaves exactly one row without a column (the one that held
+    j) and one column free (row i's), so a perfect tight matching exists
+    iff one augmenting path joins them: a single Kuhn step.
+    """
+    owner = {witness[r]: r for r in range(i + 1, len(witness))}
+    free = witness[i]
+    seen = {j}
+    stack = [owner[j]]
+    while stack:
+        row = stack.pop()
+        for col in available:
+            if col in seen or not tight[row][col]:
+                continue
+            if col == free:
+                return True
+            seen.add(col)
+            stack.append(owner[col])
+    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,17 +254,19 @@ def validate_trajectory(
             raise PlanValidationError(
                 f"site-exclusivity: two units share a site at epoch {t + 1}"
             )
-    coords = layout.candidate_sites
-    bs = layout.bs_position
-    for k in range(m):
-        points = [bs] + [coords[s] for s in trajectory.routes[k]] + [bs]
-        for leg in range(epochs + 1):
-            expect = float(np.hypot(*(points[leg + 1] - points[leg])))
-            if abs(expect - trajectory.leg_m[k, leg]) > 1e-6:
-                raise PlanValidationError(
-                    f"leg-distance: unit {k} leg {leg} is not the planar "
-                    f"distance between its endpoints"
-                )
+    bs = np.broadcast_to(layout.bs_position, (m, 1, 2))
+    points = np.concatenate(
+        [bs, layout.candidate_sites[trajectory.routes], bs], axis=1
+    )
+    step = np.diff(points, axis=1)
+    expect = np.hypot(step[..., 0], step[..., 1])
+    wrong = np.argwhere(np.abs(expect - trajectory.leg_m) > 1e-6)
+    if len(wrong):
+        k, leg = wrong[0]
+        raise PlanValidationError(
+            f"leg-distance: unit {k} leg {leg} is not the planar "
+            f"distance between its endpoints"
+        )
     if np.any(np.diff(trajectory.cumulative_m, axis=1) < -1e-9):
         raise PlanValidationError("cumulative distance decreases along a route")
     if abs(trajectory.leg_m.sum() - trajectory.total_distance_m) > 1e-6:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bruteforce import best_exact_size_cost, dyadic_matrix
-from irsfleet.matching import min_cost_matching
+from irsfleet.matching import min_cost_matching, min_cost_matching_with_duals
 
 
 def test_trivial_sizes():
@@ -78,3 +78,25 @@ def test_deterministic_output():
     first = min_cost_matching(cost, 5)
     second = min_cost_matching(cost.copy(), 5)
     assert first == second
+
+
+def test_dual_potentials_certify_the_optimum():
+    rng = np.random.Generator(np.random.Philox(43))
+    for case in range(150):
+        square = case % 3 == 0
+        rows = int(rng.integers(1, 9))
+        cols = rows if square else int(rng.integers(1, 9))
+        size = rows if square else int(rng.integers(1, min(rows, cols) + 1))
+        # normal entries are mixed-sign; the shifted ones are all negative
+        cost = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-2, 4)
+        if case % 2:
+            cost -= np.abs(cost).max() + 1.0
+        pairs, total, u, v = min_cost_matching_with_duals(cost, size)
+        assert (pairs, total) == min_cost_matching(cost, size)
+        scale = max(1.0, float(np.abs(cost).max()))
+        reduced = cost - u[:, None] - v[None, :]
+        assert reduced.min() >= -1e-9 * scale
+        rows_m, cols_m = np.array(pairs).T
+        assert np.abs(reduced[rows_m, cols_m]).max() <= 1e-9 * scale
+        if square:
+            assert abs(u.sum() + v.sum() - total) <= 1e-9 * scale

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from bruteforce import best_assignment, best_transition_chain, dyadic_matrix
+from bruteforce import (
+    best_assignment,
+    best_transition_chain,
+    dyadic_matrix,
+    lexmin_assignment_by_resolves,
+)
 from irsfleet.energy import PlatformParams, flight_range
 from irsfleet.geometry import build_layout
+from irsfleet.matching import min_cost_matching
 from irsfleet.planner import PlacementPlan, PlanValidationError
 from irsfleet.routing import (
     min_cost_assignment,
@@ -99,6 +105,44 @@ def test_assignment_7x7_brute_force():
         assert total == expect
 
 
+@pytest.mark.parametrize(
+    "excess, lex_smaller_wins",
+    [(0.5, True), (0.9, True), (1.5, False), (3.0, False)],
+)
+def test_assignment_tie_tolerance(excess, lex_smaller_wins):
+    # The swap is optimal at 1000; the lexicographically smaller identity
+    # costs `excess` tolerances more. Within the tolerance it wins, also
+    # just below it (0.9); beyond it loses, both inside (1.5) and outside
+    # (3.0) the 2*tol pruning margin.
+    tol = 1e-9 * 1000.0
+    cost = np.array([[500.0 + excess * tol, 500.0], [500.0, 500.0]])
+    perm, total = min_cost_assignment(cost)
+    if lex_smaller_wins:
+        assert list(perm) == [0, 1] and total == cost[0, 0] + 500.0
+    else:
+        assert list(perm) == [1, 0] and total == 1000.0
+
+
+def test_assignment_matches_resolve_oracle_on_tied_grid_transitions():
+    # Lattice symmetry gives transition matrices exact distance ties.
+    rng = np.random.Generator(np.random.Philox(41))
+    n_ties = 0
+    for _ in range(100):
+        epoch_sites = [
+            tuple(sorted(rng.choice(LAYOUT.n_sites, size=10, replace=False).tolist()))
+            for _ in range(4)
+        ]
+        for cost in transition_costs(_plan(epoch_sites), LAYOUT).between:
+            perm, total = min_cost_assignment(cost)
+            expect_perm, expect_total = lexmin_assignment_by_resolves(cost)
+            assert np.array_equal(perm, expect_perm)
+            assert total == expect_total
+            pairs, _ = min_cost_matching(cost, 10)
+            n_ties += list(perm) != [j for _, j in pairs]
+    # the tie-break really chose against the solver's first optimum
+    assert n_ties > 0
+
+
 # ------------------------------------------------------------ trajectories
 
 def test_static_plan_travel_is_depot_only():
@@ -175,6 +219,18 @@ def test_transition_optimality_beats_identity_and_random():
             perm = rng.permutation(5)
             sampled = float(costs.between[t][np.arange(5), perm].sum())
             assert optimal <= sampled + 1e-9
+
+
+def test_validator_names_the_first_wrong_leg():
+    plan = _plan([(0, 9), (90, 99), (0, 9)])
+    traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+    traj.leg_m[1, 2] += 1.0
+    traj.leg_m[0, 3] += 1.0
+    with pytest.raises(PlanValidationError, match="unit 0 leg 3 "):
+        validate_trajectory(traj, plan, LAYOUT)
+    traj.leg_m[0, 3] -= 1.0
+    with pytest.raises(PlanValidationError, match="unit 1 leg 2 "):
+        validate_trajectory(traj, plan, LAYOUT)
 
 
 def test_infeasible_energy_is_flagged():
