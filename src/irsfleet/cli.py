@@ -242,6 +242,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irsfleet",
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="run the Monte Carlo and solver oracle checks"
     )
     validate.add_argument(
-        "--draws", type=int, default=100_000,
+        "--draws", type=_positive_int, default=100_000,
         help="Monte Carlo draw count per check",
     )
     validate.set_defaults(func=_cmd_validate)

@@ -7,6 +7,10 @@ forms they check, and the brute force enumerates every feasible support
 and permutation instead of sharing any logic with the solver.
 """
 
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, permutations
 
 import numpy as np
@@ -20,6 +24,11 @@ __all__ = [
 ]
 
 
+def _require_draws(count) -> None:
+    if (np.asarray(count) < 1).any():
+        raise ValueError("draw count must be at least 1")
+
+
 def sample_rician_fading(
     k_linear: float,
     size,
@@ -30,6 +39,7 @@ def sample_rician_fading(
     k = float(k_linear)
     if k < 0:
         raise ValueError("Rician factor must be nonnegative")
+    _require_draws(size)
     dominant = np.sqrt(k / (1.0 + k))
     scatter_scale = np.sqrt(1.0 / (2.0 * (1.0 + k)))
     scatter = scatter_scale * (
@@ -47,15 +57,86 @@ def empirical_mean_amplitude(
     return float(np.abs(sample_rician_fading(k_linear, int(n_draws), rng)).mean())
 
 
-def _rician_amplitudes(k: float, size, rng: np.random.Generator) -> np.ndarray:
-    # Single-precision draws: the amplitudes feed a percent-level moment
-    # check, and halving the bandwidth roughly halves the runtime at
-    # large element counts. Accumulation stays in double precision.
-    dominant = np.float32(np.sqrt(k / (1.0 + k)))
-    scale = np.float32(np.sqrt(1.0 / (2.0 * (1.0 + k))))
-    re = dominant + scale * rng.standard_normal(size, dtype=np.float32)
-    im = scale * rng.standard_normal(size, dtype=np.float32)
-    return np.sqrt(re * re + im * im)
+# Draws per chunk of the cascade oracle. The chunk boundaries key the
+# random streams, so changing it changes the sampled values.
+_CHUNK_DRAWS = 2048
+# Most draws held at once across the worker threads. Each worker keeps
+# three float32 (chunk, N) buffers; a 4096-draw chunk sampled with
+# temporaries peaks at six (4096, N) arrays, so this bound keeps the
+# oracle's peak memory at or below that.
+_DRAWS_IN_FLIGHT = 8192
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform reports an affinity mask
+        return os.cpu_count() or 1
+
+
+def _core_pinner(workers: int):
+    """Pool initializer giving each of `workers` threads its own core.
+
+    A new thread starts on its creator's core, and the kernel can take a
+    second or more to move one of two busy threads to an idle core, so
+    unpinned threads often share one core for much of a call. Pinned, each
+    thread has a core from its first chunk. None where the platform
+    reports no affinity mask.
+    """
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return None
+    cores = queue.SimpleQueue()
+    for i in range(workers):
+        cores.put(allowed[i % len(allowed)])
+
+    def pin() -> None:
+        try:
+            os.sched_setaffinity(0, {cores.get()})
+        except OSError:  # pinning refused (the core left the mask, say): run unpinned
+            pass
+
+    return pin
+
+
+class _CascadeWorker:
+    """One thread's reusable float32 buffers for the cascade oracle."""
+
+    def __init__(self, n: int, k: float, rows: int) -> None:
+        # Single-precision draws: the amplitudes feed a percent-level
+        # moment check, and halving the bandwidth roughly halves the
+        # runtime at large element counts. Accumulation stays in double
+        # precision.
+        self.dominant = np.float32(np.sqrt(k / (1.0 + k)))
+        self.scale = np.float32(np.sqrt(1.0 / (2.0 * (1.0 + k))))
+        self.a = np.empty((rows, n), dtype=np.float32)
+        self.b = np.empty_like(self.a)
+        self.im = np.empty_like(self.a)
+        self.s = np.empty(rows, dtype=np.float32)
+
+    def _amplitudes(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        # |dominant + scale * (x + iy)| for standard normal x then y, in place.
+        im = self.im[: len(out)]
+        rng.standard_normal(out=out, dtype=np.float32)
+        out *= self.scale
+        out += self.dominant
+        out *= out
+        rng.standard_normal(out=im, dtype=np.float32)
+        im *= self.scale
+        im *= im
+        out += im
+        np.sqrt(out, out=out)
+
+    def chunk_sum(self, key: int, chunk: int, rows: int) -> float:
+        """sum(s**2) over one chunk's draws, s the phase-aligned product sum."""
+        seed = np.random.SeedSequence([key, chunk])
+        rng = np.random.Generator(np.random.Philox(seed))
+        a, b, s = self.a[:rows], self.b[:rows], self.s[:rows]
+        self._amplitudes(a, rng)
+        self._amplitudes(b, rng)
+        np.einsum("ij,ij->i", a, b, out=s)
+        return float(np.square(s, dtype=np.float64).sum())
 
 
 def empirical_cascade_amplification(
@@ -63,27 +144,51 @@ def empirical_cascade_amplification(
     k_linear: float,
     n_draws: int,
     rng: np.random.Generator,
-    chunk_draws: int = 4096,
 ) -> float:
     """Empirical E|sum_l a_l b_l|^2 with phase-aligned element products.
 
     a_l and b_l are independent unit-power Rician amplitudes, one pair per
     element; perfect phase compensation makes the element sum a sum of
-    nonnegative amplitude products. Chunked to bound memory at large N.
+    nonnegative amplitude products.
+
+    The draws are split into fixed chunks. Chunk c samples from its own
+    Philox stream keyed by (key, c), where key is one 63-bit draw from
+    `rng`, so `rng` always advances by exactly one draw. Chunks run on a
+    pool of one thread per usable core (at most one per chunk and
+    `_DRAWS_IN_FLIGHT // _CHUNK_DRAWS`), each thread pinned to its own
+    core and taking the next chunk when idle. The chunks' double-precision
+    sums are added in chunk order, so the result is the same float for
+    every thread count.
     """
     n = int(n_elements)
     k = float(k_linear)
+    n_draws = int(n_draws)
     if k < 0:
         raise ValueError("Rician factor must be nonnegative")
+    if n < 1:
+        raise ValueError("element count must be at least 1")
+    _require_draws(n_draws)
+    key = int(rng.integers(2**63))
+    n_chunks = -(-n_draws // _CHUNK_DRAWS)
+    workers = max(1, min(_usable_cores(), n_chunks, _DRAWS_IN_FLIGHT // _CHUNK_DRAWS))
+
+    local = threading.local()
+
+    def chunk_sum(c: int) -> float:
+        worker = getattr(local, "worker", None)
+        if worker is None:
+            worker = local.worker = _CascadeWorker(n, k, min(_CHUNK_DRAWS, n_draws))
+        return worker.chunk_sum(key, c, min(_CHUNK_DRAWS, n_draws - c * _CHUNK_DRAWS))
+
+    # The pool hands each chunk to the next idle thread, so a thread on a
+    # core slowed by other load takes fewer chunks instead of holding up
+    # a fixed share. map yields the sums in chunk order and re-raises a
+    # chunk's error.
     total = 0.0
-    remaining = int(n_draws)
-    while remaining > 0:
-        block = min(chunk_draws, remaining)
-        a = _rician_amplitudes(k, (block, n), rng)
-        b = _rician_amplitudes(k, (block, n), rng)
-        s = np.einsum("ij,ij->i", a, b).astype(np.float64)
-        total += float(np.square(s).sum())
-        remaining -= block
+    pin = _core_pinner(workers)
+    with ThreadPoolExecutor(max_workers=workers, initializer=pin) as pool:
+        for part in pool.map(chunk_sum, range(n_chunks)):
+            total += part
     return total / float(n_draws)
 
 

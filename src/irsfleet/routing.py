@@ -260,14 +260,16 @@ def validate_trajectory(
     )
     step = np.diff(points, axis=1)
     expect = np.hypot(step[..., 0], step[..., 1])
-    wrong = np.argwhere(np.abs(expect - trajectory.leg_m) > 1e-6)
+    # Each check asks that the good condition holds, so a NaN fails it:
+    # every ordered comparison with NaN is false.
+    wrong = np.argwhere(~(np.abs(expect - trajectory.leg_m) <= 1e-6))
     if len(wrong):
         k, leg = wrong[0]
         raise PlanValidationError(
             f"leg-distance: unit {k} leg {leg} is not the planar "
             f"distance between its endpoints"
         )
-    if np.any(np.diff(trajectory.cumulative_m, axis=1) < -1e-9):
+    if not np.all(np.diff(trajectory.cumulative_m, axis=1) >= -1e-9):
         raise PlanValidationError("cumulative distance decreases along a route")
-    if abs(trajectory.leg_m.sum() - trajectory.total_distance_m) > 1e-6:
+    if not abs(trajectory.leg_m.sum() - trajectory.total_distance_m) <= 1e-6:
         raise PlanValidationError("total distance does not equal the leg sum")

@@ -22,7 +22,11 @@ from irsfleet.channel import (
     weak_coverage_set,
 )
 from irsfleet.geometry import build_layout, compute_distances
-from irsfleet.oracles import empirical_mean_amplitude, sample_rician_fading
+from irsfleet.oracles import (
+    empirical_cascade_amplification,
+    empirical_mean_amplitude,
+    sample_rician_fading,
+)
 
 PARAMS = RadioParams()
 
@@ -180,6 +184,26 @@ def test_fading_sampler_unit_power(k):
     rng = np.random.Generator(np.random.Philox(3))
     h = sample_rician_fading(k, 100_000, rng)
     assert float(np.mean(np.abs(h) ** 2)) == pytest.approx(1.0, rel=0.01)
+
+
+@pytest.mark.parametrize("draws", [0, -3])
+def test_samplers_reject_nonpositive_draw_counts(draws):
+    rng = np.random.Generator(np.random.Philox(3))
+    with pytest.raises(ValueError, match="draw count"):
+        sample_rician_fading(0.0, draws, rng)
+    with pytest.raises(ValueError, match="draw count"):
+        sample_rician_fading(0.0, (4, draws), rng)
+    with pytest.raises(ValueError, match="draw count"):
+        empirical_mean_amplitude(0.0, draws, rng)
+    with pytest.raises(ValueError, match="draw count"):
+        empirical_cascade_amplification(16, 0.0, draws, rng)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_cascade_oracle_rejects_nonpositive_element_counts(n):
+    rng = np.random.Generator(np.random.Philox(3))
+    with pytest.raises(ValueError, match="element count"):
+        empirical_cascade_amplification(n, 0.0, 100, rng)
 
 
 def test_cascade_amplification_values():

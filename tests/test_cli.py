@@ -95,6 +95,24 @@ def test_validate_subcommand_fast(capsys):
     assert "FAIL" not in out
 
 
+def test_validate_report_is_deterministic(capsys):
+    # The benchmark's digest gate needs every run to print the same bytes.
+    assert main(["validate", "--draws", "20000"]) == 0
+    first = capsys.readouterr().out
+    assert main(["validate", "--draws", "20000"]) == 0
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_validate_rejects_nonpositive_draws(capsys, draws):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "--draws", draws])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--draws: must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_error_is_machine_readable(tmp_path, capsys):
     config = tmp_path / "broken.ini"
     config.write_text("[radio]\nn_elements = 7\n")

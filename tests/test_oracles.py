@@ -1,0 +1,132 @@
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from irsfleet import oracles
+from irsfleet.oracles import empirical_cascade_amplification
+
+CHUNK = oracles._CHUNK_DRAWS
+DRAW_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
+
+
+def _caller():
+    return np.random.Generator(np.random.PCG64(20260810))
+
+
+def _report_cores(monkeypatch, cores):
+    """Make the oracle see `cores` usable cores."""
+    monkeypatch.setattr(oracles, "_usable_cores", lambda: cores)
+
+
+@pytest.mark.parametrize("n_draws", DRAW_COUNTS)
+def test_cascade_oracle_is_independent_of_worker_count(n_draws, monkeypatch):
+    results = set()
+    # None is the machine's own core count; 2 twice checks repeats.
+    for cores in (1, 2, 3, None, 2):
+        if cores is None:
+            monkeypatch.undo()
+        else:
+            _report_cores(monkeypatch, cores)
+        rng = _caller()
+        results.add(empirical_cascade_amplification(5, 10.0, n_draws, rng))
+        # The caller's generator advances by exactly one draw.
+        expect = _caller()
+        expect.integers(2**63)
+        assert rng.random() == expect.random()
+    assert len(results) == 1
+    (value,) = results
+    assert np.isfinite(value) and value > 0.0
+
+
+def test_cascade_oracle_matches_a_loop_over_chunk_streams(monkeypatch):
+    # Reference: each chunk's amplitudes drawn from its own keyed stream in
+    # the sampler's order (a's real then imaginary parts, then b's), the
+    # phase-aligned product summed per draw, accumulated in double precision.
+    n, k, n_draws = 4, 10.0, 2 * CHUNK + 3
+    key = int(_caller().integers(2**63))
+    dominant = np.float32(np.sqrt(k / (1.0 + k)))
+    scale = np.float32(np.sqrt(1.0 / (2.0 * (1.0 + k))))
+    total = 0.0
+    for c, start in enumerate(range(0, n_draws, CHUNK)):
+        rows = min(CHUNK, n_draws - start)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([key, c])))
+        amps = []
+        for _ in range(2):
+            re = dominant + scale * rng.standard_normal((rows, n), dtype=np.float32)
+            im = scale * rng.standard_normal((rows, n), dtype=np.float32)
+            amps.append(np.sqrt(re * re + im * im))
+        s = np.einsum("ij,ij->i", *amps).astype(np.float64)
+        total += float(np.square(s).sum())
+    expect = total / n_draws
+    _report_cores(monkeypatch, 2)
+    assert empirical_cascade_amplification(n, k, n_draws, _caller()) == expect
+
+
+def test_more_workers_than_cores_under_rapid_switching_lose_no_chunk(monkeypatch):
+    # Every chunk writes its own slot of the shared sum list; a lost or
+    # misplaced write would change the total.
+    n_draws = 8 * CHUNK + 5
+    _report_cores(monkeypatch, 1)
+    serial = empirical_cascade_amplification(2, 0.0, n_draws, _caller())
+    _report_cores(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = empirical_cascade_amplification(2, 0.0, n_draws, _caller())
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_small_draw_counts_start_one_worker_and_leave_no_threads(monkeypatch):
+    built = []
+
+    class CountingWorker(oracles._CascadeWorker):
+        def __init__(self, n, k, rows):
+            built.append(rows)
+            super().__init__(n, k, rows)
+
+    monkeypatch.setattr(oracles, "_CascadeWorker", CountingWorker)
+    _report_cores(monkeypatch, 3)
+    before = set(threading.enumerate())
+    empirical_cascade_amplification(8, 0.0, CHUNK - 1, _caller())
+    # One worker, with buffers no larger than the draws it makes.
+    assert built == [CHUNK - 1]
+    assert set(threading.enumerate()) == before
+    built.clear()
+    empirical_cascade_amplification(8, 0.0, 3 * CHUNK + 17, _caller())
+    # At most one full-chunk worker per thread; an idle thread may take
+    # no chunk and build none.
+    assert 1 <= len(built) <= 3 and set(built) == {CHUNK}
+    assert set(threading.enumerate()) == before
+
+
+def test_worker_errors_reach_the_caller(monkeypatch):
+    def broken(self, key, chunk, rows):
+        raise RuntimeError(f"chunk {chunk} failed")
+
+    monkeypatch.setattr(oracles._CascadeWorker, "chunk_sum", broken)
+    _report_cores(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="chunk 0 failed"):
+        empirical_cascade_amplification(4, 0.0, 2 * CHUNK, _caller())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+def test_workers_are_pinned_to_distinct_cores_and_the_caller_is_not(monkeypatch):
+    allowed = os.sched_getaffinity(0)
+    masks = []
+
+    class RecordingWorker(oracles._CascadeWorker):
+        def __init__(self, n, k, rows):
+            masks.append(os.sched_getaffinity(0))
+            super().__init__(n, k, rows)
+
+    monkeypatch.setattr(oracles, "_CascadeWorker", RecordingWorker)
+    _report_cores(monkeypatch, len(allowed))
+    empirical_cascade_amplification(2, 0.0, 8 * CHUNK, _caller())
+    assert all(len(mask) == 1 and mask <= allowed for mask in masks)
+    assert len(set(map(frozenset, masks))) == len(masks)
+    assert os.sched_getaffinity(0) == allowed

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,26 @@ def test_validator_names_the_first_wrong_leg():
     traj.leg_m[0, 3] -= 1.0
     with pytest.raises(PlanValidationError, match="unit 1 leg 2 "):
         validate_trajectory(traj, plan, LAYOUT)
+
+
+def test_validator_rejects_non_finite_distances():
+    plan = _plan([(0, 9), (90, 99), (0, 9)])
+    traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+    validate_trajectory(traj, plan, LAYOUT)
+    leg = traj.leg_m.copy()
+    traj.leg_m[1, 2] = np.nan
+    with pytest.raises(PlanValidationError, match="unit 1 leg 2 "):
+        validate_trajectory(traj, plan, LAYOUT)
+    traj.leg_m[:] = leg
+    traj.cumulative_m[0, 1] = np.nan
+    with pytest.raises(PlanValidationError, match="cumulative distance"):
+        validate_trajectory(traj, plan, LAYOUT)
+    traj.cumulative_m[:] = np.cumsum(leg, axis=1)
+    validate_trajectory(traj, plan, LAYOUT)
+    for total in (np.inf, np.nan):
+        bad = dataclasses.replace(traj, total_distance_m=total)
+        with pytest.raises(PlanValidationError, match="total distance"):
+            validate_trajectory(bad, plan, LAYOUT)
 
 
 def test_infeasible_energy_is_flagged():
