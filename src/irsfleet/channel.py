@@ -38,8 +38,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 LOS_BREAKPOINT_M = 18.0
 LOS_DECAY_M = 36.0
 
-NLOS_RULES = ("conventional", "inverted")
-
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -49,14 +47,6 @@ class RadioParams:
     path-loss exponents, `eta3` the reflected-link exponent (below the
     terrestrial NLoS one). `n_elements` must be a squared positive multiple
     of four (square surface, 2-bit phase coding).
-
-    `nlos_rule` picks the blockage comparator: "conventional" marks a cell
-    non-LoS when its uniform draw is at or above the LoS probability;
-    "inverted" flips the comparison (membership when probability exceeds
-    the draw). `cascade_mean_in_denominator` switches the reflected-link
-    amplification to the variant that divides by the fourth power of the
-    mean-amplitude factor instead of multiplying; that variant violates the
-    coherent-combining ceiling and exists only for comparison runs.
     """
 
     carrier_freq_hz: float = 28e9
@@ -72,8 +62,6 @@ class RadioParams:
     k_c_db: float = 10.0
     snr_threshold_db: float = 10.0
     n_elements: int = 2304
-    nlos_rule: str = "conventional"
-    cascade_mean_in_denominator: bool = False
 
     def __post_init__(self) -> None:
         if self.carrier_freq_hz <= 0:
@@ -87,8 +75,6 @@ class RadioParams:
             raise ValueError(
                 "n_elements must be the square of a positive multiple of 4"
             )
-        if self.nlos_rule not in NLOS_RULES:
-            raise ValueError(f"nlos_rule must be one of {NLOS_RULES}")
 
     @property
     def wavelength_m(self) -> float:
@@ -133,15 +119,10 @@ def los_probability(d):
     return out
 
 
-def nlos_members(p_los, draws, rule: str = "conventional") -> np.ndarray:
-    """Boolean non-LoS mask from per-cell LoS probabilities and uniform draws."""
-    p = np.asarray(p_los, dtype=float)
-    r = np.asarray(draws, dtype=float)
-    if rule == "conventional":
-        return r >= p
-    if rule == "inverted":
-        return p > r
-    raise ValueError(f"nlos_rule must be one of {NLOS_RULES}")
+def nlos_members(p_los, draws) -> np.ndarray:
+    """Boolean non-LoS mask: a cell lacks LoS when its uniform draw is at or
+    above its LoS probability."""
+    return np.asarray(draws, dtype=float) >= np.asarray(p_los, dtype=float)
 
 
 def direct_path_loss_db(distance_m, nlos, params: RadioParams):
@@ -206,9 +187,10 @@ def cascade_amplification(
     mean-amplitude factor of each hop. Lies in [N, N^2] and is monotone in
     both arguments; the N^2 ceiling is coherent combining.
 
-    `mean_in_denominator` divides by the bracket instead (the unbounded
-    variant kept for comparison); it coincides with the standard form at
-    K = 0 and blows past N^2 for realistic K.
+    `mean_in_denominator` divides by the bracket instead: the unbounded
+    variant, reachable only through this keyword, which `irsfleet validate`
+    uses to show the ceiling violation. It coincides with the standard form
+    at K = 0 and blows past N^2 for realistic K.
     """
     n = float(n_elements)
     if n < 1:
@@ -242,9 +224,7 @@ def cascaded_snr_db(r_m, d_m, params: RadioParams):
     phases, so the element sum contributes `cascade_amplification` of
     power gain on top of the two-hop path loss.
     """
-    amp = cascade_amplification(
-        params.n_elements, params.k_c_linear, params.cascade_mean_in_denominator
-    )
+    amp = cascade_amplification(params.n_elements, params.k_c_linear)
     return (
         cascaded_path_loss_db(r_m, d_m, params)
         + 10.0 * np.log10(amp)
@@ -274,7 +254,7 @@ def realize_channel(
     """Draw one blockage realization and evaluate every direct-link SNR."""
     n = distances.d2_bs_ut.shape[0]
     draws = rng.random(n)
-    mask = nlos_members(los_probability(distances.d2_bs_ut), draws, params.nlos_rule)
+    mask = nlos_members(los_probability(distances.d2_bs_ut), draws)
     pl = direct_path_loss_db(distances.l_bs_ut, mask, params)
     snr = direct_snr_db(pl, params)
     nlos_idx = np.flatnonzero(mask)

@@ -31,13 +31,10 @@ class SizingError(ValueError):
 class PlatformParams:
     """Physical constants of one aerial unit.
 
-    Masses are carried for configuration completeness; propulsion power is
-    a constant, not derived from them.
+    Propulsion power is a constant; the default `p_fly_w` models a 4.5 kg
+    unit (0.1 kg surface, 4.0 kg UAV, 0.4 kg gripper).
     """
 
-    mass_irs_kg: float = 0.1
-    mass_uav_kg: float = 4.0
-    mass_gripper_kg: float = 0.4
     p_fly_w: float = 253.6
     v_fly_mps: float = 10.0
     p_grasp_w: float = 10.0
@@ -46,16 +43,7 @@ class PlatformParams:
     service_hours: float = 12.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "mass_irs_kg",
-            "mass_uav_kg",
-            "mass_gripper_kg",
-            "p_fly_w",
-            "v_fly_mps",
-            "p_grasp_w",
-            "p_irs_w",
-            "battery_j",
-        ):
+        for name in ("p_fly_w", "v_fly_mps", "p_grasp_w", "p_irs_w", "battery_j"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.service_hours < 0:
@@ -64,10 +52,6 @@ class PlatformParams:
     @property
     def service_seconds(self) -> float:
         return self.service_hours * 3600.0
-
-    @property
-    def total_mass_kg(self) -> float:
-        return self.mass_irs_kg + self.mass_uav_kg + self.mass_gripper_kg
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ class ExperimentConfig:
     trials: int = 100
     master_seed: int = 1
     output_dir: Path | None = None
-    keep_results: bool = False
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -81,6 +80,11 @@ class ExperimentConfig:
             raise ValueError("sigma_list must not be empty")
         if not self.strategies:
             raise ValueError("strategies must not be empty")
+        # A repeat would count the same paired trials twice in the summary.
+        if len(set(self.sigma_list)) != len(self.sigma_list):
+            raise ValueError(f"sigma_list repeats a value: {self.sigma_list}")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError(f"strategies repeat a value: {self.strategies}")
         for strategy in self.strategies:
             if strategy not in KNOWN_STRATEGIES:
                 raise ValueError(f"unknown strategy {strategy!r}")
@@ -114,7 +118,6 @@ class TrialResult:
 class ExperimentResult:
     metrics: list[TrialMetrics]
     summaries: list[dict]
-    results: list[TrialResult] | None
 
 
 def trial_rng(
@@ -172,13 +175,7 @@ class _TrialEngine:
                 placement_rng = trial_rng(
                     master_seed, sigma, trial_index, _STREAM_PLACEMENT
                 )
-                plan = solve_random_plan(
-                    tensor,
-                    m,
-                    placement_rng,
-                    scenario.solver.random_mode,
-                    scenario.solver.random_max_iterations,
-                )
+                plan = solve_random_plan(tensor, m, placement_rng)
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -465,7 +462,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     engine = _TrialEngine(config.scenario)
     metrics: list[TrialMetrics] = []
-    kept: list[TrialResult] | None = [] if config.keep_results else None
     trajectory_tables: dict[float, list[list]] = {}
 
     for strategy in config.strategies:
@@ -473,8 +469,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             for trial in range(config.trials):
                 result = engine.run(sigma, trial, strategy, config.master_seed)
                 metrics.append(result.metrics)
-                if kept is not None:
-                    kept.append(result)
                 if result.trajectory is not None and out is not None:
                     trajectory_tables.setdefault(float(sigma), []).extend(
                         trajectory_rows(trial, result.trajectory, engine.layout)
@@ -490,4 +484,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 TRAJECTORY_HEADER,
                 rows,
             )
-    return ExperimentResult(metrics=metrics, summaries=summaries, results=kept)
+    return ExperimentResult(metrics=metrics, summaries=summaries)

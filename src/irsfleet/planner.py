@@ -22,12 +22,10 @@ __all__ = [
     "PlanEvaluation",
     "InfeasiblePlacementError",
     "PlanValidationError",
-    "SamplingExhaustedError",
     "STRATEGY_ROBOTIC",
     "STRATEGY_TERRESTRIAL",
     "STRATEGY_RANDOM",
     "TERRESTRIAL_MODES",
-    "RANDOM_MODES",
     "build_gain_tensor",
     "solve_epoch_placement",
     "solve_adaptive_plan",
@@ -43,7 +41,6 @@ STRATEGY_RANDOM = "random"
 FIXED_STRATEGIES = (STRATEGY_TERRESTRIAL, STRATEGY_RANDOM)
 
 TERRESTRIAL_MODES = ("epoch1", "clairvoyant")
-RANDOM_MODES = ("direct", "rejection")
 
 
 class InfeasiblePlacementError(RuntimeError):
@@ -52,10 +49,6 @@ class InfeasiblePlacementError(RuntimeError):
 
 class PlanValidationError(ValueError):
     """A placement plan violates one of its structural constraints."""
-
-
-class SamplingExhaustedError(RuntimeError):
-    """Rejection sampling hit its iteration cap without a feasible draw."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,18 +226,12 @@ def solve_random_plan(
     tensor: GainTensor,
     m: int,
     rng: np.random.Generator,
-    mode: str = "direct",
-    max_iterations: int = 10_000,
 ) -> PlacementPlan:
     """Uniformly random feasible placement, fixed across epochs.
 
-    "direct" samples a feasible support outright; "rejection" redraws m
-    cells of the whole grid until the exclusivity constraints hold, with a
-    hard iteration cap. Both induce the same uniform distribution over
-    feasible supports.
+    Draws m distinct weak cells and m distinct sites and pairs them, which
+    is uniform over feasible supports.
     """
-    if mode not in RANDOM_MODES:
-        raise ValueError(f"random mode must be one of {RANDOM_MODES}")
     n_weak, n_sites = tensor.n_weak, tensor.n_sites
     if m > min(n_weak, n_sites):
         raise InfeasiblePlacementError(
@@ -252,22 +239,10 @@ def solve_random_plan(
         )
     if m == 0:
         pairs: list[tuple[int, int]] = []
-    elif mode == "direct":
+    else:
         cells = np.sort(rng.choice(n_weak, size=m, replace=False))
         sites = rng.choice(n_sites, size=m, replace=False)
         pairs = list(zip(cells.tolist(), sites.tolist()))
-    else:
-        for _ in range(max_iterations):
-            flat = rng.choice(n_weak * n_sites, size=m, replace=False)
-            rows, cols = np.divmod(flat, n_sites)
-            if len(set(rows.tolist())) == m and len(set(cols.tolist())) == m:
-                order = np.argsort(rows)
-                pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
-                break
-        else:
-            raise SamplingExhaustedError(
-                f"no feasible support found in {max_iterations} iterations"
-            )
     return _replicated_plan(tensor, pairs, STRATEGY_RANDOM)
 
 

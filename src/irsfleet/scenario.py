@@ -8,10 +8,10 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import NLOS_RULES, RadioParams
+from .channel import RadioParams
 from .energy import PlatformParams
 from .geometry import ScenarioLayout, build_layout
-from .planner import RANDOM_MODES, TERRESTRIAL_MODES
+from .planner import TERRESTRIAL_MODES
 from .traffic import TrafficModel
 
 __all__ = [
@@ -44,20 +44,14 @@ class GeometryConfig:
 class SolverOptions:
     fleet_size: int = 10
     terrestrial_mode: str = "epoch1"       # one of TERRESTRIAL_MODES
-    random_mode: str = "direct"            # one of RANDOM_MODES
-    random_max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
         if self.fleet_size < 0:
             raise ScenarioError("fleet_size must be nonnegative")
-        for name, modes in (
-            ("terrestrial_mode", TERRESTRIAL_MODES),
-            ("random_mode", RANDOM_MODES),
-        ):
-            if getattr(self, name) not in modes:
-                raise ScenarioError(f"{name} must be {' or '.join(modes)}")
-        if self.random_max_iterations < 1:
-            raise ScenarioError("random_max_iterations must be positive")
+        if self.terrestrial_mode not in TERRESTRIAL_MODES:
+            raise ScenarioError(
+                f"terrestrial_mode must be {' or '.join(TERRESTRIAL_MODES)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,15 +71,6 @@ class Scenario:
 
 def default_scenario() -> Scenario:
     return Scenario()
-
-
-def _parse_bool(raw: str) -> bool:
-    value = raw.strip().lower()
-    if value in ("true", "yes", "on", "1"):
-        return True
-    if value in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
@@ -126,13 +111,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "k_c_db": (float, "k_c_db"),
         "snr_threshold_db": (float, "snr_threshold_db"),
         "n_elements": (int, "n_elements"),
-        "nlos_rule": (_parse_choice(NLOS_RULES), "nlos_rule"),
-        "cascade_mean_in_denominator": (_parse_bool, "cascade_mean_in_denominator"),
     },
     "platform": {
-        "mass_irs_kg": (float, "mass_irs_kg"),
-        "mass_uav_kg": (float, "mass_uav_kg"),
-        "mass_gripper_kg": (float, "mass_gripper_kg"),
         "p_fly_w": (float, "p_fly_w"),
         "v_fly_mps": (float, "v_fly_mps"),
         "p_grasp_w": (float, "p_grasp_w"),
@@ -146,13 +126,10 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "epochs": (int, "epochs"),
         "epoch_profile": (_parse_float_list, "epoch_profile"),
         "threshold_fraction": (float, "threshold_fraction"),
-        "epoch_sampling": (_parse_choice(("independent",)), None),
     },
     "solver": {
         "fleet_size": (int, "fleet_size"),
         "terrestrial_mode": (_parse_choice(TERRESTRIAL_MODES), "terrestrial_mode"),
-        "random_mode": (_parse_choice(RANDOM_MODES), "random_mode"),
-        "random_max_iterations": (int, "random_max_iterations"),
     },
 }
 
@@ -160,8 +137,13 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 def load_scenario(path) -> Scenario:
     """Read a scenario file, applying defaults for anything unspecified."""
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ScenarioError(f"malformed scenario file {path}: {err}") from err
     if not read:
         raise ScenarioError(f"cannot read scenario file: {path}")
 
@@ -180,8 +162,7 @@ def load_scenario(path) -> Scenario:
                 raise ScenarioError(
                     f"bad value for [{section}] {key}: {err}"
                 ) from err
-            if target is not None:
-                kwargs[section][target] = value
+            kwargs[section][target] = value
 
     try:
         return Scenario(
@@ -196,8 +177,6 @@ def load_scenario(path) -> Scenario:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ", ".join(repr(float(x)) for x in value)
     if isinstance(value, float):
@@ -209,8 +188,7 @@ def scenario_as_dict(scenario: Scenario) -> dict[str, dict]:
     """Every parameter by file section and key, defaults included."""
     return {
         section: {
-            key: "independent" if target is None
-            else getattr(getattr(scenario, section), target)
+            key: getattr(getattr(scenario, section), target)
             for key, (_, target) in schema.items()
         }
         for section, schema in _SCHEMA.items()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -72,17 +71,9 @@ def test_nlos_members_boundary_draws():
     p = los_probability(np.array([10.0, 36.0, 120.0]))
     zeros = np.zeros(3)
     ones = np.ones(3)
-    # inverted comparator: probability must exceed the draw
-    assert nlos_members(p, zeros, "inverted").all()
-    assert not nlos_members(p, ones, "inverted").any()
-    # conventional comparator: draw at or above the probability
-    assert not nlos_members(p, zeros, "conventional").any()
-    assert nlos_members(p, ones, "conventional").all()
-
-
-def test_nlos_rule_validated():
-    with pytest.raises(ValueError):
-        nlos_members(np.array([0.5]), np.array([0.5]), "bogus")
+    # non-LoS when the draw is at or above the probability
+    assert not nlos_members(p, zeros).any()
+    assert nlos_members(p, ones).all()
 
 
 def test_realize_channel_nlos_set_reproducible_and_calibrated():
@@ -90,23 +81,18 @@ def test_realize_channel_nlos_set_reproducible_and_calibrated():
     tables = compute_distances(layout)
     p = los_probability(tables.d2_bs_ut)
 
-    def nlos_set(rng, params=PARAMS):
-        return realize_channel(tables, params, rng).nlos_set
+    def nlos_set(rng):
+        return realize_channel(tables, PARAMS, rng).nlos_set
 
     first = nlos_set(np.random.Generator(np.random.Philox(42)))
     second = nlos_set(np.random.Generator(np.random.Philox(42)))
     assert np.array_equal(first, second)
 
     trials = 10_000
-    for rule, expect in (
-        ("conventional", float((1.0 - p).sum())),
-        ("inverted", float(p.sum())),
-    ):
-        params = dataclasses.replace(PARAMS, nlos_rule=rule)
-        rng = np.random.Generator(np.random.Philox(7))
-        sizes = [nlos_set(rng, params).size for _ in range(trials)]
-        sigma = math.sqrt(float((p * (1.0 - p)).sum()) / trials)
-        assert abs(np.mean(sizes) - expect) < 3.0 * sigma
+    rng = np.random.Generator(np.random.Philox(7))
+    sizes = [nlos_set(rng).size for _ in range(trials)]
+    sigma = math.sqrt(float((p * (1.0 - p)).sum()) / trials)
+    assert abs(np.mean(sizes) - float((1.0 - p).sum())) < 3.0 * sigma
 
 
 # ------------------------------------------------------------- link budgets
@@ -289,8 +275,6 @@ def test_radio_params_validation():
         RadioParams(n_elements=2000)  # not a square
     with pytest.raises(ValueError):
         RadioParams(n_elements=36)  # side not a multiple of 4
-    with pytest.raises(ValueError):
-        RadioParams(nlos_rule="sometimes")
     for n in (16, 64, 256, 2304):
         RadioParams(n_elements=n)
 

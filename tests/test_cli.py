@@ -123,10 +123,27 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert "error" in payload
 
 
+@pytest.mark.parametrize(
+    "repeat",
+    [["--sigma", "2.8", "2.8"], ["--strategy", "random", "random"]],
+    ids=["sigma", "strategy"],
+)
+def test_sweep_rejects_repeated_values(tmp_path, capsys, repeat):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--trials", "1", "--out", str(out)] + repeat) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "repeat" in payload["error"]
+    assert not out.exists()
+
+
 # sha256 of every deterministic artifact of two small runs. Refactors must
 # keep these bytes; a change that alters an output on purpose records the
 # new digests here and says why. Recorded with numpy 2.4.6 and scipy
 # 1.17.1 (CPython 3.11); another numpy may legitimately draw other bytes.
+# Both run_metadata.json digests changed when the eight scenario keys no
+# result read (nlos_rule, cascade_mean_in_denominator, the three platform
+# masses, epoch_sampling, random_mode, random_max_iterations) left the
+# recorded scenario; every CSV digest stayed.
 GOLDEN = {
     "sweep": {
         "trials.csv": "f55f7a0f0d34fa2b7c871ce11ccd282b8a4a20b55ce68904a911145d1045679c",
@@ -134,13 +151,13 @@ GOLDEN = {
         "trajectories_sigma_1.8.csv": "a1f2655622722b7348e074a788b03e41e238c598c1614dbff03ac840018d5f87",
         "trajectories_sigma_2.8.csv": "fa8390dd05b90ead9bf9b1279dd0e9499a2dadf6707f1ce1d60ea889932eaff6",
         "trajectories_sigma_3.6.csv": "ec7b7b8778207bf332ee17f3d3db58660218aa3135712359700ef6ce5a891826",
-        "run_metadata.json": "6041ef76982d251c401e2864fae373d4c8eed2fc6301efe2d293275eed1417bd",
+        "run_metadata.json": "bdfd8e00405b534d4ca562b70a4cad53b912d8a9c05e7524e360003e5c138000",
     },
     "plan": {
         "placement.csv": "473b7f153f936d35bea4c35d037571f19713f7d7caabbe77888bf1f32ce12201",
         "trajectory.csv": "abaea3a70699d7132c6075a68db37fc45c5def044c278d12f42c897bcd0109d3",
         "traffic.csv": "0de8f294070f6d54832489be4cb117a68a1d141a426c142aa8e12df12bfee3cb",
-        "run_metadata.json": "5dd9413b6c683fc38074ec982ea1f74623a460e72e68adf623040058badf6a74",
+        "run_metadata.json": "b710d356fa5e17002055239c6e7b9d0287a6fa8c1742b97f76b56bb870df6316",
     },
 }
 GOLDEN_ARGS = {

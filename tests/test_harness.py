@@ -86,6 +86,10 @@ def test_config_validation():
         ExperimentConfig(scenario=SMALL, strategies=("psychic",))
     with pytest.raises(ValueError):
         ExperimentConfig(scenario=SMALL, master_seed=-1)
+    with pytest.raises(ValueError, match="sigma_list repeats"):
+        ExperimentConfig(scenario=SMALL, sigma_list=(2.8, 1.8, 2.8))
+    with pytest.raises(ValueError, match="strategies repeat"):
+        ExperimentConfig(scenario=SMALL, strategies=("random", "random"))
 
 
 def test_run_experiment_table_shape_and_summary(tmp_path):

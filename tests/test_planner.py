@@ -9,7 +9,6 @@ from irsfleet.planner import (
     InfeasiblePlacementError,
     PlacementPlan,
     PlanValidationError,
-    SamplingExhaustedError,
     build_gain_tensor,
     evaluate_plan,
     solve_adaptive_plan,
@@ -194,25 +193,6 @@ def test_random_plan_uniform_over_supports():
     expect = draws / 18
     bound = 3.0 * np.sqrt(draws * (1 / 18) * (17 / 18))
     assert all(abs(c - expect) < bound for c in counts.values())
-
-
-def test_random_plan_rejection_mode_agrees_on_feasibility(rng):
-    tensor = make_tensor(np.ones((1, 4, 5)))
-    plan = solve_random_plan(tensor, 3, rng, mode="rejection")
-    validate_plan(plan, tensor, 3)
-
-
-def test_random_plan_rejection_exhaustion():
-    tensor = make_tensor(np.ones((1, 2, 2)))
-    # seed chosen so the single allowed draw is infeasible
-    for seed in range(50):
-        gen = np.random.Generator(np.random.Philox(seed))
-        try:
-            solve_random_plan(tensor, 2, gen, mode="rejection", max_iterations=1)
-        except SamplingExhaustedError:
-            break
-    else:
-        pytest.fail("no seed produced an infeasible first draw")
 
 
 def test_random_infeasible_size(rng):

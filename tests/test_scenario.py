@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from irsfleet import Scenario, ScenarioError, default_scenario, load_scenario
@@ -23,8 +26,6 @@ def test_default_values_match_the_tables():
     assert s.platform.p_irs_w == 0.9
     assert s.platform.battery_j == 799_200.0
     assert s.platform.service_hours == 12.0
-    assert (s.platform.mass_irs_kg, s.platform.mass_uav_kg) == (0.1, 4.0)
-    assert s.platform.mass_gripper_kg == 0.4
     assert s.traffic.base_mean == 702.0
     assert s.traffic.sigma_log == 2.8
     assert s.traffic.epochs == 12
@@ -56,10 +57,51 @@ def test_unknown_section_rejected(tmp_path):
         load_scenario(path)
 
 
-def test_unknown_key_rejected(tmp_path):
+# The typo plus every key that earlier versions accepted and no result read.
+UNKNOWN_KEYS = [
+    ("radio", "chutzpah", "11"),
+    ("radio", "nlos_rule", "conventional"),
+    ("radio", "cascade_mean_in_denominator", "false"),
+    ("platform", "mass_irs_kg", "0.1"),
+    ("platform", "mass_uav_kg", "4.0"),
+    ("platform", "mass_gripper_kg", "0.4"),
+    ("traffic", "epoch_sampling", "independent"),
+    ("solver", "random_mode", "direct"),
+    ("solver", "random_max_iterations", "10000"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value", UNKNOWN_KEYS, ids=[key for _, key, _ in UNKNOWN_KEYS]
+)
+def test_unknown_key_rejected(tmp_path, section, key, value):
     path = tmp_path / "bad.ini"
-    path.write_text("[radio]\nn_elements = 2304\nchutzpah = 11\n")
-    with pytest.raises(ScenarioError, match="unknown key 'chutzpah'"):
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match=f"unknown key '{key}'"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"fleet_size = 3\n",
+        b"[solver]\nfleet_size = 3\nfleet_size = 4\n",
+        b"[solver]\nfleet_size = 3\n[solver]\nterrestrial_mode = epoch1\n",
+        b"[radio]\nn_elements = 2304%\n",
+        b"[solver]\nfleet_size = 3  # caf\xe9\n",
+    ],
+    ids=[
+        "no-section-header",
+        "duplicate-key",
+        "duplicate-section",
+        "percent-sign",
+        "not-utf8",
+    ],
+)
+def test_malformed_file_raises_scenario_error(tmp_path, content):
+    path = tmp_path / "malformed.ini"
+    path.write_bytes(content)
+    with pytest.raises(ScenarioError):
         load_scenario(path)
 
 
@@ -88,31 +130,34 @@ def test_epoch_profile_and_flags_roundtrip(tmp_path):
         "[traffic]\n"
         "epochs = 3\n"
         "epoch_profile = 0.9, 1.1, 1.3\n"
-        "epoch_sampling = independent\n"
-        "[radio]\n"
-        "nlos_rule = inverted\n"
-        "cascade_mean_in_denominator = true\n"
     )
     s = load_scenario(path)
     assert s.traffic.epoch_profile == (0.9, 1.1, 1.3)
-    assert s.radio.nlos_rule == "inverted"
-    assert s.radio.cascade_mean_in_denominator is True
-    with pytest.raises(ScenarioError):
-        load_scenario(
-            _write(tmp_path, "[traffic]\nepoch_sampling = correlated\n")
-        )
-
-
-def _write(tmp_path, text):
-    path = tmp_path / "inline.ini"
-    path.write_text(text)
-    return path
 
 
 def test_solver_options_validation():
     with pytest.raises(ScenarioError):
         SolverOptions(terrestrial_mode="other")
     with pytest.raises(ScenarioError):
-        SolverOptions(random_mode="other")
-    with pytest.raises(ScenarioError):
         SolverOptions(fleet_size=-1)
+
+
+def _ini_keys(text: str) -> list[tuple[str, str]]:
+    keys, section = [], None
+    for line in text.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        if header:
+            section = header.group(1)
+        elif re.match(r"\w+\s*=", line):
+            keys.append((section, line.split("=")[0].strip()))
+    return keys
+
+
+def test_readme_scenario_block_lists_every_key(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(
+        r"^## Scenario file\n.*?^```ini\n(.*?)^```", readme, re.S | re.M
+    ).group(1)
+    path = tmp_path / "default.ini"
+    write_scenario(default_scenario(), path)
+    assert _ini_keys(block) == _ini_keys(path.read_text())
