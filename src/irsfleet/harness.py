@@ -5,7 +5,9 @@ strategy): substreams come from a counter-based generator keyed on those
 values, never on execution order, so trials can run in any order (or
 concurrently) and reproduce bit-identically. All strategies at the same
 (sigma, trial) share one channel and traffic realization, which makes the
-strategy comparison paired.
+strategy comparison paired. A sweep therefore runs unit by unit, building
+each (sigma, trial) realization and its gain tensor once and scoring
+every strategy on it.
 """
 
 import csv
@@ -131,20 +133,52 @@ def trial_rng(
     Sigma enters through its IEEE-754 bit pattern so equal values key equal
     streams regardless of how they were produced.
     """
-    sigma_bits = struct.unpack("<Q", struct.pack("<d", float(sigma)))[0]
     seq = np.random.SeedSequence(
-        entropy=(int(master_seed), sigma_bits, int(trial_index), int(stream))
+        entropy=(int(master_seed), _sigma_bits(sigma), int(trial_index), int(stream))
     )
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _sigma_bits(sigma: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", float(sigma)))[0]
+
+
 class _TrialEngine:
-    """Precomputes everything trial-independent for one scenario."""
+    """Precomputes everything trial-independent for one scenario, and
+    keeps the latest (sigma, trial) realization for the next strategy."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.layout: ScenarioLayout = scenario.layout()
         self.distances: DistanceTables = compute_distances(self.layout)
+        self._last: tuple[tuple[int, int, int], TrafficField, GainTensor] | None = None
+
+    def _realize(
+        self,
+        sigma: float,
+        trial_index: int,
+        master_seed: int,
+    ) -> tuple[TrafficField, GainTensor]:
+        """Traffic field and gain tensor of one (sigma, trial).
+
+        Every strategy at that (sigma, trial) is scored on this one
+        channel and traffic draw, so it is built once and reused until
+        another unit is asked for. Sigma is keyed by its bit pattern, as
+        in trial_rng.
+        """
+        key = (int(master_seed), _sigma_bits(sigma), int(trial_index))
+        if self._last is None or self._last[0] != key:
+            scenario = self.scenario
+            traffic_model = dataclasses.replace(scenario.traffic, sigma_log=sigma)
+            channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
+            realization = realize_channel(self.distances, scenario.radio, channel_rng)
+            traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
+            field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
+            tensor = build_gain_tensor(
+                realization, self.distances, field, scenario.radio
+            )
+            self._last = (key, field, tensor)
+        return self._last[1:]
 
     def run(
         self,
@@ -156,16 +190,8 @@ class _TrialEngine:
         """One trial; any failure is re-raised as a TrialError naming it."""
         try:
             scenario = self.scenario
-            traffic_model = dataclasses.replace(scenario.traffic, sigma_log=sigma)
             m = scenario.solver.fleet_size
-
-            channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
-            realization = realize_channel(self.distances, scenario.radio, channel_rng)
-            traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
-            field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
-            tensor = build_gain_tensor(
-                realization, self.distances, field, scenario.radio
-            )
+            field, tensor = self._realize(sigma, trial_index, master_seed)
 
             if strategy == STRATEGY_ROBOTIC:
                 plan = solve_adaptive_plan(tensor, m)
@@ -446,7 +472,13 @@ def write_metadata(config: ExperimentConfig, path) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Full (strategy x sigma x trial) cross product with CSV emission.
+    """Every strategy at every (sigma, trial) unit, with CSV emission.
+
+    Units run sigma by sigma, trial by trial, and each unit's channel,
+    traffic and gain tensor are built once and scored by every strategy
+    in turn. Metrics and trials.csv stay strategy-major: the rows of each
+    strategy, in sigma then trial order, joined in `config.strategies`
+    order.
 
     Output files, when an output directory is set: trials.csv,
     summary.csv, one trajectories_sigma_<s>.csv per sigma for the
@@ -461,19 +493,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         write_metadata(config, out / "run_metadata.json")
 
     engine = _TrialEngine(config.scenario)
-    metrics: list[TrialMetrics] = []
+    by_strategy: dict[str, list[TrialMetrics]] = {s: [] for s in config.strategies}
     trajectory_tables: dict[float, list[list]] = {}
 
-    for strategy in config.strategies:
-        for sigma in config.sigma_list:
-            for trial in range(config.trials):
+    for sigma in config.sigma_list:
+        for trial in range(config.trials):
+            for strategy in config.strategies:
                 result = engine.run(sigma, trial, strategy, config.master_seed)
-                metrics.append(result.metrics)
+                by_strategy[strategy].append(result.metrics)
                 if result.trajectory is not None and out is not None:
                     trajectory_tables.setdefault(float(sigma), []).extend(
                         trajectory_rows(trial, result.trajectory, engine.layout)
                     )
 
+    metrics = [row for rows in by_strategy.values() for row in rows]
     summaries = summarize(metrics)
     if out is not None:
         _write_rows(out / "trials.csv", TRIALS_HEADER, trials_rows(metrics))

@@ -7,6 +7,7 @@ objective follows the convention that an unserved weak cell earns unit
 gain: 1 + (selected gain excess) / (epochs * weak cells).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,23 +135,55 @@ def build_gain_tensor(
     )
 
 
+def _served_matching(cost, m: int) -> tuple[list[tuple[int, int]], float]:
+    """Exact size-m min-cost matching of a cost matrix with no positive entry.
+
+    `cost` is the negated gain excess of (cells, sites); a row is served
+    when some entry in it is negative. The exact min(m, served)-matching
+    runs on the served rows alone, any selected pair of zero cost is
+    released, and the released and missing places go to the lowest
+    unused cells paired with the lowest unused sites, in order.
+    Zero-cost ties therefore resolve to the lowest (cell, site) indices,
+    as a matching over every row would. Returns (pairs sorted by cell,
+    total cost of the pairs).
+    """
+    n_cells, n_sites = cost.shape
+    if m > min(n_cells, n_sites):
+        raise InfeasiblePlacementError(
+            f"cannot place {m} units on {n_cells} weak cells x {n_sites} sites"
+        )
+    if not cost.max(initial=0.0) <= 0.0:  # NaN fails this too
+        raise ValueError("gains must be finite and at least 1")
+    served = np.flatnonzero(cost.min(axis=1, initial=0.0) < 0.0)
+    matched, _ = min_cost_matching(cost[served], min(m, served.size))
+    pairs = [(int(served[q]), j) for q, j in matched if cost[served[q], j] != 0.0]
+    if len(pairs) < m:
+        used_cells = {q for q, _ in pairs}
+        used_sites = {j for _, j in pairs}
+        free_cells = (q for q in range(n_cells) if q not in used_cells)
+        free_sites = (j for j in range(n_sites) if j not in used_sites)
+        pairs += itertools.islice(zip(free_cells, free_sites), m - len(pairs))
+        pairs.sort()
+    cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return pairs, float(cost[cells, sites].sum())
+
+
 def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
     """Exact best placement of m units for one epoch's gain matrix.
 
     Maximizes the summed gain excess subject to one site per unit and one
-    unit per cell, with exactly m placements. Returns (local (cell, site)
-    pairs sorted by cell, total gain excess). Zero-excess ties resolve to
-    the lowest (cell, site) indices.
+    unit per cell, with exactly m placements. Every gain must be at least
+    1. Returns (local (cell, site) pairs sorted by cell, total gain
+    excess). Zero-excess ties resolve to the lowest (cell, site) indices.
+    The exact matching runs only on the served rows, those with some gain
+    above 1 (a demand-gated cell has none), and the places it leaves
+    open are filled by that tie rule, so the pairs are those of the exact
+    matching over every row.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 2:
         raise ValueError("epoch gains must be a 2-D matrix")
-    if m > min(g.shape):
-        raise InfeasiblePlacementError(
-            f"cannot place {m} units on {g.shape[0]} weak cells x "
-            f"{g.shape[1]} sites"
-        )
-    pairs, total = min_cost_matching(1.0 - g, m)
+    pairs, total = _served_matching(1.0 - g, m)
     return pairs, -total
 
 
@@ -212,13 +245,8 @@ def solve_fixed_plan(
     if mode == "epoch1":
         pairs, _ = solve_epoch_placement(tensor.gains[0], m)
     else:
-        summed = (tensor.gains - 1.0).sum(axis=0)
-        if m > min(summed.shape):
-            raise InfeasiblePlacementError(
-                f"cannot place {m} units on {summed.shape[0]} weak cells x "
-                f"{summed.shape[1]} sites"
-            )
-        pairs, _ = min_cost_matching(-summed, m)
+        # Cells that are never served have all-zero rows here.
+        pairs, _ = _served_matching(-(tensor.gains - 1.0).sum(axis=0), m)
     return _replicated_plan(tensor, pairs, STRATEGY_TERRESTRIAL)
 
 

@@ -74,7 +74,10 @@ def default_scenario() -> Scenario:
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(",") if part.strip())
+    parts = raw.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"empty item in {raw!r}")
+    return tuple(float(part) for part in parts)
 
 
 def _parse_choice(options: tuple[str, ...]):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from irsfleet import (
     run_experiment,
     run_trial,
 )
+from irsfleet import harness
 from irsfleet.harness import (
     SUMMARY_HEADER,
     TRIALS_HEADER,
@@ -154,6 +156,50 @@ def test_execution_order_does_not_change_rows():
         (m.strategy, m.sigma, m.trial): m for m in run_experiment(flipped).metrics
     }
     assert rows_a == rows_b
+
+
+def test_sweep_builds_each_realization_once(monkeypatch):
+    calls = {"realize_channel": 0, "build_gain_tensor": 0}
+    for name in calls:
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    config = ExperimentConfig(
+        scenario=SMALL, sigma_list=(1.8, 2.8), trials=3, master_seed=17
+    )
+    run_experiment(config)
+    assert calls == {"realize_channel": 6, "build_gain_tensor": 6}
+
+
+def test_sweep_rows_are_paired_single_trials(tmp_path):
+    config = ExperimentConfig(
+        scenario=SMALL, sigma_list=(2.8, 1.8), trials=2, master_seed=19,
+        output_dir=tmp_path,
+    )
+    metrics = run_experiment(config).metrics
+    expected = [
+        run_trial(SMALL, sigma, trial, strategy, 19).metrics
+        for strategy in config.strategies
+        for sigma in config.sigma_list
+        for trial in range(config.trials)
+    ]
+    assert metrics == expected
+    with (tmp_path / "trials.csv").open() as fh:
+        units = [
+            (row["strategy"], float(row["sigma"]), int(row["trial"]))
+            for row in csv.DictReader(fh)
+        ]
+    assert units == [(m.strategy, m.sigma, m.trial) for m in expected]
+
+    for order in itertools.permutations(config.strategies):
+        permuted = run_experiment(
+            dataclasses.replace(config, strategies=order, output_dir=None)
+        ).metrics
+        assert permuted == [m for s in order for m in expected if m.strategy == s]
 
 
 def test_experiment_deterministic_bytes(tmp_path):

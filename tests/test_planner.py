@@ -5,6 +5,7 @@ from bruteforce import best_exact_size_weight, dyadic_matrix
 from conftest import make_tensor
 from irsfleet.channel import RadioParams, realize_channel
 from irsfleet.geometry import build_layout, compute_distances
+from irsfleet.matching import min_cost_matching
 from irsfleet.planner import (
     InfeasiblePlacementError,
     PlacementPlan,
@@ -108,6 +109,68 @@ def test_epoch_placement_matches_brute_force():
         gains = 1.0 + np.abs(dyadic_matrix(rng, (nq, nj)))
         _, weight = solve_epoch_placement(gains, m)
         assert weight == best_exact_size_weight(gains - 1.0, m)
+
+
+def _gated_gains(rng, kind):
+    """Random gains whose unserved rows are all exactly 1, as after gating."""
+    nq = int(rng.integers(1, 8))
+    nj = int(rng.integers(1, 8))
+    gains = 1.0 + rng.random((nq, nj))
+    if kind == "exact-ones":
+        gains = 1.0 + rng.integers(0, 3, size=(nq, nj)) / 4.0
+    elif kind == "tied":
+        gains[:] = 1.5
+    m = int(rng.integers(0, min(nq, nj) + 1))
+    served = rng.random(nq) < 0.6
+    if kind == "all-ones":
+        served[:] = False
+    elif kind == "few-served":
+        m = int(rng.integers(1, min(nq, nj) + 1))
+        served = np.isin(np.arange(nq), rng.permutation(nq)[: rng.integers(0, m)])
+    elif kind == "m-zero":
+        m = 0
+    gains[~served] = 1.0
+    return gains, m
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["above-one", "exact-ones", "tied", "all-ones", "few-served", "m-zero"],
+)
+def test_served_row_placement_equals_full_matching(kind):
+    rng = np.random.Generator(np.random.Philox(909))
+    for _ in range(500):
+        gains, m = _gated_gains(rng, kind)
+        pairs, weight = solve_epoch_placement(gains, m)
+        full_pairs, full_cost = min_cost_matching(1.0 - gains, m)
+        assert pairs == full_pairs
+        assert weight == -full_cost
+
+
+def test_served_row_placement_releases_unit_gain_pairs():
+    # Row 3's best completion is its unit-gain site 2, which row 0 takes
+    # by the lowest-(cell, site) rule instead.
+    gains = np.array([[1, 1, 1], [1, 2, 1], [2, 1, 1], [1.5, 1.5, 1]])
+    pairs, weight = solve_epoch_placement(gains, 3)
+    assert pairs == [(0, 2), (1, 1), (2, 0)]
+    assert weight == 2.0
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan])
+def test_placement_rejects_gains_below_one(bad):
+    with pytest.raises(ValueError, match="at least 1"):
+        solve_epoch_placement(np.array([[2.0, bad]]), 1)
+
+
+def test_clairvoyant_placement_equals_full_matching():
+    rng = np.random.Generator(np.random.Philox(910))
+    for _ in range(200):
+        gains = 1.0 + rng.integers(0, 3, size=(3, 6, 5)) / 4.0
+        gains[:, rng.random(6) < 0.4] = 1.0  # cells never served
+        m = int(rng.integers(0, 6))
+        plan = solve_fixed_plan(make_tensor(gains), m, "clairvoyant")
+        full_pairs, _ = min_cost_matching(-(gains - 1.0).sum(axis=0), m)
+        assert plan.assignments[0] == tuple(full_pairs)
 
 
 def test_adding_a_site_never_hurts():

@@ -135,6 +135,16 @@ def test_epoch_profile_and_flags_roundtrip(tmp_path):
     assert s.traffic.epoch_profile == (0.9, 1.1, 1.3)
 
 
+@pytest.mark.parametrize(
+    "profile", ["0.9,, 1.1, 1.3", "0.9, 1.1, 1.3,"], ids=["inner", "trailing"]
+)
+def test_empty_list_item_rejected(tmp_path, profile):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[traffic]\nepochs = 3\nepoch_profile = {profile}\n")
+    with pytest.raises(ScenarioError, match=r"\[traffic\] epoch_profile: empty item"):
+        load_scenario(path)
+
+
 def test_solver_options_validation():
     with pytest.raises(ScenarioError):
         SolverOptions(terrestrial_mode="other")
@@ -143,21 +153,32 @@ def test_solver_options_validation():
 
 
 def _ini_keys(text: str) -> list[tuple[str, str]]:
+    """(section, key) of every key line, commented-out ones included."""
     keys, section = [], None
     for line in text.splitlines():
         header = re.match(r"\[(\w+)\]", line)
+        key = re.match(r"(?:# )?(\w+)\s*=", line)
         if header:
             section = header.group(1)
-        elif re.match(r"\w+\s*=", line):
-            keys.append((section, line.split("=")[0].strip()))
+        elif key:
+            keys.append((section, key.group(1)))
     return keys
 
 
-def test_readme_scenario_block_lists_every_key(tmp_path):
+def _readme_scenario_block() -> str:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = re.search(
+    return re.search(
         r"^## Scenario file\n.*?^```ini\n(.*?)^```", readme, re.S | re.M
     ).group(1)
+
+
+def test_readme_scenario_block_lists_every_key(tmp_path):
     path = tmp_path / "default.ini"
     write_scenario(default_scenario(), path)
-    assert _ini_keys(block) == _ini_keys(path.read_text())
+    assert _ini_keys(_readme_scenario_block()) == _ini_keys(path.read_text())
+
+
+def test_readme_scenario_block_loads_as_the_defaults(tmp_path):
+    path = tmp_path / "readme.ini"
+    path.write_text(_readme_scenario_block())
+    assert load_scenario(path) == default_scenario()
