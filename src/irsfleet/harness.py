@@ -82,6 +82,9 @@ class ExperimentConfig:
             raise ValueError("sigma_list must not be empty")
         if not self.strategies:
             raise ValueError("strategies must not be empty")
+        for sigma in self.sigma_list:
+            if not (sigma > 0 and math.isfinite(sigma)):
+                raise ValueError(f"sigma must be finite and positive, got {sigma}")
         # A repeat would count the same paired trials twice in the summary.
         if len(set(self.sigma_list)) != len(self.sigma_list):
             raise ValueError(f"sigma_list repeats a value: {self.sigma_list}")

@@ -1,6 +1,7 @@
 """Spatio-temporal log-normal traffic demand and the demand-gated gain."""
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,10 +43,10 @@ class TrafficModel:
     threshold_fraction: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.base_mean <= 0:
-            raise ValueError("base mean demand must be positive")
-        if self.sigma_log <= 0:
-            raise ValueError("sigma_log must be positive")
+        if not (self.base_mean > 0 and math.isfinite(self.base_mean)):
+            raise ValueError("base mean demand must be finite and positive")
+        if not (self.sigma_log > 0 and math.isfinite(self.sigma_log)):
+            raise ValueError("sigma_log must be finite and positive")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if not 0.0 < self.threshold_fraction < 1.0:

@@ -3,11 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsfleet.channel import (
     RadioParams,
+    _i0e,
+    _i1e,
     cascade_amplification,
     cascaded_path_loss_db,
     cascaded_snr_db,
@@ -146,8 +149,38 @@ def test_rician_amplitude_mean_special_values():
     # full-coherence limit
     assert rician_amplitude_mean(1e4) == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-3)
     assert rician_amplitude_mean(1e6) == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-4)
-    with pytest.raises(ValueError):
-        rician_amplitude_mean(-0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            rician_amplitude_mean(bad)
+
+
+def test_bessel_terms_match_scipy_bit_for_bit():
+    # scipy is the test-only oracle for the embedded Cephes series: equal
+    # doubles, no tolerance, on both sides of the x = 8 branch point.
+    edge = [0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0)]
+    xs = np.concatenate(
+        [edge, np.linspace(0.0, 20.0, 20001), np.geomspace(1e-6, 1e6, 40001)]
+    )
+    for x in xs.tolist():
+        assert _i0e(x) == scipy.special.i0e(x), x
+        assert _i1e(x) == scipy.special.i1e(x), x
+
+
+def test_rician_mean_and_cascade_match_scipy_reference():
+    def reference_mean(k):
+        half = k / 2.0
+        laguerre = (1.0 + k) * float(scipy.special.i0e(half)) + k * float(
+            scipy.special.i1e(half)
+        )
+        return math.sqrt(1.0 / (1.0 + k)) * laguerre
+
+    n = 2304.0
+    pairwise = (math.pi**2 / 16.0) * (n * n - n)
+    ks = [0.0, 10.0, 1e4, 1e6] + (10.0 ** (np.linspace(-30, 60, 9001) / 10.0)).tolist()
+    for k in ks:
+        mean = reference_mean(k)
+        assert rician_amplitude_mean(k) == mean, k
+        assert cascade_amplification(2304, k) == n + pairwise * mean**4, k
 
 
 @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 10.0, 100.0])

@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from irsfleet import default_scenario, run_trial
 from irsfleet.cli import main
 from irsfleet.harness import PLACEMENT_HEADER, TRAJECTORY_HEADER
 from irsfleet.traffic import write_traffic_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_plan_subcommand(tmp_path, capsys):
@@ -136,10 +142,45 @@ def test_sweep_rejects_repeated_values(tmp_path, capsys, repeat):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+def test_sweep_rejects_bad_sigma_before_output(tmp_path, capsys, sigma):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--trials", "2", "--sigma", sigma, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "sigma must be finite and positive" in payload["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_plan_rejects_bad_seed_before_output(tmp_path, capsys, seed):
+    out = tmp_path / "plan"
+    assert main(["plan", "--seed", seed, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "master_seed must be a 64-bit unsigned integer"
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing the CLI must not pull it in.
+    code = (
+        "import irsfleet.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 # sha256 of every deterministic artifact of two small runs. Refactors must
 # keep these bytes; a change that alters an output on purpose records the
-# new digests here and says why. Recorded with numpy 2.4.6 and scipy
-# 1.17.1 (CPython 3.11); another numpy may legitimately draw other bytes.
+# new digests here and says why. Recorded with numpy 2.4.6 (CPython 3.11);
+# another numpy may legitimately draw other bytes. They were first recorded
+# with scipy 1.17.1 computing the Rician-mean Bessel terms; scipy no longer
+# runs in the sweep, and the embedded Cephes series kept every digest.
 # Both run_metadata.json digests changed when the eight scenario keys no
 # result read (nlos_rule, cascade_mean_in_denominator, the three platform
 # masses, epoch_sampling, random_mode, random_max_iterations) left the

@@ -119,6 +119,17 @@ def test_inconsistent_params_rejected(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("sigma_log", "nan"), ("base_mean_mbps_km2", "inf")],
+)
+def test_nonfinite_traffic_values_rejected(tmp_path, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[traffic]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match="must be finite and positive"):
+        load_scenario(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario(tmp_path / "nope.ini")
