@@ -122,13 +122,23 @@ def _cmd_energy(args) -> int:
     radio = scenario.radio
     d_min = args.min_distance if args.min_distance is not None else scenario.geometry.h3_m
 
+    # Everything that can refuse the input runs before the first line prints.
+    ledger = mission_ledger(args.distance, platform)
+    try:
+        sizing = size_irs(d_min, radio.wavelength_m)
+        sizing_line = (
+            f"sizing rule @ clearance {d_min} m: n_r = {sizing.n_r} "
+            f"(n_elements = {sizing.n_elements}, fraunhofer_m = "
+            f"{sizing.fraunhofer_m:.3f})"
+        )
+    except SizingError as err:
+        sizing_line = f"sizing rule @ clearance {d_min} m: infeasible ({err})"
+
     print(f"service_hours = {platform.service_hours}")
     print(f"grasp_energy_j = {grasp_energy(platform):.1f}")
     print(f"reflect_energy_j = {reflect_energy(platform):.1f}")
     print(f"battery_j = {platform.battery_j:.1f}")
-    rng_m = flight_range(platform)
-    print(f"flight_range_m = {rng_m:.1f}")
-    ledger = mission_ledger(args.distance, platform)
+    print(f"flight_range_m = {flight_range(platform):.1f}")
     print(
         f"mission @ {args.distance:.1f} m: e_fly_j = {ledger.e_fly_j:.1f} "
         f"residual_j = {ledger.residual_j:.1f} feasible = "
@@ -139,15 +149,7 @@ def _cmd_energy(args) -> int:
         f"configured surface: {side}x{side} elements, fraunhofer_m = "
         f"{fraunhofer_distance(side, radio.wavelength_m):.3f}"
     )
-    try:
-        sizing = size_irs(d_min, radio.wavelength_m)
-        print(
-            f"sizing rule @ clearance {d_min} m: n_r = {sizing.n_r} "
-            f"(n_elements = {sizing.n_elements}, fraunhofer_m = "
-            f"{sizing.fraunhofer_m:.3f})"
-        )
-    except SizingError as err:
-        print(f"sizing rule @ clearance {d_min} m: infeasible ({err})")
+    print(sizing_line)
     return 0
 
 
@@ -242,11 +244,16 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--strategy", default="robotic", choices=KNOWN_STRATEGIES
     )
-    plan.add_argument("--trial", type=int, default=0, help="trial index")
+    plan.add_argument("--trial", type=_int_at_least(0), default=0, help="trial index")
     plan.add_argument("--out", required=True, help="output directory")
     plan.set_defaults(func=_cmd_plan)
 
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="run the Monte Carlo and solver oracle checks"
     )
     validate.add_argument(
-        "--draws", type=_positive_int, default=100_000,
+        "--draws", type=_int_at_least(1), default=100_000,
         help="Monte Carlo draw count per check",
     )
     validate.set_defaults(func=_cmd_validate)

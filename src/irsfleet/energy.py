@@ -44,10 +44,10 @@ class PlatformParams:
 
     def __post_init__(self) -> None:
         for name in ("p_fly_w", "v_fly_mps", "p_grasp_w", "p_irs_w", "battery_j"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.service_hours < 0:
-            raise ValueError("service_hours must be nonnegative")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.service_hours < math.inf:
+            raise ValueError("service_hours must be finite and nonnegative")
 
     @property
     def service_seconds(self) -> float:
@@ -67,8 +67,8 @@ class EnergyLedger:
 
 def fly_energy(distance_m: float, params: PlatformParams) -> float:
     """Propulsion energy for a horizontal relocation distance."""
-    if distance_m < 0:
-        raise ValueError("distance must be nonnegative")
+    if not 0 <= distance_m < math.inf:  # NaN fails this too
+        raise ValueError("distance must be finite and nonnegative")
     return params.p_fly_w * distance_m / params.v_fly_mps
 
 
@@ -126,10 +126,10 @@ class IrsSizing:
 def size_irs(d_min_m: float, wavelength_m: float) -> IrsSizing:
     """Largest per-side element count, a multiple of 4, whose far-field
     boundary stays within the minimum transceiver clearance."""
-    if d_min_m <= 0:
-        raise ValueError("minimum clearance must be positive")
-    if wavelength_m <= 0:
-        raise ValueError("wavelength must be positive")
+    if not 0 < d_min_m < math.inf:  # NaN fails this too
+        raise ValueError("minimum clearance must be finite and positive")
+    if not 0 < wavelength_m < math.inf:
+        raise ValueError("wavelength must be finite and positive")
     n_r = int(math.sqrt(2.0 * d_min_m / wavelength_m) + 1e-9)
     while n_r > 0 and fraunhofer_distance(max(n_r, 1), wavelength_m) > d_min_m:
         n_r -= 1

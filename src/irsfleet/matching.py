@@ -8,6 +8,22 @@ permutation). With the count fixed, shifting all costs by a constant never
 changes the argmin, so negative costs are handled by a one-off shift.
 The solver's final dual potentials are exposed too: the trajectory step
 settles most of its lexicographic tie-break from them without re-solving.
+
+Every augmentation starts its shortest-path search from all free rows at
+once, so each column begins at its least reduced cost over the free rows.
+The solver keeps each column's minimum of the (shifted) cost over the free
+rows for the whole solve, and after an augmentation recomputes only the
+columns whose minimum its newly matched row may have held. That is exact,
+bit for bit, because every free row carries the same potential: all rows
+start at zero, each free row is a source at distance zero and so receives
+the same update, and a matched row never becomes free again. That holds
+also when rounding makes a path length come out just below zero, which
+moves the common potential off zero (`tests/test_matching.py` builds such
+a matrix). For a common potential `uf`, rounding is monotone, so
+`min_r fl(fl(c[r, j] - uf) - v[j]) == fl(fl(min_r c[r, j] - uf) - v[j])`.
+Rounding can make distinct costs tie, so the one free row that starts the
+augmenting path is picked from its column's reduced costs, exactly as a
+full rescan would pick it (lowest index among the least).
 """
 
 import numpy as np
@@ -57,18 +73,21 @@ def min_cost_matching_with_duals(
     v = np.zeros(n_cols)
     row_match = np.full(n_rows, -1, dtype=int)
     col_match = np.full(n_cols, -1, dtype=int)
-    columns = np.arange(n_cols)
+    free_rows = np.arange(n_rows)
+    col_min = c.min(axis=0)  # each column's least cost over the free rows
+    parent = np.empty(n_cols, dtype=int)
+    row_dist = np.empty(n_rows)
+    scanned = np.empty(n_cols, dtype=bool)
 
     for _ in range(size):
-        # Multi-source shortest path over columns: any free row is a source.
-        free_rows = np.flatnonzero(row_match < 0)
-        reduced = c[free_rows] - u[free_rows][:, None] - v[None, :]
-        best = reduced.argmin(axis=0)
-        dist = reduced[best, columns]
-        parent = free_rows[best]
-        row_dist = np.full(n_rows, np.inf)
+        # Multi-source shortest path over columns: any free row is a source,
+        # and all of them share one potential.
+        free_u = u[free_rows[0]]
+        dist = col_min - free_u - v
+        parent.fill(-1)  # -1: reached straight from a free row
+        row_dist.fill(np.inf)
         row_dist[free_rows] = 0.0
-        scanned = np.zeros(n_cols, dtype=bool)
+        scanned.fill(False)
 
         while True:
             masked = np.where(scanned, np.inf, dist)
@@ -86,20 +105,30 @@ def min_cost_matching_with_duals(
             dist[improve] = relaxed[improve]
             parent[improve] = i
 
+        j = end_col
+        i = int(parent[j])
+        while i >= 0:  # a matched row moves onto column j
+            previous = int(row_match[i])
+            row_match[i] = j
+            col_match[j] = i
+            j = previous
+            i = int(parent[j])
+        # The path starts at the lowest free row among the least reduced
+        # costs of its first column, the row a full rescan would pick.
+        source = int(free_rows[(c[free_rows, j] - free_u - v[j]).argmin()])
+        row_match[source] = j
+        col_match[j] = source
+
         # Potential update capped at the path length keeps every residual
         # reduced cost nonnegative and the matched edges tight.
         v += np.minimum(dist, path_len)
         u -= np.minimum(row_dist, path_len)
 
-        j = end_col
-        while True:
-            i = int(parent[j])
-            previous = int(row_match[i])
-            row_match[i] = j
-            col_match[j] = i
-            if previous < 0:
-                break
-            j = previous
+        # Only the columns whose minimum the source row held can change.
+        free_rows = free_rows[free_rows != source]
+        if free_rows.size:
+            stale = np.flatnonzero(c[source] == col_min)
+            col_min[stale] = c[free_rows[:, None], stale].min(axis=0)
 
     rows = np.flatnonzero(row_match >= 0)
     pairs = [(int(i), int(row_match[i])) for i in rows]

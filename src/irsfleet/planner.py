@@ -135,28 +135,33 @@ def build_gain_tensor(
     )
 
 
-def _served_matching(cost, m: int) -> tuple[list[tuple[int, int]], float]:
-    """Exact size-m min-cost matching of a cost matrix with no positive entry.
+def _served_matching(
+    gains, m: int, unit: float = 1.0
+) -> tuple[list[tuple[int, int]], float]:
+    """Exact size-m (cell, site) matching of most total gain excess.
 
-    `cost` is the negated gain excess of (cells, sites); a row is served
-    when some entry in it is negative. The exact min(m, served)-matching
-    runs on the served rows alone, any selected pair of zero cost is
-    released, and the released and missing places go to the lowest
-    unused cells paired with the lowest unused sites, in order.
+    `unit` is the gain of an unserved pair: 1 for gains, 0 for summed gain
+    excess. Every entry must be at least `unit`, and a row is served when
+    some entry in it is above. The exact min(m, served)-matching of the
+    cost `unit - gains` runs on the served rows alone, any selected pair
+    of zero cost is released, and the released and missing places go to
+    the lowest unused cells paired with the lowest unused sites, in order.
     Zero-cost ties therefore resolve to the lowest (cell, site) indices,
     as a matching over every row would. Returns (pairs sorted by cell,
     total cost of the pairs).
     """
-    n_cells, n_sites = cost.shape
+    n_cells, n_sites = gains.shape
     if m > min(n_cells, n_sites):
         raise InfeasiblePlacementError(
             f"cannot place {m} units on {n_cells} weak cells x {n_sites} sites"
         )
-    if not cost.max(initial=0.0) <= 0.0:  # NaN fails this too
+    if not gains.min(initial=unit) >= unit:  # NaN fails this too
         raise ValueError("gains must be finite and at least 1")
-    served = np.flatnonzero(cost.min(axis=1, initial=0.0) < 0.0)
-    matched, _ = min_cost_matching(cost[served], min(m, served.size))
-    pairs = [(int(served[q]), j) for q, j in matched if cost[served[q], j] != 0.0]
+    served = np.flatnonzero(gains.max(axis=1, initial=unit) > unit)
+    cost = gains[served]
+    np.subtract(unit, cost, out=cost)
+    matched, _ = min_cost_matching(cost, min(m, served.size))
+    pairs = [(int(served[q]), j) for q, j in matched if cost[q, j] != 0.0]
     if len(pairs) < m:
         used_cells = {q for q, _ in pairs}
         used_sites = {j for _, j in pairs}
@@ -165,7 +170,7 @@ def _served_matching(cost, m: int) -> tuple[list[tuple[int, int]], float]:
         pairs += itertools.islice(zip(free_cells, free_sites), m - len(pairs))
         pairs.sort()
     cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
-    return pairs, float(cost[cells, sites].sum())
+    return pairs, float((unit - gains[cells, sites]).sum())
 
 
 def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
@@ -183,7 +188,7 @@ def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
     g = np.asarray(gains, dtype=float)
     if g.ndim != 2:
         raise ValueError("epoch gains must be a 2-D matrix")
-    pairs, total = _served_matching(1.0 - g, m)
+    pairs, total = _served_matching(g, m)
     return pairs, -total
 
 
@@ -246,7 +251,7 @@ def solve_fixed_plan(
         pairs, _ = solve_epoch_placement(tensor.gains[0], m)
     else:
         # Cells that are never served have all-zero rows here.
-        pairs, _ = _served_matching(-(tensor.gains - 1.0).sum(axis=0), m)
+        pairs, _ = _served_matching((tensor.gains - 1.0).sum(axis=0), m, unit=0.0)
     return _replicated_plan(tensor, pairs, STRATEGY_TERRESTRIAL)
 
 

@@ -4,6 +4,9 @@ These deliberately re-derive every optimum from first principles
 (enumerate all feasible supports / permutations) so the solvers are
 checked against an independent route. The exact-size matching optima
 live in `irsfleet.oracles`, where `irsfleet validate` uses them too.
+`rescan_matching_with_duals` is the matching solver as it was before it
+kept column minima across augmentations: the reference for bit-for-bit
+equality of pairs, totals and duals.
 """
 
 from itertools import permutations
@@ -91,3 +94,64 @@ def dyadic_matrix(rng: np.random.Generator, shape, lo=-32, hi=32, denom=16):
     """Random matrix of small dyadic rationals: float sums are exact, so
     optimal values can be compared for strict equality."""
     return rng.integers(lo * denom, hi * denom, size=shape) / denom
+
+
+def rescan_matching_with_duals(cost, size: int):
+    """Successive-shortest-path matching that rebuilds every free row's
+    reduced costs and their column argmin at each augmentation. Same
+    contract and rounding as `min_cost_matching_with_duals`."""
+    c_in = np.asarray(cost, dtype=float)
+    n_rows, n_cols = c_in.shape
+    if size == 0:
+        return [], 0.0, np.zeros(n_rows), np.zeros(n_cols)
+    shift = min(float(c_in.min()), 0.0)
+    c = c_in - shift
+
+    u = np.zeros(n_rows)
+    v = np.zeros(n_cols)
+    row_match = np.full(n_rows, -1, dtype=int)
+    col_match = np.full(n_cols, -1, dtype=int)
+    columns = np.arange(n_cols)
+
+    for _ in range(size):
+        free_rows = np.flatnonzero(row_match < 0)
+        reduced = c[free_rows] - u[free_rows][:, None] - v[None, :]
+        best = reduced.argmin(axis=0)
+        dist = reduced[best, columns]
+        parent = free_rows[best]
+        row_dist = np.full(n_rows, np.inf)
+        row_dist[free_rows] = 0.0
+        scanned = np.zeros(n_cols, dtype=bool)
+
+        while True:
+            masked = np.where(scanned, np.inf, dist)
+            j = int(masked.argmin())
+            path_len = float(masked[j])
+            scanned[j] = True
+            i = int(col_match[j])
+            if i < 0:
+                end_col = j
+                break
+            row_dist[i] = path_len
+            relaxed = path_len + c[i] - u[i] - v
+            improve = ~scanned & (relaxed < dist)
+            dist[improve] = relaxed[improve]
+            parent[improve] = i
+
+        v += np.minimum(dist, path_len)
+        u -= np.minimum(row_dist, path_len)
+
+        j = end_col
+        while True:
+            i = int(parent[j])
+            previous = int(row_match[i])
+            row_match[i] = j
+            col_match[j] = i
+            if previous < 0:
+                break
+            j = previous
+
+    rows = np.flatnonzero(row_match >= 0)
+    pairs = [(int(i), int(row_match[i])) for i in rows]
+    total = float(c_in[rows, row_match[rows]].sum())
+    return pairs, total, u + shift, v

@@ -94,6 +94,33 @@ def test_energy_subcommand(capsys):
     assert "n_r = 44" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--distance", "nan"], "distance must be finite and nonnegative"),
+        (["--distance", "-5"], "distance must be finite and nonnegative"),
+        (["--distance", "inf"], "distance must be finite and nonnegative"),
+        (["--min-distance", "nan"], "minimum clearance must be finite and positive"),
+        (["--min-distance", "inf"], "minimum clearance must be finite and positive"),
+        (["--min-distance", "0"], "minimum clearance must be finite and positive"),
+    ],
+    ids=["distance-nan", "distance-negative", "distance-inf",
+         "clearance-nan", "clearance-inf", "clearance-zero"],
+)
+def test_energy_refuses_bad_input_before_printing(capsys, argv, message):
+    assert main(["energy"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {"error": message}
+
+
+def test_energy_reports_an_infeasible_clearance(capsys):
+    assert main(["energy", "--min-distance", "0.01", "--distance", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "e_fly_j = 0.0" in out
+    assert out.splitlines()[-1].startswith("sizing rule @ clearance 0.01 m: infeasible")
+
+
 def test_validate_subcommand_fast(capsys):
     assert main(["validate", "--draws", "20000"]) == 0
     out = capsys.readouterr().out
@@ -157,6 +184,17 @@ def test_plan_rejects_bad_seed_before_output(tmp_path, capsys, seed):
     assert main(["plan", "--seed", seed, "--out", str(out)]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "master_seed must be a 64-bit unsigned integer"
+    assert not out.exists()
+
+
+def test_plan_rejects_negative_trial_before_output(tmp_path, capsys):
+    out = tmp_path / "plan"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["plan", "--trial", "-1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--trial: must be at least 0, got -1" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

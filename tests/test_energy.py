@@ -26,6 +26,12 @@ def test_fly_energy():
         fly_energy(-1.0, DEFAULTS)
 
 
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf])
+def test_fly_energy_refuses_nonfinite_distance(distance):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        fly_energy(distance, DEFAULTS)
+
+
 def test_static_energies():
     assert grasp_energy(DEFAULTS) == pytest.approx(432_000.0)
     assert reflect_energy(DEFAULTS) == pytest.approx(38_880.0)
@@ -98,6 +104,18 @@ def test_size_irs_boundary_equality():
 def test_size_irs_too_small():
     with pytest.raises(SizingError):
         size_irs(fraunhofer_distance(4, WAVELENGTH) * 0.5, WAVELENGTH)
+
+
+@pytest.mark.parametrize("d_min", [math.nan, math.inf, 0.0, -1.0])
+def test_size_irs_refuses_bad_clearance(d_min):
+    with pytest.raises(ValueError, match="clearance must be finite and positive"):
+        size_irs(d_min, WAVELENGTH)
+
+
+@pytest.mark.parametrize("wavelength", [math.nan, math.inf, 0.0])
+def test_size_irs_refuses_bad_wavelength(wavelength):
+    with pytest.raises(ValueError, match="wavelength must be finite and positive"):
+        size_irs(10.5, wavelength)
 
 
 @pytest.mark.parametrize("d_min", [0.2, 1.0, 5.0, 10.5, 25.0, 100.0])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from bruteforce import best_exact_size_cost, dyadic_matrix
+from bruteforce import best_exact_size_cost, dyadic_matrix, rescan_matching_with_duals
+from irsfleet import run_trial
 from irsfleet.matching import min_cost_matching, min_cost_matching_with_duals
+from irsfleet.scenario import GeometryConfig, Scenario, SolverOptions
 
 
 def test_trivial_sizes():
@@ -100,3 +102,107 @@ def test_dual_potentials_certify_the_optimum():
         assert np.abs(reduced[rows_m, cols_m]).max() <= 1e-9 * scale
         if square:
             assert abs(u.sum() + v.sum() - total) <= 1e-9 * scale
+
+
+# ------------------------------------------- kept column minima vs full rescan
+
+def _assert_matches_rescan(cost, size):
+    pairs, total, u, v = min_cost_matching_with_duals(cost, size)
+    ref_pairs, ref_total, ref_u, ref_v = rescan_matching_with_duals(cost, size)
+    assert pairs == ref_pairs
+    assert total == ref_total
+    assert np.array_equal(u, ref_u)
+    assert np.array_equal(v, ref_v)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        Scenario(),
+        Scenario(
+            geometry=GeometryConfig(grid_rows=17, grid_cols=17),
+            solver=SolverOptions(fleet_size=4),
+        ),
+    ],
+    ids=["9x9-fleet10", "17x17-fleet4"],
+)
+def test_served_row_matrices_match_rescan(scenario):
+    m = scenario.solver.fleet_size
+    for trial, sigma in ((0, 1.8), (1, 3.6)):
+        gains = run_trial(scenario, sigma, trial, "robotic", 2026).tensor.gains
+        for g in gains:
+            served = g.max(axis=1) > 1.0
+            _assert_matches_rescan(1.0 - g[served], min(m, int(served.sum())))
+
+
+def test_dyadic_ties_match_rescan():
+    rng = np.random.Generator(np.random.Philox(57))
+    for _ in range(200):
+        shape = tuple(int(n) for n in rng.integers(1, 9, size=2))
+        cost = dyadic_matrix(rng, shape, lo=-2, hi=2, denom=2)
+        _assert_matches_rescan(cost, int(rng.integers(0, min(shape) + 1)))
+
+
+def test_ulp_near_ties_match_rescan():
+    rng = np.random.Generator(np.random.Philox(58))
+    for _ in range(200):
+        shape = tuple(int(n) for n in rng.integers(1, 9, size=2))
+        cost = rng.integers(0, 4, size=shape) / 3.0
+        for _ in range(2):
+            step = rng.integers(-1, 2, size=shape)
+            toward = np.where(step > 0, np.inf, -np.inf)
+            cost = np.where(step == 0, cost, np.nextafter(cost, toward))
+        _assert_matches_rescan(cost, int(rng.integers(0, min(shape) + 1)))
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (3, 9), (6, 6), (1, 5), (5, 1)])
+def test_every_size_of_mixed_sign_rectangles_matches_rescan(shape):
+    rng = np.random.Generator(np.random.Philox(59))
+    for _ in range(20):
+        cost = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+        for size in range(min(shape) + 1):
+            _assert_matches_rescan(cost, size)
+
+
+def test_free_rows_keep_one_potential_after_a_negative_path():
+    # Rounding in the 0.1/0.2/0.3 entries makes the sixth augmenting path
+    # come out -5.55e-17 long, which moves the potential of both free rows
+    # to 5.55e-17 (costs are nonnegative, so no shift is folded into u).
+    # The seventh augmentation then starts from the kept minima less it.
+    a, b, c, d, e, h, big = 0.1, 0.2, 0.3, 0.7, 1e-17, 1.0 / 3.0, 1e16
+    cost = np.array(
+        [
+            [b, a, a, b, e, a, 1.0],
+            [c, c, h, c, a, d, 1.0],
+            [d, d, c, c, d, h, 1.0],
+            [c, a, h, big, c, e, 1.0],
+            [e, c, 3.0, 3.0, b, a, 1.0],
+            [c, h, 3.0, big, a, 3.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5],
+            [big, big, big, big, big, big, 1.0],
+        ]
+    )
+    pairs, _, u, _ = min_cost_matching_with_duals(cost, 6)
+    free = sorted(set(range(8)) - {i for i, _ in pairs})
+    assert free == [6, 7] and (u[free] > 0.0).all()
+    for size in range(8):
+        _assert_matches_rescan(cost, size)
+
+
+def test_rounding_tie_starts_from_the_lowest_free_row():
+    # After the first augmentation v[0] is 2**-53, and 1 + 3 * 2**-52 and
+    # 1 + 2 * 2**-52 less it round to the same double: rows 0 and 2 tie in
+    # column 0 although their costs differ. A full rescan starts the path
+    # at row 0, the lowest tied row, not at row 2, the least cost.
+    ulp = 2.0**-52
+    cost = np.array(
+        [
+            [1 + 3 * ulp, 1 + 2 * ulp],
+            [1 + 2 * ulp, ulp / 2],
+            [1 + 2 * ulp, 1 + 4 * ulp],
+            [1 + 3 * ulp, 0.5],
+        ]
+    )
+    pairs, _ = min_cost_matching(cost, 2)
+    assert pairs == [(0, 0), (1, 1)]
+    _assert_matches_rescan(cost, 2)

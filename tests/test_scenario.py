@@ -130,6 +130,21 @@ def test_nonfinite_traffic_values_rejected(tmp_path, key, value):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("p_fly_w", "nan", "p_fly_w must be finite and positive"),
+        ("battery_j", "inf", "battery_j must be finite and positive"),
+        ("service_hours", "nan", "service_hours must be finite and nonnegative"),
+    ],
+)
+def test_nonfinite_platform_values_rejected(tmp_path, key, value, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[platform]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario(tmp_path / "nope.ini")
