@@ -8,7 +8,7 @@ composition happens in linear power units; dB only at the boundaries.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,7 +45,8 @@ class RadioParams:
     Reference losses are at 1 m. `eta1`/`eta2` are the terrestrial LoS/NLoS
     path-loss exponents, `eta3` the reflected-link exponent (below the
     terrestrial NLoS one). `n_elements` must be a squared positive multiple
-    of four (square surface, 2-bit phase coding).
+    of four (square surface, 2-bit phase coding). Every float must be
+    finite.
     """
 
     carrier_freq_hz: float = 28e9
@@ -63,11 +64,14 @@ class RadioParams:
     n_elements: int = 2304
 
     def __post_init__(self) -> None:
-        if self.carrier_freq_hz <= 0:
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if not self.carrier_freq_hz > 0:
             raise ValueError("carrier frequency must be positive")
-        if self.eta1 > self.eta2:
+        if not self.eta1 <= self.eta2:
             raise ValueError("LoS exponent eta1 cannot exceed NLoS exponent eta2")
-        if self.eta3 >= self.eta2:
+        if not self.eta3 < self.eta2:
             raise ValueError("reflected-link exponent eta3 must be below eta2")
         side = math.isqrt(int(self.n_elements))
         if side * side != self.n_elements or side <= 0 or side % 4 != 0:

@@ -55,7 +55,7 @@ def _load(args) -> Scenario:
 def _cmd_plan(args) -> int:
     scenario = _load(args)
     sigma = args.sigma if args.sigma is not None else scenario.traffic.sigma_log
-    # Built first so a bad seed or sigma fails before any output or compute.
+    # Built first so a bad seed, sigma or layout fails before any output.
     config = ExperimentConfig(
         scenario=scenario,
         strategies=(args.strategy,),
@@ -63,10 +63,10 @@ def _cmd_plan(args) -> int:
         trials=1,
         master_seed=args.seed,
     )
+    engine = _TrialEngine(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    engine = _TrialEngine(scenario)
     result = engine.run(sigma, args.trial, args.strategy, args.seed)
     write_metadata(config, out / "run_metadata.json")
     _write_rows(

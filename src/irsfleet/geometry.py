@@ -1,5 +1,6 @@
 """Manhattan-grid microcell layout and transceiver distance tables."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +48,15 @@ def build_layout(
     """Lay out a rows x cols grid of square cells with the BS at the center.
 
     `heights` is the (BS-user, site-BS, site-user) height-difference triple
-    in metres. Raises ValueError on non-positive dimensions.
+    in metres. Raises ValueError on non-positive or non-finite dimensions.
     """
     h1, h2, h3 = (float(h) for h in heights)
-    if rows < 1 or cols < 1:
+    if not (rows >= 1 and cols >= 1):
         raise ValueError("grid dimensions must be at least 1x1")
-    if cell_side <= 0:
-        raise ValueError("cell side must be positive")
-    if min(h1, h2, h3) <= 0:
-        raise ValueError("height differences must be positive")
+    if not 0 < cell_side < math.inf:  # NaN fails this too
+        raise ValueError("cell side must be finite and positive")
+    if not all(0 < h < math.inf for h in (h1, h2, h3)):
+        raise ValueError("height differences must be finite and positive")
 
     side = float(cell_side)
     cx = (np.arange(cols) + 0.5) * side

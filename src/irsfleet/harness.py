@@ -488,14 +488,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     relocating strategy, and run_metadata.json. Output is a pure function
     of the scenario and the master seed.
     """
+    # Built first so a bad layout fails before any output exists.
+    engine = _TrialEngine(config.scenario)
     out = None
     if config.output_dir is not None:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        # Fail on an unwritable directory before any compute.
+        # Fail on an unwritable directory before any trial runs.
         write_metadata(config, out / "run_metadata.json")
 
-    engine = _TrialEngine(config.scenario)
     by_strategy: dict[str, list[TrialMetrics]] = {s: [] for s in config.strategies}
     trajectory_tables: dict[float, list[list]] = {}
 

@@ -1,11 +1,14 @@
 """Scenario files: flat key = value sections holding every model parameter.
 
-Every default is embedded and overridable; unknown sections or keys are
-errors so typos cannot silently fall back to defaults.
+The parameter dataclasses are the file schema. Each section is a field of
+`Scenario` and each key a field of that section's dataclass, in field
+order; a value is parsed by its field's annotated type. Every default is
+embedded and overridable; unknown sections or keys are errors so typos
+cannot silently fall back to defaults.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .channel import RadioParams
@@ -80,60 +83,21 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in parts)
 
 
-def _parse_choice(options: tuple[str, ...]):
-    def parse(raw: str) -> str:
-        value = raw.strip()
-        if value not in options:
-            raise ValueError(f"must be one of {options}, got {raw!r}")
-        return value
+# Field annotation -> parser of the raw file value.
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    tuple[float, ...] | None: _parse_float_list,
+}
 
-    return parse
-
-
-# section -> key -> (converter, target dataclass field)
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "geometry": {
-        "grid_rows": (int, "grid_rows"),
-        "grid_cols": (int, "grid_cols"),
-        "cell_side_m": (float, "cell_side_m"),
-        "h1_m": (float, "h1_m"),
-        "h2_m": (float, "h2_m"),
-        "h3_m": (float, "h3_m"),
-    },
-    "radio": {
-        "carrier_freq_hz": (float, "carrier_freq_hz"),
-        "tx_power_dbm": (float, "tx_power_dbm"),
-        "noise_power_dbm": (float, "noise_power_dbm"),
-        "a_d_db": (float, "a_d_db"),
-        "a_t_db": (float, "a_t_db"),
-        "a_r_db": (float, "a_r_db"),
-        "eta1": (float, "eta1"),
-        "eta2": (float, "eta2"),
-        "eta3": (float, "eta3"),
-        "k_d_db": (float, "k_d_db"),
-        "k_c_db": (float, "k_c_db"),
-        "snr_threshold_db": (float, "snr_threshold_db"),
-        "n_elements": (int, "n_elements"),
-    },
-    "platform": {
-        "p_fly_w": (float, "p_fly_w"),
-        "v_fly_mps": (float, "v_fly_mps"),
-        "p_grasp_w": (float, "p_grasp_w"),
-        "p_irs_w": (float, "p_irs_w"),
-        "battery_j": (float, "battery_j"),
-        "service_hours": (float, "service_hours"),
-    },
-    "traffic": {
-        "base_mean_mbps_km2": (float, "base_mean"),
-        "sigma_log": (float, "sigma_log"),
-        "epochs": (int, "epochs"),
-        "epoch_profile": (_parse_float_list, "epoch_profile"),
-        "threshold_fraction": (float, "threshold_fraction"),
-    },
-    "solver": {
-        "fleet_size": (int, "fleet_size"),
-        "terrestrial_mode": (_parse_choice(TERRESTRIAL_MODES), "terrestrial_mode"),
-    },
+# section -> (its dataclass, key -> parser), read off the dataclasses once.
+_SECTIONS: dict[str, tuple[type, dict]] = {
+    section.name: (
+        section.type,
+        {f.name: _PARSERS[f.type] for f in fields(section.type)},
+    )
+    for section in fields(Scenario)
 }
 
 
@@ -150,30 +114,27 @@ def load_scenario(path) -> Scenario:
     if not read:
         raise ScenarioError(f"cannot read scenario file: {path}")
 
-    kwargs: dict[str, dict] = {section: {} for section in _SCHEMA}
+    kwargs: dict[str, dict] = {section: {} for section in _SECTIONS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ScenarioError(f"unknown scenario section [{section}]")
-        schema = _SCHEMA[section]
+        parsers = _SECTIONS[section][1]
         for key, raw in parser.items(section):
-            if key not in schema:
+            if key not in parsers:
                 raise ScenarioError(f"unknown key '{key}' in section [{section}]")
-            converter, target = schema[key]
             try:
-                value = converter(raw)
+                kwargs[section][key] = parsers[key](raw)
             except ValueError as err:
                 raise ScenarioError(
                     f"bad value for [{section}] {key}: {err}"
                 ) from err
-            kwargs[section][target] = value
 
     try:
         return Scenario(
-            geometry=GeometryConfig(**kwargs["geometry"]),
-            radio=RadioParams(**kwargs["radio"]),
-            platform=PlatformParams(**kwargs["platform"]),
-            traffic=TrafficModel(**kwargs["traffic"]),
-            solver=SolverOptions(**kwargs["solver"]),
+            **{
+                section: cls(**kwargs[section])
+                for section, (cls, _) in _SECTIONS.items()
+            }
         )
     except ValueError as err:
         raise ScenarioError(str(err)) from err
@@ -189,13 +150,7 @@ def _format_value(value) -> str:
 
 def scenario_as_dict(scenario: Scenario) -> dict[str, dict]:
     """Every parameter by file section and key, defaults included."""
-    return {
-        section: {
-            key: getattr(getattr(scenario, section), target)
-            for key, (_, target) in schema.items()
-        }
-        for section, schema in _SCHEMA.items()
-    }
+    return asdict(scenario)
 
 
 def write_scenario(scenario: Scenario, path) -> None:

@@ -32,18 +32,18 @@ class TrafficModel:
 
     `sigma_log` is the standard deviation of the underlying normal (log
     scale). The log-mean is calibrated per epoch so the distribution mean
-    equals base_mean times the epoch multiplier. The gating threshold is
-    `threshold_fraction` of that mean.
+    equals `base_mean_mbps_km2` times the epoch multiplier. The gating
+    threshold is `threshold_fraction` of that mean.
     """
 
-    base_mean: float = 702.0          # Mbps/km^2
+    base_mean_mbps_km2: float = 702.0
     sigma_log: float = 2.8
     epochs: int = 12
     epoch_profile: tuple[float, ...] | None = None
     threshold_fraction: float = 0.01
 
     def __post_init__(self) -> None:
-        if not (self.base_mean > 0 and math.isfinite(self.base_mean)):
+        if not 0 < self.base_mean_mbps_km2 < math.inf:  # NaN fails this too
             raise ValueError("base mean demand must be finite and positive")
         if not (self.sigma_log > 0 and math.isfinite(self.sigma_log)):
             raise ValueError("sigma_log must be finite and positive")
@@ -60,14 +60,14 @@ class TrafficModel:
             if len(profile) != self.epochs:
                 raise ValueError("epoch_profile length must match epochs")
             eps = 1e-9
-            if min(profile) < PROFILE_LOW - eps or max(profile) > PROFILE_HIGH + eps:
+            if not all(PROFILE_LOW - eps <= x <= PROFILE_HIGH + eps for x in profile):
                 raise ValueError(
                     f"epoch multipliers must lie in [{PROFILE_LOW}, {PROFILE_HIGH}]"
                 )
             object.__setattr__(self, "epoch_profile", profile)
 
     def epoch_means(self) -> np.ndarray:
-        return self.base_mean * np.asarray(self.epoch_profile)
+        return self.base_mean_mbps_km2 * np.asarray(self.epoch_profile)
 
     def thresholds(self) -> np.ndarray:
         return self.threshold_fraction * self.epoch_means()

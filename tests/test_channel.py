@@ -118,9 +118,9 @@ def test_direct_snr_examples():
 def test_weak_coverage_thresholds():
     snr = np.array([5.0, 15.0, 9.99, 25.0])
     nlos = np.array([0, 2, 3])
-    no_bar = RadioParams(snr_threshold_db=-math.inf)
+    no_bar = RadioParams(snr_threshold_db=-1e9)
     assert weak_coverage_set(nlos, snr, no_bar).size == 0
-    all_bar = RadioParams(snr_threshold_db=math.inf)
+    all_bar = RadioParams(snr_threshold_db=1e9)
     assert np.array_equal(weak_coverage_set(nlos, snr, all_bar), nlos)
     assert np.array_equal(weak_coverage_set(nlos, snr, PARAMS), [0, 2])
 

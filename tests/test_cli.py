@@ -198,6 +198,30 @@ def test_plan_rejects_negative_trial_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "geometry, message",
+    [
+        ("h3_m = inf", "height differences must be finite and positive"),
+        ("h1_m = nan", "height differences must be finite and positive"),
+        ("cell_side_m = -1", "cell side must be finite and positive"),
+        ("cell_side_m = nan", "cell side must be finite and positive"),
+    ],
+    ids=["h3-inf", "h1-nan", "side-negative", "side-nan"],
+)
+@pytest.mark.parametrize("command", ["plan", "sweep"])
+def test_bad_geometry_fails_before_output(tmp_path, capsys, command, geometry, message):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[geometry]\n{geometry}\n")
+    out = tmp_path / command
+    args = [command, "--config", str(config), "--out", str(out)]
+    if command == "sweep":
+        args += ["--trials", "1"]
+    assert main(args) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == message
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only oracle; importing the CLI must not pull it in.
     code = (

@@ -53,6 +53,10 @@ def test_count_formulas(rows, cols):
         (9, 9, -5.0, HEIGHTS),
         (9, 9, 20.0, (0.0, 2.0, 10.5)),
         (9, 9, 20.0, (8.5, -2.0, 10.5)),
+        (9, 9, math.inf, HEIGHTS),
+        (9, 9, math.nan, HEIGHTS),
+        (9, 9, 20.0, (8.5, 2.0, math.inf)),
+        (9, 9, 20.0, (math.nan, 2.0, 10.5)),
     ],
 )
 def test_invalid_layout_arguments(args):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -26,19 +27,78 @@ def test_default_values_match_the_tables():
     assert s.platform.p_irs_w == 0.9
     assert s.platform.battery_j == 799_200.0
     assert s.platform.service_hours == 12.0
-    assert s.traffic.base_mean == 702.0
+    assert s.traffic.base_mean_mbps_km2 == 702.0
     assert s.traffic.sigma_log == 2.8
     assert s.traffic.epochs == 12
     assert s.traffic.threshold_fraction == 0.01
     assert s.solver.fleet_size == 10
 
 
+# A value the dataclass accepts, other than the default, for every key.
+# Floats are non-integral so an int parser would refuse them.
+NON_DEFAULT = {
+    "geometry": {
+        "grid_rows": 7,
+        "grid_cols": 11,
+        "cell_side_m": 22.5,
+        "h1_m": 9.5,
+        "h2_m": 2.5,
+        "h3_m": 11.5,
+    },
+    "radio": {
+        "carrier_freq_hz": 3.5e9,
+        "tx_power_dbm": 40.5,
+        "noise_power_dbm": -90.5,
+        "a_d_db": -60.5,
+        "a_t_db": -55.5,
+        "a_r_db": -57.5,
+        "eta1": 2.05,
+        "eta2": 3.3,
+        "eta3": 2.5,
+        "k_d_db": 9.5,
+        "k_c_db": 12.5,
+        "snr_threshold_db": 8.5,
+        "n_elements": 1024,
+    },
+    "platform": {
+        "p_fly_w": 300.5,
+        "v_fly_mps": 12.5,
+        "p_grasp_w": 11.5,
+        "p_irs_w": 1.25,
+        "battery_j": 900_000.5,
+        "service_hours": 10.5,
+    },
+    "traffic": {
+        "base_mean_mbps_km2": 650.5,
+        "sigma_log": 1.8,
+        "epochs": 4,
+        "epoch_profile": (0.85, 1.05, 1.25, 1.35),
+        "threshold_fraction": 0.02,
+    },
+    "solver": {"fleet_size": 4, "terrestrial_mode": "clairvoyant"},
+}
+
+
 def test_roundtrip_preserves_everything(tmp_path):
+    default = default_scenario()
+    original = Scenario(
+        **{
+            section: type(getattr(default, section))(**values)
+            for section, values in NON_DEFAULT.items()
+        }
+    )
     path = tmp_path / "scenario.ini"
-    original = Scenario(solver=SolverOptions(fleet_size=4, terrestrial_mode="clairvoyant"))
     write_scenario(original, path)
     loaded = load_scenario(path)
     assert loaded == original
+    assert sum(len(values) for values in NON_DEFAULT.values()) == 32
+    for section, values in NON_DEFAULT.items():
+        cls = type(getattr(default, section))
+        assert list(values) == [f.name for f in fields(cls)], section
+        for key in values:
+            value = getattr(getattr(loaded, section), key)
+            assert value != getattr(getattr(default, section), key), key
+            assert type(value) is type(getattr(getattr(original, section), key)), key
 
 
 def test_partial_file_fills_defaults(tmp_path):
@@ -142,6 +202,39 @@ def test_nonfinite_platform_values_rejected(tmp_path, key, value, message):
     path = tmp_path / "bad.ini"
     path.write_text(f"[platform]\n{key} = {value}\n")
     with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("carrier_freq_hz", "nan", "carrier_freq_hz must be finite"),
+        ("carrier_freq_hz", "0", "carrier frequency must be positive"),
+        ("carrier_freq_hz", "-28e9", "carrier frequency must be positive"),
+        ("tx_power_dbm", "nan", "tx_power_dbm must be finite"),
+        ("eta1", "nan", "eta1 must be finite"),
+        ("eta2", "inf", "eta2 must be finite"),
+        ("snr_threshold_db", "-inf", "snr_threshold_db must be finite"),
+    ],
+)
+def test_bad_radio_values_rejected(tmp_path, key, value, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[radio]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+
+
+def test_nan_epoch_profile_rejected(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[traffic]\nepochs = 3\nepoch_profile = nan, 1.0, 1.2\n")
+    with pytest.raises(ScenarioError, match="epoch multipliers must lie in"):
+        load_scenario(path)
+
+
+def test_bad_terrestrial_mode_rejected(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[solver]\nterrestrial_mode = oracle\n")
+    with pytest.raises(ScenarioError, match="terrestrial_mode must be"):
         load_scenario(path)
 
 

@@ -21,7 +21,7 @@ def test_default_profile_spans_the_band():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        TrafficModel(base_mean=0.0)
+        TrafficModel(base_mean_mbps_km2=0.0)
     with pytest.raises(ValueError):
         TrafficModel(sigma_log=0.0)
     with pytest.raises(ValueError):
