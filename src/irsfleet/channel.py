@@ -46,7 +46,7 @@ class RadioParams:
     path-loss exponents, `eta3` the reflected-link exponent (below the
     terrestrial NLoS one). `n_elements` must be a squared positive multiple
     of four (square surface, 2-bit phase coding). Every float must be
-    finite.
+    finite, and so must the linear value of each Rician K factor.
     """
 
     carrier_freq_hz: float = 28e9
@@ -73,6 +73,13 @@ class RadioParams:
             raise ValueError("LoS exponent eta1 cannot exceed NLoS exponent eta2")
         if not self.eta3 < self.eta2:
             raise ValueError("reflected-link exponent eta3 must be below eta2")
+        for name in ("k_d_db", "k_c_db"):
+            try:
+                10.0 ** (getattr(self, name) / 10.0)
+            except OverflowError:
+                raise ValueError(
+                    f"{name} is too large: its linear value overflows"
+                ) from None
         side = math.isqrt(int(self.n_elements))
         if side * side != self.n_elements or side <= 0 or side % 4 != 0:
             raise ValueError(

@@ -64,10 +64,10 @@ def _cmd_plan(args) -> int:
         master_seed=args.seed,
     )
     engine = _TrialEngine(scenario)
+    # The trial runs before --out exists, so an infeasible one leaves none.
+    result = engine.run(sigma, args.trial, args.strategy, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    result = engine.run(sigma, args.trial, args.strategy, args.seed)
     write_metadata(config, out / "run_metadata.json")
     _write_rows(
         out / "placement.csv",

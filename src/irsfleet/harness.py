@@ -171,6 +171,8 @@ class _TrialEngine:
         """
         key = (int(master_seed), _sigma_bits(sigma), int(trial_index))
         if self._last is None or self._last[0] != key:
+            # The previous unit's tensor goes before this one is built.
+            self._last = None
             scenario = self.scenario
             traffic_model = dataclasses.replace(scenario.traffic, sigma_log=sigma)
             channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
@@ -388,37 +390,38 @@ def trajectory_rows(
     the totals after arriving at that row's position.
     """
     m, epochs = trajectory.routes.shape
+    depot = np.broadcast_to(layout.bs_position, (m, 1, 2))
+    points = np.concatenate(
+        [depot, layout.candidate_sites[trajectory.routes], depot], axis=1
+    )
+    start = np.zeros((m, 1))
+    legs = np.concatenate([start, trajectory.leg_m], axis=1)
+    cumulative = np.concatenate([start, trajectory.cumulative_m], axis=1)
+    total = trajectory.cumulative_m[:, -1]
+    e_fly = np.array([ledger.e_fly_j for ledger in trajectory.ledgers])
+    ratio = np.divide(e_fly, total, out=np.zeros(m), where=total > 0)
+    columns = zip(
+        points[..., 0].tolist(),
+        points[..., 1].tolist(),
+        legs.tolist(),
+        cumulative.tolist(),
+        (cumulative * ratio[:, None]).tolist(),
+        [_fmt(ledger.feasible) for ledger in trajectory.ledgers],
+    )
     rows = []
-    for k in range(m):
-        ledger = trajectory.ledgers[k]
-        ratio = ledger.e_fly_j / trajectory.cumulative_m[k, -1] if (
-            trajectory.cumulative_m[k, -1] > 0
-        ) else 0.0
-        positions = [(layout.bs_position, 0.0, 0.0)]
-        for t in range(epochs):
-            site = layout.candidate_sites[trajectory.routes[k, t]]
-            positions.append(
-                (site, trajectory.leg_m[k, t], trajectory.cumulative_m[k, t])
-            )
-        positions.append(
-            (
-                layout.bs_position,
-                trajectory.leg_m[k, epochs],
-                trajectory.cumulative_m[k, epochs],
-            )
-        )
-        for epoch, (point, leg, cum) in enumerate(positions):
+    for k, (xs, ys, leg, cum, energy, feasible) in enumerate(columns):
+        for epoch in range(epochs + 2):
             rows.append(
                 [
                     trial_index,
                     k,
                     epoch,
-                    _fmt(float(point[0])),
-                    _fmt(float(point[1])),
-                    _fmt(float(leg)),
-                    _fmt(float(cum)),
-                    _fmt(float(cum * ratio)),
-                    _fmt(ledger.feasible),
+                    repr(xs[epoch]),
+                    repr(ys[epoch]),
+                    repr(leg[epoch]),
+                    repr(cum[epoch]),
+                    repr(energy[epoch]),
+                    feasible,
                 ]
             )
     return rows
@@ -509,6 +512,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     trajectory_tables.setdefault(float(sigma), []).extend(
                         trajectory_rows(trial, result.trajectory, engine.layout)
                     )
+                # The result holds the unit's gain tensor; drop it so the
+                # next unit is not placed with two tensors alive.
+                del result
 
     metrics = [row for rows in by_strategy.values() for row in rows]
     summaries = summarize(metrics)

@@ -1,13 +1,14 @@
 """Exact minimum-cost bipartite matching of a prescribed size.
 
-Dense successive-shortest-augmenting-path solver with dual potentials.
-Costs may be negative and the matrix rectangular; the match count is fixed
-by the caller, which is exactly what the placement problem needs (a set
-number of units in service) and what the trajectory step needs (a full
-permutation). With the count fixed, shifting all costs by a constant never
-changes the argmin, so negative costs are handled by a one-off shift.
-The solver's final dual potentials are exposed too: the trajectory step
-settles most of its lexicographic tie-break from them without re-solving.
+Dense successive-shortest-augmenting-path (SSP) solver with dual
+potentials, run over a stack of independent problems at once. Costs may be
+negative and the matrices rectangular; the match count is fixed by the
+caller, which is exactly what the placement problem needs (a set number of
+units in service) and what the trajectory step needs (a full permutation).
+With the count fixed, shifting all costs by a constant never changes the
+argmin, so negative costs are handled by a one-off shift. The solver's
+final dual potentials are exposed too: the trajectory step settles most of
+its lexicographic tie-break from them without re-solving.
 
 Every augmentation starts its shortest-path search from all free rows at
 once, so each column begins at its least reduced cost over the free rows.
@@ -24,11 +25,37 @@ a matrix). For a common potential `uf`, rounding is monotone, so
 Rounding can make distinct costs tie, so the one free row that starts the
 augmenting path is picked from its column's reduced costs, exactly as a
 full rescan would pick it (lowest index among the least).
+
+A stack of B problems shares one (B, rows, cols) array; problem b owns its
+first `n_rows[b]` rows and asks for `sizes[b]` pairs. Each element's pairs,
+total and potentials are those of solving it alone, whatever else is in
+the stack, because:
+
+- Rows past a problem's own count are padding, whatever they hold. They
+  are never free, and every read of them is masked to +inf, so a padding
+  row never sets a column minimum, never starts a path and, never being
+  matched, never lies on one. A problem of size 0 is all padding.
+- Each problem has its own shift, the least of its own entries and zero.
+- Every Dijkstra step runs on the whole stack. A problem that has found
+  its free column, or needs no more augmentations, is masked out of every
+  write: its step reads and writes one spare padding row below the stack,
+  whose +inf costs improve no column. So its state is what it would be
+  alone.
+- The float operations, and their order, are those of a lone solve: a
+  relaxation is `path_len + c[i] - u[i] - v`; the potential update is
+  `v += min(dist, path_len)` and `u -= min(row_dist, path_len)`; the
+  source pick reads `c[free, j] - free_u - v[j]`. Column minima are exact,
+  so refreshing a column for every problem in the stack changes none that
+  was still current.
 """
 
 import numpy as np
 
-__all__ = ["min_cost_matching", "min_cost_matching_with_duals"]
+__all__ = [
+    "min_cost_matching",
+    "min_cost_matching_with_duals",
+    "min_cost_matching_batch",
+]
 
 
 def min_cost_matching(cost, size: int) -> tuple[list[tuple[int, int]], float]:
@@ -58,81 +85,148 @@ def min_cost_matching_with_duals(
     c_in = np.asarray(cost, dtype=float)
     if c_in.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
-    n_rows, n_cols = c_in.shape
-    if not 0 <= size <= min(n_rows, n_cols):
-        raise ValueError(f"match size {size} infeasible for {n_rows}x{n_cols} costs")
-    if size == 0:
-        return [], 0.0, np.zeros(n_rows), np.zeros(n_cols)
-    if not np.isfinite(c_in).all():
+    return min_cost_matching_batch(c_in[None], [c_in.shape[0]], [size])[0]
+
+
+def min_cost_matching_batch(
+    cost, n_rows, sizes
+) -> list[tuple[list[tuple[int, int]], float, np.ndarray, np.ndarray]]:
+    """`min_cost_matching_with_duals` of every problem in a stack, in one solve.
+
+    `cost` is (B, rows, cols); problem b is `cost[b, :n_rows[b]]` matched
+    with exactly `sizes[b]` pairs, and the rows below it are ignored.
+    Returns one (pairs, total, u, v) per problem, equal bit for bit to its
+    lone solve; u has `n_rows[b]` entries.
+
+    Raises ValueError for a non-stack, a row count that does not fit, an
+    infeasible size, or a non-finite entry in a problem of positive size.
+    """
+    c_in = np.asarray(cost, dtype=float)
+    if c_in.ndim != 3:
+        raise ValueError("cost must be a (problems, rows, cols) stack")
+    n_batch, height, n_cols = c_in.shape
+    n_rows = np.asarray(n_rows, dtype=int)
+    sizes = np.asarray(sizes, dtype=int)
+    if n_rows.shape != (n_batch,) or sizes.shape != (n_batch,):
+        raise ValueError("need one row count and one match size per problem")
+    if ((n_rows < 0) | (n_rows > height)).any():
+        raise ValueError(f"row counts must lie in [0, {height}]")
+    infeasible = np.flatnonzero((sizes < 0) | (sizes > np.minimum(n_rows, n_cols)))
+    if infeasible.size:
+        b = infeasible[0]
+        raise ValueError(
+            f"match size {sizes[b]} infeasible for {n_rows[b]}x{n_cols} costs"
+        )
+
+    # Rows of size-0 problems are padding too: such a problem is solved.
+    real = np.arange(height) < np.where(sizes > 0, n_rows, 0)[:, None]
+    # A real row's least and greatest entries are finite iff all its
+    # entries are; NaN propagates into both.
+    row_low = c_in.min(axis=2, initial=np.inf)
+    row_high = c_in.max(axis=2, initial=-np.inf)
+    if not ((np.isfinite(row_low) & np.isfinite(row_high)) | ~real).all():
         raise ValueError("cost entries must be finite")
+    least = np.where(real, row_low, np.inf).min(axis=1, initial=np.inf)
+    shift = np.minimum(0.0, least)[:, None]
+    # The shifted cost c = c_in - shift is read row by row or column by
+    # column, never stored whole. Rounding is monotone, so a least shifted
+    # cost is the least cost, shifted.
+    col_min = np.minimum.reduce(
+        c_in, axis=1, where=real[:, :, None], initial=np.inf
+    ) - shift
 
-    shift = min(float(c_in.min()), 0.0)
-    c = c_in - shift
+    # Row-indexed state has one spare row below the stack, where the row
+    # writes of problems that have stopped searching land.
+    ar = np.arange(n_batch)
+    u = np.zeros((n_batch, height + 1))
+    v = np.zeros((n_batch, n_cols))
+    row_match = np.full((n_batch, height), -1)
+    col_match = np.full((n_batch, n_cols), -1)
+    free = np.zeros((n_batch, height + 1), dtype=bool)
+    free[:, :height] = real  # padding rows are never free
+    parent = np.empty((n_batch, n_cols), dtype=int)
+    unscanned = np.empty((n_batch, n_cols), dtype=bool)
+    end_col = np.zeros(n_batch, dtype=int)
+    path_len = np.zeros(n_batch)
 
-    u = np.zeros(n_rows)
-    v = np.zeros(n_cols)
-    row_match = np.full(n_rows, -1, dtype=int)
-    col_match = np.full(n_cols, -1, dtype=int)
-    free_rows = np.arange(n_rows)
-    col_min = c.min(axis=0)  # each column's least cost over the free rows
-    parent = np.empty(n_cols, dtype=int)
-    row_dist = np.empty(n_rows)
-    scanned = np.empty(n_cols, dtype=bool)
-
-    for _ in range(size):
-        # Multi-source shortest path over columns: any free row is a source,
-        # and all of them share one potential.
-        free_u = u[free_rows[0]]
-        dist = col_min - free_u - v
+    for k in range(sizes.max(initial=0)):
+        active = sizes > k  # problems that still augment
+        # Multi-source shortest path over columns: any free row is a
+        # source, and all of them share one potential.
+        free_u = u[ar, free.argmax(axis=1)]
+        dist = col_min - free_u[:, None] - v
         parent.fill(-1)  # -1: reached straight from a free row
-        row_dist.fill(np.inf)
-        row_dist[free_rows] = 0.0
-        scanned.fill(False)
+        row_dist = np.where(free, 0.0, np.inf)
+        unscanned.fill(True)
 
+        searching = active.copy()
         while True:
-            masked = np.where(scanned, np.inf, dist)
-            j = int(masked.argmin())
-            path_len = float(masked[j])
-            scanned[j] = True
-            i = int(col_match[j])
-            if i < 0:
-                end_col = j
+            masked = np.where(unscanned, dist, np.inf)
+            j = masked.argmin(axis=1)
+            step = masked[ar, j]
+            unscanned[ar, j] = False
+            # Row -1 is the spare row of u and row_dist.
+            i = np.where(searching, col_match[ar, j], -1)
+            np.copyto(end_col, j, where=searching)
+            np.copyto(path_len, step, where=searching)
+            searching &= i >= 0
+            if not np.count_nonzero(searching):
                 break
             # Matched column: continue through its row (tight back edge).
-            row_dist[i] = path_len
-            relaxed = path_len + c[i] - u[i] - v
-            improve = ~scanned & (relaxed < dist)
-            dist[improve] = relaxed[improve]
-            parent[improve] = i
+            row_dist[ar, i] = step
+            # A problem that is not searching relaxes +inf: no improvement.
+            c_row = np.where(searching[:, None], c_in[ar, i] - shift, np.inf)
+            relaxed = step[:, None] + c_row - u[ar, i][:, None] - v
+            improve = (relaxed < dist) & unscanned
+            np.copyto(dist, relaxed, where=improve)
+            np.copyto(parent, i[:, None], where=improve)
 
-        j = end_col
-        i = int(parent[j])
-        while i >= 0:  # a matched row moves onto column j
-            previous = int(row_match[i])
-            row_match[i] = j
-            col_match[j] = i
-            j = previous
-            i = int(parent[j])
+        first = end_col.copy()
+        solving = active.nonzero()[0]
+        for b in solving.tolist():
+            j = first.item(b)
+            i = parent.item(b, j)
+            while i >= 0:  # a matched row moves onto column j
+                previous = row_match.item(b, i)
+                row_match[b, i] = j
+                col_match[b, j] = i
+                j = previous
+                i = parent.item(b, j)
+            first[b] = j
         # The path starts at the lowest free row among the least reduced
         # costs of its first column, the row a full rescan would pick.
-        source = int(free_rows[(c[free_rows, j] - free_u - v[j]).argmin()])
-        row_match[source] = j
-        col_match[j] = source
+        c_col = c_in[ar, :, first] - shift
+        reduced = c_col - free_u[:, None] - v[ar, first][:, None]
+        source = np.where(free[:, :height], reduced, np.inf).argmin(axis=1)[solving]
+        row_match[solving, source] = first[solving]
+        col_match[solving, first[solving]] = source
 
         # Potential update capped at the path length keeps every residual
         # reduced cost nonnegative and the matched edges tight.
-        v += np.minimum(dist, path_len)
-        u -= np.minimum(row_dist, path_len)
+        cap = path_len[:, None]
+        np.add(v, np.minimum(dist, cap), out=v, where=active[:, None])
+        np.subtract(u, np.minimum(row_dist, cap), out=u, where=active[:, None])
 
-        # Only the columns whose minimum the source row held can change.
-        free_rows = free_rows[free_rows != source]
-        if free_rows.size:
-            stale = np.flatnonzero(c[source] == col_min)
-            col_min[stale] = c[free_rows[:, None], stale].min(axis=0)
+        # Only the columns whose minimum a source row held can change.
+        free[solving, source] = False
+        c_row = c_in[solving, source] - shift[solving]
+        held, stale = (c_row == col_min[solving]).nonzero()
+        held = solving[held]
+        col_min[held, stale] = np.minimum.reduce(
+            c_in[held, :, stale], axis=1, where=free[held, :height], initial=np.inf
+        ) - shift[held, 0]
 
-    rows = np.flatnonzero(row_match >= 0)
-    pairs = [(int(i), int(row_match[i])) for i in rows]
-    total = float(c_in[rows, row_match[rows]].sum())
+    # Every problem's pairs in row order, problem after problem.
+    owner, rows = (row_match >= 0).nonzero()
+    cols = row_match[owner, rows]
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    matched = c_in[owner, rows, cols]
     # Potentials of the shifted matrix; moving the shift into u makes them
     # potentials of the caller's matrix with the same reduced costs.
-    return pairs, total, u + shift, v
+    u = u[:, :height] + shift
+    ends = np.cumsum(sizes).tolist()
+    results = []
+    for b, (start, end) in enumerate(zip([0] + ends, ends)):
+        total = float(matched[start:end].sum())
+        results.append((pairs[start:end], total, u[b, : n_rows[b]], v[b]))
+    return results

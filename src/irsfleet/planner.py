@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelRealization, RadioParams, cascaded_snr_db, snr_ratio
 from .geometry import DistanceTables
-from .matching import min_cost_matching
+from .matching import min_cost_matching, min_cost_matching_batch
 from .traffic import TrafficField, gate_gain
 
 __all__ = [
@@ -135,20 +135,12 @@ def build_gain_tensor(
     )
 
 
-def _served_matching(
-    gains, m: int, unit: float = 1.0
-) -> tuple[list[tuple[int, int]], float]:
-    """Exact size-m (cell, site) matching of most total gain excess.
+def _served_rows(gains, m: int, unit: float) -> np.ndarray:
+    """Served rows of a gain matrix, once m units are known to fit.
 
     `unit` is the gain of an unserved pair: 1 for gains, 0 for summed gain
     excess. Every entry must be at least `unit`, and a row is served when
-    some entry in it is above. The exact min(m, served)-matching of the
-    cost `unit - gains` runs on the served rows alone, any selected pair
-    of zero cost is released, and the released and missing places go to
-    the lowest unused cells paired with the lowest unused sites, in order.
-    Zero-cost ties therefore resolve to the lowest (cell, site) indices,
-    as a matching over every row would. Returns (pairs sorted by cell,
-    total cost of the pairs).
+    some entry in it is above.
     """
     n_cells, n_sites = gains.shape
     if m > min(n_cells, n_sites):
@@ -157,10 +149,21 @@ def _served_matching(
         )
     if not gains.min(initial=unit) >= unit:  # NaN fails this too
         raise ValueError("gains must be finite and at least 1")
-    served = np.flatnonzero(gains.max(axis=1, initial=unit) > unit)
-    cost = gains[served]
-    np.subtract(unit, cost, out=cost)
-    matched, _ = min_cost_matching(cost, min(m, served.size))
+    return np.flatnonzero(gains.max(axis=1, initial=unit) > unit)
+
+
+def _completed_pairs(
+    gains, m: int, unit: float, served, cost, matched
+) -> tuple[list[tuple[int, int]], float]:
+    """Pairs of an exact served-row matching, completed to m places.
+
+    Any matched pair of zero cost is released, and the released and
+    missing places go to the lowest unused cells paired with the lowest
+    unused sites, in order. Zero-cost ties therefore resolve to the lowest
+    (cell, site) indices, as a matching over every row would. Returns
+    (pairs sorted by cell, total cost of the pairs).
+    """
+    n_cells, n_sites = gains.shape
     pairs = [(int(served[q]), j) for q, j in matched if cost[q, j] != 0.0]
     if len(pairs) < m:
         used_cells = {q for q, _ in pairs}
@@ -171,6 +174,22 @@ def _served_matching(
         pairs.sort()
     cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
     return pairs, float((unit - gains[cells, sites]).sum())
+
+
+def _served_matching(
+    gains, m: int, unit: float = 1.0
+) -> tuple[list[tuple[int, int]], float]:
+    """Exact size-m (cell, site) matching of most total gain excess.
+
+    The exact min(m, served)-matching of the cost `unit - gains` runs on
+    the served rows alone (`_served_rows`) and is completed to m places by
+    the lowest-(cell, site) rule (`_completed_pairs`).
+    """
+    served = _served_rows(gains, m, unit)
+    cost = gains[served]
+    np.subtract(unit, cost, out=cost)
+    matched, _ = min_cost_matching(cost, min(m, served.size))
+    return _completed_pairs(gains, m, unit, served, cost, matched)
 
 
 def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
@@ -203,12 +222,24 @@ def _objective(weight: float, epochs: int, n_weak: int) -> float:
 
 
 def solve_adaptive_plan(tensor: GainTensor, m: int) -> PlacementPlan:
-    """Exact epoch-by-epoch optimum; units may relocate freely."""
+    """Exact epoch-by-epoch optimum; units may relocate freely.
+
+    The epochs' served-row matchings are one batch solve, so each epoch
+    gets the pairs `solve_epoch_placement` would give it.
+    """
+    gains = np.asarray(tensor.gains, dtype=float)
+    served = [_served_rows(g, m, 1.0) for g in gains]  # checks epoch by epoch
+    counts = [rows.size for rows in served]
+    cost = np.zeros((len(served), max(counts, default=0), tensor.n_sites))
+    for t, rows in enumerate(served):
+        np.subtract(1.0, gains[t, rows], out=cost[t, : rows.size])
+    solved = min_cost_matching_batch(cost, counts, [min(m, n) for n in counts])
+
     assignments = []
     weight = 0.0
-    for t in range(tensor.n_epochs):
-        pairs, w = solve_epoch_placement(tensor.gains[t], m)
-        weight += w
+    for t, (matched, _, _, _) in enumerate(solved):
+        pairs, total = _completed_pairs(gains[t], m, 1.0, served[t], cost[t], matched)
+        weight -= total
         assignments.append(_to_global(tensor, pairs))
     return PlacementPlan(
         strategy=STRATEGY_ROBOTIC,

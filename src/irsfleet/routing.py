@@ -14,7 +14,11 @@ import numpy as np
 
 from .energy import EnergyLedger, PlatformParams, mission_ledger
 from .geometry import ScenarioLayout
-from .matching import min_cost_matching, min_cost_matching_with_duals
+from .matching import (
+    min_cost_matching,
+    min_cost_matching_batch,
+    min_cost_matching_with_duals,
+)
 from .planner import PlacementPlan, PlanValidationError
 
 __all__ = [
@@ -77,7 +81,7 @@ def transition_costs(plan: PlacementPlan, layout: ScenarioLayout) -> TransitionC
     )
 
 
-def min_cost_assignment(cost) -> tuple[np.ndarray, float]:
+def min_cost_assignment(cost, dual_solve=None) -> tuple[np.ndarray, float]:
     """Exact minimum-cost permutation of a square nonnegative matrix.
 
     Ties are broken toward the lexicographically smallest permutation:
@@ -88,7 +92,9 @@ def min_cost_assignment(cost) -> tuple[np.ndarray, float]:
     One dual solve decides almost every candidate: the optimal witness's
     column passes, and a column whose edge, or every completion of it,
     needs a reduced cost above twice the tolerance fails. Only the rest
-    are confirmed by re-solving the completion.
+    are confirmed by re-solving the completion. A caller that has already
+    solved the matrix, as one problem of a batch, passes that
+    `min_cost_matching_with_duals(cost, m)` result as `dual_solve`.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -99,7 +105,9 @@ def min_cost_assignment(cost) -> tuple[np.ndarray, float]:
     if not np.isfinite(c).all() or (c < 0).any():
         raise ValueError("assignment costs must be finite and nonnegative")
 
-    pairs, best, u, v = min_cost_matching_with_duals(c, m)
+    if dual_solve is None:
+        dual_solve = min_cost_matching_with_duals(c, m)
+    pairs, best, u, v = dual_solve
     tol = 1e-9 * max(1.0, abs(best))
     # Every permutation costs `best` plus its reduced costs, all >= 0, so
     # one edge above 2*tol (a margin for rounding in the potentials)
@@ -185,13 +193,17 @@ def plan_trajectories(
     """Assign units to sites epoch by epoch, minimizing total travel.
 
     Unit k starts at the k-th occupied site of epoch one (sorted order);
-    every transition is an exact assignment. Flags any unit whose mission
-    energy, including depot legs, exceeds the battery.
+    every transition is an exact assignment. All transitions' dual solves
+    are one batch, and each transition's tie-break runs on its own. Flags
+    any unit whose mission energy, including depot legs, exceeds the
+    battery.
     """
     costs = transition_costs(plan, layout)
     order = costs.site_order
     m = len(order[0])
     epochs = len(order)
+    counts = [m] * (epochs - 1)
+    solved = min_cost_matching_batch(costs.between, counts, counts)
 
     routes = np.zeros((m, epochs), dtype=int)
     legs = np.zeros((m, epochs + 1))
@@ -201,7 +213,7 @@ def plan_trajectories(
     # Position of each unit's current site within the sorted epoch order.
     unit_row = np.arange(m)
     for t in range(epochs - 1):
-        perm, _ = min_cost_assignment(costs.between[t])
+        perm, _ = min_cost_assignment(costs.between[t], solved[t])
         next_cols = perm[unit_row]
         legs[:, t + 1] = costs.between[t][unit_row, next_cols]
         routes[:, t + 1] = np.asarray(order[t + 1])[next_cols]

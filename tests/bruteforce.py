@@ -13,7 +13,6 @@ from itertools import permutations
 
 import numpy as np
 
-from irsfleet.matching import min_cost_matching
 from irsfleet.oracles import (  # noqa: F401  (re-exported for the tests)
     best_exact_size_cost,
     best_exact_size_weight,
@@ -40,10 +39,12 @@ def lexmin_assignment_by_resolves(cost) -> tuple[np.ndarray, float]:
     """Lexicographically smallest permutation within `1e-9 * max(1, optimum)`
     of the optimum, found by re-solving the completion of every (row,
     candidate column) in turn. Same rule as `min_cost_assignment`, with no
-    pruning; it scales to m = 10 where `best_assignment` cannot."""
+    pruning; it scales to m = 10 where `best_assignment` cannot. The
+    optimum and every completion come from `rescan_matching_with_duals`,
+    not from the solver under test."""
     c = np.asarray(cost, dtype=float)
     m = c.shape[0]
-    _, best = min_cost_matching(c, m)
+    _, best, _, _ = rescan_matching_with_duals(c, m)
     tol = 1e-9 * max(1.0, abs(best))
     perm = np.full(m, -1, dtype=int)
     available = list(range(m))
@@ -53,7 +54,7 @@ def lexmin_assignment_by_resolves(cost) -> tuple[np.ndarray, float]:
         for pos, j in enumerate(available):
             rest_cols = available[:pos] + available[pos + 1 :]
             sub = c[np.ix_(rest_rows, np.asarray(rest_cols, dtype=int))]
-            _, completion = min_cost_matching(sub, m - i - 1)
+            _, completion, _, _ = rescan_matching_with_duals(sub, m - i - 1)
             if prefix + c[i, j] + completion <= best + tol:
                 perm[i] = j
                 prefix += c[i, j]

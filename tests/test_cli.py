@@ -222,6 +222,29 @@ def test_bad_geometry_fails_before_output(tmp_path, capsys, command, geometry, m
     assert not out.exists()
 
 
+def test_infeasible_plan_creates_no_output(tmp_path, capsys):
+    # No cell is weak at this threshold, so the 10 units have nowhere to go.
+    config = tmp_path / "quiet.ini"
+    config.write_text("[radio]\nsnr_threshold_db = -50\n")
+    out = tmp_path / "plan"
+    assert main(["plan", "--config", str(config), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "cannot place 10 units on 0 weak cells x 100 sites" in payload["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["k_d_db", "k_c_db"])
+@pytest.mark.parametrize("command", ["plan", "sweep"])
+def test_overflowing_k_factor_fails_before_output(tmp_path, capsys, command, key):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[radio]\n{key} = 1e308\n")
+    out = tmp_path / command
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == f"{key} is too large: its linear value overflows"
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only oracle; importing the CLI must not pull it in.
     code = (

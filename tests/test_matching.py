@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import best_exact_size_cost, dyadic_matrix, rescan_matching_with_duals
 from irsfleet import run_trial
-from irsfleet.matching import min_cost_matching, min_cost_matching_with_duals
+from irsfleet.matching import (
+    min_cost_matching,
+    min_cost_matching_batch,
+    min_cost_matching_with_duals,
+)
 from irsfleet.scenario import GeometryConfig, Scenario, SolverOptions
 
 
@@ -106,13 +112,47 @@ def test_dual_potentials_certify_the_optimum():
 
 # ------------------------------------------- kept column minima vs full rescan
 
-def _assert_matches_rescan(cost, size):
-    pairs, total, u, v = min_cost_matching_with_duals(cost, size)
-    ref_pairs, ref_total, ref_u, ref_v = rescan_matching_with_duals(cost, size)
+def _assert_same_solve(got, expect):
+    pairs, total, u, v = got
+    ref_pairs, ref_total, ref_u, ref_v = expect
     assert pairs == ref_pairs
     assert total == ref_total
     assert np.array_equal(u, ref_u)
     assert np.array_equal(v, ref_v)
+
+
+def _solve_stack(n_cols, problems, padding, fill):
+    """Batch solve of (cost, size) problems, `fill` in every padding row."""
+    height = max(cost.shape[0] for cost, _ in problems) + padding
+    stack = np.full((len(problems), height, n_cols), fill)
+    for b, (cost, _) in enumerate(problems):
+        stack[b, : cost.shape[0]] = cost
+    return min_cost_matching_batch(
+        stack, [cost.shape[0] for cost, _ in problems], [size for _, size in problems]
+    )
+
+
+def _stacked_solve(cost, size, rng):
+    """Solve `cost` as one problem of a stack, between a taller neighbour
+    and a smaller one, in random order, over padding cheaper than any cost."""
+    n_rows, n_cols = cost.shape
+    tall = dyadic_matrix(rng, (n_rows + 2, n_cols), lo=-2, hi=2, denom=2)
+    short = dyadic_matrix(rng, (min(n_rows, 1), n_cols))
+    problems = [
+        (tall, min(*tall.shape, size + 1)),
+        (np.asarray(cost, dtype=float), size),
+        (short, min(short.shape)),
+    ]
+    order = rng.permutation(len(problems)).tolist()
+    solved = _solve_stack(n_cols, [problems[k] for k in order], 1, -1e6)
+    return solved[order.index(1)]
+
+
+def _assert_matches_rescan(cost, size):
+    expect = rescan_matching_with_duals(cost, size)
+    _assert_same_solve(min_cost_matching_with_duals(cost, size), expect)
+    rng = np.random.Generator(np.random.Philox(cost.size + size))
+    _assert_same_solve(_stacked_solve(cost, size, rng), expect)
 
 
 @pytest.mark.parametrize(
@@ -206,3 +246,78 @@ def test_rounding_tie_starts_from_the_lowest_free_row():
     pairs, _ = min_cost_matching(cost, 2)
     assert pairs == [(0, 0), (1, 1)]
     _assert_matches_rescan(cost, 2)
+
+
+# --------------------------------------------------------------- batch solves
+
+@st.composite
+def _stacks(draw):
+    """Small stacks of dyadic-tie or ulp-perturbed-third problems with
+    mixed row counts and sizes (0 included), padding rows that hold NaN,
+    a cost below every entry or +inf, and a drawn order."""
+    n_cols = draw(st.integers(1, 6))
+    family = draw(st.sampled_from(["dyadic", "thirds"]))
+    problems = []
+    for _ in range(draw(st.integers(1, 5))):
+        n_rows = draw(st.integers(0, 6))
+        n = n_rows * n_cols
+        if family == "dyadic":
+            ints = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            cost = np.array(ints, dtype=float).reshape(n_rows, n_cols) / 2.0
+        else:
+            ints = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            nudge = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            cost = np.array(ints, dtype=float).reshape(n_rows, n_cols) / 3.0
+            nudge = np.array(nudge).reshape(n_rows, n_cols)
+            for _ in range(2):
+                toward = np.where(nudge > 0, np.inf, -np.inf)
+                cost = np.where(nudge == 0, cost, np.nextafter(cost, toward))
+                nudge = nudge - np.sign(nudge)
+        size = draw(st.integers(0, min(n_rows, n_cols)))
+        problems.append((cost, size))
+    padding = draw(st.integers(0, 2))
+    fill = draw(st.sampled_from([np.nan, -1e6, np.inf]))
+    order = draw(st.permutations(range(len(problems))))
+    return n_cols, problems, padding, fill, order
+
+
+@given(_stacks())
+@settings(max_examples=150, deadline=None)
+def test_batch_elements_equal_lone_solves_and_rescan(stack):
+    n_cols, problems, padding, fill, order = stack
+    solved = _solve_stack(n_cols, problems, padding, fill)
+    reordered = _solve_stack(n_cols, [problems[k] for k in order], padding, fill)
+    for b, (cost, size) in enumerate(problems):
+        expect = rescan_matching_with_duals(cost, size)
+        _assert_same_solve(min_cost_matching_with_duals(cost, size), expect)
+        _assert_same_solve(solved[b], expect)
+        _assert_same_solve(reordered[order.index(b)], expect)
+
+
+def test_batch_of_no_problems_or_no_rows():
+    assert min_cost_matching_batch(np.zeros((0, 3, 4)), [], []) == []
+    solved = min_cost_matching_batch(np.zeros((2, 0, 3)), [0, 0], [0, 0])
+    for pairs, total, u, v in solved:
+        assert (pairs, total, u.shape) == ([], 0.0, (0,))
+        assert np.array_equal(v, np.zeros(3))
+
+
+def test_batch_input_validation():
+    stack = np.zeros((2, 3, 4))
+    with pytest.raises(ValueError, match="stack"):
+        min_cost_matching_batch(np.zeros((3, 4)), [3], [1])
+    with pytest.raises(ValueError, match="one row count and one match size"):
+        min_cost_matching_batch(stack, [3], [1, 1])
+    with pytest.raises(ValueError, match=r"row counts must lie in \[0, 3\]"):
+        min_cost_matching_batch(stack, [3, 4], [1, 1])
+    with pytest.raises(ValueError, match="match size 3 infeasible for 2x4 costs"):
+        min_cost_matching_batch(stack, [3, 2], [1, 3])
+    stack[1, 0, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        min_cost_matching_batch(stack, [3, 3], [1, 1])
+    # Non-finite entries are ignored in padding rows and in size-0 problems,
+    # as a lone solve of size 0 ignores them.
+    assert min_cost_matching_batch(stack, [3, 0], [1, 0])[1][:2] == ([], 0.0)
+    assert min_cost_matching_batch(stack, [3, 3], [1, 0])[1][:2] == ([], 0.0)
+    pairs, total, u, v = min_cost_matching_batch(stack, [3, 2], [1, 0])[1]
+    assert u.shape == (2,) and v.shape == (4,)

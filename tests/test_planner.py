@@ -196,6 +196,22 @@ def test_single_epoch_reduces_to_epoch_solver():
         assert p.matching_weight == pytest.approx(weight)
 
 
+def test_adaptive_plan_equals_epoch_by_epoch_solves():
+    # One batch solve over epochs with different served-row counts, from
+    # none to all, gives each epoch the pairs of its own solve.
+    rng = np.random.Generator(np.random.Philox(77))
+    for _ in range(40):
+        gains = 1.0 + np.abs(dyadic_matrix(rng, (5, 7, 6), lo=-2, hi=2, denom=2))
+        gains[rng.random((5, 7)) < rng.random()] = 1.0
+        plan = solve_adaptive_plan(make_tensor(gains), 3)
+        weight = 0.0
+        for t in range(5):
+            pairs, w = solve_epoch_placement(gains[t], 3)
+            weight += w
+            assert plan.assignments[t] == tuple(pairs)
+        assert plan.matching_weight == weight
+
+
 def test_relocation_beats_any_fixed_placement():
     swap = np.array(
         [

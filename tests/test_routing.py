@@ -145,6 +145,42 @@ def test_assignment_matches_resolve_oracle_on_tied_grid_transitions():
     assert n_ties > 0
 
 
+def test_batched_routes_match_per_transition_assignments_on_tied_grid():
+    # plan_trajectories solves a plan's transitions as one batch; its
+    # routes must be those of one min_cost_assignment per transition.
+    rng = np.random.Generator(np.random.Philox(41))
+    for _ in range(100):
+        epoch_sites = [
+            tuple(sorted(rng.choice(LAYOUT.n_sites, size=10, replace=False).tolist()))
+            for _ in range(4)
+        ]
+        plan = _plan(epoch_sites)
+        traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+        costs = transition_costs(plan, LAYOUT)
+        unit_row = np.arange(10)
+        for t, cost in enumerate(costs.between):
+            perm, _ = min_cost_assignment(cost)
+            next_rows = perm[unit_row]
+            assert np.array_equal(traj.leg_m[:, t + 1], cost[unit_row, next_rows])
+            unit_row = next_rows
+            expect = np.asarray(costs.site_order[t + 1])[unit_row]
+            assert np.array_equal(traj.routes[:, t + 1], expect)
+
+
+def test_each_transition_goes_through_min_cost_assignment(monkeypatch):
+    import irsfleet.routing as routing
+
+    calls = []
+
+    def counted(cost, *args):
+        calls.append(np.asarray(cost).shape)
+        return min_cost_assignment(cost, *args)
+
+    monkeypatch.setattr(routing, "min_cost_assignment", counted)
+    plan_trajectories(_plan([(0, 9), (90, 99), (0, 9), (40, 50)]), LAYOUT, PLATFORM)
+    assert calls == [(2, 2)] * 3
+
+
 # ------------------------------------------------------------ trajectories
 
 def test_static_plan_travel_is_depot_only():

@@ -215,6 +215,9 @@ def test_nonfinite_platform_values_rejected(tmp_path, key, value, message):
         ("eta1", "nan", "eta1 must be finite"),
         ("eta2", "inf", "eta2 must be finite"),
         ("snr_threshold_db", "-inf", "snr_threshold_db must be finite"),
+        ("k_d_db", "1e308", "k_d_db is too large: its linear value overflows"),
+        ("k_c_db", "1e308", "k_c_db is too large: its linear value overflows"),
+        ("k_c_db", "3084", "k_c_db is too large: its linear value overflows"),
     ],
 )
 def test_bad_radio_values_rejected(tmp_path, key, value, message):
