@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -433,11 +434,10 @@ def placement_rows(
     layout: ScenarioLayout,
 ) -> list[list]:
     tensor = result.tensor
-    grid_pos = {int(g): q for q, g in enumerate(tensor.weak_grids)}
     rows = []
     for t, epoch_pairs in enumerate(result.plan.assignments):
         for grid, site in epoch_pairs:
-            q = grid_pos[grid]
+            q = tensor.weak_position[grid]
             r, c = layout.grid_row_col(grid)
             point = layout.candidate_sites[site]
             rows.append(
@@ -449,7 +449,7 @@ def placement_rows(
                     c,
                     _fmt(float(point[0])),
                     _fmt(float(point[1])),
-                    _fmt(float(tensor.gains[t, q, site])),
+                    _fmt(float(tensor.base[q, site]) if tensor.served[t, q] else 1.0),
                     _fmt(float(tensor.demand[t, q])),
                 ]
             )
@@ -457,10 +457,17 @@ def placement_rows(
 
 
 def _write_rows(path, header: list[str], rows: list[list]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a CSV beside `path` and rename it into place once complete."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with partial.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def write_metadata(config: ExperimentConfig, path) -> None:

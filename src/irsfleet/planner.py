@@ -1,5 +1,10 @@
 """Demand-gated gain tensor and the serving-area / anchoring-site optimizers.
 
+The gain tensor is one SNR-ratio matrix (weak cell x site) plus a served
+mask (epoch x weak cell). Solvers and evaluation read epoch t's gain as
+the matrix entry where the cell is served in t and 1 otherwise, and
+never build the dense (epoch, weak cell, site) array.
+
 The placement problem decouples across epochs (no constraint links two
 epochs), so each epoch is an exact cardinality-constrained matching on the
 weak-cell x site bipartite graph with edge cost 1 - gain. The reported
@@ -9,13 +14,14 @@ gain: 1 + (selected gain excess) / (epochs * weak cells).
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import ChannelRealization, RadioParams, cascaded_snr_db, snr_ratio
 from .geometry import DistanceTables
 from .matching import min_cost_matching, min_cost_matching_batch
-from .traffic import TrafficField, gate_gain
+from .traffic import TrafficField
 
 __all__ = [
     "GainTensor",
@@ -56,29 +62,43 @@ class PlanValidationError(ValueError):
 class GainTensor:
     """Gated gains over (epoch, weak cell, candidate site).
 
-    Entries are the aggregated-over-direct SNR ratio where the cell's
-    demand meets the epoch threshold, and exactly 1 otherwise. The demand
-    slice of the weak cells rides along for serving-traffic metrics. The
-    site axis covers every candidate site, so a local site index is the
-    global one.
+    Stored as the aggregated-over-direct SNR ratio `base` of each weak
+    cell at each site. A cell is served in an epoch when its demand meets
+    the threshold; its gains are then its `base` row, and exactly 1
+    otherwise. Every site is a candidate, so a local site index is global.
     """
 
-    gains: np.ndarray        # (epochs, n_weak, n_sites), every entry >= 1
+    base: np.ndarray         # (n_weak, n_sites) SNR ratio
     weak_grids: np.ndarray   # (n_weak,) global cell indices, sorted
     demand: np.ndarray       # (epochs, n_weak) Mbps/km^2
     thresholds: np.ndarray   # (epochs,) Mbps/km^2
 
+    @cached_property
+    def served(self) -> np.ndarray:
+        """(epochs, n_weak) mask of the cells whose demand meets the threshold."""
+        return self.demand >= self.thresholds[:, None]
+
+    @cached_property
+    def weak_position(self) -> dict[int, int]:
+        """Local position of each weak cell, keyed by its global index."""
+        return {g: q for q, g in enumerate(self.weak_grids.tolist())}
+
+    @property
+    def gains(self) -> np.ndarray:
+        """The dense (epochs, n_weak, n_sites) view, built on every access."""
+        return np.where(self.served[:, :, None], self.base[None], 1.0)
+
     @property
     def n_epochs(self) -> int:
-        return self.gains.shape[0]
+        return self.demand.shape[0]
 
     @property
     def n_weak(self) -> int:
-        return self.gains.shape[1]
+        return self.base.shape[0]
 
     @property
     def n_sites(self) -> int:
-        return self.gains.shape[2]
+        return self.base.shape[1]
 
 
 @dataclass(frozen=True)
@@ -104,39 +124,25 @@ def build_gain_tensor(
     field: TrafficField,
     params: RadioParams,
 ) -> GainTensor:
-    """Assemble gated gains for every weak cell against every site.
+    """Assemble the gains of every weak cell against every site.
 
     An empty weak set yields an empty tensor (any placement is then
     trivially empty); solvers reject positive fleet sizes against it.
     """
     weak = np.asarray(realization.weak_set, dtype=int)
-    n_sites = distances.r_bs_site.shape[0]
-    epochs = field.demand.shape[0]
-    if weak.size == 0:
-        return GainTensor(
-            gains=np.ones((epochs, 0, n_sites)),
-            weak_grids=weak,
-            demand=np.zeros((epochs, 0)),
-            thresholds=np.asarray(field.threshold, dtype=float),
-        )
     gamma_c = cascaded_snr_db(
         distances.r_bs_site[None, :], distances.d_site_ut[weak], params
     )
-    base = snr_ratio(realization.direct_snr_db[weak][:, None], gamma_c)
-    demand = field.demand[:, weak]
-    gains = gate_gain(
-        base[None, :, :], demand[:, :, None], field.threshold[:, None, None]
-    )
     return GainTensor(
-        gains=gains,
+        base=snr_ratio(realization.direct_snr_db[weak][:, None], gamma_c),
         weak_grids=weak,
-        demand=demand,
+        demand=field.demand[:, weak],
         thresholds=np.asarray(field.threshold, dtype=float),
     )
 
 
 def _served_rows(gains, m: int, unit: float) -> np.ndarray:
-    """Served rows of a gain matrix, once m units are known to fit.
+    """Mask of the served rows of a gain matrix, once m units are known to fit.
 
     `unit` is the gain of an unserved pair: 1 for gains, 0 for summed gain
     excess. Every entry must be at least `unit`, and a row is served when
@@ -149,22 +155,19 @@ def _served_rows(gains, m: int, unit: float) -> np.ndarray:
         )
     if not gains.min(initial=unit) >= unit:  # NaN fails this too
         raise ValueError("gains must be finite and at least 1")
-    return np.flatnonzero(gains.max(axis=1, initial=unit) > unit)
+    return gains.max(axis=1, initial=unit) > unit
 
 
-def _completed_pairs(
-    gains, m: int, unit: float, served, cost, matched
-) -> tuple[list[tuple[int, int]], float]:
-    """Pairs of an exact served-row matching, completed to m places.
+def _completed_pairs(shape, m: int, rows, cost, matched) -> list[tuple[int, int]]:
+    """Pairs of an exact matching on rows `rows`, completed to m places.
 
     Any matched pair of zero cost is released, and the released and
     missing places go to the lowest unused cells paired with the lowest
     unused sites, in order. Zero-cost ties therefore resolve to the lowest
-    (cell, site) indices, as a matching over every row would. Returns
-    (pairs sorted by cell, total cost of the pairs).
+    (cell, site) indices, as a matching over every row would.
     """
-    n_cells, n_sites = gains.shape
-    pairs = [(int(served[q]), j) for q, j in matched if cost[q, j] != 0.0]
+    n_cells, n_sites = shape
+    pairs = [(int(rows[q]), j) for q, j in matched if cost[q, j] != 0.0]
     if len(pairs) < m:
         used_cells = {q for q, _ in pairs}
         used_sites = {j for _, j in pairs}
@@ -172,24 +175,18 @@ def _completed_pairs(
         free_sites = (j for j in range(n_sites) if j not in used_sites)
         pairs += itertools.islice(zip(free_cells, free_sites), m - len(pairs))
         pairs.sort()
-    cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
-    return pairs, float((unit - gains[cells, sites]).sum())
+    return pairs
 
 
-def _served_matching(
-    gains, m: int, unit: float = 1.0
-) -> tuple[list[tuple[int, int]], float]:
-    """Exact size-m (cell, site) matching of most total gain excess.
-
-    The exact min(m, served)-matching of the cost `unit - gains` runs on
-    the served rows alone (`_served_rows`) and is completed to m places by
-    the lowest-(cell, site) rule (`_completed_pairs`).
-    """
-    served = _served_rows(gains, m, unit)
-    cost = gains[served]
+def _served_matching(values, served, m: int, unit: float) -> list[tuple[int, int]]:
+    """Exact size-m matching of most excess over `unit`, solved on the rows
+    of the `served` mask (every row with an entry above `unit`), then
+    completed."""
+    rows = np.flatnonzero(served)
+    cost = values[rows]
     np.subtract(unit, cost, out=cost)
-    matched, _ = min_cost_matching(cost, min(m, served.size))
-    return _completed_pairs(gains, m, unit, served, cost, matched)
+    matched, _ = min_cost_matching(cost, min(m, rows.size))
+    return _completed_pairs(values.shape, m, rows, cost, matched)
 
 
 def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
@@ -207,8 +204,9 @@ def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
     g = np.asarray(gains, dtype=float)
     if g.ndim != 2:
         raise ValueError("epoch gains must be a 2-D matrix")
-    pairs, total = _served_matching(g, m)
-    return pairs, -total
+    pairs = _served_matching(g, _served_rows(g, m, 1.0), m, 1.0)
+    cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return pairs, -float((1.0 - g[cells, sites]).sum())
 
 
 def _to_global(tensor: GainTensor, pairs) -> tuple[tuple[int, int], ...]:
@@ -224,22 +222,24 @@ def _objective(weight: float, epochs: int, n_weak: int) -> float:
 def solve_adaptive_plan(tensor: GainTensor, m: int) -> PlacementPlan:
     """Exact epoch-by-epoch optimum; units may relocate freely.
 
-    The epochs' served-row matchings are one batch solve, so each epoch
-    gets the pairs `solve_epoch_placement` would give it.
+    The epochs' matchings on their served rows are one batch solve, so
+    each epoch gets the pairs `solve_epoch_placement` would give it.
     """
-    gains = np.asarray(tensor.gains, dtype=float)
-    served = [_served_rows(g, m, 1.0) for g in gains]  # checks epoch by epoch
-    counts = [rows.size for rows in served]
-    cost = np.zeros((len(served), max(counts, default=0), tensor.n_sites))
-    for t, rows in enumerate(served):
-        np.subtract(1.0, gains[t, rows], out=cost[t, : rows.size])
+    base = tensor.base
+    rows = [np.flatnonzero(r) for r in tensor.served & _served_rows(base, m, 1.0)]
+    counts = [r.size for r in rows]
+    cost = np.zeros((tensor.n_epochs, max(counts, default=0), tensor.n_sites))
+    for t, r in enumerate(rows):
+        np.subtract(1.0, base[r], out=cost[t, : r.size])
     solved = min_cost_matching_batch(cost, counts, [min(m, n) for n in counts])
 
     assignments = []
     weight = 0.0
     for t, (matched, _, _, _) in enumerate(solved):
-        pairs, total = _completed_pairs(gains[t], m, 1.0, served[t], cost[t], matched)
-        weight -= total
+        pairs = _completed_pairs(base.shape, m, rows[t], cost[t], matched)
+        cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
+        gains = np.where(tensor.served[t, cells], base[cells, sites], 1.0)
+        weight -= float((1.0 - gains).sum())
         assignments.append(_to_global(tensor, pairs))
     return PlacementPlan(
         strategy=STRATEGY_ROBOTIC,
@@ -250,17 +250,28 @@ def solve_adaptive_plan(tensor: GainTensor, m: int) -> PlacementPlan:
 
 
 def _replicated_plan(tensor: GainTensor, pairs, strategy: str) -> PlacementPlan:
-    epoch_pairs = _to_global(tensor, pairs)
+    cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
+    excess = np.where(tensor.served[:, cells], tensor.base[cells, sites] - 1.0, 0.0)
     weight = 0.0
-    local = list(pairs)
-    for t in range(tensor.n_epochs):
-        weight += float(sum(tensor.gains[t, q, j] - 1.0 for q, j in local))
+    for epoch_excess in excess.tolist():
+        weight += float(sum(epoch_excess))
+    epoch_pairs = _to_global(tensor, pairs)
     return PlacementPlan(
         strategy=strategy,
         assignments=tuple(epoch_pairs for _ in range(tensor.n_epochs)),
         objective=_objective(weight, tensor.n_epochs, tensor.n_weak),
         matching_weight=weight,
     )
+
+
+def _summed_excess(tensor: GainTensor) -> np.ndarray:
+    """Epoch-summed gain excess of every (cell, site), added in epoch order
+    from zeros: the floats of `(tensor.gains - 1.0).sum(axis=0)`."""
+    excess = tensor.base - 1.0
+    total = np.zeros_like(excess)
+    for served in tensor.served:
+        np.add(total, excess, out=total, where=served[:, None])
+    return total
 
 
 def solve_fixed_plan(
@@ -279,10 +290,12 @@ def solve_fixed_plan(
     if tensor.n_epochs < 1:
         raise ValueError("tensor must cover at least one epoch")
     if mode == "epoch1":
-        pairs, _ = solve_epoch_placement(tensor.gains[0], m)
+        served = tensor.served[0] & _served_rows(tensor.base, m, 1.0)
+        pairs = _served_matching(tensor.base, served, m, 1.0)
     else:
         # Cells that are never served have all-zero rows here.
-        pairs, _ = _served_matching((tensor.gains - 1.0).sum(axis=0), m, unit=0.0)
+        summed = _summed_excess(tensor)
+        pairs = _served_matching(summed, _served_rows(summed, m, 0.0), m, 0.0)
     return _replicated_plan(tensor, pairs, STRATEGY_TERRESTRIAL)
 
 
@@ -326,7 +339,7 @@ def validate_plan(
             f"epoch-count: plan has {len(plan.assignments)} epochs, "
             f"tensor has {tensor.n_epochs}"
         )
-    grid_pos = {int(g): q for q, g in enumerate(tensor.weak_grids)}
+    grid_pos = tensor.weak_position
     local = []
     for t, epoch_pairs in enumerate(plan.assignments):
         if len(epoch_pairs) != m:
@@ -369,14 +382,19 @@ def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvalua
     Validates feasibility first against the fleet size m, so an infeasible
     plan raises rather than scoring.
     """
+    local = validate_plan(plan, tensor, m)
+    epochs = np.repeat(np.arange(tensor.n_epochs), m)
+    cells, sites = np.array(local, dtype=int).reshape(-1, 2).T
+    gains = np.where(tensor.served[epochs, cells], tensor.base[cells, sites], 1.0)
+    # Summed pair by pair in plan order.
     weight = 0.0
-    served = np.zeros(tensor.n_epochs)
-    for t, pairs in enumerate(validate_plan(plan, tensor, m)):
-        for q, j in pairs:
-            weight += float(tensor.gains[t, q, j]) - 1.0
-            served[t] += float(tensor.demand[t, q])
+    for gain in gains.tolist():
+        weight += gain - 1.0
+    served = [0.0] * tensor.n_epochs
+    for t, demand in zip(epochs.tolist(), tensor.demand[epochs, cells].tolist()):
+        served[t] += demand
     return PlanEvaluation(
         objective=_objective(weight, tensor.n_epochs, tensor.n_weak),
         matching_weight=weight,
-        served_traffic=served,
+        served_traffic=np.array(served),
     )

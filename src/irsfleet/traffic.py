@@ -1,4 +1,4 @@
-"""Spatio-temporal log-normal traffic demand and the demand-gated gain."""
+"""Spatio-temporal log-normal traffic demand."""
 
 import csv
 import math
@@ -12,7 +12,6 @@ __all__ = [
     "TrafficField",
     "default_epoch_profile",
     "sample_traffic",
-    "gate_gain",
     "write_traffic_csv",
 ]
 
@@ -94,15 +93,6 @@ def sample_traffic(
     z = rng.standard_normal((model.epochs, int(n_grids)))
     demand = np.exp(mu[:, None] + model.sigma_log * z)
     return TrafficField(demand=demand, threshold=model.thresholds())
-
-
-def gate_gain(g, demand, threshold):
-    """Demand gate: keep the SNR ratio where demand meets the threshold,
-    else fall back to unit gain."""
-    out = np.where(np.asarray(demand) >= np.asarray(threshold), g, 1.0)
-    if np.ndim(demand) == 0 and np.ndim(g) == 0:
-        return float(out)
-    return out
 
 
 def write_traffic_csv(field: TrafficField, path) -> None:

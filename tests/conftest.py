@@ -15,17 +15,27 @@ def rng():
     return np.random.Generator(np.random.Philox(20260810))
 
 
-def make_tensor(gains, demand=None, thresholds=None) -> GainTensor:
-    """Small hand-built tensor: gains is (epochs, n_weak, n_sites)."""
-    gains = np.asarray(gains, dtype=float)
-    epochs, n_weak, _ = gains.shape
+def make_tensor(
+    base, served=None, demand=None, thresholds=None, epochs=1
+) -> GainTensor:
+    """Small hand-built tensor over a (n_weak, n_sites) `base` matrix.
+
+    Cells are served where `demand` (epochs x n_weak) meets `thresholds`
+    (1.0 in every epoch by default). Without demand, the (epochs x n_weak)
+    `served` mask (every cell in each of `epochs` epochs by default)
+    becomes demand of 100 where served and 0 elsewhere.
+    """
+    base = np.asarray(base, dtype=float)
     if demand is None:
-        demand = np.full((epochs, n_weak), 100.0)
+        if served is None:
+            served = np.ones((epochs, base.shape[0]), dtype=bool)
+        demand = np.where(served, 100.0, 0.0)
+    demand = np.asarray(demand, dtype=float)
     if thresholds is None:
-        thresholds = np.full(epochs, 1.0)
+        thresholds = np.full(demand.shape[0], 1.0)
     return GainTensor(
-        gains=gains,
-        weak_grids=np.arange(n_weak),
-        demand=np.asarray(demand, dtype=float),
+        base=base,
+        weak_grids=np.arange(base.shape[0]),
+        demand=demand,
         thresholds=np.asarray(thresholds, dtype=float),
     )

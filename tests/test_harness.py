@@ -15,11 +15,13 @@ from irsfleet import (
 )
 from irsfleet import harness
 from irsfleet.harness import (
+    KNOWN_STRATEGIES,
     SUMMARY_HEADER,
     TRIALS_HEADER,
     summarize,
     trial_rng,
 )
+from irsfleet.planner import TERRESTRIAL_MODES, GainTensor
 from irsfleet.scenario import GeometryConfig, SolverOptions
 
 SMALL = Scenario(solver=SolverOptions(fleet_size=5))
@@ -261,3 +263,41 @@ def test_infeasible_fleet_size_has_trial_context():
     )
     with pytest.raises(TrialError, match="weak cells"):
         run_trial(compact, 2.8, 0, "robotic", 3)
+
+
+@pytest.mark.parametrize("mode", TERRESTRIAL_MODES)
+def test_trials_never_build_the_dense_gain_view(monkeypatch, tmp_path, mode):
+    def refuse(tensor):
+        raise AssertionError("the dense gain view was built")
+
+    monkeypatch.setattr(GainTensor, "gains", property(refuse))
+    scenario = dataclasses.replace(
+        SMALL, solver=dataclasses.replace(SMALL.solver, terrestrial_mode=mode)
+    )
+    layout = scenario.layout()
+    for strategy in KNOWN_STRATEGIES:
+        result = run_trial(scenario, 2.8, 1, strategy, 77)
+        assert len(harness.placement_rows(1, result, layout)) == (
+            scenario.traffic.epochs * scenario.solver.fleet_size
+        )
+    config = ExperimentConfig(
+        scenario=scenario, sigma_list=(2.8,), trials=1, output_dir=tmp_path
+    )
+    run_experiment(config)
+
+
+def test_a_failed_csv_write_leaves_no_file(tmp_path):
+    def rows():
+        yield ["robotic", 1]
+        raise OSError("disk full")
+
+    path = tmp_path / "trials.csv"
+    with pytest.raises(OSError, match="disk full"):
+        harness._write_rows(path, ["strategy", "trial"], rows())
+    assert list(tmp_path.iterdir()) == []
+    # A complete earlier file is kept whole.
+    harness._write_rows(path, ["strategy", "trial"], [["robotic", 1]])
+    with pytest.raises(OSError, match="disk full"):
+        harness._write_rows(path, ["strategy", "trial"], rows())
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "strategy,trial\nrobotic,1\n"

@@ -3,13 +3,14 @@ import pytest
 
 from bruteforce import best_exact_size_weight, dyadic_matrix
 from conftest import make_tensor
-from irsfleet.channel import RadioParams, realize_channel
+from irsfleet.channel import RadioParams, cascaded_snr_db, realize_channel, snr_ratio
 from irsfleet.geometry import build_layout, compute_distances
 from irsfleet.matching import min_cost_matching
 from irsfleet.planner import (
     InfeasiblePlacementError,
     PlacementPlan,
     PlanValidationError,
+    _summed_excess,
     build_gain_tensor,
     evaluate_plan,
     solve_adaptive_plan,
@@ -23,20 +24,29 @@ from irsfleet.traffic import TrafficModel, sample_traffic
 
 # ------------------------------------------------------------- gain tensor
 
-def _default_pipeline(seed=3):
-    layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
+def _default_pipeline(seed=3, side=9, sigma=2.8):
+    layout = build_layout(side, side, 20.0, (8.5, 2.0, 10.5))
     tables = compute_distances(layout)
     params = RadioParams()
     real = realize_channel(tables, params, np.random.Generator(np.random.Philox(seed)))
     field = sample_traffic(
-        TrafficModel(), layout.n_grids, np.random.Generator(np.random.Philox(seed + 1))
+        TrafficModel(sigma_log=sigma),
+        layout.n_grids,
+        np.random.Generator(np.random.Philox(seed + 1)),
     )
     return layout, tables, params, real, field
+
+
+def _random_tensor(rng, epochs, n_weak, n_sites):
+    """Random gains above 1 on a random served mask."""
+    base = 1.0 + np.abs(rng.normal(size=(n_weak, n_sites)))
+    return make_tensor(base, rng.random((epochs, n_weak)) < 0.7)
 
 
 def test_build_gain_tensor_shapes_and_floor():
     layout, tables, params, real, field = _default_pipeline()
     tensor = build_gain_tensor(real, tables, field, params)
+    assert tensor.base.shape == (real.weak_set.size, 100)
     assert tensor.gains.shape == (12, real.weak_set.size, 100)
     assert (tensor.gains >= 1.0).all()
     assert np.array_equal(tensor.weak_grids, real.weak_set)
@@ -46,6 +56,41 @@ def test_build_gain_tensor_shapes_and_floor():
     assert (tensor.gains[~gated] > 1.0).all()
     # demand slice mirrors the field
     assert np.array_equal(tensor.demand, field.demand[:, real.weak_set])
+    assert tensor.weak_position == {int(g): q for q, g in enumerate(real.weak_set)}
+    assert tensor.weak_position is tensor.weak_position
+
+
+def test_gain_tensor_gates_on_demand_meeting_the_threshold():
+    # Demand above, equal to and below the threshold, then unit gains with
+    # demand above and below it.
+    base = [[5.875, 2.0], [4.0, 3.0], [5.875, 2.0], [1.0, 1.0], [1.0, 1.0]]
+    demand = [[100.0, 7.02, 3.0, 100.0, 3.0]]
+    tensor = make_tensor(base, demand=demand, thresholds=[7.02])
+    assert tensor.served.tolist() == [[True, True, False, True, False]]
+    expect = [[5.875, 2.0], [4.0, 3.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
+    assert tensor.gains.tolist() == [expect]
+    for q, gains in enumerate(expect):
+        plan = PlacementPlan("robotic", (((q, 0),),), 1.0, 0.0)
+        assert evaluate_plan(plan, tensor, 1).matching_weight == gains[0] - 1.0
+
+
+@pytest.mark.parametrize("side", [9, 17])
+def test_dense_view_equals_the_gated_snr_ratio(side):
+    # Reference: the gated SNR ratio built densely from the same draws.
+    for seed, sigma in ((3, 1.8), (5, 2.8), (7, 3.6)):
+        _, tables, params, real, field = _default_pipeline(seed, side, sigma)
+        tensor = build_gain_tensor(real, tables, field, params)
+        weak = real.weak_set
+        gamma_c = cascaded_snr_db(
+            tables.r_bs_site[None, :], tables.d_site_ut[weak], params
+        )
+        base = snr_ratio(real.direct_snr_db[weak][:, None], gamma_c)
+        demand = field.demand[:, weak]
+        dense = np.where(
+            demand[..., None] >= field.threshold[:, None, None], base[None], 1.0
+        )
+        assert weak.size > 0
+        assert np.array_equal(tensor.gains, dense)
 
 
 def test_build_gain_tensor_empty_weak_set():
@@ -80,7 +125,7 @@ def test_epoch_placement_single_unit_example():
     pairs, weight = solve_epoch_placement(np.array([[2.0, 3.0], [4.0, 1.0]]), 1)
     assert pairs == [(1, 0)] and weight == 3.0
     plan = PlacementPlan("robotic", (((1, 0),),), 0.0, weight)
-    tensor = make_tensor([[[2.0, 3.0], [4.0, 1.0]]])
+    tensor = make_tensor([[2.0, 3.0], [4.0, 1.0]])
     assert evaluate_plan(plan, tensor, 1).objective == pytest.approx(2.5)
 
 
@@ -165,11 +210,12 @@ def test_placement_rejects_gains_below_one(bad):
 def test_clairvoyant_placement_equals_full_matching():
     rng = np.random.Generator(np.random.Philox(910))
     for _ in range(200):
-        gains = 1.0 + rng.integers(0, 3, size=(3, 6, 5)) / 4.0
-        gains[:, rng.random(6) < 0.4] = 1.0  # cells never served
+        served = rng.random((3, 6)) < 0.7
+        served[:, rng.random(6) < 0.4] = False  # cells never served
+        tensor = make_tensor(1.0 + rng.integers(0, 3, size=(6, 5)) / 4.0, served)
         m = int(rng.integers(0, 6))
-        plan = solve_fixed_plan(make_tensor(gains), m, "clairvoyant")
-        full_pairs, _ = min_cost_matching(-(gains - 1.0).sum(axis=0), m)
+        plan = solve_fixed_plan(tensor, m, "clairvoyant")
+        full_pairs, _ = min_cost_matching(-(tensor.gains - 1.0).sum(axis=0), m)
         assert plan.assignments[0] == tuple(full_pairs)
 
 
@@ -183,11 +229,43 @@ def test_adding_a_site_never_hurts():
         assert more >= base
 
 
+def test_summed_excess_equals_the_dense_epoch_sum():
+    rng = np.random.Generator(np.random.Philox(911))
+    for _ in range(200):
+        n_weak, n_sites = (int(n) for n in rng.integers(1, 30, size=2))
+        base = 1.0 + rng.lognormal(0.0, 2.0, size=(n_weak, n_sites))
+        tensor = make_tensor(base, rng.random((12, n_weak)) < rng.random())
+        dense_sum = (tensor.gains - 1.0).sum(axis=0)
+        assert np.array_equal(_summed_excess(tensor), dense_sum)
+
+
+def test_fixed_plans_equal_the_dense_reference():
+    # Pairs and weight as computed from the dense tensor, bit for bit.
+    rng = np.random.Generator(np.random.Philox(912))
+    for _ in range(100):
+        n_weak, n_sites = (int(n) for n in rng.integers(1, 12, size=2))
+        tensor = _random_tensor(rng, 12, n_weak, n_sites)
+        dense = tensor.gains
+        m = int(rng.integers(0, min(n_weak, n_sites) + 1))
+        for mode in ("epoch1", "clairvoyant"):
+            if mode == "epoch1":
+                pairs, _ = solve_epoch_placement(dense[0], m)
+            else:
+                pairs, _ = min_cost_matching(-(dense - 1.0).sum(axis=0), m)
+            weight = 0.0
+            for t in range(12):
+                weight += float(sum(dense[t, q, j] - 1.0 for q, j in pairs))
+            plan = solve_fixed_plan(tensor, m, mode)
+            assert plan.assignments[0] == tuple(pairs)
+            assert plan.matching_weight == weight
+            assert plan.objective == 1.0 + weight / (12 * n_weak)
+
+
 # ------------------------------------------------------------- plan solvers
 
 def test_single_epoch_reduces_to_epoch_solver():
     gains = 1.0 + np.abs(dyadic_matrix(np.random.Generator(np.random.Philox(4)), (5, 6)))
-    tensor = make_tensor(gains[None])
+    tensor = make_tensor(gains)
     plan = solve_adaptive_plan(tensor, 3)
     fixed1 = solve_fixed_plan(tensor, 3, "epoch1")
     fixed2 = solve_fixed_plan(tensor, 3, "clairvoyant")
@@ -201,25 +279,20 @@ def test_adaptive_plan_equals_epoch_by_epoch_solves():
     # none to all, gives each epoch the pairs of its own solve.
     rng = np.random.Generator(np.random.Philox(77))
     for _ in range(40):
-        gains = 1.0 + np.abs(dyadic_matrix(rng, (5, 7, 6), lo=-2, hi=2, denom=2))
-        gains[rng.random((5, 7)) < rng.random()] = 1.0
-        plan = solve_adaptive_plan(make_tensor(gains), 3)
+        base = 1.0 + np.abs(dyadic_matrix(rng, (7, 6), lo=-2, hi=2, denom=2))
+        tensor = make_tensor(base, rng.random((5, 7)) >= rng.random())
+        plan = solve_adaptive_plan(tensor, 3)
         weight = 0.0
         for t in range(5):
-            pairs, w = solve_epoch_placement(gains[t], 3)
+            pairs, w = solve_epoch_placement(tensor.gains[t], 3)
             weight += w
             assert plan.assignments[t] == tuple(pairs)
         assert plan.matching_weight == weight
 
 
 def test_relocation_beats_any_fixed_placement():
-    swap = np.array(
-        [
-            [[5.0, 1.0], [1.0, 1.0]],
-            [[1.0, 1.0], [5.0, 1.0]],
-        ]
-    )
-    tensor = make_tensor(swap)
+    # Cell 0 is served in epoch 1 only, cell 1 in epoch 2 only.
+    tensor = make_tensor([[5.0, 1.0], [5.0, 1.0]], [[True, False], [False, True]])
     adaptive = solve_adaptive_plan(tensor, 1)
     epoch1 = solve_fixed_plan(tensor, 1, "epoch1")
     clair = solve_fixed_plan(tensor, 1, "clairvoyant")
@@ -233,8 +306,7 @@ def test_relocation_beats_any_fixed_placement():
 def test_fixed_plan_modes_dominance():
     rng = np.random.Generator(np.random.Philox(55))
     for _ in range(100):
-        gains = 1.0 + np.abs(rng.normal(size=(3, 4, 5)))
-        tensor = make_tensor(gains)
+        tensor = _random_tensor(rng, epochs=3, n_weak=4, n_sites=5)
         epoch1 = solve_fixed_plan(tensor, 2, "epoch1")
         clair = solve_fixed_plan(tensor, 2, "clairvoyant")
         adaptive = solve_adaptive_plan(tensor, 2)
@@ -246,21 +318,21 @@ def test_fixed_plan_modes_dominance():
 
 
 def test_fixed_plan_rejects_unknown_mode():
-    tensor = make_tensor(np.ones((1, 2, 2)))
+    tensor = make_tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
         solve_fixed_plan(tensor, 1, "psychic")
 
 
 def test_random_plan_degenerate_cases(rng):
-    tensor = make_tensor(np.full((2, 1, 1), 3.0))
+    tensor = make_tensor(np.full((1, 1), 3.0), epochs=2)
     plan = solve_random_plan(tensor, 1, rng)
     assert plan.assignments == (((0, 0),), ((0, 0),))
-    ones = make_tensor(np.ones((2, 3, 3)))
+    ones = make_tensor(np.ones((3, 3)), epochs=2)
     assert solve_random_plan(ones, 2, rng).objective == 1.0
 
 
 def test_random_plan_uniform_over_supports():
-    tensor = make_tensor(np.ones((1, 3, 3)))
+    tensor = make_tensor(np.ones((3, 3)))
     rng = np.random.Generator(np.random.Philox(101))
     counts: dict[tuple, int] = {}
     draws = 10_000
@@ -275,7 +347,7 @@ def test_random_plan_uniform_over_supports():
 
 
 def test_random_infeasible_size(rng):
-    tensor = make_tensor(np.ones((1, 2, 2)))
+    tensor = make_tensor(np.ones((2, 2)))
     with pytest.raises(InfeasiblePlacementError):
         solve_random_plan(tensor, 3, rng)
 
@@ -284,8 +356,7 @@ def test_random_mean_below_fixed_mean():
     rng = np.random.Generator(np.random.Philox(202))
     fixed_obj, random_obj = [], []
     for _ in range(100):
-        gains = 1.0 + np.abs(rng.normal(size=(2, 4, 5)))
-        tensor = make_tensor(gains)
+        tensor = _random_tensor(rng, epochs=2, n_weak=4, n_sites=5)
         fixed_obj.append(solve_fixed_plan(tensor, 2, "epoch1").objective)
         random_obj.append(solve_random_plan(tensor, 2, rng).objective)
     assert np.mean(random_obj) < np.mean(fixed_obj)
@@ -295,9 +366,10 @@ def test_random_mean_below_fixed_mean():
 
 def test_evaluate_matches_solver_objective():
     rng = np.random.Generator(np.random.Philox(66))
-    gains = 1.0 + np.abs(dyadic_matrix(rng, (3, 5, 6)))
+    base = 1.0 + np.abs(dyadic_matrix(rng, (5, 6)))
     demand = np.abs(rng.normal(size=(3, 5))) * 100.0
-    tensor = make_tensor(gains, demand=demand)
+    tensor = make_tensor(base, demand=demand, thresholds=np.full(3, 50.0))
+    assert 0 < tensor.served.sum() < tensor.served.size
     plan = solve_adaptive_plan(tensor, 2)
     ev = evaluate_plan(plan, tensor, 2)
     assert ev.objective == plan.objective
@@ -305,14 +377,13 @@ def test_evaluate_matches_solver_objective():
     # objective decomposition
     assert ev.objective == pytest.approx(1.0 + ev.matching_weight / (3 * 5))
     # served demand aggregates the chosen cells
-    grid_pos = {int(g): q for q, g in enumerate(tensor.weak_grids)}
     for t, pairs in enumerate(plan.assignments):
-        expect = sum(demand[t, grid_pos[g]] for g, _ in pairs)
+        expect = sum(demand[t, tensor.weak_position[g]] for g, _ in pairs)
         assert ev.served_traffic[t] == pytest.approx(expect)
 
 
 def test_empty_plan_evaluates_to_unit_gain():
-    tensor = make_tensor(np.ones((2, 3, 3)))
+    tensor = make_tensor(np.ones((3, 3)), epochs=2)
     plan = solve_adaptive_plan(tensor, 0)
     ev = evaluate_plan(plan, tensor, 0)
     assert ev.objective == 1.0
@@ -335,7 +406,7 @@ def test_empty_plan_evaluates_to_unit_gain():
     ],
 )
 def test_validator_names_the_violated_constraint(assignments, message):
-    tensor = make_tensor(np.ones((1, 3, 3)))
+    tensor = make_tensor(np.ones((3, 3)))
     plan = PlacementPlan("robotic", assignments, 1.0, 0.0)
     for check in (validate_plan, evaluate_plan):
         with pytest.raises(PlanValidationError, match=message):
@@ -343,7 +414,7 @@ def test_validator_names_the_violated_constraint(assignments, message):
 
 
 def test_validator_catches_fixed_strategy_drift():
-    tensor = make_tensor(np.ones((2, 3, 3)))
+    tensor = make_tensor(np.ones((3, 3)), epochs=2)
     plan = PlacementPlan(
         "terrestrial", (((0, 0),), ((1, 1),)), 1.0, 0.0
     )

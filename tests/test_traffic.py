@@ -6,7 +6,6 @@ import pytest
 from irsfleet.traffic import (
     TrafficModel,
     default_epoch_profile,
-    gate_gain,
     sample_traffic,
     write_traffic_csv,
 )
@@ -69,22 +68,6 @@ def test_sampling_deterministic():
     b = sample_traffic(model, 81, np.random.Generator(np.random.Philox(9)))
     assert np.array_equal(a.demand, b.demand)
     assert (a.demand > 0).all()
-
-
-def test_gate_gain_examples():
-    assert gate_gain(5.875, 100.0, 7.02) == pytest.approx(5.875)
-    assert gate_gain(5.875, 3.0, 7.02) == 1.0
-    assert gate_gain(1.0, 3.0, 7.02) == 1.0
-    assert gate_gain(1.0, 100.0, 7.02) == 1.0
-    # boundary demand counts as served
-    assert gate_gain(4.0, 7.02, 7.02) == 4.0
-
-
-def test_gate_gain_vectorized():
-    g = np.array([2.0, 3.0])
-    demand = np.array([10.0, 0.5])
-    out = gate_gain(g, demand, 1.0)
-    assert np.array_equal(out, [2.0, 1.0])
 
 
 def test_traffic_csv_export(tmp_path, rng):
