@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_tensor
 from irsfleet.traffic import (
     TrafficModel,
     default_epoch_profile,
@@ -68,6 +69,28 @@ def test_sampling_deterministic():
     b = sample_traffic(model, 81, np.random.Generator(np.random.Philox(9)))
     assert np.array_equal(a.demand, b.demand)
     assert (a.demand > 0).all()
+
+
+def test_gate_gain_examples():
+    # One weak cell per case, gated by the served mask of a GainTensor at a
+    # threshold of 7.02: (gain, demand, gated gain).
+    cases = [
+        (5.875, 100.0, 5.875),
+        (5.875, 3.0, 1.0),
+        (1.0, 3.0, 1.0),
+        (1.0, 100.0, 1.0),
+        # boundary demand counts as served
+        (4.0, 7.02, 4.0),
+    ]
+    for gain, demand, expect in cases:
+        tensor = make_tensor([[gain]], demand=[[demand]], thresholds=[7.02])
+        assert tensor.gains[0, 0, 0] == expect
+
+
+def test_gate_gain_vectorized():
+    tensor = make_tensor([[2.0], [3.0]], demand=[[10.0, 0.5]], thresholds=[1.0])
+    assert tensor.served.tolist() == [[True, False]]
+    assert np.array_equal(tensor.gains[0, :, 0], [2.0, 1.0])
 
 
 def test_traffic_csv_export(tmp_path, rng):
