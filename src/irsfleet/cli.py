@@ -28,9 +28,11 @@ from .harness import (
     RNG_NAME,
     placement_rows,
     run_experiment,
+    traffic_rows,
     trajectory_rows,
     write_metadata,
     PLACEMENT_HEADER,
+    TRAFFIC_HEADER,
     TRAJECTORY_HEADER,
     _TrialEngine,
     _write_rows,
@@ -43,7 +45,6 @@ from .oracles import (
     sample_rician_fading,
 )
 from .scenario import Scenario, default_scenario, load_scenario
-from .traffic import write_traffic_csv
 
 
 def _load(args) -> Scenario:
@@ -65,7 +66,7 @@ def _cmd_plan(args) -> int:
     )
     engine = _TrialEngine(scenario)
     # The trial runs before --out exists, so an infeasible one leaves none.
-    result = engine.run(sigma, args.trial, args.strategy, args.seed)
+    (result,) = engine.run_unit(sigma, args.trial, args.seed, (args.strategy,))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_metadata(config, out / "run_metadata.json")
@@ -80,7 +81,7 @@ def _cmd_plan(args) -> int:
             TRAJECTORY_HEADER,
             trajectory_rows(args.trial, result.trajectory, engine.layout),
         )
-    write_traffic_csv(result.traffic, out / "traffic.csv")
+    _write_rows(out / "traffic.csv", TRAFFIC_HEADER, traffic_rows(result.traffic))
 
     m = result.metrics
     print(

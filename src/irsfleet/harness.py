@@ -1,13 +1,13 @@
 """Monte Carlo experiment runner, metrics aggregation and CSV emission.
 
-Every trial is a pure function of (master seed, sigma, trial index,
-strategy): substreams come from a counter-based generator keyed on those
-values, never on execution order, so trials can run in any order (or
-concurrently) and reproduce bit-identically. All strategies at the same
-(sigma, trial) share one channel and traffic realization, which makes the
-strategy comparison paired. A sweep therefore runs unit by unit, building
-each (sigma, trial) realization and its gain tensor once and scoring
-every strategy on it.
+The unit of work is one (sigma, trial): `_TrialEngine.run_unit` draws its
+channel and traffic, builds its gain tensor, and scores every requested
+strategy on that one realization, which makes the strategy comparison
+paired. A sweep runs unit after unit, and a single trial is a unit of one
+strategy. Every unit is a pure function of (master seed, sigma, trial
+index): substreams come from a counter-based generator keyed on those
+values, never on execution order, so units can run in any order (or
+concurrently) and reproduce bit-identically.
 """
 
 import csv
@@ -148,32 +148,29 @@ def _sigma_bits(sigma: float) -> int:
 
 
 class _TrialEngine:
-    """Precomputes everything trial-independent for one scenario, and
-    keeps the latest (sigma, trial) realization for the next strategy."""
+    """Precomputes everything trial-independent for one scenario and runs
+    (sigma, trial) units on it."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.layout: ScenarioLayout = scenario.layout()
         self.distances: DistanceTables = compute_distances(self.layout)
-        self._last: tuple[tuple[int, int, int], TrafficField, GainTensor] | None = None
 
-    def _realize(
+    def run_unit(
         self,
         sigma: float,
         trial_index: int,
         master_seed: int,
-    ) -> tuple[TrafficField, GainTensor]:
-        """Traffic field and gain tensor of one (sigma, trial).
+        strategies: tuple[str, ...],
+    ) -> list[TrialResult]:
+        """Every strategy's trial at one (sigma, trial), in `strategies` order.
 
-        Every strategy at that (sigma, trial) is scored on this one
-        channel and traffic draw, so it is built once and reused until
-        another unit is asked for. Sigma is keyed by its bit pattern, as
-        in trial_rng.
+        The unit's channel, traffic and gain tensor are drawn once and every
+        strategy is scored on them. Any failure is re-raised as a TrialError
+        naming the strategy being run, or the first one if the draw failed.
         """
-        key = (int(master_seed), _sigma_bits(sigma), int(trial_index))
-        if self._last is None or self._last[0] != key:
-            # The previous unit's tensor goes before this one is built.
-            self._last = None
+        strategy = strategies[0]
+        try:
             scenario = self.scenario
             traffic_model = dataclasses.replace(scenario.traffic, sigma_log=sigma)
             channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
@@ -183,8 +180,16 @@ class _TrialEngine:
             tensor = build_gain_tensor(
                 realization, self.distances, field, scenario.radio
             )
-            self._last = (key, field, tensor)
-        return self._last[1:]
+            results = []
+            for strategy in strategies:
+                results.append(
+                    self.run(sigma, trial_index, strategy, master_seed, field, tensor)
+                )
+            return results
+        except Exception as err:
+            raise TrialError(
+                f"strategy={strategy} sigma={sigma} trial={trial_index}: {err}"
+            ) from err
 
     def run(
         self,
@@ -192,58 +197,51 @@ class _TrialEngine:
         trial_index: int,
         strategy: str,
         master_seed: int,
+        field: TrafficField,
+        tensor: GainTensor,
     ) -> TrialResult:
-        """One trial; any failure is re-raised as a TrialError naming it."""
-        try:
-            scenario = self.scenario
-            m = scenario.solver.fleet_size
-            field, tensor = self._realize(sigma, trial_index, master_seed)
+        """One strategy's trial, scored on its unit's traffic and gain tensor."""
+        scenario = self.scenario
+        m = scenario.solver.fleet_size
+        if strategy == STRATEGY_ROBOTIC:
+            plan = solve_adaptive_plan(tensor, m)
+        elif strategy == STRATEGY_TERRESTRIAL:
+            plan = solve_fixed_plan(tensor, m, scenario.solver.terrestrial_mode)
+        elif strategy == STRATEGY_RANDOM:
+            rng = trial_rng(master_seed, sigma, trial_index, _STREAM_PLACEMENT)
+            plan = solve_random_plan(tensor, m, rng)
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
 
-            if strategy == STRATEGY_ROBOTIC:
-                plan = solve_adaptive_plan(tensor, m)
-            elif strategy == STRATEGY_TERRESTRIAL:
-                plan = solve_fixed_plan(tensor, m, scenario.solver.terrestrial_mode)
-            elif strategy == STRATEGY_RANDOM:
-                placement_rng = trial_rng(
-                    master_seed, sigma, trial_index, _STREAM_PLACEMENT
-                )
-                plan = solve_random_plan(tensor, m, placement_rng)
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
+        evaluation = evaluate_plan(plan, tensor, m)
 
-            evaluation = evaluate_plan(plan, tensor, m)
+        trajectory = None
+        total_distance = 0.0
+        feasible = True
+        if strategy == STRATEGY_ROBOTIC:
+            trajectory = plan_trajectories(plan, self.layout, scenario.platform)
+            validate_trajectory(trajectory, plan, self.layout)
+            total_distance = trajectory.total_distance_m
+            feasible = trajectory.feasible
 
-            trajectory = None
-            total_distance = 0.0
-            feasible = True
-            if strategy == STRATEGY_ROBOTIC:
-                trajectory = plan_trajectories(plan, self.layout, scenario.platform)
-                validate_trajectory(trajectory, plan, self.layout)
-                total_distance = trajectory.total_distance_m
-                feasible = trajectory.feasible
-
-            metrics = TrialMetrics(
-                strategy=strategy,
-                sigma=float(sigma),
-                trial=int(trial_index),
-                mean_gain=evaluation.objective,
-                served_traffic=float(evaluation.served_traffic.sum()),
-                total_distance_m=total_distance,
-                energy_feasible=feasible,
-                matching_weight=evaluation.matching_weight,
-                n_weak=tensor.n_weak,
-            )
-            return TrialResult(
-                metrics=metrics,
-                plan=plan,
-                tensor=tensor,
-                trajectory=trajectory,
-                traffic=field,
-            )
-        except Exception as err:
-            raise TrialError(
-                f"strategy={strategy} sigma={sigma} trial={trial_index}: {err}"
-            ) from err
+        metrics = TrialMetrics(
+            strategy=strategy,
+            sigma=float(sigma),
+            trial=int(trial_index),
+            mean_gain=evaluation.objective,
+            served_traffic=float(evaluation.served_traffic.sum()),
+            total_distance_m=total_distance,
+            energy_feasible=feasible,
+            matching_weight=evaluation.matching_weight,
+            n_weak=tensor.n_weak,
+        )
+        return TrialResult(
+            metrics=metrics,
+            plan=plan,
+            tensor=tensor,
+            trajectory=trajectory,
+            traffic=field,
+        )
 
 
 def run_trial(
@@ -254,7 +252,8 @@ def run_trial(
     master_seed: int,
 ) -> TrialResult:
     """Run one end-to-end trial; identical inputs give bit-identical output."""
-    return _TrialEngine(scenario).run(sigma, trial_index, strategy, master_seed)
+    engine = _TrialEngine(scenario)
+    return engine.run_unit(sigma, trial_index, master_seed, (strategy,))[0]
 
 
 def summarize(metrics: list[TrialMetrics]) -> list[dict]:
@@ -346,6 +345,8 @@ TRAJECTORY_HEADER = [
     "e_fly_j",
     "feasible_flag",
 ]
+
+TRAFFIC_HEADER = ["epoch", "grid_index", "demand_mbps_km2"]
 
 PLACEMENT_HEADER = [
     "strategy",
@@ -449,11 +450,20 @@ def placement_rows(
                     c,
                     _fmt(float(point[0])),
                     _fmt(float(point[1])),
-                    _fmt(float(tensor.base[q, site]) if tensor.served[t, q] else 1.0),
+                    _fmt(float(tensor.gain_at(t, q, site))),
                     _fmt(float(tensor.demand[t, q])),
                 ]
             )
     return rows
+
+
+def traffic_rows(field: TrafficField) -> list[list]:
+    """(epoch, grid_index, demand) rows of a demand field; epochs 1-based."""
+    return [
+        [t + 1, i, repr(demand)]
+        for t, epoch_demand in enumerate(field.demand.tolist())
+        for i, demand in enumerate(epoch_demand)
+    ]
 
 
 def _write_rows(path, header: list[str], rows: list[list]) -> None:
@@ -487,11 +497,9 @@ def write_metadata(config: ExperimentConfig, path) -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Every strategy at every (sigma, trial) unit, with CSV emission.
 
-    Units run sigma by sigma, trial by trial, and each unit's channel,
-    traffic and gain tensor are built once and scored by every strategy
-    in turn. Metrics and trials.csv stay strategy-major: the rows of each
-    strategy, in sigma then trial order, joined in `config.strategies`
-    order.
+    Units run sigma by sigma, trial by trial, one `_TrialEngine.run_unit`
+    call each. Metrics and trials.csv stay strategy-major: the rows of each
+    strategy, in sigma then trial order, joined in `config.strategies` order.
 
     Output files, when an output directory is set: trials.csv,
     summary.csv, one trajectories_sigma_<s>.csv per sigma for the
@@ -512,16 +520,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     for sigma in config.sigma_list:
         for trial in range(config.trials):
-            for strategy in config.strategies:
-                result = engine.run(sigma, trial, strategy, config.master_seed)
-                by_strategy[strategy].append(result.metrics)
+            unit = engine.run_unit(sigma, trial, config.master_seed, config.strategies)
+            for result in unit:
+                by_strategy[result.metrics.strategy].append(result.metrics)
                 if result.trajectory is not None and out is not None:
                     trajectory_tables.setdefault(float(sigma), []).extend(
                         trajectory_rows(trial, result.trajectory, engine.layout)
                     )
-                # The result holds the unit's gain tensor; drop it so the
-                # next unit is not placed with two tensors alive.
-                del result
+            # The results hold the unit's gain tensor; drop them so the
+            # next unit is not built with two tensors alive.
+            del unit, result
 
     metrics = [row for rows in by_strategy.values() for row in rows]
     summaries = summarize(metrics)

@@ -1,9 +1,9 @@
 """Demand-gated gain tensor and the serving-area / anchoring-site optimizers.
 
 The gain tensor is one SNR-ratio matrix (weak cell x site) plus a served
-mask (epoch x weak cell). Solvers and evaluation read epoch t's gain as
-the matrix entry where the cell is served in t and 1 otherwise, and
-never build the dense (epoch, weak cell, site) array.
+mask (epoch x weak cell). Solvers and evaluation read epoch t's gain with
+`GainTensor.gain_at`, the matrix entry where the cell is served in t and 1
+otherwise, and never build the dense (epoch, weak cell, site) array.
 
 The placement problem decouples across epochs (no constraint links two
 epochs), so each epoch is an exact cardinality-constrained matching on the
@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelRealization, RadioParams, cascaded_snr_db, snr_ratio
 from .geometry import DistanceTables
-from .matching import min_cost_matching, min_cost_matching_batch
+from .matching import min_cost_matching_batch
 from .traffic import TrafficField
 
 __all__ = [
@@ -83,10 +83,16 @@ class GainTensor:
         """Local position of each weak cell, keyed by its global index."""
         return {g: q for q, g in enumerate(self.weak_grids.tolist())}
 
+    def gain_at(self, epochs, cells, sites) -> np.ndarray:
+        """Gains at broadcast (epoch, local cell, site) index arrays: the
+        `base` entry where the cell is served in that epoch, 1 otherwise."""
+        return np.where(self.served[epochs, cells], self.base[cells, sites], 1.0)
+
     @property
     def gains(self) -> np.ndarray:
         """The dense (epochs, n_weak, n_sites) view, built on every access."""
-        return np.where(self.served[:, :, None], self.base[None], 1.0)
+        grid = np.indices((self.n_epochs, self.n_weak, self.n_sites), sparse=True)
+        return self.gain_at(*grid)
 
     @property
     def n_epochs(self) -> int:
@@ -178,15 +184,23 @@ def _completed_pairs(shape, m: int, rows, cost, matched) -> list[tuple[int, int]
     return pairs
 
 
-def _served_matching(values, served, m: int, unit: float) -> list[tuple[int, int]]:
-    """Exact size-m matching of most excess over `unit`, solved on the rows
-    of the `served` mask (every row with an entry above `unit`), then
-    completed."""
-    rows = np.flatnonzero(served)
-    cost = values[rows]
-    np.subtract(unit, cost, out=cost)
-    matched, _ = min_cost_matching(cost, min(m, rows.size))
-    return _completed_pairs(values.shape, m, rows, cost, matched)
+def _served_matchings(values, masks, m: int, unit: float) -> list[list]:
+    """Exact size-m matchings of most excess over `unit`, one per row mask.
+
+    Each mask holds the rows of `values` that may be matched (every row
+    with an entry above `unit`). One batch solve matches the masked rows
+    of every mask, each as its lone solve would, and each is completed.
+    """
+    rows = [np.flatnonzero(mask) for mask in masks]
+    counts = [r.size for r in rows]
+    cost = np.zeros((len(rows), max(counts, default=0), values.shape[1]))
+    for b, r in enumerate(rows):
+        np.subtract(unit, values[r], out=cost[b, : r.size])
+    solved = min_cost_matching_batch(cost, counts, [min(m, n) for n in counts])
+    return [
+        _completed_pairs(values.shape, m, r, c, matched)
+        for r, c, (matched, _, _, _) in zip(rows, cost, solved)
+    ]
 
 
 def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
@@ -204,7 +218,7 @@ def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
     g = np.asarray(gains, dtype=float)
     if g.ndim != 2:
         raise ValueError("epoch gains must be a 2-D matrix")
-    pairs = _served_matching(g, _served_rows(g, m, 1.0), m, 1.0)
+    (pairs,) = _served_matchings(g, [_served_rows(g, m, 1.0)], m, 1.0)
     cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
     return pairs, -float((1.0 - g[cells, sites]).sum())
 
@@ -222,24 +236,14 @@ def _objective(weight: float, epochs: int, n_weak: int) -> float:
 def solve_adaptive_plan(tensor: GainTensor, m: int) -> PlacementPlan:
     """Exact epoch-by-epoch optimum; units may relocate freely.
 
-    The epochs' matchings on their served rows are one batch solve, so
-    each epoch gets the pairs `solve_epoch_placement` would give it.
+    Each epoch gets the pairs `solve_epoch_placement` would give it.
     """
-    base = tensor.base
-    rows = [np.flatnonzero(r) for r in tensor.served & _served_rows(base, m, 1.0)]
-    counts = [r.size for r in rows]
-    cost = np.zeros((tensor.n_epochs, max(counts, default=0), tensor.n_sites))
-    for t, r in enumerate(rows):
-        np.subtract(1.0, base[r], out=cost[t, : r.size])
-    solved = min_cost_matching_batch(cost, counts, [min(m, n) for n in counts])
-
+    masks = tensor.served & _served_rows(tensor.base, m, 1.0)
     assignments = []
     weight = 0.0
-    for t, (matched, _, _, _) in enumerate(solved):
-        pairs = _completed_pairs(base.shape, m, rows[t], cost[t], matched)
+    for t, pairs in enumerate(_served_matchings(tensor.base, masks, m, 1.0)):
         cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
-        gains = np.where(tensor.served[t, cells], base[cells, sites], 1.0)
-        weight -= float((1.0 - gains).sum())
+        weight -= float((1.0 - tensor.gain_at(t, cells, sites)).sum())
         assignments.append(_to_global(tensor, pairs))
     return PlacementPlan(
         strategy=STRATEGY_ROBOTIC,
@@ -251,7 +255,7 @@ def solve_adaptive_plan(tensor: GainTensor, m: int) -> PlacementPlan:
 
 def _replicated_plan(tensor: GainTensor, pairs, strategy: str) -> PlacementPlan:
     cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
-    excess = np.where(tensor.served[:, cells], tensor.base[cells, sites] - 1.0, 0.0)
+    excess = tensor.gain_at(np.arange(tensor.n_epochs)[:, None], cells, sites) - 1.0
     weight = 0.0
     for epoch_excess in excess.tolist():
         weight += float(sum(epoch_excess))
@@ -291,11 +295,11 @@ def solve_fixed_plan(
         raise ValueError("tensor must cover at least one epoch")
     if mode == "epoch1":
         served = tensor.served[0] & _served_rows(tensor.base, m, 1.0)
-        pairs = _served_matching(tensor.base, served, m, 1.0)
+        (pairs,) = _served_matchings(tensor.base, [served], m, 1.0)
     else:
         # Cells that are never served have all-zero rows here.
         summed = _summed_excess(tensor)
-        pairs = _served_matching(summed, _served_rows(summed, m, 0.0), m, 0.0)
+        (pairs,) = _served_matchings(summed, [_served_rows(summed, m, 0.0)], m, 0.0)
     return _replicated_plan(tensor, pairs, STRATEGY_TERRESTRIAL)
 
 
@@ -385,7 +389,7 @@ def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvalua
     local = validate_plan(plan, tensor, m)
     epochs = np.repeat(np.arange(tensor.n_epochs), m)
     cells, sites = np.array(local, dtype=int).reshape(-1, 2).T
-    gains = np.where(tensor.served[epochs, cells], tensor.base[cells, sites], 1.0)
+    gains = tensor.gain_at(epochs, cells, sites)
     # Summed pair by pair in plan order.
     weight = 0.0
     for gain in gains.tolist():

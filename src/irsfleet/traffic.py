@@ -1,9 +1,7 @@
 """Spatio-temporal log-normal traffic demand."""
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -12,7 +10,6 @@ __all__ = [
     "TrafficField",
     "default_epoch_profile",
     "sample_traffic",
-    "write_traffic_csv",
 ]
 
 PROFILE_LOW = 0.8
@@ -94,14 +91,3 @@ def sample_traffic(
     demand = np.exp(mu[:, None] + model.sigma_log * z)
     return TrafficField(demand=demand, threshold=model.thresholds())
 
-
-def write_traffic_csv(field: TrafficField, path) -> None:
-    """Dump a demand field as (epoch, grid_index, demand) rows; epochs 1-based."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "grid_index", "demand_mbps_km2"])
-        epochs, grids = field.demand.shape
-        for t in range(epochs):
-            for i in range(grids):
-                writer.writerow([t + 1, i, repr(float(field.demand[t, i]))])

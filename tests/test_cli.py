@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,9 +10,15 @@ from pathlib import Path
 import pytest
 
 from irsfleet import default_scenario, run_trial
+from irsfleet import cli
 from irsfleet.cli import main
-from irsfleet.harness import PLACEMENT_HEADER, TRAJECTORY_HEADER
-from irsfleet.traffic import write_traffic_csv
+from irsfleet.harness import (
+    PLACEMENT_HEADER,
+    TRAFFIC_HEADER,
+    TRAJECTORY_HEADER,
+    _write_rows,
+    traffic_rows,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,12 +46,28 @@ def test_plan_subcommand(tmp_path, capsys):
     assert trows[0] == TRAJECTORY_HEADER
     # the traffic the trial was scored on, not a re-derived field
     result = run_trial(default_scenario(), 2.8, 0, "robotic", 7)
-    write_traffic_csv(result.traffic, tmp_path / "expected_traffic.csv")
+    _write_rows(
+        tmp_path / "expected_traffic.csv", TRAFFIC_HEADER, traffic_rows(result.traffic)
+    )
     expected = (tmp_path / "expected_traffic.csv").read_bytes()
     assert (out / "traffic.csv").read_bytes() == expected
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["generator"] == "philox"
     assert meta["master_seed"] == 7
+
+
+def test_a_failed_traffic_write_leaves_no_traffic_file(tmp_path, capsys, monkeypatch):
+    def failing_rows(field):
+        yield from itertools.islice(traffic_rows(field), 2)
+        raise ValueError("could not convert the third demand")
+
+    monkeypatch.setattr(cli, "traffic_rows", failing_rows)
+    out = tmp_path / "plan"
+    assert main(["plan", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "could not convert the third demand"
+    assert not (out / "traffic.csv").exists()
+    assert not (out / ".traffic.csv.partial").exists()
 
 
 def test_plan_fixed_strategy_has_no_trajectory(tmp_path):

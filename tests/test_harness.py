@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -53,6 +55,17 @@ def test_strategies_share_the_same_realization():
     # the optimizer never loses to a random support on the same instance
     assert robotic.metrics.mean_gain >= random.metrics.mean_gain
 
+    # One unit call scores the strategies in the order asked, each exactly
+    # as its lone trial, on one shared tensor.
+    order = ("random", "robotic", "terrestrial")
+    unit = harness._TrialEngine(SMALL).run_unit(2.8, 3, 77, order)
+    assert [result.metrics.strategy for result in unit] == list(order)
+    assert len({id(result.tensor) for result in unit}) == 1
+    for result in unit:
+        alone = run_trial(SMALL, 2.8, 3, result.metrics.strategy, 77)
+        assert result.metrics == alone.metrics
+        assert result.plan.assignments == alone.plan.assignments
+
 
 @pytest.mark.parametrize("strategy", ["robotic", "terrestrial", "random"])
 def test_metrics_carry_the_weight_behind_mean_gain(strategy):
@@ -68,10 +81,23 @@ def test_metrics_carry_the_weight_behind_mean_gain(strategy):
         assert abs(metrics.mean_gain - rebuilt) <= 1e-12
 
 
-def test_trial_errors_carry_context():
+def test_trial_errors_carry_context(monkeypatch):
     impossible = Scenario(solver=SolverOptions(fleet_size=100))
     with pytest.raises(TrialError, match="strategy=robotic sigma=2.8 trial=0"):
         run_trial(impossible, 2.8, 0, "robotic", 1)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("refused")
+
+    # In a unit, the error names the strategy that failed; a failed draw
+    # names the unit's first strategy.
+    engine = harness._TrialEngine(SMALL)
+    monkeypatch.setattr(harness, "solve_random_plan", refuse)
+    with pytest.raises(TrialError, match=r"^strategy=random sigma=2.8 trial=4: refused$"):
+        engine.run_unit(2.8, 4, 77, ("robotic", "random", "terrestrial"))
+    monkeypatch.setattr(harness, "realize_channel", refuse)
+    with pytest.raises(TrialError, match=r"^strategy=terrestrial sigma=1.8 trial=2: "):
+        engine.run_unit(1.8, 2, 77, ("terrestrial", "robotic"))
 
 
 def test_non_relocating_strategies_report_zero_distance():
@@ -175,6 +201,27 @@ def test_sweep_builds_each_realization_once(monkeypatch):
     )
     run_experiment(config)
     assert calls == {"realize_channel": 6, "build_gain_tensor": 6}
+
+
+def test_a_sweep_never_holds_two_gain_tensors(monkeypatch, tmp_path):
+    live = weakref.WeakSet()
+    alive_at_build = []
+    original = harness.build_gain_tensor
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive_at_build.append(len(live))
+        tensor = original(*args, **kwargs)
+        live.add(tensor)
+        return tensor
+
+    monkeypatch.setattr(harness, "build_gain_tensor", tracked)
+    config = ExperimentConfig(
+        scenario=SMALL, sigma_list=(1.8, 2.8), trials=2, master_seed=23,
+        output_dir=tmp_path,
+    )
+    run_experiment(config)
+    assert alive_at_build == [0, 0, 0, 0]
 
 
 def test_sweep_rows_are_paired_single_trials(tmp_path):

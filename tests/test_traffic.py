@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_tensor
+from irsfleet.harness import TRAFFIC_HEADER, _write_rows, traffic_rows
 from irsfleet.traffic import (
     TrafficModel,
     default_epoch_profile,
     sample_traffic,
-    write_traffic_csv,
 )
 
 
@@ -97,7 +97,7 @@ def test_traffic_csv_export(tmp_path, rng):
     model = TrafficModel(epochs=2)
     field = sample_traffic(model, 3, rng)
     path = tmp_path / "traffic.csv"
-    write_traffic_csv(field, path)
+    _write_rows(path, TRAFFIC_HEADER, traffic_rows(field))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,grid_index,demand_mbps_km2"
     assert len(lines) == 1 + 2 * 3
