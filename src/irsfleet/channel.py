@@ -46,7 +46,9 @@ class RadioParams:
     path-loss exponents, `eta3` the reflected-link exponent (below the
     terrestrial NLoS one). `n_elements` must be a squared positive multiple
     of four (square surface, 2-bit phase coding). Every float must be
-    finite, and so must the linear value of each Rician K factor.
+    finite, and so must the linear value of the cascade's Rician K factor.
+    The direct link has no K factor: its unit-power fading folds out of the
+    mean SNR (`direct_snr_db`), so no such factor could reach a result.
     """
 
     carrier_freq_hz: float = 28e9
@@ -58,7 +60,6 @@ class RadioParams:
     eta1: float = 2.1
     eta2: float = 3.17
     eta3: float = 2.4
-    k_d_db: float = 10.0
     k_c_db: float = 10.0
     snr_threshold_db: float = 10.0
     n_elements: int = 2304
@@ -73,13 +74,12 @@ class RadioParams:
             raise ValueError("LoS exponent eta1 cannot exceed NLoS exponent eta2")
         if not self.eta3 < self.eta2:
             raise ValueError("reflected-link exponent eta3 must be below eta2")
-        for name in ("k_d_db", "k_c_db"):
-            try:
-                10.0 ** (getattr(self, name) / 10.0)
-            except OverflowError:
-                raise ValueError(
-                    f"{name} is too large: its linear value overflows"
-                ) from None
+        try:
+            10.0 ** (self.k_c_db / 10.0)
+        except OverflowError:
+            raise ValueError(
+                "k_c_db is too large: its linear value overflows"
+            ) from None
         side = math.isqrt(int(self.n_elements))
         if side * side != self.n_elements or side <= 0 or side % 4 != 0:
             raise ValueError(
@@ -89,10 +89,6 @@ class RadioParams:
     @property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
-
-    @property
-    def k_d_linear(self) -> float:
-        return 10.0 ** (self.k_d_db / 10.0)
 
     @property
     def k_c_linear(self) -> float:

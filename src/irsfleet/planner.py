@@ -7,9 +7,10 @@ otherwise, and never build the dense (epoch, weak cell, site) array.
 
 The placement problem decouples across epochs (no constraint links two
 epochs), so each epoch is an exact cardinality-constrained matching on the
-weak-cell x site bipartite graph with edge cost 1 - gain. The reported
-objective follows the convention that an unserved weak cell earns unit
-gain: 1 + (selected gain excess) / (epochs * weak cells).
+weak-cell x site bipartite graph with edge cost 1 - gain. Solvers return
+pairs only; `evaluate_plan` scores every plan, with the convention that an
+unserved weak cell earns unit gain: 1 + (selected gain excess) / (epochs *
+weak cells).
 """
 
 import itertools
@@ -113,8 +114,6 @@ class PlacementPlan:
 
     strategy: str
     assignments: tuple[tuple[tuple[int, int], ...], ...]  # (grid, site), global
-    objective: float
-    matching_weight: float  # total selected (gain - 1) across epochs
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +133,19 @@ def build_gain_tensor(
 
     An empty weak set yields an empty tensor (any placement is then
     trivially empty); solvers reject positive fleet sizes against it.
+    A unit whose linear powers underflow or overflow, making a ratio NaN
+    or infinite, is refused here, for every strategy alike.
     """
     weak = np.asarray(realization.weak_set, dtype=int)
     gamma_c = cascaded_snr_db(
         distances.r_bs_site[None, :], distances.d_site_ut[weak], params
     )
+    with np.errstate(all="ignore"):
+        base = snr_ratio(realization.direct_snr_db[weak][:, None], gamma_c)
+    if not np.all((base >= 1.0) & (base < np.inf)):  # NaN fails this too
+        raise ValueError("gains must be finite and at least 1")
     return GainTensor(
-        base=snr_ratio(realization.direct_snr_db[weak][:, None], gamma_c),
+        base=base,
         weak_grids=weak,
         demand=field.demand[:, weak],
         thresholds=np.asarray(field.threshold, dtype=float),
@@ -227,45 +232,20 @@ def _to_global(tensor: GainTensor, pairs) -> tuple[tuple[int, int], ...]:
     return tuple((int(tensor.weak_grids[q]), int(j)) for q, j in pairs)
 
 
-def _objective(weight: float, epochs: int, n_weak: int) -> float:
-    if n_weak == 0:
-        return 1.0
-    return 1.0 + weight / (epochs * n_weak)
-
-
 def solve_adaptive_plan(tensor: GainTensor, m: int) -> PlacementPlan:
     """Exact epoch-by-epoch optimum; units may relocate freely.
 
     Each epoch gets the pairs `solve_epoch_placement` would give it.
     """
     masks = tensor.served & _served_rows(tensor.base, m, 1.0)
-    assignments = []
-    weight = 0.0
-    for t, pairs in enumerate(_served_matchings(tensor.base, masks, m, 1.0)):
-        cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
-        weight -= float((1.0 - tensor.gain_at(t, cells, sites)).sum())
-        assignments.append(_to_global(tensor, pairs))
+    matchings = _served_matchings(tensor.base, masks, m, 1.0)
     return PlacementPlan(
-        strategy=STRATEGY_ROBOTIC,
-        assignments=tuple(assignments),
-        objective=_objective(weight, tensor.n_epochs, tensor.n_weak),
-        matching_weight=weight,
+        STRATEGY_ROBOTIC, tuple(_to_global(tensor, pairs) for pairs in matchings)
     )
 
 
 def _replicated_plan(tensor: GainTensor, pairs, strategy: str) -> PlacementPlan:
-    cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
-    excess = tensor.gain_at(np.arange(tensor.n_epochs)[:, None], cells, sites) - 1.0
-    weight = 0.0
-    for epoch_excess in excess.tolist():
-        weight += float(sum(epoch_excess))
-    epoch_pairs = _to_global(tensor, pairs)
-    return PlacementPlan(
-        strategy=strategy,
-        assignments=tuple(epoch_pairs for _ in range(tensor.n_epochs)),
-        objective=_objective(weight, tensor.n_epochs, tensor.n_weak),
-        matching_weight=weight,
-    )
+    return PlacementPlan(strategy, (_to_global(tensor, pairs),) * tensor.n_epochs)
 
 
 def _summed_excess(tensor: GainTensor) -> np.ndarray:
@@ -381,7 +361,7 @@ def validate_plan(
 
 
 def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvaluation:
-    """Recompute the objective and the served demand of a plan.
+    """Score a plan: its objective, gain excess and served demand.
 
     Validates feasibility first against the fleet size m, so an infeasible
     plan raises rather than scoring.
@@ -397,8 +377,12 @@ def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvalua
     served = [0.0] * tensor.n_epochs
     for t, demand in zip(epochs.tolist(), tensor.demand[epochs, cells].tolist()):
         served[t] += demand
+    # An empty weak set has no cell to average over; it scores unit gain.
+    objective = 1.0
+    if tensor.n_weak:
+        objective = 1.0 + weight / (tensor.n_epochs * tensor.n_weak)
     return PlanEvaluation(
-        objective=_objective(weight, tensor.n_epochs, tensor.n_weak),
+        objective=objective,
         matching_weight=weight,
         served_traffic=np.array(served),
     )

@@ -219,11 +219,7 @@ def plan_trajectories(
         routes[:, t + 1] = np.asarray(order[t + 1])[next_cols]
         unit_row = next_cols
 
-    back = np.hypot(
-        layout.candidate_sites[routes[:, -1], 0] - layout.bs_position[0],
-        layout.candidate_sites[routes[:, -1], 1] - layout.bs_position[1],
-    )
-    legs[:, epochs] = back
+    legs[:, epochs] = costs.depot_back[unit_row]
 
     cumulative = np.cumsum(legs, axis=1)
     ledgers = tuple(

@@ -151,7 +151,7 @@ def test_criterion_4_solver_exactness():
         assignments = tuple(
             tuple((g, s) for g, s in enumerate(sites)) for sites in epoch_sites
         )
-        plan = PlacementPlan("robotic", assignments, 1.0, 0.0)
+        plan = PlacementPlan("robotic", assignments)
         traj = plan_trajectories(plan, layout, platform)
         costs = transition_costs(plan, layout)
         middle = float(traj.leg_m[:, 1:3].sum())

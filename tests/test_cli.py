@@ -256,7 +256,31 @@ def test_infeasible_plan_creates_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["k_d_db", "k_c_db"])
+@pytest.mark.parametrize("strategy", ["robotic", "terrestrial", "random"])
+@pytest.mark.parametrize("command", ["plan", "sweep"])
+def test_underflowing_powers_fail_every_strategy_alike(
+    tmp_path, capsys, recwarn, command, strategy
+):
+    # Finite but so low that every linear power underflows to 0: each gain
+    # would be 0/0, and a NaN score must not reach any output.
+    config = tmp_path / "faint.ini"
+    config.write_text("[radio]\ntx_power_dbm = -10000\n")
+    out = tmp_path / command
+    args = [command, "--config", str(config), "--strategy", strategy]
+    if command == "sweep":
+        args += ["--trials", "1"]
+    assert main(args + ["--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"].startswith(f"strategy={strategy} sigma=")
+    assert payload["error"].endswith(": gains must be finite and at least 1")
+    if command == "plan":
+        assert not out.exists()
+    else:
+        assert not (out / "trials.csv").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("key", ["k_c_db"])
 @pytest.mark.parametrize("command", ["plan", "sweep"])
 def test_overflowing_k_factor_fails_before_output(tmp_path, capsys, command, key):
     config = tmp_path / "bad.ini"
@@ -292,7 +316,8 @@ def test_cli_import_loads_no_scipy():
 # Both run_metadata.json digests changed when the eight scenario keys no
 # result read (nlos_rule, cascade_mean_in_denominator, the three platform
 # masses, epoch_sampling, random_mode, random_max_iterations) left the
-# recorded scenario; every CSV digest stayed.
+# recorded scenario; every CSV digest stayed. They changed again when
+# k_d_db, a direct-link K factor no result read, left it.
 GOLDEN = {
     "sweep": {
         "trials.csv": "f55f7a0f0d34fa2b7c871ce11ccd282b8a4a20b55ce68904a911145d1045679c",
@@ -300,13 +325,13 @@ GOLDEN = {
         "trajectories_sigma_1.8.csv": "a1f2655622722b7348e074a788b03e41e238c598c1614dbff03ac840018d5f87",
         "trajectories_sigma_2.8.csv": "fa8390dd05b90ead9bf9b1279dd0e9499a2dadf6707f1ce1d60ea889932eaff6",
         "trajectories_sigma_3.6.csv": "ec7b7b8778207bf332ee17f3d3db58660218aa3135712359700ef6ce5a891826",
-        "run_metadata.json": "bdfd8e00405b534d4ca562b70a4cad53b912d8a9c05e7524e360003e5c138000",
+        "run_metadata.json": "99cea6703cdbcc86a6bb76e4c41f4a42e398026c3a302fe8239e3e478adcdad7",
     },
     "plan": {
         "placement.csv": "473b7f153f936d35bea4c35d037571f19713f7d7caabbe77888bf1f32ce12201",
         "trajectory.csv": "abaea3a70699d7132c6075a68db37fc45c5def044c278d12f42c897bcd0109d3",
         "traffic.csv": "0de8f294070f6d54832489be4cb117a68a1d141a426c142aa8e12df12bfee3cb",
-        "run_metadata.json": "b710d356fa5e17002055239c6e7b9d0287a6fa8c1742b97f76b56bb870df6316",
+        "run_metadata.json": "82bca96b0f94eded8b879fccd16e677e686282e510a65668b6313bfdae42c14d",
     },
 }
 GOLDEN_ARGS = {

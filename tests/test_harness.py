@@ -23,7 +23,7 @@ from irsfleet.harness import (
     summarize,
     trial_rng,
 )
-from irsfleet.planner import TERRESTRIAL_MODES, GainTensor
+from irsfleet.planner import TERRESTRIAL_MODES, GainTensor, evaluate_plan
 from irsfleet.scenario import GeometryConfig, SolverOptions
 
 SMALL = Scenario(solver=SolverOptions(fleet_size=5))
@@ -74,9 +74,8 @@ def test_metrics_carry_the_weight_behind_mean_gain(strategy):
         result = run_trial(SMALL, 2.8, trial, strategy, 77)
         metrics = result.metrics
         assert metrics.n_weak == result.tensor.n_weak
-        assert metrics.matching_weight == pytest.approx(
-            result.plan.matching_weight, rel=1e-12
-        )
+        scored = evaluate_plan(result.plan, result.tensor, SMALL.solver.fleet_size)
+        assert metrics.matching_weight == scored.matching_weight
         rebuilt = 1.0 + metrics.matching_weight / (epochs * metrics.n_weak)
         assert abs(metrics.mean_gain - rebuilt) <= 1e-12
 

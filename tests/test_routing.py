@@ -28,7 +28,7 @@ def _plan(epoch_sites, strategy="robotic"):
     assignments = tuple(
         tuple((g, s) for g, s in enumerate(sites)) for sites in epoch_sites
     )
-    return PlacementPlan(strategy, assignments, 1.0, 0.0)
+    return PlacementPlan(strategy, assignments)
 
 
 # --------------------------------------------------------- transition costs
@@ -58,7 +58,7 @@ def test_single_unit_costs():
 
 
 def test_wrong_occupancy_rejected():
-    bad = PlacementPlan("robotic", (((0, 0), (1, 0)),), 1.0, 0.0)
+    bad = PlacementPlan("robotic", (((0, 0), (1, 0)),))
     with pytest.raises(PlanValidationError, match="occupancy"):
         transition_costs(bad, LAYOUT)
 

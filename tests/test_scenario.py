@@ -1,10 +1,12 @@
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from irsfleet import Scenario, ScenarioError, default_scenario, load_scenario
+from irsfleet.cli import main
 from irsfleet.scenario import SolverOptions, write_scenario
 
 
@@ -17,7 +19,7 @@ def test_default_values_match_the_tables():
     assert s.radio.a_d_db == -61.38
     assert s.radio.a_t_db == s.radio.a_r_db == -56.38
     assert (s.radio.eta1, s.radio.eta2, s.radio.eta3) == (2.1, 3.17, 2.4)
-    assert s.radio.k_d_db == s.radio.k_c_db == 10.0
+    assert s.radio.k_c_db == 10.0
     assert (s.radio.tx_power_dbm, s.radio.noise_power_dbm) == (37.0, -95.0)
     assert s.radio.snr_threshold_db == 10.0
     assert s.radio.n_elements == 2304
@@ -55,7 +57,6 @@ NON_DEFAULT = {
         "eta1": 2.05,
         "eta2": 3.3,
         "eta3": 2.5,
-        "k_d_db": 9.5,
         "k_c_db": 12.5,
         "snr_threshold_db": 8.5,
         "n_elements": 1024,
@@ -91,7 +92,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     write_scenario(original, path)
     loaded = load_scenario(path)
     assert loaded == original
-    assert sum(len(values) for values in NON_DEFAULT.values()) == 32
+    assert sum(len(values) for values in NON_DEFAULT.values()) == 31
     for section, values in NON_DEFAULT.items():
         cls = type(getattr(default, section))
         assert list(values) == [f.name for f in fields(cls)], section
@@ -122,6 +123,7 @@ UNKNOWN_KEYS = [
     ("radio", "chutzpah", "11"),
     ("radio", "nlos_rule", "conventional"),
     ("radio", "cascade_mean_in_denominator", "false"),
+    ("radio", "k_d_db", "10.0"),
     ("platform", "mass_irs_kg", "0.1"),
     ("platform", "mass_uav_kg", "4.0"),
     ("platform", "mass_gripper_kg", "0.4"),
@@ -215,7 +217,6 @@ def test_nonfinite_platform_values_rejected(tmp_path, key, value, message):
         ("eta1", "nan", "eta1 must be finite"),
         ("eta2", "inf", "eta2 must be finite"),
         ("snr_threshold_db", "-inf", "snr_threshold_db must be finite"),
-        ("k_d_db", "1e308", "k_d_db is too large: its linear value overflows"),
         ("k_c_db", "1e308", "k_c_db is too large: its linear value overflows"),
         ("k_c_db", "3084", "k_c_db is too large: its linear value overflows"),
     ],
@@ -304,3 +305,47 @@ def test_readme_scenario_block_loads_as_the_defaults(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(_readme_scenario_block())
     assert load_scenario(path) == default_scenario()
+
+
+# `eta1` is the one key no output reads: LoS cells never join the weak set,
+# so the LoS exponent shapes only direct SNRs that nothing reads. It stays
+# as half of the direct path-loss law that `direct_path_loss_db` implements.
+REACHES_NO_OUTPUT = {"eta1"}
+
+
+def _outputs(tmp_path, capsys, config_args):
+    """stdout and output files (but run metadata) of the robotic and
+    terrestrial plans and the energy report."""
+    seen = {}
+    for strategy in ("robotic", "terrestrial"):
+        out = tmp_path / "out" / strategy
+        args = ["plan", *config_args, "--strategy", strategy, "--out", str(out)]
+        assert main(args) == 0
+        # The summary line; the next one names --out.
+        seen[strategy] = capsys.readouterr().out.splitlines()[0]
+        for path in sorted(out.iterdir()):
+            if path.name != "run_metadata.json":
+                seen[f"{strategy}/{path.name}"] = path.read_bytes()
+        shutil.rmtree(out)
+    assert main(["energy", *config_args]) == 0
+    seen["energy"] = capsys.readouterr().out
+    return seen
+
+
+def test_every_scenario_key_reaches_a_result(tmp_path, capsys):
+    changes = {section: dict(values) for section, values in NON_DEFAULT.items()}
+    # Alone, `epochs` takes its default profile; a profile keeps 12 epochs.
+    changes["traffic"]["epoch_profile"] = (1.0,) * 12
+    # Alone, a stronger link or a lower bar leaves fewer than 10 weak cells.
+    changes["radio"].update(tx_power_dbm=35.5, snr_threshold_db=11.5)
+    reference = _outputs(tmp_path, capsys, [])
+    inert = set()
+    for section, values in changes.items():
+        for key, value in values.items():
+            if isinstance(value, tuple):
+                value = ", ".join(str(x) for x in value)
+            config = tmp_path / f"{key}.ini"
+            config.write_text(f"[{section}]\n{key} = {value}\n")
+            if _outputs(tmp_path, capsys, ["--config", str(config)]) == reference:
+                inert.add(key)
+    assert inert == REACHES_NO_OUTPUT
