@@ -434,12 +434,12 @@ def placement_rows(
     result: TrialResult,
     layout: ScenarioLayout,
 ) -> list[list]:
-    tensor = result.tensor
+    tensor, plan = result.tensor, result.plan
+    grids = tensor.weak_grids.tolist()
     rows = []
-    for t, epoch_pairs in enumerate(result.plan.assignments):
-        for grid, site in epoch_pairs:
-            q = tensor.weak_position[grid]
-            r, c = layout.grid_row_col(grid)
+    for t, (cells, sites) in enumerate(zip(plan.cells.tolist(), plan.sites.tolist())):
+        for q, site in zip(cells, sites):
+            r, c = layout.grid_row_col(grids[q])
             point = layout.candidate_sites[site]
             rows.append(
                 [

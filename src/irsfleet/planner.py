@@ -8,9 +8,9 @@ otherwise, and never build the dense (epoch, weak cell, site) array.
 The placement problem decouples across epochs (no constraint links two
 epochs), so each epoch is an exact cardinality-constrained matching on the
 weak-cell x site bipartite graph with edge cost 1 - gain. Solvers return
-pairs only; `evaluate_plan` scores every plan, with the convention that an
-unserved weak cell earns unit gain: 1 + (selected gain excess) / (epochs *
-weak cells).
+pairs only, as local (weak-set position, site) index arrays; `evaluate_plan`
+scores every plan, with the convention that an unserved weak cell earns
+unit gain: 1 + (selected gain excess) / (epochs * weak cells).
 """
 
 import itertools
@@ -35,7 +35,6 @@ __all__ = [
     "STRATEGY_RANDOM",
     "TERRESTRIAL_MODES",
     "build_gain_tensor",
-    "solve_epoch_placement",
     "solve_adaptive_plan",
     "solve_fixed_plan",
     "solve_random_plan",
@@ -67,6 +66,7 @@ class GainTensor:
     cell at each site. A cell is served in an epoch when its demand meets
     the threshold; its gains are then its `base` row, and exactly 1
     otherwise. Every site is a candidate, so a local site index is global.
+    A NaN, infinite or below-1 ratio is refused when the tensor is built.
     """
 
     base: np.ndarray         # (n_weak, n_sites) SNR ratio
@@ -74,15 +74,14 @@ class GainTensor:
     demand: np.ndarray       # (epochs, n_weak) Mbps/km^2
     thresholds: np.ndarray   # (epochs,) Mbps/km^2
 
+    def __post_init__(self) -> None:
+        if not np.all((self.base >= 1.0) & (self.base < np.inf)):  # NaN fails this too
+            raise ValueError("gains must be finite and at least 1")
+
     @cached_property
     def served(self) -> np.ndarray:
         """(epochs, n_weak) mask of the cells whose demand meets the threshold."""
         return self.demand >= self.thresholds[:, None]
-
-    @cached_property
-    def weak_position(self) -> dict[int, int]:
-        """Local position of each weak cell, keyed by its global index."""
-        return {g: q for q, g in enumerate(self.weak_grids.tolist())}
 
     def gain_at(self, epochs, cells, sites) -> np.ndarray:
         """Gains at broadcast (epoch, local cell, site) index arrays: the
@@ -108,12 +107,17 @@ class GainTensor:
         return self.base.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlacementPlan:
-    """Per-epoch service pairs; fixed strategies repeat epoch one."""
+    """Per-epoch service pairs; fixed strategies repeat epoch one.
+
+    Epoch t's k-th pair serves weak-set position `cells[t, k]` from site
+    `sites[t, k]`; each epoch lists its pairs by cell.
+    """
 
     strategy: str
-    assignments: tuple[tuple[tuple[int, int], ...], ...]  # (grid, site), global
+    cells: np.ndarray  # (epochs, m) positions in the tensor's weak set
+    sites: np.ndarray  # (epochs, m) site indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +138,7 @@ def build_gain_tensor(
     An empty weak set yields an empty tensor (any placement is then
     trivially empty); solvers reject positive fleet sizes against it.
     A unit whose linear powers underflow or overflow, making a ratio NaN
-    or infinite, is refused here, for every strategy alike.
+    or infinite, is refused by `GainTensor`, for every strategy alike.
     """
     weak = np.asarray(realization.weak_set, dtype=int)
     gamma_c = cascaded_snr_db(
@@ -142,8 +146,6 @@ def build_gain_tensor(
     )
     with np.errstate(all="ignore"):
         base = snr_ratio(realization.direct_snr_db[weak][:, None], gamma_c)
-    if not np.all((base >= 1.0) & (base < np.inf)):  # NaN fails this too
-        raise ValueError("gains must be finite and at least 1")
     return GainTensor(
         base=base,
         weak_grids=weak,
@@ -152,21 +154,12 @@ def build_gain_tensor(
     )
 
 
-def _served_rows(gains, m: int, unit: float) -> np.ndarray:
-    """Mask of the served rows of a gain matrix, once m units are known to fit.
-
-    `unit` is the gain of an unserved pair: 1 for gains, 0 for summed gain
-    excess. Every entry must be at least `unit`, and a row is served when
-    some entry in it is above.
-    """
-    n_cells, n_sites = gains.shape
-    if m > min(n_cells, n_sites):
+def _check_fit(tensor: GainTensor, m: int) -> None:
+    if m > min(tensor.n_weak, tensor.n_sites):
         raise InfeasiblePlacementError(
-            f"cannot place {m} units on {n_cells} weak cells x {n_sites} sites"
+            f"cannot place {m} units on {tensor.n_weak} weak cells x "
+            f"{tensor.n_sites} sites"
         )
-    if not gains.min(initial=unit) >= unit:  # NaN fails this too
-        raise ValueError("gains must be finite and at least 1")
-    return gains.max(axis=1, initial=unit) > unit
 
 
 def _completed_pairs(shape, m: int, rows, cost, matched) -> list[tuple[int, int]]:
@@ -189,63 +182,52 @@ def _completed_pairs(shape, m: int, rows, cost, matched) -> list[tuple[int, int]
     return pairs
 
 
-def _served_matchings(values, masks, m: int, unit: float) -> list[list]:
-    """Exact size-m matchings of most excess over `unit`, one per row mask.
+def _served_matchings(cost, masks, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact size-m min-cost matchings of a nonpositive matrix, one per row mask.
 
-    Each mask holds the rows of `values` that may be matched (every row
-    with an entry above `unit`). One batch solve matches the masked rows
-    of every mask, each as its lone solve would, and each is completed.
+    Only the masked rows with a negative entry (a served cell has some
+    gain above 1) are matched, in one batch solve that matches each mask's
+    rows as its lone solve would; each matching is then completed. Returns
+    the (len(masks), m) cell and site arrays.
     """
-    rows = [np.flatnonzero(mask) for mask in masks]
+    negative = cost.min(axis=1, initial=0.0) < 0.0
+    rows = [np.flatnonzero(mask & negative) for mask in masks]
     counts = [r.size for r in rows]
-    cost = np.zeros((len(rows), max(counts, default=0), values.shape[1]))
+    stack = np.zeros((len(rows), max(counts, default=0), cost.shape[1]))
     for b, r in enumerate(rows):
-        np.subtract(unit, values[r], out=cost[b, : r.size])
-    solved = min_cost_matching_batch(cost, counts, [min(m, n) for n in counts])
-    return [
-        _completed_pairs(values.shape, m, r, c, matched)
-        for r, c, (matched, _, _, _) in zip(rows, cost, solved)
-    ]
-
-
-def solve_epoch_placement(gains, m: int) -> tuple[list[tuple[int, int]], float]:
-    """Exact best placement of m units for one epoch's gain matrix.
-
-    Maximizes the summed gain excess subject to one site per unit and one
-    unit per cell, with exactly m placements. Every gain must be at least
-    1. Returns (local (cell, site) pairs sorted by cell, total gain
-    excess). Zero-excess ties resolve to the lowest (cell, site) indices.
-    The exact matching runs only on the served rows, those with some gain
-    above 1 (a demand-gated cell has none), and the places it leaves
-    open are filled by that tie rule, so the pairs are those of the exact
-    matching over every row.
-    """
-    g = np.asarray(gains, dtype=float)
-    if g.ndim != 2:
-        raise ValueError("epoch gains must be a 2-D matrix")
-    (pairs,) = _served_matchings(g, [_served_rows(g, m, 1.0)], m, 1.0)
-    cells, sites = np.array(pairs, dtype=int).reshape(-1, 2).T
-    return pairs, -float((1.0 - g[cells, sites]).sum())
-
-
-def _to_global(tensor: GainTensor, pairs) -> tuple[tuple[int, int], ...]:
-    return tuple((int(tensor.weak_grids[q]), int(j)) for q, j in pairs)
+        stack[b, : r.size] = cost[r]
+    solved = min_cost_matching_batch(stack, counts, [min(m, n) for n in counts])
+    pairs = np.array(
+        [
+            _completed_pairs(cost.shape, m, r, c, matched)
+            for r, c, (matched, _, _, _) in zip(rows, stack, solved)
+        ],
+        dtype=int,
+    ).reshape(len(rows), m, 2)
+    return pairs[..., 0], pairs[..., 1]
 
 
 def solve_adaptive_plan(tensor: GainTensor, m: int) -> PlacementPlan:
     """Exact epoch-by-epoch optimum; units may relocate freely.
 
-    Each epoch gets the pairs `solve_epoch_placement` would give it.
+    Maximizes each epoch's summed gain excess subject to one site per unit
+    and one unit per cell, with exactly m placements; each epoch gets the
+    pairs of its own lone solve. Zero-excess ties resolve to the lowest
+    (cell, site) indices: the exact matching runs only on the served rows,
+    and the places it leaves open are filled by that tie rule, so the
+    pairs are those of the exact matching over every row.
     """
-    masks = tensor.served & _served_rows(tensor.base, m, 1.0)
-    matchings = _served_matchings(tensor.base, masks, m, 1.0)
+    _check_fit(tensor, m)
+    cells, sites = _served_matchings(1.0 - tensor.base, tensor.served, m)
+    return PlacementPlan(STRATEGY_ROBOTIC, cells, sites)
+
+
+def _replicated_plan(tensor: GainTensor, cells, sites, strategy: str):
+    """Epoch one's (1, m) cells and sites, kept for every epoch."""
+    n = tensor.n_epochs
     return PlacementPlan(
-        STRATEGY_ROBOTIC, tuple(_to_global(tensor, pairs) for pairs in matchings)
+        strategy, np.repeat(cells, n, axis=0), np.repeat(sites, n, axis=0)
     )
-
-
-def _replicated_plan(tensor: GainTensor, pairs, strategy: str) -> PlacementPlan:
-    return PlacementPlan(strategy, (_to_global(tensor, pairs),) * tensor.n_epochs)
 
 
 def _summed_excess(tensor: GainTensor) -> np.ndarray:
@@ -273,14 +255,14 @@ def solve_fixed_plan(
         raise ValueError(f"terrestrial mode must be one of {TERRESTRIAL_MODES}")
     if tensor.n_epochs < 1:
         raise ValueError("tensor must cover at least one epoch")
+    _check_fit(tensor, m)
     if mode == "epoch1":
-        served = tensor.served[0] & _served_rows(tensor.base, m, 1.0)
-        (pairs,) = _served_matchings(tensor.base, [served], m, 1.0)
+        cells, sites = _served_matchings(1.0 - tensor.base, tensor.served[:1], m)
     else:
         # Cells that are never served have all-zero rows here.
-        summed = _summed_excess(tensor)
-        (pairs,) = _served_matchings(summed, [_served_rows(summed, m, 0.0)], m, 0.0)
-    return _replicated_plan(tensor, pairs, STRATEGY_TERRESTRIAL)
+        every = np.ones((1, tensor.n_weak), dtype=bool)
+        cells, sites = _served_matchings(0.0 - _summed_excess(tensor), every, m)
+    return _replicated_plan(tensor, cells, sites, STRATEGY_TERRESTRIAL)
 
 
 def solve_random_plan(
@@ -293,71 +275,64 @@ def solve_random_plan(
     Draws m distinct weak cells and m distinct sites and pairs them, which
     is uniform over feasible supports.
     """
-    n_weak, n_sites = tensor.n_weak, tensor.n_sites
-    if m > min(n_weak, n_sites):
-        raise InfeasiblePlacementError(
-            f"cannot place {m} units on {n_weak} weak cells x {n_sites} sites"
-        )
-    if m == 0:
-        pairs: list[tuple[int, int]] = []
-    else:
-        cells = np.sort(rng.choice(n_weak, size=m, replace=False))
-        sites = rng.choice(n_sites, size=m, replace=False)
-        pairs = list(zip(cells.tolist(), sites.tolist()))
-    return _replicated_plan(tensor, pairs, STRATEGY_RANDOM)
+    _check_fit(tensor, m)
+    cells = np.sort(rng.choice(tensor.n_weak, size=m, replace=False))
+    sites = rng.choice(tensor.n_sites, size=m, replace=False)
+    return _replicated_plan(tensor, cells[None], sites[None], STRATEGY_RANDOM)
 
 
-def validate_plan(
-    plan: PlacementPlan, tensor: GainTensor, m: int
-) -> list[list[tuple[int, int]]]:
+def validate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> None:
     """Independent structural check of a plan against its tensor.
 
-    Verifies the exact placement count, index membership, cell and site
-    exclusivity within each epoch (checked in that order), and (for fixed
-    strategies) that the assignment never changes across epochs. Raises
-    PlanValidationError naming the violated constraint; otherwise returns
-    each epoch's local (weak-cell position, site) pairs.
+    Verifies that `cells` and `sites` are (epochs, m) integer arrays of one
+    shape, the epoch and exact placement counts, index membership, cell
+    and site exclusivity within each epoch (checked in that order), and
+    (for fixed strategies) that the set of pairs never changes across
+    epochs. Raises PlanValidationError naming the violated constraint.
     """
-    if len(plan.assignments) != tensor.n_epochs:
+    cells, sites = np.asarray(plan.cells), np.asarray(plan.sites)
+    integer = all(np.issubdtype(a.dtype, np.integer) for a in (cells, sites))
+    if not (integer and cells.ndim == 2 and cells.shape == sites.shape):
         raise PlanValidationError(
-            f"epoch-count: plan has {len(plan.assignments)} epochs, "
-            f"tensor has {tensor.n_epochs}"
+            "plan-shape: cells and sites need one (epochs, m) shape of integers"
         )
-    grid_pos = tensor.weak_position
-    local = []
-    for t, epoch_pairs in enumerate(plan.assignments):
-        if len(epoch_pairs) != m:
+    epochs, count = cells.shape
+    if epochs != tensor.n_epochs:
+        raise PlanValidationError(
+            f"epoch-count: plan has {epochs} epochs, tensor has {tensor.n_epochs}"
+        )
+    if count != m:
+        raise PlanValidationError(
+            f"placement-count: each epoch has {count} pairs, expected exactly {m}"
+        )
+    # numpy would wrap a negative index silently, so both bounds are checked.
+    outside = cells[(cells < 0) | (cells >= tensor.n_weak)]
+    if outside.size:
+        raise PlanValidationError(
+            f"membership: cell position {outside[0]} is not in the weak-coverage set"
+        )
+    outside = sites[(sites < 0) | (sites >= tensor.n_sites)]
+    if outside.size:
+        raise PlanValidationError(f"membership: unknown site index {outside[0]}")
+    for name, index, what in (
+        ("cell", cells, "serves a cell"),
+        ("site", sites, "occupies a site"),
+    ):
+        repeated = np.flatnonzero((np.diff(np.sort(index), axis=1) == 0).any(axis=1))
+        if repeated.size:
             raise PlanValidationError(
-                f"placement-count: epoch {t + 1} has {len(epoch_pairs)} pairs, "
-                f"expected exactly {m}"
+                f"{name}-exclusivity: epoch {repeated[0] + 1} {what} more than once"
             )
-        pairs = []
-        for grid, site in epoch_pairs:
-            if grid not in grid_pos:
-                raise PlanValidationError(
-                    f"membership: cell {grid} is not in the weak-coverage set"
-                )
-            if not 0 <= site < tensor.n_sites:
-                raise PlanValidationError(f"membership: unknown site index {site}")
-            pairs.append((grid_pos[grid], site))
-        if len({q for q, _ in pairs}) != m:
-            raise PlanValidationError(
-                f"cell-exclusivity: epoch {t + 1} serves a cell more than once"
-            )
-        if len({j for _, j in pairs}) != m:
-            raise PlanValidationError(
-                f"site-exclusivity: epoch {t + 1} occupies a site more than once"
-            )
-        local.append(pairs)
     if plan.strategy in FIXED_STRATEGIES:
-        first = set(plan.assignments[0]) if plan.assignments else set()
-        for t, epoch_pairs in enumerate(plan.assignments[1:], start=2):
-            if set(epoch_pairs) != first:
-                raise PlanValidationError(
-                    f"fixed-placement: epoch {t} differs from epoch 1 under a "
-                    f"non-relocating strategy"
-                )
-    return local
+        # Compared as sets: each epoch's pairs in cell order.
+        order = np.argsort(cells, axis=1)
+        pairs = np.stack([np.take_along_axis(a, order, axis=1) for a in (cells, sites)])
+        drift = np.flatnonzero((pairs != pairs[:, :1]).any(axis=(0, 2)))
+        if drift.size:
+            raise PlanValidationError(
+                f"fixed-placement: epoch {drift[0] + 1} differs from epoch 1 under "
+                f"a non-relocating strategy"
+            )
 
 
 def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvaluation:
@@ -366,9 +341,9 @@ def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvalua
     Validates feasibility first against the fleet size m, so an infeasible
     plan raises rather than scoring.
     """
-    local = validate_plan(plan, tensor, m)
+    validate_plan(plan, tensor, m)
     epochs = np.repeat(np.arange(tensor.n_epochs), m)
-    cells, sites = np.array(local, dtype=int).reshape(-1, 2).T
+    cells, sites = np.ravel(plan.cells), np.ravel(plan.sites)
     gains = tensor.gain_at(epochs, cells, sites)
     # Summed pair by pair in plan order.
     weight = 0.0

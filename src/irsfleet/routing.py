@@ -36,48 +36,39 @@ class TransitionCosts:
     """Planar travel distances between occupied sites of consecutive epochs.
 
     Rows and columns follow the sorted site order of the earlier and later
-    epoch respectively; `site_order` keeps those per-epoch site index
-    tuples for chaining.
+    epoch respectively; `site_order` keeps those per-epoch sorted site
+    indices for chaining.
     """
 
     between: np.ndarray      # (epochs - 1, M, M) metres
     depot_out: np.ndarray    # (M,) base station to epoch-1 sites
     depot_back: np.ndarray   # (M,) final-epoch sites back to base station
-    site_order: tuple[tuple[int, ...], ...]
-
-
-def _epoch_sites(plan: PlacementPlan, m: int) -> list[tuple[int, ...]]:
-    sites = []
-    for t, epoch_pairs in enumerate(plan.assignments):
-        occupied = sorted(site for _, site in epoch_pairs)
-        if len(occupied) != m or len(set(occupied)) != m:
-            raise PlanValidationError(
-                f"occupancy: epoch {t + 1} does not occupy exactly {m} "
-                f"distinct sites"
-            )
-        sites.append(tuple(occupied))
-    return sites
+    site_order: np.ndarray   # (epochs, M) site indices, sorted per epoch
 
 
 def transition_costs(plan: PlacementPlan, layout: ScenarioLayout) -> TransitionCosts:
     """Distance matrices for every consecutive epoch pair plus depot legs."""
-    if not plan.assignments:
+    order = np.sort(plan.sites, axis=1)
+    epochs, m = order.shape
+    if not epochs:
         raise PlanValidationError("occupancy: plan has no epochs")
-    m = len(plan.assignments[0])
-    order = _epoch_sites(plan, m)
-    coords = [layout.candidate_sites[list(sites)] for sites in order]
+    repeated = np.flatnonzero((np.diff(order, axis=1) == 0).any(axis=1))
+    if repeated.size:
+        raise PlanValidationError(
+            f"occupancy: epoch {repeated[0] + 1} does not occupy exactly {m} "
+            f"distinct sites"
+        )
+    coords = layout.candidate_sites[order]
     bs = layout.bs_position
-    between = np.zeros((len(order) - 1, m, m))
-    for t in range(len(order) - 1):
-        diff = coords[t][:, None, :] - coords[t + 1][None, :, :]
-        between[t] = np.hypot(diff[..., 0], diff[..., 1])
+    diff = coords[:-1, :, None, :] - coords[1:, None, :, :]
+    between = np.hypot(diff[..., 0], diff[..., 1])
     depot_out = np.hypot(coords[0][:, 0] - bs[0], coords[0][:, 1] - bs[1])
     depot_back = np.hypot(coords[-1][:, 0] - bs[0], coords[-1][:, 1] - bs[1])
     return TransitionCosts(
         between=between,
         depot_out=depot_out,
         depot_back=depot_back,
-        site_order=tuple(order),
+        site_order=order,
     )
 
 
@@ -200,8 +191,7 @@ def plan_trajectories(
     """
     costs = transition_costs(plan, layout)
     order = costs.site_order
-    m = len(order[0])
-    epochs = len(order)
+    epochs, m = order.shape
     counts = [m] * (epochs - 1)
     solved = min_cost_matching_batch(costs.between, counts, counts)
 
@@ -216,7 +206,7 @@ def plan_trajectories(
         perm, _ = min_cost_assignment(costs.between[t], solved[t])
         next_cols = perm[unit_row]
         legs[:, t + 1] = costs.between[t][unit_row, next_cols]
-        routes[:, t + 1] = np.asarray(order[t + 1])[next_cols]
+        routes[:, t + 1] = order[t + 1][next_cols]
         unit_row = next_cols
 
     legs[:, epochs] = costs.depot_back[unit_row]
@@ -248,20 +238,24 @@ def validate_trajectory(
     conserved. Raises PlanValidationError on any violation.
     """
     m, epochs = trajectory.routes.shape
-    if len(plan.assignments) != epochs:
+    planned = np.sort(plan.sites, axis=1)
+    routed = np.sort(trajectory.routes.T, axis=1)
+    if len(planned) != epochs:
         raise PlanValidationError("trajectory epoch count differs from plan")
-    for t in range(epochs):
-        planned = sorted(site for _, site in plan.assignments[t])
-        routed = sorted(trajectory.routes[:, t].tolist())
-        if planned != routed:
-            raise PlanValidationError(
-                f"occupancy: trajectory epoch {t + 1} visits different sites "
-                f"than the plan"
-            )
-        if len(set(routed)) != m:
-            raise PlanValidationError(
-                f"site-exclusivity: two units share a site at epoch {t + 1}"
-            )
+    differs = np.ones(epochs, dtype=bool)
+    if planned.shape == routed.shape:
+        differs = (planned != routed).any(axis=1)
+    shared = (np.diff(routed, axis=1) == 0).any(axis=1)
+    wrong = np.flatnonzero(differs | shared)
+    if wrong.size and differs[wrong[0]]:
+        raise PlanValidationError(
+            f"occupancy: trajectory epoch {wrong[0] + 1} visits different sites "
+            f"than the plan"
+        )
+    if wrong.size:
+        raise PlanValidationError(
+            f"site-exclusivity: two units share a site at epoch {wrong[0] + 1}"
+        )
     bs = np.broadcast_to(layout.bs_position, (m, 1, 2))
     points = np.concatenate(
         [bs, layout.candidate_sites[trajectory.routes], bs], axis=1

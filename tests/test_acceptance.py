@@ -28,6 +28,7 @@ from bruteforce import (
     best_transition_chain,
     dyadic_matrix,
 )
+from conftest import make_tensor
 from irsfleet import (
     ExperimentConfig,
     default_scenario,
@@ -42,7 +43,7 @@ from irsfleet.oracles import empirical_cascade_amplification
 from irsfleet.planner import (
     PlacementPlan,
     evaluate_plan,
-    solve_epoch_placement,
+    solve_adaptive_plan,
 )
 from irsfleet.routing import (
     min_cost_assignment,
@@ -133,7 +134,9 @@ def test_criterion_4_solver_exactness():
         nj = int(rng.integers(1, 7))
         m = int(rng.integers(0, min(nq, nj, 3) + 1))
         gains = 1.0 + np.abs(dyadic_matrix(rng, (nq, nj)))
-        _, weight = solve_epoch_placement(gains, m)
+        tensor = make_tensor(gains)
+        plan = solve_adaptive_plan(tensor, m)
+        weight = evaluate_plan(plan, tensor, m).matching_weight
         assert weight == best_exact_size_weight(gains - 1.0, m)
 
     for _ in range(100):
@@ -148,10 +151,8 @@ def test_criterion_4_solver_exactness():
             tuple(sorted(rng.choice(layout.n_sites, size=3, replace=False).tolist()))
             for _ in range(3)
         ]
-        assignments = tuple(
-            tuple((g, s) for g, s in enumerate(sites)) for sites in epoch_sites
-        )
-        plan = PlacementPlan("robotic", assignments)
+        sites = np.array(epoch_sites)
+        plan = PlacementPlan("robotic", np.tile(np.arange(3), (3, 1)), sites)
         traj = plan_trajectories(plan, layout, platform)
         costs = transition_costs(plan, layout)
         middle = float(traj.leg_m[:, 1:3].sum())

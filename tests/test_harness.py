@@ -43,7 +43,8 @@ def test_run_trial_bit_identical():
     first = run_trial(SMALL, 2.8, 0, "robotic", 77)
     second = run_trial(SMALL, 2.8, 0, "robotic", 77)
     assert first.metrics == second.metrics
-    assert first.plan.assignments == second.plan.assignments
+    assert np.array_equal(first.plan.cells, second.plan.cells)
+    assert np.array_equal(first.plan.sites, second.plan.sites)
     assert np.array_equal(first.trajectory.leg_m, second.trajectory.leg_m)
 
 
@@ -64,7 +65,8 @@ def test_strategies_share_the_same_realization():
     for result in unit:
         alone = run_trial(SMALL, 2.8, 3, result.metrics.strategy, 77)
         assert result.metrics == alone.metrics
-        assert result.plan.assignments == alone.plan.assignments
+        assert np.array_equal(result.plan.cells, alone.plan.cells)
+        assert np.array_equal(result.plan.sites, alone.plan.sites)
 
 
 @pytest.mark.parametrize("strategy", ["robotic", "terrestrial", "random"])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bruteforce import best_exact_size_weight, dyadic_matrix
 from conftest import make_tensor
@@ -14,7 +17,6 @@ from irsfleet.planner import (
     build_gain_tensor,
     evaluate_plan,
     solve_adaptive_plan,
-    solve_epoch_placement,
     solve_fixed_plan,
     solve_random_plan,
     validate_plan,
@@ -43,6 +45,25 @@ def _random_tensor(rng, epochs, n_weak, n_sites):
     return make_tensor(base, rng.random((epochs, n_weak)) < 0.7)
 
 
+def _plan(strategy, cells, sites):
+    return PlacementPlan(strategy, np.array(cells), np.array(sites))
+
+
+def _pairs(plan):
+    """Each epoch's (cell, site) pairs, in plan order."""
+    return [
+        list(zip(cells, sites))
+        for cells, sites in zip(plan.cells.tolist(), plan.sites.tolist())
+    ]
+
+
+def _lone_solve(gains, m):
+    """Pairs and gain excess of one epoch's gains, solved as a one-epoch tensor."""
+    tensor = make_tensor(gains)
+    plan = solve_adaptive_plan(tensor, m)
+    return _pairs(plan)[0], evaluate_plan(plan, tensor, m).matching_weight
+
+
 def test_build_gain_tensor_shapes_and_floor():
     layout, tables, params, real, field = _default_pipeline()
     tensor = build_gain_tensor(real, tables, field, params)
@@ -56,8 +77,12 @@ def test_build_gain_tensor_shapes_and_floor():
     assert (tensor.gains[~gated] > 1.0).all()
     # demand slice mirrors the field
     assert np.array_equal(tensor.demand, field.demand[:, real.weak_set])
-    assert tensor.weak_position == {int(g): q for q, g in enumerate(real.weak_set)}
-    assert tensor.weak_position is tensor.weak_position
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.5])
+def test_gain_tensor_rejects_bad_gains(bad):
+    with pytest.raises(ValueError, match="gains must be finite and at least 1"):
+        make_tensor([[bad, 2.0], [3.0, 5.0]])
 
 
 def test_gain_tensor_gates_on_demand_meeting_the_threshold():
@@ -70,7 +95,7 @@ def test_gain_tensor_gates_on_demand_meeting_the_threshold():
     expect = [[5.875, 2.0], [4.0, 3.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
     assert tensor.gains.tolist() == [expect]
     for q, gains in enumerate(expect):
-        plan = PlacementPlan("robotic", (((q, 0),),))
+        plan = _plan("robotic", [[q]], [[0]])
         assert evaluate_plan(plan, tensor, 1).matching_weight == gains[0] - 1.0
 
 
@@ -103,7 +128,7 @@ def test_build_gain_tensor_empty_weak_set():
     tensor = build_gain_tensor(real_quiet, tables, field, quiet)
     assert tensor.n_weak == 0
     plan = solve_adaptive_plan(tensor, 0)
-    assert plan.assignments == ((),) * 12
+    assert plan.cells.shape == plan.sites.shape == (12, 0)
     assert evaluate_plan(plan, tensor, 0).objective == 1.0
     with pytest.raises(InfeasiblePlacementError):
         solve_adaptive_plan(tensor, 1)
@@ -123,27 +148,27 @@ def test_far_cells_carry_the_largest_gains():
 # ---------------------------------------------------------- epoch placement
 
 def test_epoch_placement_single_unit_example():
-    pairs, weight = solve_epoch_placement(np.array([[2.0, 3.0], [4.0, 1.0]]), 1)
+    pairs, weight = _lone_solve([[2.0, 3.0], [4.0, 1.0]], 1)
     assert pairs == [(1, 0)] and weight == 3.0
-    plan = PlacementPlan("robotic", (((1, 0),),))
+    plan = _plan("robotic", [[1]], [[0]])
     tensor = make_tensor([[2.0, 3.0], [4.0, 1.0]])
     assert evaluate_plan(plan, tensor, 1).objective == pytest.approx(2.5)
 
 
 def test_epoch_placement_two_unit_example():
-    pairs, weight = solve_epoch_placement(np.array([[2.0, 3.0], [4.0, 1.5]]), 2)
+    pairs, weight = _lone_solve([[2.0, 3.0], [4.0, 1.5]], 2)
     assert pairs == [(0, 1), (1, 0)] and weight == 5.0
 
 
 def test_epoch_placement_all_ones_breaks_ties_low():
-    pairs, weight = solve_epoch_placement(np.ones((3, 4)), 2)
+    pairs, weight = _lone_solve(np.ones((3, 4)), 2)
     assert weight == 0.0
     assert pairs == [(0, 0), (1, 1)]
 
 
 def test_epoch_placement_infeasible():
     with pytest.raises(InfeasiblePlacementError):
-        solve_epoch_placement(np.ones((2, 5)), 3)
+        solve_adaptive_plan(make_tensor(np.ones((2, 5))), 3)
 
 
 def test_epoch_placement_matches_brute_force():
@@ -153,7 +178,7 @@ def test_epoch_placement_matches_brute_force():
         nj = int(rng.integers(1, 7))
         m = int(rng.integers(0, min(nq, nj) + 1))
         gains = 1.0 + np.abs(dyadic_matrix(rng, (nq, nj)))
-        _, weight = solve_epoch_placement(gains, m)
+        _, weight = _lone_solve(gains, m)
         assert weight == best_exact_size_weight(gains - 1.0, m)
 
 
@@ -187,7 +212,7 @@ def test_served_row_placement_equals_full_matching(kind):
     rng = np.random.Generator(np.random.Philox(909))
     for _ in range(500):
         gains, m = _gated_gains(rng, kind)
-        pairs, weight = solve_epoch_placement(gains, m)
+        pairs, weight = _lone_solve(gains, m)
         full_pairs, full_cost = min_cost_matching(1.0 - gains, m)
         assert pairs == full_pairs
         assert weight == -full_cost
@@ -197,15 +222,9 @@ def test_served_row_placement_releases_unit_gain_pairs():
     # Row 3's best completion is its unit-gain site 2, which row 0 takes
     # by the lowest-(cell, site) rule instead.
     gains = np.array([[1, 1, 1], [1, 2, 1], [2, 1, 1], [1.5, 1.5, 1]])
-    pairs, weight = solve_epoch_placement(gains, 3)
+    pairs, weight = _lone_solve(gains, 3)
     assert pairs == [(0, 2), (1, 1), (2, 0)]
     assert weight == 2.0
-
-
-@pytest.mark.parametrize("bad", [0.5, np.nan])
-def test_placement_rejects_gains_below_one(bad):
-    with pytest.raises(ValueError, match="at least 1"):
-        solve_epoch_placement(np.array([[2.0, bad]]), 1)
 
 
 def test_clairvoyant_placement_equals_full_matching():
@@ -217,7 +236,7 @@ def test_clairvoyant_placement_equals_full_matching():
         m = int(rng.integers(0, 6))
         plan = solve_fixed_plan(tensor, m, "clairvoyant")
         full_pairs, _ = min_cost_matching(-(tensor.gains - 1.0).sum(axis=0), m)
-        assert plan.assignments[0] == tuple(full_pairs)
+        assert _pairs(plan)[0] == full_pairs
 
 
 def test_adding_a_site_never_hurts():
@@ -225,8 +244,8 @@ def test_adding_a_site_never_hurts():
     for _ in range(40):
         gains = 1.0 + np.abs(dyadic_matrix(rng, (4, 4)))
         extra = 1.0 + np.abs(dyadic_matrix(rng, (4, 1)))
-        _, base = solve_epoch_placement(gains, 2)
-        _, more = solve_epoch_placement(np.hstack([gains, extra]), 2)
+        _, base = _lone_solve(gains, 2)
+        _, more = _lone_solve(np.hstack([gains, extra]), 2)
         assert more >= base
 
 
@@ -251,7 +270,7 @@ def test_fixed_plans_equal_the_dense_reference():
         m = int(rng.integers(0, min(n_weak, n_sites) + 1))
         for mode in ("epoch1", "clairvoyant"):
             if mode == "epoch1":
-                pairs, _ = solve_epoch_placement(dense[0], m)
+                pairs, _ = _lone_solve(dense[0], m)
             else:
                 pairs, _ = min_cost_matching(-(dense - 1.0).sum(axis=0), m)
             weight = 0.0
@@ -259,7 +278,7 @@ def test_fixed_plans_equal_the_dense_reference():
                 for q, j in pairs:
                     weight += float(dense[t, q, j]) - 1.0
             plan = solve_fixed_plan(tensor, m, mode)
-            assert plan.assignments == (tuple(pairs),) * 12
+            assert _pairs(plan) == [pairs] * 12
             ev = evaluate_plan(plan, tensor, m)
             assert ev.matching_weight == weight
             assert ev.objective == 1.0 + weight / (12 * n_weak)
@@ -273,15 +292,15 @@ def test_single_epoch_reduces_to_epoch_solver():
     plan = solve_adaptive_plan(tensor, 3)
     fixed1 = solve_fixed_plan(tensor, 3, "epoch1")
     fixed2 = solve_fixed_plan(tensor, 3, "clairvoyant")
-    pairs, weight = solve_epoch_placement(gains, 3)
+    pairs, weight = _lone_solve(gains, 3)
     for p in (plan, fixed1, fixed2):
-        assert p.assignments == (tuple(pairs),)
+        assert _pairs(p) == [pairs]
         assert evaluate_plan(p, tensor, 3).matching_weight == pytest.approx(weight)
 
 
 def test_adaptive_plan_equals_epoch_by_epoch_solves():
     # One batch solve over epochs with different served-row counts, from
-    # none to all, gives each epoch the pairs of its own solve.
+    # none to all, gives each epoch the pairs of its own one-epoch solve.
     rng = np.random.Generator(np.random.Philox(77))
     for _ in range(40):
         base = 1.0 + np.abs(dyadic_matrix(rng, (7, 6), lo=-2, hi=2, denom=2))
@@ -289,9 +308,15 @@ def test_adaptive_plan_equals_epoch_by_epoch_solves():
         plan = solve_adaptive_plan(tensor, 3)
         weight = 0.0
         for t in range(5):
-            pairs, w = solve_epoch_placement(tensor.gains[t], 3)
-            weight += w
-            assert plan.assignments[t] == tuple(pairs)
+            epoch = make_tensor(
+                base,
+                demand=tensor.demand[t : t + 1],
+                thresholds=tensor.thresholds[t : t + 1],
+            )
+            alone = solve_adaptive_plan(epoch, 3)
+            weight += evaluate_plan(alone, epoch, 3).matching_weight
+            assert np.array_equal(plan.cells[t], alone.cells[0])
+            assert np.array_equal(plan.sites[t], alone.sites[0])
         # Dyadic gains sum exactly in any order.
         assert evaluate_plan(plan, tensor, 3).matching_weight == weight
 
@@ -302,8 +327,8 @@ def test_relocation_beats_any_fixed_placement():
     adaptive = solve_adaptive_plan(tensor, 1)
     epoch1 = solve_fixed_plan(tensor, 1, "epoch1")
     clair = solve_fixed_plan(tensor, 1, "clairvoyant")
-    assert adaptive.assignments == (((0, 0),), ((1, 0),))
-    assert epoch1.assignments == clair.assignments == (((0, 0),), ((0, 0),))
+    assert _pairs(adaptive) == [[(0, 0)], [(1, 0)]]
+    assert _pairs(epoch1) == _pairs(clair) == [[(0, 0)], [(0, 0)]]
     robotic, epoch1, clair = (
         evaluate_plan(p, tensor, 1).objective for p in (adaptive, epoch1, clair)
     )
@@ -321,7 +346,8 @@ def _assert_modes_dominate(tensor, m):
         solve_fixed_plan(tensor, m, "epoch1"),
     )
     for plan in plans[1:]:
-        assert all(a == plan.assignments[0] for a in plan.assignments)
+        assert (plan.cells == plan.cells[0]).all()
+        assert (plan.sites == plan.sites[0]).all()
     robotic, clair, epoch1 = (evaluate_plan(p, tensor, m).objective for p in plans)
     assert robotic >= clair - 1e-9
     assert clair >= epoch1 - 1e-9
@@ -329,13 +355,27 @@ def _assert_modes_dominate(tensor, m):
 
 
 def test_fixed_plan_modes_dominance():
-    rng = np.random.Generator(np.random.Philox(55))
-    for _ in range(100):
-        _assert_modes_dominate(_random_tensor(rng, epochs=3, n_weak=4, n_sites=5), 2)
-    # The same ordering on drawn channel and traffic units, fleet of 10.
+    # The ordering on drawn channel and traffic units, fleet of 10.
     for seed, sigma in ((3, 1.8), (5, 2.8), (7, 3.6)):
         _, tables, params, real, field = _default_pipeline(seed, 9, sigma)
         _assert_modes_dominate(build_gain_tensor(real, tables, field, params), 10)
+
+
+@st.composite
+def _small_units(draw):
+    """A small tensor with a random served mask, and a fleet size that fits."""
+    epochs = draw(st.integers(1, 4))
+    n_weak = draw(st.integers(1, 6))
+    n_sites = draw(st.integers(1, 6))
+    base = draw(arrays(float, (n_weak, n_sites), elements=st.floats(1.0, 1e3)))
+    served = draw(arrays(bool, (epochs, n_weak)))
+    return make_tensor(base, served), draw(st.integers(0, min(n_weak, n_sites)))
+
+
+@given(_small_units())
+@settings(max_examples=100, deadline=None)
+def test_fixed_plan_modes_dominance_on_drawn_tensors(unit):
+    _assert_modes_dominate(*unit)
 
 
 def test_fixed_plan_rejects_unknown_mode():
@@ -347,7 +387,7 @@ def test_fixed_plan_rejects_unknown_mode():
 def test_random_plan_degenerate_cases(rng):
     tensor = make_tensor(np.full((1, 1), 3.0), epochs=2)
     plan = solve_random_plan(tensor, 1, rng)
-    assert plan.assignments == (((0, 0),), ((0, 0),))
+    assert _pairs(plan) == [[(0, 0)], [(0, 0)]]
     ones = make_tensor(np.ones((3, 3)), epochs=2)
     assert evaluate_plan(solve_random_plan(ones, 2, rng), ones, 2).objective == 1.0
 
@@ -359,7 +399,8 @@ def test_random_plan_uniform_over_supports():
     draws = 10_000
     for _ in range(draws):
         plan = solve_random_plan(tensor, 2, rng)
-        counts[plan.assignments[0]] = counts.get(plan.assignments[0], 0) + 1
+        support = tuple(_pairs(plan)[0])
+        counts[support] = counts.get(support, 0) + 1
     # C(3,2)^2 * 2! = 18 equally likely supports
     assert len(counts) == 18
     expect = draws / 18
@@ -395,15 +436,14 @@ def test_evaluate_matches_solver_objective():
     assert 0 < tensor.served.sum() < tensor.served.size
     plan = solve_adaptive_plan(tensor, 2)
     ev = evaluate_plan(plan, tensor, 2)
-    # the weight is the epoch solver's total, epoch by epoch
-    totals = [solve_epoch_placement(tensor.gains[t], 2)[1] for t in range(3)]
+    # the weight is the one-epoch solves' total, epoch by epoch
+    totals = [_lone_solve(tensor.gains[t], 2)[1] for t in range(3)]
     assert ev.matching_weight == pytest.approx(sum(totals))
     # objective decomposition
     assert ev.objective == pytest.approx(1.0 + ev.matching_weight / (3 * 5))
     # served demand aggregates the chosen cells
-    for t, pairs in enumerate(plan.assignments):
-        expect = sum(demand[t, tensor.weak_position[g]] for g, _ in pairs)
-        assert ev.served_traffic[t] == pytest.approx(expect)
+    for t, cells in enumerate(plan.cells):
+        assert ev.served_traffic[t] == pytest.approx(demand[t, cells].sum())
 
 
 def test_empty_plan_evaluates_to_unit_gain():
@@ -417,21 +457,30 @@ def test_empty_plan_evaluates_to_unit_gain():
 @pytest.mark.parametrize(
     "assignments,message",
     [
-        ((((0, 0),), ((0, 0),), ((0, 0),)), "epoch-count"),
-        ((((0, 0),),), "placement-count"),
-        ((((0, 0), (0, 1)),), "cell-exclusivity"),
-        ((((0, 0), (1, 0)),), "site-exclusivity"),
-        ((((9, 0), (1, 1)),), "membership"),
-        ((((0, 9), (1, 1)),), "membership"),
-        # numpy indexing would wrap a negative site silently
-        ((((0, -1), (1, 1)),), "membership"),
+        (([[0], [0], [0]], [[0], [0], [0]]), "epoch-count"),
+        (([[0]], [[0]]), "placement-count"),
+        (([[0, 0]], [[0, 1]]), "cell-exclusivity"),
+        (([[0, 1]], [[0, 0]]), "site-exclusivity"),
+        (([[9, 1]], [[0, 1]]), "membership"),
+        (([[0, 1]], [[9, 1]]), "membership"),
+        # numpy indexing would wrap a negative index silently
+        (([[0, 1]], [[-1, 1]]), "membership"),
         # evaluate_plan checks the caller's fleet size, not the plan's own
-        ((((0, 0), (1, 1), (2, 2)),), "placement-count"),
+        (([[0, 1, 2]], [[0, 1, 2]]), "placement-count"),
+        (([[-1, 1]], [[0, 1]]), "membership"),
+        # the first index past either set
+        (([[3, 1]], [[0, 1]]), "membership"),
+        (([[0, 1]], [[3, 1]]), "membership"),
+        # arrays that are not one (epochs, m) integer shape
+        (([[0, 1]], [[0, 1], [1, 2]]), "plan-shape"),
+        (([0, 1], [0, 1]), "plan-shape"),
+        (([[0.0, 1.0]], [[0, 1]]), "plan-shape"),
+        (([[0, 1]], [[0.0, 1.0]]), "plan-shape"),
     ],
 )
 def test_validator_names_the_violated_constraint(assignments, message):
     tensor = make_tensor(np.ones((3, 3)))
-    plan = PlacementPlan("robotic", assignments)
+    plan = _plan("robotic", *assignments)
     for check in (validate_plan, evaluate_plan):
         with pytest.raises(PlanValidationError, match=message):
             check(plan, tensor, 2)
@@ -439,8 +488,14 @@ def test_validator_names_the_violated_constraint(assignments, message):
 
 def test_validator_catches_fixed_strategy_drift():
     tensor = make_tensor(np.ones((3, 3)), epochs=2)
-    plan = PlacementPlan("terrestrial", (((0, 0),), ((1, 1),)))
+    plan = _plan("terrestrial", [[0], [1]], [[0], [1]])
     with pytest.raises(PlanValidationError, match="fixed-placement"):
         validate_plan(plan, tensor, 1)
     # the same drift is fine for the relocating strategy
-    validate_plan(PlacementPlan("robotic", plan.assignments), tensor, 1)
+    validate_plan(_plan("robotic", plan.cells, plan.sites), tensor, 1)
+    # the same cells on swapped sites are other pairs
+    swapped = _plan("terrestrial", [[0, 1], [0, 1]], [[0, 2], [2, 0]])
+    with pytest.raises(PlanValidationError, match="fixed-placement"):
+        validate_plan(swapped, tensor, 2)
+    # epoch 1's pairs listed in another order are the same placement
+    validate_plan(_plan("terrestrial", [[0, 1], [1, 0]], [[0, 2], [2, 0]]), tensor, 2)

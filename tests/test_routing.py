@@ -25,10 +25,10 @@ PLATFORM = PlatformParams()
 
 
 def _plan(epoch_sites, strategy="robotic"):
-    assignments = tuple(
-        tuple((g, s) for g, s in enumerate(sites)) for sites in epoch_sites
-    )
-    return PlacementPlan(strategy, assignments)
+    """A plan whose unit k serves cell k at the k-th site of each epoch."""
+    sites = np.array(epoch_sites, dtype=int)
+    cells = np.broadcast_to(np.arange(sites.shape[1]), sites.shape)
+    return PlacementPlan(strategy, cells, sites)
 
 
 # --------------------------------------------------------- transition costs
@@ -37,7 +37,7 @@ def test_static_plan_has_zero_diagonal():
     plan = _plan([(0, 5, 11), (0, 5, 11)])
     costs = transition_costs(plan, LAYOUT)
     assert np.allclose(np.diag(costs.between[0]), 0.0)
-    assert costs.site_order == ((0, 5, 11), (0, 5, 11))
+    assert costs.site_order.tolist() == [[0, 5, 11], [0, 5, 11]]
 
 
 def test_345_offset_between_epochs():
@@ -58,8 +58,8 @@ def test_single_unit_costs():
 
 
 def test_wrong_occupancy_rejected():
-    bad = PlacementPlan("robotic", (((0, 0), (1, 0)),))
-    with pytest.raises(PlanValidationError, match="occupancy"):
+    bad = _plan([(0, 5), (3, 3)])
+    with pytest.raises(PlanValidationError, match="occupancy: epoch 2 "):
         transition_costs(bad, LAYOUT)
 
 
@@ -269,6 +269,22 @@ def test_validator_names_the_first_wrong_leg():
     traj.leg_m[0, 3] -= 1.0
     with pytest.raises(PlanValidationError, match="unit 1 leg 2 "):
         validate_trajectory(traj, plan, LAYOUT)
+
+
+def test_validator_checks_the_trajectory_against_the_plan():
+    plan = _plan([(0, 9), (90, 99), (0, 9)])
+    traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+    # the same sites in another unit order are the same occupancy
+    validate_trajectory(traj, _plan([(9, 0), (99, 90), (9, 0)]), LAYOUT)
+    with pytest.raises(PlanValidationError, match="epoch count"):
+        validate_trajectory(traj, _plan([(0, 9), (90, 99)]), LAYOUT)
+    with pytest.raises(PlanValidationError, match="occupancy: trajectory epoch 2 "):
+        validate_trajectory(traj, _plan([(0, 9), (90, 98), (0, 9)]), LAYOUT)
+    with pytest.raises(PlanValidationError, match="occupancy: trajectory epoch 1 "):
+        validate_trajectory(traj, _plan([(0,), (90,), (0,)]), LAYOUT)
+    shared = dataclasses.replace(traj, routes=np.array([[0, 90, 9], [0, 90, 9]]))
+    with pytest.raises(PlanValidationError, match="share a site at epoch 1"):
+        validate_trajectory(shared, _plan([(0, 0), (90, 90), (9, 9)]), LAYOUT)
 
 
 def test_validator_rejects_non_finite_distances():
