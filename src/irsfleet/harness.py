@@ -1,17 +1,22 @@
 """Monte Carlo experiment runner, metrics aggregation and CSV emission.
 
-The unit of work is one (sigma, trial): `_TrialEngine.run_unit` draws its
-channel and traffic, builds its gain tensor, and scores every requested
-strategy on that one realization, which makes the strategy comparison
-paired. A sweep runs unit after unit, and a single trial is a unit of one
-strategy. Every unit is a pure function of (master seed, sigma, trial
-index): substreams come from a counter-based generator keyed on those
-values, never on execution order, so units can run in any order (or
-concurrently) and reproduce bit-identically.
+The unit of work is one (sigma, trial): its channel and traffic are drawn
+and its gain tensor built once, and every requested strategy is scored on
+that one realization, which makes the strategy comparison paired. A sweep
+runs its units in blocks of consecutive units in (sigma, trial) order
+(`_TrialEngine.run_block`): it draws the block's units, solves every
+strategy's placements of the whole block in shared matching stacks, then
+every robotic plan's trajectory, and scores unit after unit. A single
+trial is a block of one unit of one strategy. Every unit is a pure
+function of (master seed, sigma, trial index): substreams come from a
+counter-based generator keyed on those values, never on execution order,
+and every stacked solve equals its lone solve, so units can run in any
+order, grouping (or concurrently) and reproduce bit-identically.
 """
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -21,21 +26,22 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matching
 from .geometry import DistanceTables, ScenarioLayout, compute_distances
+from .matching import Stacker, gather
 from .planner import (
     GainTensor,
     PlacementPlan,
     STRATEGY_RANDOM,
     STRATEGY_ROBOTIC,
     STRATEGY_TERRESTRIAL,
+    adaptive_plan_machine,
     build_gain_tensor,
     evaluate_plan,
-    solve_adaptive_plan,
-    solve_fixed_plan,
+    fixed_plan_machine,
     solve_random_plan,
 )
-from .routing import TrajectoryPlan, plan_trajectories, validate_trajectory
+from .routing import TrajectoryPlan, trajectory_machine, validate_trajectory
 from .scenario import Scenario, scenario_as_dict
 from .traffic import TrafficField, sample_traffic
 from .channel import realize_channel
@@ -149,12 +155,21 @@ def _sigma_bits(sigma: float) -> int:
 
 class _TrialEngine:
     """Precomputes everything trial-independent for one scenario and runs
-    (sigma, trial) units on it."""
+    blocks of (sigma, trial) units on it."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.layout: ScenarioLayout = scenario.layout()
         self.distances: DistanceTables = compute_distances(self.layout)
+        self.stacker = Stacker()
+
+    @property
+    def block_units(self) -> int:
+        """Units per block: as many as `matching.STACK_CELLS` cells of
+        placement cost hold, a unit's cost being at most one cell per
+        (grid cell, site), and at least one."""
+        cells = self.layout.n_grids * self.layout.n_sites
+        return max(1, matching.STACK_CELLS // max(1, cells))
 
     def run_unit(
         self,
@@ -163,63 +178,135 @@ class _TrialEngine:
         master_seed: int,
         strategies: tuple[str, ...],
     ) -> list[TrialResult]:
-        """Every strategy's trial at one (sigma, trial), in `strategies` order.
+        """Every strategy's trial at one (sigma, trial), in `strategies` order."""
+        (results,) = self.run_block([(sigma, trial_index)], master_seed, strategies)
+        return results
 
-        The unit's channel, traffic and gain tensor are drawn once and every
-        strategy is scored on them. Any failure is re-raised as a TrialError
-        naming the strategy being run, or the first one if the draw failed.
+    def run_block(
+        self,
+        units: list[tuple[float, int]],
+        master_seed: int,
+        strategies: tuple[str, ...],
+    ) -> list[list[TrialResult]]:
+        """Every strategy's trial at each (sigma, trial) unit, in order.
+
+        Each unit's channel, traffic and gain tensor are drawn once, and a
+        draw that fails ends the block before its unit. Then all trials of
+        the drawn units are solved in one set of matching rounds: every
+        strategy's placement problems in the first, every robotic plan's
+        transition dual solves in the second, tie-break re-solves after.
+        Results are scored unit by unit in `strategies` order, so the
+        first failure in that order is re-raised as a TrialError naming
+        its strategy, as a unit-by-unit run would raise it. Only if none
+        fails is a failed draw raised, naming its unit's first strategy.
+        Every check that can refuse a unit runs inside its own machine;
+        the shared stacked solves get only finite costs and feasible sizes.
         """
-        strategy = strategies[0]
-        try:
-            scenario = self.scenario
-            traffic_model = dataclasses.replace(scenario.traffic, sigma_log=sigma)
-            channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
-            realization = realize_channel(self.distances, scenario.radio, channel_rng)
-            traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
-            field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
-            tensor = build_gain_tensor(
-                realization, self.distances, field, scenario.radio
+        drawn, failed_draw = [], None
+        for sigma, trial in units:
+            try:
+                drawn.append((sigma, trial, *self._draw(sigma, trial, master_seed)))
+            except Exception as err:
+                failed_draw = (strategies[0], sigma, trial, err)
+                break
+        jobs = [
+            (sigma, trial, strategy, field, tensor)
+            for sigma, trial, field, tensor in drawn
+            for strategy in strategies
+        ]
+        solved = self.stacker.run(
+            gather(
+                self._solve(strategy, tensor, sigma, trial, master_seed)
+                for sigma, trial, strategy, _, tensor in jobs
             )
-            results = []
-            for strategy in strategies:
-                results.append(
-                    self.run(sigma, trial_index, strategy, master_seed, field, tensor)
+        )
+        results = []
+        for k, (job, (plan, trajectory)) in enumerate(zip(jobs, solved)):
+            sigma, trial, strategy, field, tensor = job
+            if k % len(strategies) == 0:
+                results.append([])
+            try:
+                results[-1].append(
+                    self.run(sigma, trial, strategy, field, tensor, plan, trajectory)
                 )
-            return results
+            except Exception as err:
+                raise _trial_error(strategy, sigma, trial, err) from err
+        if failed_draw is not None:
+            raise _trial_error(*failed_draw) from failed_draw[-1]
+        return results
+
+    def _draw(
+        self, sigma: float, trial_index: int, master_seed: int
+    ) -> tuple[TrafficField, GainTensor]:
+        """The unit's traffic field and gain tensor."""
+        scenario = self.scenario
+        traffic_model = dataclasses.replace(scenario.traffic, sigma_log=sigma)
+        channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
+        realization = realize_channel(self.distances, scenario.radio, channel_rng)
+        traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
+        field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
+        tensor = build_gain_tensor(realization, self.distances, field, scenario.radio)
+        return field, tensor
+
+    def _solve(
+        self,
+        strategy: str,
+        tensor: GainTensor,
+        sigma: float,
+        trial_index: int,
+        master_seed: int,
+    ):
+        """Matching machine for one trial's plan and, for robotic, its
+        trajectory. Returns (plan, trajectory or None), with the error a
+        solve raised in its place."""
+        solver = self.scenario.solver
+        m = solver.fleet_size
+        try:
+            if strategy == STRATEGY_ROBOTIC:
+                plan = yield from adaptive_plan_machine(tensor, m)
+            elif strategy == STRATEGY_TERRESTRIAL:
+                plan = yield from fixed_plan_machine(tensor, m, solver.terrestrial_mode)
+            elif strategy == STRATEGY_RANDOM:
+                rng = trial_rng(master_seed, sigma, trial_index, _STREAM_PLACEMENT)
+                plan = solve_random_plan(tensor, m, rng)
+            else:
+                raise ValueError(f"unknown strategy {strategy!r}")
         except Exception as err:
-            raise TrialError(
-                f"strategy={strategy} sigma={sigma} trial={trial_index}: {err}"
-            ) from err
+            return err, None
+        if strategy != STRATEGY_ROBOTIC:
+            return plan, None
+        try:
+            trajectory = yield from trajectory_machine(
+                plan, self.layout, self.scenario.platform
+            )
+        except Exception as err:
+            return plan, err
+        return plan, trajectory
 
     def run(
         self,
         sigma: float,
         trial_index: int,
         strategy: str,
-        master_seed: int,
         field: TrafficField,
         tensor: GainTensor,
+        plan: PlacementPlan | Exception,
+        trajectory: TrajectoryPlan | Exception | None,
     ) -> TrialResult:
-        """One strategy's trial, scored on its unit's traffic and gain tensor."""
-        scenario = self.scenario
-        m = scenario.solver.fleet_size
-        if strategy == STRATEGY_ROBOTIC:
-            plan = solve_adaptive_plan(tensor, m)
-        elif strategy == STRATEGY_TERRESTRIAL:
-            plan = solve_fixed_plan(tensor, m, scenario.solver.terrestrial_mode)
-        elif strategy == STRATEGY_RANDOM:
-            rng = trial_rng(master_seed, sigma, trial_index, _STREAM_PLACEMENT)
-            plan = solve_random_plan(tensor, m, rng)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        """One strategy's trial, scored on its unit's traffic and gain tensor.
 
-        evaluation = evaluate_plan(plan, tensor, m)
+        `plan` and `trajectory` are the block's solves, or the errors they
+        raised; each error is raised where the solve would have run.
+        """
+        if isinstance(plan, Exception):
+            raise plan
+        evaluation = evaluate_plan(plan, tensor, self.scenario.solver.fleet_size)
 
-        trajectory = None
         total_distance = 0.0
         feasible = True
         if strategy == STRATEGY_ROBOTIC:
-            trajectory = plan_trajectories(plan, self.layout, scenario.platform)
+            if isinstance(trajectory, Exception):
+                raise trajectory
             validate_trajectory(trajectory, plan, self.layout)
             total_distance = trajectory.total_distance_m
             feasible = trajectory.feasible
@@ -242,6 +329,10 @@ class _TrialEngine:
             trajectory=trajectory,
             traffic=field,
         )
+
+
+def _trial_error(strategy: str, sigma: float, trial_index: int, err) -> TrialError:
+    return TrialError(f"strategy={strategy} sigma={sigma} trial={trial_index}: {err}")
 
 
 def run_trial(
@@ -497,9 +588,11 @@ def write_metadata(config: ExperimentConfig, path) -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Every strategy at every (sigma, trial) unit, with CSV emission.
 
-    Units run sigma by sigma, trial by trial, one `_TrialEngine.run_unit`
-    call each. Metrics and trials.csv stay strategy-major: the rows of each
-    strategy, in sigma then trial order, joined in `config.strategies` order.
+    Units run sigma by sigma, trial by trial, in blocks of
+    `_TrialEngine.block_units` consecutive units, one
+    `_TrialEngine.run_block` call each; a block may span sigmas. Metrics
+    and trials.csv stay strategy-major: the rows of each strategy, in sigma
+    then trial order, joined in `config.strategies` order.
 
     Output files, when an output directory is set: trials.csv,
     summary.csv, one trajectories_sigma_<s>.csv per sigma for the
@@ -518,18 +611,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     by_strategy: dict[str, list[TrialMetrics]] = {s: [] for s in config.strategies}
     trajectory_tables: dict[float, list[list]] = {}
 
-    for sigma in config.sigma_list:
-        for trial in range(config.trials):
-            unit = engine.run_unit(sigma, trial, config.master_seed, config.strategies)
-            for result in unit:
-                by_strategy[result.metrics.strategy].append(result.metrics)
-                if result.trajectory is not None and out is not None:
-                    trajectory_tables.setdefault(float(sigma), []).extend(
-                        trajectory_rows(trial, result.trajectory, engine.layout)
-                    )
-            # The results hold the unit's gain tensor; drop them so the
-            # next unit is not built with two tensors alive.
-            del unit, result
+    units = [(s, t) for s in config.sigma_list for t in range(config.trials)]
+    size = engine.block_units
+    for start in range(0, len(units), size):
+        block = engine.run_block(
+            units[start : start + size], config.master_seed, config.strategies
+        )
+        for result in itertools.chain.from_iterable(block):
+            row = result.metrics
+            by_strategy[row.strategy].append(row)
+            if result.trajectory is not None and out is not None:
+                trajectory_tables.setdefault(row.sigma, []).extend(
+                    trajectory_rows(row.trial, result.trajectory, engine.layout)
+                )
+        # The results hold the block's gain tensors; drop them so the
+        # next block is not drawn with this one's still alive.
+        del block, result
 
     metrics = [row for rows in by_strategy.values() for row in rows]
     summaries = summarize(metrics)

@@ -8,7 +8,18 @@ units in service) and what the trajectory step needs (a full permutation).
 With the count fixed, shifting all costs by a constant never changes the
 argmin, so negative costs are handled by a one-off shift. The solver's
 final dual potentials are exposed too: the trajectory step settles most of
-its lexicographic tie-break from them without re-solving.
+its lexicographic tie-break from them, and re-solves only the rest.
+
+Callers that need many solves write them as matching machines: generators
+that yield a list of requests, each `(matrix, rows, size)` asking for an
+exact size-`size` matching of `matrix[rows]` (every row when `rows` is
+None), and are sent back one `min_cost_matching_batch` result per request.
+A machine's return value is its answer. `gather` runs many machines in
+lockstep as one, so each round stacks every request still pending:
+placement epochs, transition dual solves and tie-break confirmations of a
+whole block of units. `Stacker.run` drives a machine, solving each
+round's requests in stacks of at most `STACK_CELLS` cost cells. A lone
+solve is the one-machine, one-request case.
 
 Every augmentation starts its shortest-path search from all free rows at
 once, so each column begins at its least reduced cost over the free rows.
@@ -52,10 +63,21 @@ the stack, because:
 import numpy as np
 
 __all__ = [
+    "STACK_CELLS",
     "min_cost_matching",
-    "min_cost_matching_with_duals",
     "min_cost_matching_batch",
+    "Stacker",
+    "gather",
 ]
+
+# Most cost cells one stack holds, counted as height x most rows x cols.
+# A sweep block holds at most this many cells of placement cost too
+# (`harness._TrialEngine.block_units`). A larger single problem or unit
+# still runs alone. A lone small solve is mostly call overhead, so taller
+# stacks win until padding and row copies dominate: on the 17x17 grid,
+# 2**17 loses to one stack per unit, and 2**19 holds six units at once
+# for ~10 MiB more peak memory. Not a knob: CHANGES.md has the table.
+STACK_CELLS = 2**18
 
 
 def min_cost_matching(cost, size: int) -> tuple[list[tuple[int, int]], float]:
@@ -68,35 +90,26 @@ def min_cost_matching(cost, size: int) -> tuple[list[tuple[int, int]], float]:
     Raises ValueError for a non-matrix, non-finite entries, or
     size > min(shape).
     """
-    pairs, total, _, _ = min_cost_matching_with_duals(cost, size)
-    return pairs, total
-
-
-def min_cost_matching_with_duals(
-    cost, size: int
-) -> tuple[list[tuple[int, int]], float, np.ndarray, np.ndarray]:
-    """`min_cost_matching` plus the solver's final dual potentials (u, v).
-
-    For size >= 1 the reduced costs `cost[i, j] - u[i] - v[j]` are
-    nonnegative everywhere and zero on the matched pairs (up to rounding),
-    so for a full square matching `u.sum() + v.sum()` is the total. For
-    size 0 both potentials are zero.
-    """
     c_in = np.asarray(cost, dtype=float)
     if c_in.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
-    return min_cost_matching_batch(c_in[None], [c_in.shape[0]], [size])[0]
+    pairs, total, _, _ = min_cost_matching_batch(c_in[None], [len(c_in)], [size])[0]
+    return pairs, total
 
 
 def min_cost_matching_batch(
     cost, n_rows, sizes
 ) -> list[tuple[list[tuple[int, int]], float, np.ndarray, np.ndarray]]:
-    """`min_cost_matching_with_duals` of every problem in a stack, in one solve.
+    """`min_cost_matching` of every problem in a stack, in one solve, with
+    the solver's final dual potentials (u, v).
 
     `cost` is (B, rows, cols); problem b is `cost[b, :n_rows[b]]` matched
     with exactly `sizes[b]` pairs, and the rows below it are ignored.
     Returns one (pairs, total, u, v) per problem, equal bit for bit to its
-    lone solve; u has `n_rows[b]` entries.
+    lone solve; u has `n_rows[b]` entries. For size >= 1 the reduced costs
+    `cost[i, j] - u[i] - v[j]` are nonnegative everywhere and zero on the
+    matched pairs (up to rounding), so for a full square matching
+    `u.sum() + v.sum()` is the total. For size 0 both potentials are zero.
 
     Raises ValueError for a non-stack, a row count that does not fit, an
     infeasible size, or a non-finite entry in a problem of positive size.
@@ -230,3 +243,98 @@ def min_cost_matching_batch(
         total = float(matched[start:end].sum())
         results.append((pairs[start:end], total, u[b, : n_rows[b]], v[b]))
     return results
+
+
+class Stacker:
+    """Solves matching machines' requests in stacks of at most `STACK_CELLS`
+    cost cells, reusing one buffer for every stack it builds.
+
+    A sweep keeps one for its whole run, so its stacks are not allocated
+    and paged in afresh for every round.
+    """
+
+    def __init__(self):
+        self._buffer = np.zeros(0)
+
+    def run(self, machine):
+        """Drive a matching machine to its answer, one `solve` per round."""
+        solved = None
+        while True:
+            try:
+                requests = machine.send(solved)
+            except StopIteration as stop:
+                return stop.value
+            solved = self.solve(requests)
+
+    def solve(self, requests) -> list:
+        """One `min_cost_matching_batch` result per `(matrix, rows, size)`
+        request.
+
+        Requests with one column count share stacks, tallest first, each
+        stack holding as many as fit in `STACK_CELLS` cells (at least
+        one). Every result equals its lone solve bit for bit, so the
+        stacking changes no value.
+        """
+        counts = [len(m) if rows is None else len(rows) for m, rows, _ in requests]
+        by_cols: dict[int, list[int]] = {}
+        for k, (matrix, _, _) in enumerate(requests):
+            by_cols.setdefault(matrix.shape[1], []).append(k)
+        results = [None] * len(requests)
+        for n_cols, members in by_cols.items():
+            members.sort(key=lambda k: -counts[k])
+            while members:
+                most = counts[members[0]]
+                height = max(1, STACK_CELLS // max(1, most * n_cols))
+                chunk, members = members[:height], members[height:]
+                stack = self._stack(len(chunk), most, n_cols)
+                for b, k in enumerate(chunk):
+                    matrix, rows, _ = requests[k]
+                    if rows is None:
+                        stack[b, : counts[k]] = matrix
+                    else:
+                        # "clip" writes straight into the stack; "raise"
+                        # would gather into a buffer first. Row lists hold
+                        # row indices.
+                        out = stack[b, : counts[k]]
+                        np.take(matrix, rows, axis=0, out=out, mode="clip")
+                    stack[b, counts[k] :] = 0.0
+                solved = min_cost_matching_batch(
+                    stack, [counts[k] for k in chunk], [requests[k][2] for k in chunk]
+                )
+                for k, result in zip(chunk, solved):
+                    results[k] = result
+        return results
+
+    def _stack(self, height: int, rows: int, cols: int) -> np.ndarray:
+        """A (height, rows, cols) view of the buffer, grown when too small."""
+        cells = height * rows * cols
+        if self._buffer.size < cells:
+            self._buffer = np.empty(cells)
+        return self._buffer[:cells].reshape(height, rows, cols)
+
+
+def gather(machines):
+    """A matching machine that runs `machines` in lockstep.
+
+    Each round it yields the requests of every machine still running, in
+    machine order, as one list, and hands each machine its own results.
+    It returns the machines' answers in order.
+    """
+    machines = list(machines)
+    answers = [None] * len(machines)
+    sends = [(k, None) for k in range(len(machines))]
+    while sends:
+        asked = []
+        for k, sent in sends:
+            try:
+                asked.append((k, machines[k].send(sent)))
+            except StopIteration as stop:
+                answers[k] = stop.value
+        if not asked:
+            break
+        solved = yield [request for _, requests in asked for request in requests]
+        sends, start = [], 0
+        for k, requests in asked:
+            sends.append((k, solved[start : start + len(requests)]))
+            start += len(requests)
+    return answers

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelRealization, RadioParams, cascaded_snr_db, snr_ratio
 from .geometry import DistanceTables
-from .matching import min_cost_matching_batch
+from .matching import Stacker
 from .traffic import TrafficField
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "build_gain_tensor",
     "solve_adaptive_plan",
     "solve_fixed_plan",
+    "adaptive_plan_machine",
+    "fixed_plan_machine",
     "solve_random_plan",
     "evaluate_plan",
     "validate_plan",
@@ -162,16 +164,17 @@ def _check_fit(tensor: GainTensor, m: int) -> None:
         )
 
 
-def _completed_pairs(shape, m: int, rows, cost, matched) -> list[tuple[int, int]]:
-    """Pairs of an exact matching on rows `rows`, completed to m places.
+def _completed_pairs(cost, m: int, rows, matched) -> list[tuple[int, int]]:
+    """Pairs of an exact matching on rows `rows` of `cost`, completed to m
+    places.
 
     Any matched pair of zero cost is released, and the released and
     missing places go to the lowest unused cells paired with the lowest
     unused sites, in order. Zero-cost ties therefore resolve to the lowest
     (cell, site) indices, as a matching over every row would.
     """
-    n_cells, n_sites = shape
-    pairs = [(int(rows[q]), j) for q, j in matched if cost[q, j] != 0.0]
+    n_cells, n_sites = cost.shape
+    pairs = [(int(rows[q]), j) for q, j in matched if cost[rows[q], j] != 0.0]
     if len(pairs) < m:
         used_cells = {q for q, _ in pairs}
         used_sites = {j for _, j in pairs}
@@ -182,25 +185,21 @@ def _completed_pairs(shape, m: int, rows, cost, matched) -> list[tuple[int, int]
     return pairs
 
 
-def _served_matchings(cost, masks, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact size-m min-cost matchings of a nonpositive matrix, one per row mask.
+def _served_matchings(cost, masks, m: int):
+    """Matching machine for exact size-m min-cost matchings of a nonpositive
+    matrix, one per row mask.
 
     Only the masked rows with a negative entry (a served cell has some
-    gain above 1) are matched, in one batch solve that matches each mask's
-    rows as its lone solve would; each matching is then completed. Returns
-    the (len(masks), m) cell and site arrays.
+    gain above 1) are matched, one request per mask; each matching is then
+    completed. Returns the (len(masks), m) cell and site arrays.
     """
     negative = cost.min(axis=1, initial=0.0) < 0.0
     rows = [np.flatnonzero(mask & negative) for mask in masks]
-    counts = [r.size for r in rows]
-    stack = np.zeros((len(rows), max(counts, default=0), cost.shape[1]))
-    for b, r in enumerate(rows):
-        stack[b, : r.size] = cost[r]
-    solved = min_cost_matching_batch(stack, counts, [min(m, n) for n in counts])
+    solved = yield [(cost, r, min(m, r.size)) for r in rows]
     pairs = np.array(
         [
-            _completed_pairs(cost.shape, m, r, c, matched)
-            for r, c, (matched, _, _, _) in zip(rows, stack, solved)
+            _completed_pairs(cost, m, r, matched)
+            for r, (matched, _, _, _) in zip(rows, solved)
         ],
         dtype=int,
     ).reshape(len(rows), m, 2)
@@ -215,10 +214,17 @@ def solve_adaptive_plan(tensor: GainTensor, m: int) -> PlacementPlan:
     pairs of its own lone solve. Zero-excess ties resolve to the lowest
     (cell, site) indices: the exact matching runs only on the served rows,
     and the places it leaves open are filled by that tie rule, so the
-    pairs are those of the exact matching over every row.
+    pairs are those of the exact matching over every row. This is the
+    one-tensor case of `adaptive_plan_machine`.
     """
+    return Stacker().run(adaptive_plan_machine(tensor, m))
+
+
+def adaptive_plan_machine(tensor: GainTensor, m: int):
+    """`solve_adaptive_plan` as a matching machine: one round, one request
+    per epoch."""
     _check_fit(tensor, m)
-    cells, sites = _served_matchings(1.0 - tensor.base, tensor.served, m)
+    cells, sites = yield from _served_matchings(1.0 - tensor.base, tensor.served, m)
     return PlacementPlan(STRATEGY_ROBOTIC, cells, sites)
 
 
@@ -249,19 +255,26 @@ def solve_fixed_plan(
 
     "epoch1" optimizes the first epoch alone and keeps that assignment;
     "clairvoyant" optimizes the epoch-summed gain excess (the best possible
-    fixed placement, never worse than epoch1).
+    fixed placement, never worse than epoch1). This is the one-tensor case
+    of `fixed_plan_machine`.
     """
+    return Stacker().run(fixed_plan_machine(tensor, m, mode))
+
+
+def fixed_plan_machine(tensor: GainTensor, m: int, mode: str = "epoch1"):
+    """`solve_fixed_plan` as a matching machine: one round, one request."""
     if mode not in TERRESTRIAL_MODES:
         raise ValueError(f"terrestrial mode must be one of {TERRESTRIAL_MODES}")
     if tensor.n_epochs < 1:
         raise ValueError("tensor must cover at least one epoch")
     _check_fit(tensor, m)
     if mode == "epoch1":
-        cells, sites = _served_matchings(1.0 - tensor.base, tensor.served[:1], m)
+        masks, cost = tensor.served[:1], 1.0 - tensor.base
     else:
         # Cells that are never served have all-zero rows here.
-        every = np.ones((1, tensor.n_weak), dtype=bool)
-        cells, sites = _served_matchings(0.0 - _summed_excess(tensor), every, m)
+        masks = np.ones((1, tensor.n_weak), dtype=bool)
+        cost = 0.0 - _summed_excess(tensor)
+    cells, sites = yield from _served_matchings(cost, masks, m)
     return _replicated_plan(tensor, cells, sites, STRATEGY_TERRESTRIAL)
 
 

@@ -14,11 +14,7 @@ import numpy as np
 
 from .energy import EnergyLedger, PlatformParams, mission_ledger
 from .geometry import ScenarioLayout
-from .matching import (
-    min_cost_matching,
-    min_cost_matching_batch,
-    min_cost_matching_with_duals,
-)
+from .matching import Stacker, gather
 from .planner import PlacementPlan, PlanValidationError
 
 __all__ = [
@@ -27,6 +23,7 @@ __all__ = [
     "transition_costs",
     "min_cost_assignment",
     "plan_trajectories",
+    "trajectory_machine",
     "validate_trajectory",
 ]
 
@@ -72,7 +69,7 @@ def transition_costs(plan: PlacementPlan, layout: ScenarioLayout) -> TransitionC
     )
 
 
-def min_cost_assignment(cost, dual_solve=None) -> tuple[np.ndarray, float]:
+def min_cost_assignment(cost) -> tuple[np.ndarray, float]:
     """Exact minimum-cost permutation of a square nonnegative matrix.
 
     Ties are broken toward the lexicographically smallest permutation:
@@ -83,10 +80,15 @@ def min_cost_assignment(cost, dual_solve=None) -> tuple[np.ndarray, float]:
     One dual solve decides almost every candidate: the optimal witness's
     column passes, and a column whose edge, or every completion of it,
     needs a reduced cost above twice the tolerance fails. Only the rest
-    are confirmed by re-solving the completion. A caller that has already
-    solved the matrix, as one problem of a batch, passes that
-    `min_cost_matching_with_duals(cost, m)` result as `dual_solve`.
+    are confirmed by re-solving the completion. This is the one-machine
+    case of `_assignment_machine`, which a trajectory runs per transition.
     """
+    return Stacker().run(_assignment_machine(cost))
+
+
+def _assignment_machine(cost):
+    """`min_cost_assignment` as a matching machine: it yields its dual
+    solve, then each confirmation re-solve alone, in order."""
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("assignment requires a square cost matrix")
@@ -96,9 +98,7 @@ def min_cost_assignment(cost, dual_solve=None) -> tuple[np.ndarray, float]:
     if not np.isfinite(c).all() or (c < 0).any():
         raise ValueError("assignment costs must be finite and nonnegative")
 
-    if dual_solve is None:
-        dual_solve = min_cost_matching_with_duals(c, m)
-    pairs, best, u, v = dual_solve
+    ((pairs, best, u, v),) = yield [(c, None, m)]
     tol = 1e-9 * max(1.0, abs(best))
     # Every permutation costs `best` plus its reduced costs, all >= 0, so
     # one edge above 2*tol (a margin for rounding in the potentials)
@@ -122,7 +122,7 @@ def min_cost_assignment(cost, dual_solve=None) -> tuple[np.ndarray, float]:
                     available[:pos] + available[pos + 1 :], dtype=int
                 )
                 sub = c[np.ix_(rest_rows, rest_cols)]
-                sub_pairs, completion = min_cost_matching(sub, m - i - 1)
+                ((sub_pairs, completion, _, _),) = yield [(sub, None, m - i - 1)]
                 if prefix + c[i, j] + completion > best + tol:
                     continue
                 witness[i] = j
@@ -184,16 +184,31 @@ def plan_trajectories(
     """Assign units to sites epoch by epoch, minimizing total travel.
 
     Unit k starts at the k-th occupied site of epoch one (sorted order);
-    every transition is an exact assignment. All transitions' dual solves
-    are one batch, and each transition's tie-break runs on its own. Flags
-    any unit whose mission energy, including depot legs, exceeds the
-    battery.
+    every transition is an exact assignment. Flags any unit whose mission
+    energy, including depot legs, exceeds the battery. This is the
+    one-plan case of `trajectory_machine`.
+    """
+    return Stacker().run(trajectory_machine(plan, layout, platform))
+
+
+def trajectory_machine(
+    plan: PlacementPlan,
+    layout: ScenarioLayout,
+    platform: PlatformParams,
+):
+    """`plan_trajectories` as a matching machine.
+
+    Every transition runs its own `min_cost_assignment` machine, all in
+    lockstep: the first round asks for every transition's dual solve, and
+    each later round for the next confirmation re-solve of every
+    transition whose tie-break still needs one. A sweep gathers these
+    machines over all robotic plans of a block, so those rounds are
+    stacked across plans too.
     """
     costs = transition_costs(plan, layout)
     order = costs.site_order
     epochs, m = order.shape
-    counts = [m] * (epochs - 1)
-    solved = min_cost_matching_batch(costs.between, counts, counts)
+    assigned = yield from gather(_assignment_machine(c) for c in costs.between)
 
     routes = np.zeros((m, epochs), dtype=int)
     legs = np.zeros((m, epochs + 1))
@@ -202,8 +217,7 @@ def plan_trajectories(
 
     # Position of each unit's current site within the sorted epoch order.
     unit_row = np.arange(m)
-    for t in range(epochs - 1):
-        perm, _ = min_cost_assignment(costs.between[t], solved[t])
+    for t, (perm, _) in enumerate(assigned):
         next_cols = perm[unit_row]
         legs[:, t + 1] = costs.between[t][unit_row, next_cols]
         routes[:, t + 1] = order[t + 1][next_cols]

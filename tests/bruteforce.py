@@ -6,7 +6,8 @@ checked against an independent route. The exact-size matching optima
 live in `irsfleet.oracles`, where `irsfleet validate` uses them too.
 `rescan_matching_with_duals` is the matching solver as it was before it
 kept column minima across augmentations: the reference for bit-for-bit
-equality of pairs, totals and duals.
+equality of pairs, totals and duals. `certify_matching` checks a solve
+through LP duality alone, so it scales to full-size instances.
 """
 
 from itertools import permutations
@@ -100,7 +101,7 @@ def dyadic_matrix(rng: np.random.Generator, shape, lo=-32, hi=32, denom=16):
 def rescan_matching_with_duals(cost, size: int):
     """Successive-shortest-path matching that rebuilds every free row's
     reduced costs and their column argmin at each augmentation. Same
-    contract and rounding as `min_cost_matching_with_duals`."""
+    contract and rounding as a lone `min_cost_matching_batch` solve."""
     c_in = np.asarray(cost, dtype=float)
     n_rows, n_cols = c_in.shape
     if size == 0:
@@ -156,3 +157,54 @@ def rescan_matching_with_duals(cost, size: int):
     pairs = [(int(i), int(row_match[i])) for i in rows]
     total = float(c_in[rows, row_match[rows]].sum())
     return pairs, total, u + shift, v
+
+
+def certify_matching(cost, pairs, u, v, k, rel_tol=1e-9) -> list[str]:
+    """The conditions under which potentials (u, v) certify that `pairs` is
+    a minimum-cost matching of exactly k pairs; returns those violated.
+
+    The matching LP `min c.x` subject to row sums <= 1, column sums <= 1
+    and total = k has the dual `max k*lam - sum(alpha) - sum(beta)` with
+    `lam - alpha_i - beta_j <= c_ij` and alpha, beta >= 0. With `uf` the
+    free rows' common potential and `vf` the free columns', `lam = uf +
+    vf`, `alpha = uf - u` and `beta = vf - v` is a feasible dual when every
+    reduced cost `c - u - v` is nonnegative, `u <= uf` and `v <= vf`; its
+    objective equals the matched total exactly when the pairs are optimal.
+    (With no free row any `uf >= max(u)` serves, and it cancels; likewise
+    `vf`.) Each check allows `rel_tol` of the largest magnitude involved,
+    and the objective k times that. Never calls a solver.
+    """
+    c = np.asarray(cost, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    n_rows, n_cols = c.shape
+    rows = np.array([i for i, _ in pairs], dtype=int)
+    cols = np.array([j for _, j in pairs], dtype=int)
+    failed = []
+    if not (
+        len(pairs) == k
+        and len(set(rows.tolist())) == k
+        and len(set(cols.tolist())) == k
+        and u.shape == (n_rows,)
+        and v.shape == (n_cols,)
+    ):
+        return ["shape: not k distinct rows and columns, or potentials misfit"]
+    scale = max([1.0] + [float(np.abs(a).max()) for a in (c, u, v) if a.size])
+    tol = rel_tol * scale
+    reduced = c - u[:, None] - v[None, :]
+    if reduced.size and not reduced.min() >= -tol:
+        failed.append("dual feasibility: a reduced cost is negative")
+    if k and not np.abs(reduced[rows, cols]).max() <= tol:
+        failed.append("complementary slackness: a matched reduced cost is not 0")
+    free_rows = np.setdiff1d(np.arange(n_rows), rows)
+    free_cols = np.setdiff1d(np.arange(n_cols), cols)
+    uf = u[free_rows].max() if free_rows.size else u.max(initial=0.0)
+    vf = v[free_cols].max() if free_cols.size else v.max(initial=0.0)
+    if not (u <= uf + tol).all():
+        failed.append("row potential above the free rows' potential")
+    if not (v <= vf + tol).all():
+        failed.append("column potential above the free columns' potential")
+    dual = float(k * (uf + vf) - (uf - u).sum() - (vf - v).sum())
+    total = float(c[rows, cols].sum())
+    if not abs(dual - total) <= tol * max(1, k):
+        failed.append(f"duality gap: dual {dual!r} against matched total {total!r}")
+    return failed

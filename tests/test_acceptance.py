@@ -16,6 +16,7 @@ gain is at least 1. The all-weak-cell ratio (~1.85) is printed as a
 measurement.
 """
 
+import dataclasses
 import math
 from itertools import permutations
 
@@ -26,12 +27,15 @@ from bruteforce import (
     best_assignment_value,
     best_exact_size_weight,
     best_transition_chain,
+    certify_matching,
     dyadic_matrix,
 )
 from conftest import make_tensor
 from irsfleet import (
     ExperimentConfig,
     default_scenario,
+    harness,
+    matching,
     run_experiment,
     run_trial,
 )
@@ -57,8 +61,24 @@ SIGMAS = (1.8, 2.8, 3.6)
 TRIALS = 100
 
 
+def _certifying(solve, log):
+    """`min_cost_matching_batch` that certifies each element it returns
+    and logs (rows, cols, size, violated conditions) for it."""
+
+    def spy(cost, n_rows, sizes):
+        results = solve(cost, n_rows, sizes)
+        for b, (pairs, _, u, v) in enumerate(results):
+            problem = np.asarray(cost)[b, : n_rows[b]]
+            failed = certify_matching(problem, pairs, u, v, sizes[b])
+            log.append((*problem.shape, sizes[b], failed))
+        return results
+
+    return spy
+
+
 @pytest.fixture(scope="module")
-def sweep():
+def certified_sweep():
+    """The criterion-5 sweep, with every matching it solves certified."""
     config = ExperimentConfig(
         scenario=default_scenario(),
         strategies=("robotic", "terrestrial", "random"),
@@ -66,7 +86,19 @@ def sweep():
         trials=TRIALS,
         master_seed=MASTER_SEED,
     )
-    result = run_experiment(config)
+    log = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            matching, "min_cost_matching_batch",
+            _certifying(matching.min_cost_matching_batch, log),
+        )
+        result = run_experiment(config)
+    return result, log
+
+
+@pytest.fixture(scope="module")
+def sweep(certified_sweep):
+    result, _ = certified_sweep
     table = {(row["strategy"], row["sigma"]): row for row in result.summaries}
     print()
     for (strategy, sigma), row in sorted(table.items()):
@@ -209,6 +241,49 @@ def test_criterion_5_gain_ordering_and_ratios(sweep):
         f"{per_served['robotic']:.4f}, random {per_served['random']:.4f}); "
         f"rob/terrestrial@3.6 = {ratio_terrestrial:.3f}; measured "
         f"all-weak-cell rob/random@2.8 = {ratio_random_all_weak:.3f}"
+    )
+
+
+def test_every_block_solve_carries_a_duality_certificate(certified_sweep):
+    """Each matching the block path solves passes `certify_matching`: the
+    criterion-5 sweep's placement stacks (100 sites), transition dual
+    stacks (10x10, all 10 pairs) and tie-break re-solve rounds (fewer
+    columns), and every solve of one 17x17, fleet-4 unit in each
+    terrestrial mode."""
+    _, log = certified_sweep
+    fleet = default_scenario().solver.fleet_size
+    kinds = {"placement": 0, "transition": 0, "re-solve": 0}
+    for rows, cols, size, failed in log:
+        assert failed == [], (rows, cols, size, failed)
+        if cols == fleet and size == fleet:
+            kinds["transition"] += 1
+        else:
+            kinds["re-solve" if cols < fleet else "placement"] += 1
+    assert min(kinds.values()) > 0, kinds
+
+    base = default_scenario()
+    wide = dataclasses.replace(
+        base,
+        geometry=dataclasses.replace(base.geometry, grid_rows=17, grid_cols=17),
+    )
+    wide_log = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            matching, "min_cost_matching_batch",
+            _certifying(matching.min_cost_matching_batch, wide_log),
+        )
+        for mode in ("epoch1", "clairvoyant"):
+            solver = dataclasses.replace(
+                base.solver, fleet_size=4, terrestrial_mode=mode
+            )
+            engine = harness._TrialEngine(dataclasses.replace(wide, solver=solver))
+            engine.run_unit(2.8, 0, MASTER_SEED, harness.KNOWN_STRATEGIES)
+    # 12 robotic epochs, 1 terrestrial problem, 11 transitions, per mode.
+    assert len(wide_log) >= 2 * 24
+    assert all(failed == [] for *_, failed in wide_log), wide_log
+    print(
+        f"PASS certificates: {kinds} on the sweep, {len(wide_log)} solves "
+        f"of a 17x17 fleet-4 unit"
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from irsfleet import default_scenario, run_trial
-from irsfleet import cli
+from irsfleet import cli, harness, matching
 from irsfleet.cli import main
 from irsfleet.harness import (
     PLACEMENT_HEADER,
@@ -19,6 +20,8 @@ from irsfleet.harness import (
     _write_rows,
     traffic_rows,
 )
+from irsfleet.planner import GainTensor
+from irsfleet.scenario import write_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -256,6 +259,48 @@ def test_infeasible_plan_creates_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_sweep_fails_at_its_first_failing_unit(tmp_path, capsys, monkeypatch):
+    # One block of three units: unit 0's placement fails (two weak cells
+    # for a fleet of ten), unit 1's draw fails. A unit-by-unit run stops at
+    # unit 0, so the error names unit 0 and its first strategy.
+    built = harness.build_gain_tensor
+    realize = harness.realize_channel
+    draws = []
+
+    def trimmed(*args, **kwargs):
+        tensor = built(*args, **kwargs)
+        if len(draws) > 1:
+            return tensor
+        return GainTensor(
+            base=tensor.base[:2],
+            weak_grids=tensor.weak_grids[:2],
+            demand=tensor.demand[:, :2],
+            thresholds=tensor.thresholds,
+        )
+
+    def refuse_second(*args, **kwargs):
+        draws.append(None)
+        if len(draws) == 2:
+            raise RuntimeError("refused")
+        return realize(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_gain_tensor", trimmed)
+    monkeypatch.setattr(harness, "realize_channel", refuse_second)
+    assert harness._TrialEngine(default_scenario()).block_units >= 3
+    out = tmp_path / "out"
+    argv = ["sweep", "--seed", "5", "--trials", "3", "--sigma", "2.8",
+            "--strategy", "random", "robotic", "--out", str(out)]
+    assert main(argv) == 2
+    assert len(draws) == 2  # the block drew unit 1 before solving unit 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "strategy=random sigma=2.8 trial=0: cannot place 10 units "
+                  "on 2 weak cells x 100 sites"}
+    ]
+    assert [p.name for p in out.iterdir()] == ["run_metadata.json"]
+
+
 @pytest.mark.parametrize("strategy", ["robotic", "terrestrial", "random"])
 @pytest.mark.parametrize("command", ["plan", "sweep"])
 def test_underflowing_powers_fail_every_strategy_alike(
@@ -348,3 +393,37 @@ def test_outputs_match_golden_digests(tmp_path, command):
     assert written == sorted(GOLDEN[command])
     for name, digest in GOLDEN[command].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_stack_budget_changes_no_output_byte(tmp_path, monkeypatch):
+    # A 1-cell budget solves every problem alone, in blocks of one unit; a
+    # 2**40-cell one puts each sweep in one block, and each round's
+    # problems of one column count in one stack.
+    base = default_scenario()
+    clairvoyant = tmp_path / "clairvoyant.ini"
+    write_scenario(
+        dataclasses.replace(
+            base, solver=dataclasses.replace(base.solver, terrestrial_mode="clairvoyant")
+        ),
+        clairvoyant,
+    )
+    runs = {
+        "epoch1": ["sweep", "--seed", "20260810", "--trials", "3"],
+        "clairvoyant": ["sweep", "--seed", "11", "--trials", "2",
+                        "--config", str(clairvoyant)],
+        "plan": ["plan", "--seed", "7"],
+    }
+    for budget in (None, 1, 2**40):
+        if budget is not None:
+            monkeypatch.setattr(matching, "STACK_CELLS", budget)
+        for name, argv in runs.items():
+            assert main(argv + ["--out", str(tmp_path / f"{name}-{budget}")]) == 0
+    for name in runs:
+        default = tmp_path / f"{name}-None"
+        files = sorted(p.name for p in default.iterdir())
+        assert "trials.csv" in files or "trajectory.csv" in files
+        for budget in (1, 2**40):
+            out = tmp_path / f"{name}-{budget}"
+            assert sorted(p.name for p in out.iterdir()) == files
+            for file in files:
+                assert (out / file).read_bytes() == (default / file).read_bytes()

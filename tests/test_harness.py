@@ -15,7 +15,7 @@ from irsfleet import (
     run_experiment,
     run_trial,
 )
-from irsfleet import harness
+from irsfleet import harness, matching
 from irsfleet.harness import (
     KNOWN_STRATEGIES,
     SUMMARY_HEADER,
@@ -204,7 +204,7 @@ def test_sweep_builds_each_realization_once(monkeypatch):
     assert calls == {"realize_channel": 6, "build_gain_tensor": 6}
 
 
-def test_a_sweep_never_holds_two_gain_tensors(monkeypatch, tmp_path):
+def test_a_sweep_holds_only_its_current_blocks_gain_tensors(monkeypatch, tmp_path):
     live = weakref.WeakSet()
     alive_at_build = []
     original = harness.build_gain_tensor
@@ -221,8 +221,15 @@ def test_a_sweep_never_holds_two_gain_tensors(monkeypatch, tmp_path):
         scenario=SMALL, sigma_list=(1.8, 2.8), trials=2, master_seed=23,
         output_dir=tmp_path,
     )
-    run_experiment(config)
-    assert alive_at_build == [0, 0, 0, 0]
+    layout = SMALL.layout()
+    # Blocks of two units, one per cell budget of a unit's placement cost,
+    # then blocks of one unit, as with any budget below that.
+    for budget, expect in ((2 * layout.n_grids * layout.n_sites, [0, 1, 0, 1]),
+                           (1, [0, 0, 0, 0])):
+        monkeypatch.setattr(matching, "STACK_CELLS", budget)
+        alive_at_build.clear()
+        run_experiment(config)
+        assert alive_at_build == expect
 
 
 def test_sweep_rows_are_paired_single_trials(tmp_path):

@@ -3,14 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import best_exact_size_cost, dyadic_matrix, rescan_matching_with_duals
-from irsfleet import run_trial
-from irsfleet.matching import (
-    min_cost_matching,
-    min_cost_matching_batch,
-    min_cost_matching_with_duals,
+from bruteforce import (
+    best_exact_size_cost,
+    certify_matching,
+    dyadic_matrix,
+    rescan_matching_with_duals,
 )
+from irsfleet import run_trial
+from irsfleet.matching import min_cost_matching, min_cost_matching_batch
 from irsfleet.scenario import GeometryConfig, Scenario, SolverOptions
+
+
+def _lone_solve(cost, size):
+    """A batch of one: the pairs, total and potentials of a lone solve."""
+    cost = np.asarray(cost, dtype=float)
+    return min_cost_matching_batch(cost[None], [len(cost)], [size])[0]
 
 
 def test_trivial_sizes():
@@ -99,7 +106,7 @@ def test_dual_potentials_certify_the_optimum():
         cost = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-2, 4)
         if case % 2:
             cost -= np.abs(cost).max() + 1.0
-        pairs, total, u, v = min_cost_matching_with_duals(cost, size)
+        pairs, total, u, v = _lone_solve(cost, size)
         assert (pairs, total) == min_cost_matching(cost, size)
         scale = max(1.0, float(np.abs(cost).max()))
         reduced = cost - u[:, None] - v[None, :]
@@ -108,6 +115,29 @@ def test_dual_potentials_certify_the_optimum():
         assert np.abs(reduced[rows_m, cols_m]).max() <= 1e-9 * scale
         if square:
             assert abs(u.sum() + v.sum() - total) <= 1e-9 * scale
+        assert certify_matching(cost, pairs, u, v, size) == []
+
+
+def test_certificate_rejects_what_is_not_optimal():
+    cost = np.array([[4.0, 1.0, 9.0], [2.0, 4.0, 9.0], [3.0, 3.0, 0.5]])
+    pairs, _, u, v = _lone_solve(cost, 2)
+    assert pairs == [(0, 1), (2, 2)]
+    assert certify_matching(cost, pairs, u, v, 2) == []
+
+    def violated(*args):
+        return {failure.split(":")[0] for failure in certify_matching(*args)}
+
+    # A worse matching of two pairs, against the optimum's potentials.
+    assert "duality gap" in violated(cost, [(0, 1), (1, 0)], u, v, 2)
+    # A cost entry the potentials do not price.
+    cheaper = cost.copy()
+    cheaper[1, 2] = -5.0
+    assert violated(cheaper, pairs, u, v, 2) == {"dual feasibility"}
+    # A column potential moved off its tight value.
+    moved = v.copy()
+    moved[1] += 0.25
+    assert "complementary slackness" in violated(cost, pairs, u, moved, 2)
+    assert violated(cost, pairs, u, v, 3) == {"shape"}
 
 
 # ------------------------------------------- kept column minima vs full rescan
@@ -150,7 +180,7 @@ def _stacked_solve(cost, size, rng):
 
 def _assert_matches_rescan(cost, size):
     expect = rescan_matching_with_duals(cost, size)
-    _assert_same_solve(min_cost_matching_with_duals(cost, size), expect)
+    _assert_same_solve(_lone_solve(cost, size), expect)
     rng = np.random.Generator(np.random.Philox(cost.size + size))
     _assert_same_solve(_stacked_solve(cost, size, rng), expect)
 
@@ -222,7 +252,7 @@ def test_free_rows_keep_one_potential_after_a_negative_path():
             [big, big, big, big, big, big, 1.0],
         ]
     )
-    pairs, _, u, _ = min_cost_matching_with_duals(cost, 6)
+    pairs, _, u, _ = _lone_solve(cost, 6)
     free = sorted(set(range(8)) - {i for i, _ in pairs})
     assert free == [6, 7] and (u[free] > 0.0).all()
     for size in range(8):
@@ -289,7 +319,7 @@ def test_batch_elements_equal_lone_solves_and_rescan(stack):
     reordered = _solve_stack(n_cols, [problems[k] for k in order], padding, fill)
     for b, (cost, size) in enumerate(problems):
         expect = rescan_matching_with_duals(cost, size)
-        _assert_same_solve(min_cost_matching_with_duals(cost, size), expect)
+        _assert_same_solve(_lone_solve(cost, size), expect)
         _assert_same_solve(solved[b], expect)
         _assert_same_solve(reordered[order.index(b)], expect)
 

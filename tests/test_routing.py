@@ -167,18 +167,44 @@ def test_batched_routes_match_per_transition_assignments_on_tied_grid():
             assert np.array_equal(traj.routes[:, t + 1], expect)
 
 
-def test_each_transition_goes_through_min_cost_assignment(monkeypatch):
+def test_transitions_share_stacked_rounds(monkeypatch):
+    # Every transition runs min_cost_assignment's machine. The first round
+    # stacks all of a plan's dual solves; a later round stacks the pending
+    # confirmation re-solves of several transitions at once.
+    import irsfleet.matching as matching
     import irsfleet.routing as routing
 
-    calls = []
+    machines, stacks = [], []
+    original_machine = routing._assignment_machine
+    original_batch = matching.min_cost_matching_batch
 
-    def counted(cost, *args):
-        calls.append(np.asarray(cost).shape)
-        return min_cost_assignment(cost, *args)
+    def counted_machine(cost):
+        machines.append(np.asarray(cost).shape)
+        return original_machine(cost)
 
-    monkeypatch.setattr(routing, "min_cost_assignment", counted)
+    def counted_batch(cost, n_rows, sizes):
+        stacks.append((np.shape(cost), list(n_rows), list(sizes)))
+        return original_batch(cost, n_rows, sizes)
+
+    monkeypatch.setattr(routing, "_assignment_machine", counted_machine)
+    monkeypatch.setattr(matching, "min_cost_matching_batch", counted_batch)
     plan_trajectories(_plan([(0, 9), (90, 99), (0, 9), (40, 50)]), LAYOUT, PLATFORM)
-    assert calls == [(2, 2)] * 3
+    assert machines == [(2, 2)] * 3
+    assert stacks[0] == ((3, 2, 2), [2] * 3, [2] * 3)
+
+    rng = np.random.Generator(np.random.Philox(41))
+    shared = 0
+    for _ in range(30):
+        epoch_sites = [
+            tuple(sorted(rng.choice(LAYOUT.n_sites, size=10, replace=False).tolist()))
+            for _ in range(4)
+        ]
+        stacks.clear()
+        plan_trajectories(_plan(epoch_sites), LAYOUT, PLATFORM)
+        assert stacks[0] == ((3, 10, 10), [10] * 3, [10] * 3)
+        assert all(shape[2] < 10 for shape, _, _ in stacks[1:])
+        shared += any(shape[0] > 1 for shape, _, _ in stacks[1:])
+    assert shared > 0
 
 
 # ------------------------------------------------------------ trajectories
