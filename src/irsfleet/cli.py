@@ -28,13 +28,13 @@ from .harness import (
     RNG_NAME,
     placement_rows,
     run_experiment,
+    run_trial,
     traffic_rows,
     trajectory_rows,
     write_metadata,
     PLACEMENT_HEADER,
     TRAFFIC_HEADER,
     TRAJECTORY_HEADER,
-    _TrialEngine,
     _write_rows,
 )
 from .matching import min_cost_matching
@@ -64,22 +64,22 @@ def _cmd_plan(args) -> int:
         trials=1,
         master_seed=args.seed,
     )
-    engine = _TrialEngine(scenario)
     # The trial runs before --out exists, so an infeasible one leaves none.
-    (result,) = engine.run_unit(sigma, args.trial, args.seed, (args.strategy,))
+    result = run_trial(scenario, sigma, args.trial, args.strategy, args.seed)
+    layout = scenario.layout()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_metadata(config, out / "run_metadata.json")
     _write_rows(
         out / "placement.csv",
         PLACEMENT_HEADER,
-        placement_rows(args.trial, result, engine.layout),
+        placement_rows(args.trial, result, layout),
     )
     if result.trajectory is not None:
         _write_rows(
             out / "trajectory.csv",
             TRAJECTORY_HEADER,
-            trajectory_rows(args.trial, result.trajectory, engine.layout),
+            trajectory_rows(args.trial, result.trajectory, layout),
         )
     _write_rows(out / "traffic.csv", TRAFFIC_HEADER, traffic_rows(result.traffic))
 

@@ -4,14 +4,15 @@ The unit of work is one (sigma, trial): its channel and traffic are drawn
 and its gain tensor built once, and every requested strategy is scored on
 that one realization, which makes the strategy comparison paired. A sweep
 runs its units in blocks of consecutive units in (sigma, trial) order
-(`_TrialEngine.run_block`): it draws the block's units, solves every
-strategy's placements of the whole block in shared matching stacks, then
-every robotic plan's trajectory, and scores unit after unit. A single
-trial is a block of one unit of one strategy. Every unit is a pure
-function of (master seed, sigma, trial index): substreams come from a
-counter-based generator keyed on those values, never on execution order,
-and every stacked solve equals its lone solve, so units can run in any
-order, grouping (or concurrently) and reproduce bit-identically.
+(`_TrialEngine.run_block`): it draws the block's units, then runs one
+matching machine per (unit, strategy) trial, all gathered into shared
+matching stacks. Each trial solves its placement and, for robotic, its
+trajectory, and is scored as soon as its solves are done. A single trial
+is a block of one unit of one strategy. Every unit is a pure function of
+(master seed, sigma, trial index): substreams come from a counter-based
+generator keyed on those values, never on execution order, and every
+stacked solve equals its lone solve, so units can run in any order,
+grouping (or concurrently) and reproduce bit-identically.
 """
 
 import csv
@@ -171,17 +172,6 @@ class _TrialEngine:
         cells = self.layout.n_grids * self.layout.n_sites
         return max(1, matching.STACK_CELLS // max(1, cells))
 
-    def run_unit(
-        self,
-        sigma: float,
-        trial_index: int,
-        master_seed: int,
-        strategies: tuple[str, ...],
-    ) -> list[TrialResult]:
-        """Every strategy's trial at one (sigma, trial), in `strategies` order."""
-        (results,) = self.run_block([(sigma, trial_index)], master_seed, strategies)
-        return results
-
     def run_block(
         self,
         units: list[tuple[float, int]],
@@ -191,16 +181,17 @@ class _TrialEngine:
         """Every strategy's trial at each (sigma, trial) unit, in order.
 
         Each unit's channel, traffic and gain tensor are drawn once, and a
-        draw that fails ends the block before its unit. Then all trials of
-        the drawn units are solved in one set of matching rounds: every
+        draw that fails ends the block before its unit. Then every trial of
+        the drawn units runs as one `_trial` machine, all in lockstep, so
+        each round stacks every pending solve of the block: every
         strategy's placement problems in the first, every robotic plan's
         transition dual solves in the second, tie-break re-solves after.
-        Results are scored unit by unit in `strategies` order, so the
-        first failure in that order is re-raised as a TrialError naming
-        its strategy, as a unit-by-unit run would raise it. Only if none
-        fails is a failed draw raised, naming its unit's first strategy.
-        Every check that can refuse a unit runs inside its own machine;
-        the shared stacked solves get only finite costs and feasible sizes.
+        A trial that fails leaves the others running. The first failure in
+        (unit, strategy) order is raised as a TrialError naming its
+        strategy, as a unit-by-unit run would raise it. Only if none fails
+        is a failed draw raised, naming its unit's first strategy. Every
+        check that can refuse a trial runs inside its own machine; the
+        shared stacked solves get only finite costs and feasible sizes.
         """
         drawn, failed_draw = [], None
         for sigma, trial in units:
@@ -214,26 +205,16 @@ class _TrialEngine:
             for sigma, trial, field, tensor in drawn
             for strategy in strategies
         ]
-        solved = self.stacker.run(
-            gather(
-                self._solve(strategy, tensor, sigma, trial, master_seed)
-                for sigma, trial, strategy, _, tensor in jobs
-            )
+        outcomes = self.stacker.run(
+            gather(self._trial(*job, master_seed) for job in jobs)
         )
-        results = []
-        for k, (job, (plan, trajectory)) in enumerate(zip(jobs, solved)):
-            sigma, trial, strategy, field, tensor = job
-            if k % len(strategies) == 0:
-                results.append([])
-            try:
-                results[-1].append(
-                    self.run(sigma, trial, strategy, field, tensor, plan, trajectory)
-                )
-            except Exception as err:
-                raise _trial_error(strategy, sigma, trial, err) from err
+        for (sigma, trial, strategy, _, _), outcome in zip(jobs, outcomes):
+            if isinstance(outcome, Exception):
+                raise _trial_error(strategy, sigma, trial, outcome) from outcome
         if failed_draw is not None:
             raise _trial_error(*failed_draw) from failed_draw[-1]
-        return results
+        n = len(strategies)
+        return [outcomes[k : k + n] for k in range(0, len(outcomes), n)]
 
     def _draw(
         self, sigma: float, trial_index: int, master_seed: int
@@ -248,22 +229,28 @@ class _TrialEngine:
         tensor = build_gain_tensor(realization, self.distances, field, scenario.radio)
         return field, tensor
 
-    def _solve(
+    def _trial(
         self,
-        strategy: str,
-        tensor: GainTensor,
         sigma: float,
         trial_index: int,
+        strategy: str,
+        field: TrafficField,
+        tensor: GainTensor,
         master_seed: int,
     ):
-        """Matching machine for one trial's plan and, for robotic, its
-        trajectory. Returns (plan, trajectory or None), with the error a
-        solve raised in its place."""
+        """Matching machine for one strategy's trial on its unit: it solves
+        the plan and, for robotic, the trajectory, and scores them with
+        `run`. Returns the TrialResult, or the exception raised in its
+        place."""
         solver = self.scenario.solver
         m = solver.fleet_size
+        trajectory = None
         try:
             if strategy == STRATEGY_ROBOTIC:
                 plan = yield from adaptive_plan_machine(tensor, m)
+                trajectory = yield from trajectory_machine(
+                    plan, self.layout, self.scenario.platform
+                )
             elif strategy == STRATEGY_TERRESTRIAL:
                 plan = yield from fixed_plan_machine(tensor, m, solver.terrestrial_mode)
             elif strategy == STRATEGY_RANDOM:
@@ -271,17 +258,9 @@ class _TrialEngine:
                 plan = solve_random_plan(tensor, m, rng)
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
+            return self.run(sigma, trial_index, strategy, field, tensor, plan, trajectory)
         except Exception as err:
-            return err, None
-        if strategy != STRATEGY_ROBOTIC:
-            return plan, None
-        try:
-            trajectory = yield from trajectory_machine(
-                plan, self.layout, self.scenario.platform
-            )
-        except Exception as err:
-            return plan, err
-        return plan, trajectory
+            return err
 
     def run(
         self,
@@ -290,23 +269,16 @@ class _TrialEngine:
         strategy: str,
         field: TrafficField,
         tensor: GainTensor,
-        plan: PlacementPlan | Exception,
-        trajectory: TrajectoryPlan | Exception | None,
+        plan: PlacementPlan,
+        trajectory: TrajectoryPlan | None,
     ) -> TrialResult:
-        """One strategy's trial, scored on its unit's traffic and gain tensor.
-
-        `plan` and `trajectory` are the block's solves, or the errors they
-        raised; each error is raised where the solve would have run.
-        """
-        if isinstance(plan, Exception):
-            raise plan
+        """One strategy's trial, scored on its unit's traffic and gain
+        tensor; a trajectory is checked against its plan."""
         evaluation = evaluate_plan(plan, tensor, self.scenario.solver.fleet_size)
 
         total_distance = 0.0
         feasible = True
-        if strategy == STRATEGY_ROBOTIC:
-            if isinstance(trajectory, Exception):
-                raise trajectory
+        if trajectory is not None:
             validate_trajectory(trajectory, plan, self.layout)
             total_distance = trajectory.total_distance_m
             feasible = trajectory.feasible
@@ -344,7 +316,8 @@ def run_trial(
 ) -> TrialResult:
     """Run one end-to-end trial; identical inputs give bit-identical output."""
     engine = _TrialEngine(scenario)
-    return engine.run_unit(sigma, trial_index, master_seed, (strategy,))[0]
+    ((result,),) = engine.run_block([(sigma, trial_index)], master_seed, (strategy,))
+    return result
 
 
 def summarize(metrics: list[TrialMetrics]) -> list[dict]:

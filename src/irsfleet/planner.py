@@ -7,7 +7,9 @@ otherwise, and never build the dense (epoch, weak cell, site) array.
 
 The placement problem decouples across epochs (no constraint links two
 epochs), so each epoch is an exact cardinality-constrained matching on the
-weak-cell x site bipartite graph with edge cost 1 - gain. Solvers return
+weak-cell x site bipartite graph with edge cost 1 - gain. The exact
+solvers are matching machines (see `matching`): a sweep gathers them over
+a block of units, and `Stacker().run` drives one alone. Solvers return
 pairs only, as local (weak-set position, site) index arrays; `evaluate_plan`
 scores every plan, with the convention that an unserved weak cell earns
 unit gain: 1 + (selected gain excess) / (epochs * weak cells).
@@ -21,7 +23,6 @@ import numpy as np
 
 from .channel import ChannelRealization, RadioParams, cascaded_snr_db, snr_ratio
 from .geometry import DistanceTables
-from .matching import Stacker
 from .traffic import TrafficField
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
     "STRATEGY_RANDOM",
     "TERRESTRIAL_MODES",
     "build_gain_tensor",
-    "solve_adaptive_plan",
-    "solve_fixed_plan",
     "adaptive_plan_machine",
     "fixed_plan_machine",
     "solve_random_plan",
@@ -206,23 +205,18 @@ def _served_matchings(cost, masks, m: int):
     return pairs[..., 0], pairs[..., 1]
 
 
-def solve_adaptive_plan(tensor: GainTensor, m: int) -> PlacementPlan:
-    """Exact epoch-by-epoch optimum; units may relocate freely.
+def adaptive_plan_machine(tensor: GainTensor, m: int):
+    """Matching machine for the exact epoch-by-epoch optimum; units may
+    relocate freely. `Stacker().run` drives it alone.
 
     Maximizes each epoch's summed gain excess subject to one site per unit
-    and one unit per cell, with exactly m placements; each epoch gets the
-    pairs of its own lone solve. Zero-excess ties resolve to the lowest
-    (cell, site) indices: the exact matching runs only on the served rows,
-    and the places it leaves open are filled by that tie rule, so the
-    pairs are those of the exact matching over every row. This is the
-    one-tensor case of `adaptive_plan_machine`.
+    and one unit per cell, with exactly m placements. One round asks for
+    one matching per epoch, and each epoch gets the pairs of its own lone
+    solve. Zero-excess ties resolve to the lowest (cell, site) indices:
+    the exact matching runs only on the served rows, and the places it
+    leaves open are filled by that tie rule, so the pairs are those of the
+    exact matching over every row.
     """
-    return Stacker().run(adaptive_plan_machine(tensor, m))
-
-
-def adaptive_plan_machine(tensor: GainTensor, m: int):
-    """`solve_adaptive_plan` as a matching machine: one round, one request
-    per epoch."""
     _check_fit(tensor, m)
     cells, sites = yield from _served_matchings(1.0 - tensor.base, tensor.served, m)
     return PlacementPlan(STRATEGY_ROBOTIC, cells, sites)
@@ -246,23 +240,15 @@ def _summed_excess(tensor: GainTensor) -> np.ndarray:
     return total
 
 
-def solve_fixed_plan(
-    tensor: GainTensor,
-    m: int,
-    mode: str = "epoch1",
-) -> PlacementPlan:
-    """Best placement that never relocates.
+def fixed_plan_machine(tensor: GainTensor, m: int, mode: str = "epoch1"):
+    """Matching machine for the best placement that never relocates: one
+    round, one request.
 
     "epoch1" optimizes the first epoch alone and keeps that assignment;
     "clairvoyant" optimizes the epoch-summed gain excess (the best possible
-    fixed placement, never worse than epoch1). This is the one-tensor case
-    of `fixed_plan_machine`.
+    fixed placement, never worse than epoch1). Ties resolve as in
+    `adaptive_plan_machine`.
     """
-    return Stacker().run(fixed_plan_machine(tensor, m, mode))
-
-
-def fixed_plan_machine(tensor: GainTensor, m: int, mode: str = "epoch1"):
-    """`solve_fixed_plan` as a matching machine: one round, one request."""
     if mode not in TERRESTRIAL_MODES:
         raise ValueError(f"terrestrial mode must be one of {TERRESTRIAL_MODES}")
     if tensor.n_epochs < 1:

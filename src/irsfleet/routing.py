@@ -6,6 +6,10 @@ so chaining exact per-transition assignments is jointly optimal (the test
 suite cross-checks this against a joint brute force). Depot legs are
 assignment-independent because every unit starts and ends at the one base
 station; they are reported but not optimized.
+
+`trajectory_machine` is a matching machine (see `matching`) that runs one
+`_assignment_machine` per transition: a sweep gathers it over every
+robotic plan of a block, and `Stacker().run` drives one alone.
 """
 
 from dataclasses import dataclass
@@ -14,15 +18,13 @@ import numpy as np
 
 from .energy import EnergyLedger, PlatformParams, mission_ledger
 from .geometry import ScenarioLayout
-from .matching import Stacker, gather
+from .matching import gather
 from .planner import PlacementPlan, PlanValidationError
 
 __all__ = [
     "TransitionCosts",
     "TrajectoryPlan",
     "transition_costs",
-    "min_cost_assignment",
-    "plan_trajectories",
     "trajectory_machine",
     "validate_trajectory",
 ]
@@ -69,26 +71,21 @@ def transition_costs(plan: PlacementPlan, layout: ScenarioLayout) -> TransitionC
     )
 
 
-def min_cost_assignment(cost) -> tuple[np.ndarray, float]:
-    """Exact minimum-cost permutation of a square nonnegative matrix.
+def _assignment_machine(cost):
+    """Matching machine for the exact minimum-cost permutation of a square
+    nonnegative matrix. Returns (permutation, total).
 
     Ties are broken toward the lexicographically smallest permutation:
     after the optimum is known, each row in turn takes the lowest column
     that still admits an optimal completion, i.e. one whose total is within
-    `1e-9 * max(1, optimum)` of it. Returns (permutation, total).
+    `1e-9 * max(1, optimum)` of it.
 
-    One dual solve decides almost every candidate: the optimal witness's
-    column passes, and a column whose edge, or every completion of it,
-    needs a reduced cost above twice the tolerance fails. Only the rest
-    are confirmed by re-solving the completion. This is the one-machine
-    case of `_assignment_machine`, which a trajectory runs per transition.
+    It yields one dual solve first, which decides almost every candidate:
+    the optimal witness's column passes, and a column whose edge, or every
+    completion of it, needs a reduced cost above twice the tolerance fails.
+    Only the rest are confirmed by re-solving the completion, one re-solve
+    per round, in order.
     """
-    return Stacker().run(_assignment_machine(cost))
-
-
-def _assignment_machine(cost):
-    """`min_cost_assignment` as a matching machine: it yields its dual
-    solve, then each confirmation re-solve alone, in order."""
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("assignment requires a square cost matrix")
@@ -176,34 +173,23 @@ class TrajectoryPlan:
     feasible: bool
 
 
-def plan_trajectories(
-    plan: PlacementPlan,
-    layout: ScenarioLayout,
-    platform: PlatformParams,
-) -> TrajectoryPlan:
-    """Assign units to sites epoch by epoch, minimizing total travel.
-
-    Unit k starts at the k-th occupied site of epoch one (sorted order);
-    every transition is an exact assignment. Flags any unit whose mission
-    energy, including depot legs, exceeds the battery. This is the
-    one-plan case of `trajectory_machine`.
-    """
-    return Stacker().run(trajectory_machine(plan, layout, platform))
-
-
 def trajectory_machine(
     plan: PlacementPlan,
     layout: ScenarioLayout,
     platform: PlatformParams,
 ):
-    """`plan_trajectories` as a matching machine.
+    """Matching machine that assigns units to sites epoch by epoch,
+    minimizing total travel.
 
-    Every transition runs its own `min_cost_assignment` machine, all in
-    lockstep: the first round asks for every transition's dual solve, and
-    each later round for the next confirmation re-solve of every
-    transition whose tie-break still needs one. A sweep gathers these
-    machines over all robotic plans of a block, so those rounds are
-    stacked across plans too.
+    Unit k starts at the k-th occupied site of epoch one (sorted order);
+    every transition is an exact assignment. Depot legs out of and back to
+    the base station are added to each route, and any unit whose mission
+    energy, depot legs included, exceeds the battery is flagged.
+
+    The transitions' `_assignment_machine`s run in lockstep: the first
+    round asks for every transition's dual solve, and each later round for
+    the next confirmation re-solve of every transition whose tie-break
+    still needs one.
     """
     costs = transition_costs(plan, layout)
     order = costs.site_order

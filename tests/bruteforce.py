@@ -39,8 +39,8 @@ def best_assignment(cost) -> tuple[tuple[int, ...], float]:
 def lexmin_assignment_by_resolves(cost) -> tuple[np.ndarray, float]:
     """Lexicographically smallest permutation within `1e-9 * max(1, optimum)`
     of the optimum, found by re-solving the completion of every (row,
-    candidate column) in turn. Same rule as `min_cost_assignment`, with no
-    pruning; it scales to m = 10 where `best_assignment` cannot. The
+    candidate column) in turn. Same rule as `routing._assignment_machine`,
+    with no pruning; it scales to m = 10 where `best_assignment` cannot. The
     optimum and every completion come from `rescan_matching_with_duals`,
     not from the solver under test."""
     c = np.asarray(cost, dtype=float)

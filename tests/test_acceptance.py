@@ -44,14 +44,15 @@ from irsfleet.cli import main as cli_main
 from irsfleet.energy import PlatformParams, flight_range
 from irsfleet.geometry import build_layout
 from irsfleet.oracles import empirical_cascade_amplification
+from irsfleet.matching import Stacker
 from irsfleet.planner import (
     PlacementPlan,
+    adaptive_plan_machine,
     evaluate_plan,
-    solve_adaptive_plan,
 )
 from irsfleet.routing import (
-    min_cost_assignment,
-    plan_trajectories,
+    _assignment_machine,
+    trajectory_machine,
     transition_costs,
     validate_trajectory,
 )
@@ -167,13 +168,13 @@ def test_criterion_4_solver_exactness():
         m = int(rng.integers(0, min(nq, nj, 3) + 1))
         gains = 1.0 + np.abs(dyadic_matrix(rng, (nq, nj)))
         tensor = make_tensor(gains)
-        plan = solve_adaptive_plan(tensor, m)
+        plan = Stacker().run(adaptive_plan_machine(tensor, m))
         weight = evaluate_plan(plan, tensor, m).matching_weight
         assert weight == best_exact_size_weight(gains - 1.0, m)
 
     for _ in range(100):
         cost = np.abs(dyadic_matrix(rng, (7, 7)))
-        _, total = min_cost_assignment(cost)
+        _, total = Stacker().run(_assignment_machine(cost))
         assert total == best_assignment_value(cost)
 
     layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
@@ -185,7 +186,7 @@ def test_criterion_4_solver_exactness():
         ]
         sites = np.array(epoch_sites)
         plan = PlacementPlan("robotic", np.tile(np.arange(3), (3, 1)), sites)
-        traj = plan_trajectories(plan, layout, platform)
+        traj = Stacker().run(trajectory_machine(plan, layout, platform))
         costs = transition_costs(plan, layout)
         middle = float(traj.leg_m[:, 1:3].sum())
         assert middle == pytest.approx(best_transition_chain(list(costs.between)), abs=1e-9)
@@ -277,7 +278,7 @@ def test_every_block_solve_carries_a_duality_certificate(certified_sweep):
                 base.solver, fleet_size=4, terrestrial_mode=mode
             )
             engine = harness._TrialEngine(dataclasses.replace(wide, solver=solver))
-            engine.run_unit(2.8, 0, MASTER_SEED, harness.KNOWN_STRATEGIES)
+            engine.run_block([(2.8, 0)], MASTER_SEED, harness.KNOWN_STRATEGIES)
     # 12 robotic epochs, 1 terrestrial problem, 11 transitions, per mode.
     assert len(wide_log) >= 2 * 24
     assert all(failed == [] for *_, failed in wide_log), wide_log

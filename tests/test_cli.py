@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from irsfleet import default_scenario, run_trial
-from irsfleet import cli, harness, matching
+from irsfleet import cli, harness, matching, planner
 from irsfleet.cli import main
 from irsfleet.harness import (
     PLACEMENT_HEADER,
@@ -20,7 +20,7 @@ from irsfleet.harness import (
     _write_rows,
     traffic_rows,
 )
-from irsfleet.planner import GainTensor
+from irsfleet.planner import GainTensor, InfeasiblePlacementError
 from irsfleet.scenario import write_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -298,6 +298,58 @@ def test_a_sweep_fails_at_its_first_failing_unit(tmp_path, capsys, monkeypatch):
         {"error": "strategy=random sigma=2.8 trial=0: cannot place 10 units "
                   "on 2 weak cells x 100 sites"}
     ]
+    assert [p.name for p in out.iterdir()] == ["run_metadata.json"]
+
+
+def test_a_sweep_names_the_first_failing_trial_not_the_first_to_fail(
+    tmp_path, capsys, monkeypatch
+):
+    # One block of two units. Unit 0's robotic trial fails last, when its
+    # trajectory is checked after the routing rounds; both of unit 1's
+    # placements fail first (two weak cells for a fleet of ten). The error
+    # names unit 0's robotic trial, the first failure in (unit, strategy)
+    # order; one raised in the order trials fail would name unit 1.
+    built = harness.build_gain_tensor
+    check_fit = planner._check_fit
+    tensors, failures = [], []
+
+    def trimmed(*args, **kwargs):
+        tensors.append(built(*args, **kwargs))
+        tensor = tensors[-1]
+        if len(tensors) != 2:
+            return tensor
+        return GainTensor(
+            base=tensor.base[:2],
+            weak_grids=tensor.weak_grids[:2],
+            demand=tensor.demand[:, :2],
+            thresholds=tensor.thresholds,
+        )
+
+    def logged_fit(tensor, m):
+        try:
+            check_fit(tensor, m)
+        except InfeasiblePlacementError:
+            failures.append("unit 1 placement")
+            raise
+
+    def refuse(*args, **kwargs):
+        failures.append("unit 0 trajectory")
+        raise RuntimeError("refused")
+
+    monkeypatch.setattr(harness, "build_gain_tensor", trimmed)
+    monkeypatch.setattr(planner, "_check_fit", logged_fit)
+    monkeypatch.setattr(harness, "validate_trajectory", refuse)
+    out = tmp_path / "out"
+    argv = ["sweep", "--seed", "5", "--trials", "2", "--sigma", "2.8",
+            "--strategy", "robotic", "terrestrial", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "strategy=robotic sigma=2.8 trial=0: refused"}
+    ]
+    assert len(tensors) == 2
+    assert failures == ["unit 1 placement"] * 2 + ["unit 0 trajectory"]
     assert [p.name for p in out.iterdir()] == ["run_metadata.json"]
 
 

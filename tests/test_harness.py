@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsfleet import (
     ExperimentConfig,
@@ -56,10 +58,10 @@ def test_strategies_share_the_same_realization():
     # the optimizer never loses to a random support on the same instance
     assert robotic.metrics.mean_gain >= random.metrics.mean_gain
 
-    # One unit call scores the strategies in the order asked, each exactly
-    # as its lone trial, on one shared tensor.
+    # A block of one unit scores the strategies in the order asked, each
+    # exactly as its lone trial, on one shared tensor.
     order = ("random", "robotic", "terrestrial")
-    unit = harness._TrialEngine(SMALL).run_unit(2.8, 3, 77, order)
+    (unit,) = harness._TrialEngine(SMALL).run_block([(2.8, 3)], 77, order)
     assert [result.metrics.strategy for result in unit] == list(order)
     assert len({id(result.tensor) for result in unit}) == 1
     for result in unit:
@@ -95,10 +97,10 @@ def test_trial_errors_carry_context(monkeypatch):
     engine = harness._TrialEngine(SMALL)
     monkeypatch.setattr(harness, "solve_random_plan", refuse)
     with pytest.raises(TrialError, match=r"^strategy=random sigma=2.8 trial=4: refused$"):
-        engine.run_unit(2.8, 4, 77, ("robotic", "random", "terrestrial"))
+        engine.run_block([(2.8, 4)], 77, ("robotic", "random", "terrestrial"))
     monkeypatch.setattr(harness, "realize_channel", refuse)
     with pytest.raises(TrialError, match=r"^strategy=terrestrial sigma=1.8 trial=2: "):
-        engine.run_unit(1.8, 2, 77, ("terrestrial", "robotic"))
+        engine.run_block([(1.8, 2)], 77, ("terrestrial", "robotic"))
 
 
 def test_non_relocating_strategies_report_zero_distance():
@@ -185,6 +187,41 @@ def test_execution_order_does_not_change_rows():
         (m.strategy, m.sigma, m.trial): m for m in run_experiment(flipped).metrics
     }
     assert rows_a == rows_b
+
+
+UNITS = [(sigma, trial) for sigma in (1.8, 2.8) for trial in range(3)]
+
+
+@pytest.fixture(scope="module")
+def in_order_sweep():
+    """Every unit's results as a sweep runs them: one block, in order."""
+    engine = harness._TrialEngine(SMALL)
+    assert engine.block_units >= len(UNITS)
+    return dict(zip(UNITS, engine.run_block(UNITS, 29, KNOWN_STRATEGIES)))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_shuffled_unit_blocks_reproduce_the_sweep(in_order_sweep, data):
+    order = data.draw(st.permutations(UNITS))
+    cuts = data.draw(st.lists(st.booleans(), min_size=len(UNITS) - 1,
+                              max_size=len(UNITS) - 1))
+    ends = [k for k, cut in enumerate(cuts, 1) if cut] + [len(UNITS)]
+    engine = harness._TrialEngine(SMALL)
+    for start, end in zip([0] + ends, ends):
+        block = order[start:end]
+        for unit, results in zip(block, engine.run_block(block, 29, KNOWN_STRATEGIES)):
+            for got, want in zip(results, in_order_sweep[unit], strict=True):
+                assert got.metrics == want.metrics
+                assert np.array_equal(got.plan.cells, want.plan.cells)
+                assert np.array_equal(got.plan.sites, want.plan.sites)
+                if want.trajectory is None:
+                    assert got.trajectory is None
+                    continue
+                for name in ("routes", "leg_m", "cumulative_m"):
+                    assert np.array_equal(
+                        getattr(got.trajectory, name), getattr(want.trajectory, name)
+                    )
 
 
 def test_sweep_builds_each_realization_once(monkeypatch):

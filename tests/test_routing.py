@@ -11,11 +11,11 @@ from bruteforce import (
 )
 from irsfleet.energy import PlatformParams, flight_range
 from irsfleet.geometry import build_layout
-from irsfleet.matching import min_cost_matching
+from irsfleet.matching import Stacker, min_cost_matching
 from irsfleet.planner import PlacementPlan, PlanValidationError
 from irsfleet.routing import (
-    min_cost_assignment,
-    plan_trajectories,
+    _assignment_machine,
+    trajectory_machine,
     transition_costs,
     validate_trajectory,
 )
@@ -66,24 +66,24 @@ def test_wrong_occupancy_rejected():
 # ------------------------------------------------------------- assignment
 
 def test_assignment_examples():
-    perm, total = min_cost_assignment([[0.0, 5.0], [5.0, 0.0]])
+    perm, total = Stacker().run(_assignment_machine([[0.0, 5.0], [5.0, 0.0]]))
     assert list(perm) == [0, 1] and total == 0.0
-    perm, total = min_cost_assignment([[1.0, 2.0], [3.0, 1.0]])
+    perm, total = Stacker().run(_assignment_machine([[1.0, 2.0], [3.0, 1.0]]))
     assert list(perm) == [0, 1] and total == 2.0
 
 
 def test_assignment_lexicographic_ties():
-    perm, total = min_cost_assignment([[5.0, 5.0], [0.0, 0.0]])
+    perm, total = Stacker().run(_assignment_machine([[5.0, 5.0], [0.0, 0.0]]))
     assert list(perm) == [0, 1] and total == 5.0
-    perm, _ = min_cost_assignment(np.ones((4, 4)))
+    perm, _ = Stacker().run(_assignment_machine(np.ones((4, 4))))
     assert list(perm) == [0, 1, 2, 3]
 
 
 def test_assignment_input_validation():
     with pytest.raises(ValueError):
-        min_cost_assignment(np.ones((2, 3)))
+        Stacker().run(_assignment_machine(np.ones((2, 3))))
     with pytest.raises(ValueError):
-        min_cost_assignment(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+        Stacker().run(_assignment_machine(np.array([[-1.0, 0.0], [0.0, 1.0]])))
 
 
 def test_assignment_matches_brute_force_with_lex_ties():
@@ -92,7 +92,7 @@ def test_assignment_matches_brute_force_with_lex_ties():
         m = int(rng.integers(1, 6))
         # small integers make ties frequent
         cost = rng.integers(0, 4, size=(m, m)).astype(float)
-        perm, total = min_cost_assignment(cost)
+        perm, total = Stacker().run(_assignment_machine(cost))
         expect_perm, expect_total = best_assignment(cost)
         assert total == expect_total
         assert tuple(perm) == expect_perm
@@ -102,7 +102,7 @@ def test_assignment_7x7_brute_force():
     rng = np.random.Generator(np.random.Philox(22))
     for _ in range(30):
         cost = np.abs(dyadic_matrix(rng, (7, 7)))
-        _, total = min_cost_assignment(cost)
+        _, total = Stacker().run(_assignment_machine(cost))
         _, expect = best_assignment(cost)
         assert total == expect
 
@@ -118,7 +118,7 @@ def test_assignment_tie_tolerance(excess, lex_smaller_wins):
     # (3.0) the 2*tol pruning margin.
     tol = 1e-9 * 1000.0
     cost = np.array([[500.0 + excess * tol, 500.0], [500.0, 500.0]])
-    perm, total = min_cost_assignment(cost)
+    perm, total = Stacker().run(_assignment_machine(cost))
     if lex_smaller_wins:
         assert list(perm) == [0, 1] and total == cost[0, 0] + 500.0
     else:
@@ -135,7 +135,7 @@ def test_assignment_matches_resolve_oracle_on_tied_grid_transitions():
             for _ in range(4)
         ]
         for cost in transition_costs(_plan(epoch_sites), LAYOUT).between:
-            perm, total = min_cost_assignment(cost)
+            perm, total = Stacker().run(_assignment_machine(cost))
             expect_perm, expect_total = lexmin_assignment_by_resolves(cost)
             assert np.array_equal(perm, expect_perm)
             assert total == expect_total
@@ -146,8 +146,8 @@ def test_assignment_matches_resolve_oracle_on_tied_grid_transitions():
 
 
 def test_batched_routes_match_per_transition_assignments_on_tied_grid():
-    # plan_trajectories solves a plan's transitions as one batch; its
-    # routes must be those of one min_cost_assignment per transition.
+    # trajectory_machine solves a plan's transitions in shared stacks; its
+    # routes must be those of one lone assignment per transition.
     rng = np.random.Generator(np.random.Philox(41))
     for _ in range(100):
         epoch_sites = [
@@ -155,11 +155,11 @@ def test_batched_routes_match_per_transition_assignments_on_tied_grid():
             for _ in range(4)
         ]
         plan = _plan(epoch_sites)
-        traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+        traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
         costs = transition_costs(plan, LAYOUT)
         unit_row = np.arange(10)
         for t, cost in enumerate(costs.between):
-            perm, _ = min_cost_assignment(cost)
+            perm, _ = Stacker().run(_assignment_machine(cost))
             next_rows = perm[unit_row]
             assert np.array_equal(traj.leg_m[:, t + 1], cost[unit_row, next_rows])
             unit_row = next_rows
@@ -168,7 +168,7 @@ def test_batched_routes_match_per_transition_assignments_on_tied_grid():
 
 
 def test_transitions_share_stacked_rounds(monkeypatch):
-    # Every transition runs min_cost_assignment's machine. The first round
+    # Every transition runs its own assignment machine. The first round
     # stacks all of a plan's dual solves; a later round stacks the pending
     # confirmation re-solves of several transitions at once.
     import irsfleet.matching as matching
@@ -188,7 +188,8 @@ def test_transitions_share_stacked_rounds(monkeypatch):
 
     monkeypatch.setattr(routing, "_assignment_machine", counted_machine)
     monkeypatch.setattr(matching, "min_cost_matching_batch", counted_batch)
-    plan_trajectories(_plan([(0, 9), (90, 99), (0, 9), (40, 50)]), LAYOUT, PLATFORM)
+    plan = _plan([(0, 9), (90, 99), (0, 9), (40, 50)])
+    Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
     assert machines == [(2, 2)] * 3
     assert stacks[0] == ((3, 2, 2), [2] * 3, [2] * 3)
 
@@ -200,7 +201,7 @@ def test_transitions_share_stacked_rounds(monkeypatch):
             for _ in range(4)
         ]
         stacks.clear()
-        plan_trajectories(_plan(epoch_sites), LAYOUT, PLATFORM)
+        Stacker().run(trajectory_machine(_plan(epoch_sites), LAYOUT, PLATFORM))
         assert stacks[0] == ((3, 10, 10), [10] * 3, [10] * 3)
         assert all(shape[2] < 10 for shape, _, _ in stacks[1:])
         shared += any(shape[0] > 1 for shape, _, _ in stacks[1:])
@@ -211,7 +212,7 @@ def test_transitions_share_stacked_rounds(monkeypatch):
 
 def test_static_plan_travel_is_depot_only():
     plan = _plan([(22, 44), (22, 44), (22, 44)])
-    traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
     costs = transition_costs(plan, LAYOUT)
     assert traj.leg_m[:, 1:3].sum() == 0.0
     assert traj.total_distance_m == pytest.approx(
@@ -223,7 +224,7 @@ def test_static_plan_travel_is_depot_only():
 def test_solver_prefers_staying_put():
     # both units could swap sites at equal total cost zero vs positive
     plan = _plan([(10, 70), (10, 70)])
-    traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
     assert np.array_equal(traj.routes[:, 0], traj.routes[:, 1])
 
 
@@ -236,7 +237,7 @@ def test_chained_transitions_match_joint_brute_force():
             for _ in range(3)
         ]
         plan = _plan(epoch_sites)
-        traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+        traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
         costs = transition_costs(plan, LAYOUT)
         middle = traj.leg_m[:, 1:3].sum()
         expect = best_transition_chain(list(costs.between))
@@ -251,7 +252,7 @@ def test_trajectory_bookkeeping():
         for _ in range(6)
     ]
     plan = _plan(epoch_sites)
-    traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
     # conservation and monotonicity
     assert traj.total_distance_m == pytest.approx(traj.leg_m.sum())
     assert (np.diff(traj.cumulative_m, axis=1) >= -1e-12).all()
@@ -276,7 +277,7 @@ def test_transition_optimality_beats_identity_and_random():
     plan = _plan(epoch_sites)
     costs = transition_costs(plan, LAYOUT)
     for t in range(costs.between.shape[0]):
-        _, optimal = min_cost_assignment(costs.between[t])
+        _, optimal = Stacker().run(_assignment_machine(costs.between[t]))
         identity = float(np.trace(costs.between[t]))
         assert optimal <= identity + 1e-9
         for _ in range(10):
@@ -287,7 +288,7 @@ def test_transition_optimality_beats_identity_and_random():
 
 def test_validator_names_the_first_wrong_leg():
     plan = _plan([(0, 9), (90, 99), (0, 9)])
-    traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
     traj.leg_m[1, 2] += 1.0
     traj.leg_m[0, 3] += 1.0
     with pytest.raises(PlanValidationError, match="unit 0 leg 3 "):
@@ -299,7 +300,7 @@ def test_validator_names_the_first_wrong_leg():
 
 def test_validator_checks_the_trajectory_against_the_plan():
     plan = _plan([(0, 9), (90, 99), (0, 9)])
-    traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
     # the same sites in another unit order are the same occupancy
     validate_trajectory(traj, _plan([(9, 0), (99, 90), (9, 0)]), LAYOUT)
     with pytest.raises(PlanValidationError, match="epoch count"):
@@ -315,7 +316,7 @@ def test_validator_checks_the_trajectory_against_the_plan():
 
 def test_validator_rejects_non_finite_distances():
     plan = _plan([(0, 9), (90, 99), (0, 9)])
-    traj = plan_trajectories(plan, LAYOUT, PLATFORM)
+    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
     validate_trajectory(traj, plan, LAYOUT)
     leg = traj.leg_m.copy()
     traj.leg_m[1, 2] = np.nan
@@ -337,6 +338,6 @@ def test_infeasible_energy_is_flagged():
     plan = _plan([(0, 9), (90, 99), (0, 9), (90, 99)])
     # battery barely covers the static loads, leaving ~no flight budget
     weak_battery = PlatformParams(battery_j=432_000.0 + 38_880.0 + 10.0)
-    traj = plan_trajectories(plan, LAYOUT, weak_battery)
+    traj = Stacker().run(trajectory_machine(plan, LAYOUT, weak_battery))
     assert not traj.feasible
     assert any(not ledger.feasible for ledger in traj.ledgers)
