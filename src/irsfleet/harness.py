@@ -7,7 +7,8 @@ runs its units in blocks of consecutive units in (sigma, trial) order
 (`_TrialEngine.run_block`): it draws the block's units, then runs one
 matching machine per (unit, strategy) trial, all gathered into shared
 matching stacks. Each trial solves its placement and, for robotic, its
-trajectory, and is scored as soon as its solves are done. A single trial
+routes, and is scored as soon as its solves are done: `evaluate_plan`
+scores the plan and `evaluate_trajectory` the routes. A single trial
 is a block of one unit of one strategy. Every unit is a pure function of
 (master seed, sigma, trial index): substreams come from a counter-based
 generator keyed on those values, never on execution order, and every
@@ -42,7 +43,7 @@ from .planner import (
     fixed_plan_machine,
     solve_random_plan,
 )
-from .routing import TrajectoryPlan, trajectory_machine, validate_trajectory
+from .routing import TrajectoryPlan, evaluate_trajectory, trajectory_machine
 from .scenario import Scenario, scenario_as_dict
 from .traffic import TrafficField, sample_traffic
 from .channel import realize_channel
@@ -239,18 +240,15 @@ class _TrialEngine:
         master_seed: int,
     ):
         """Matching machine for one strategy's trial on its unit: it solves
-        the plan and, for robotic, the trajectory, and scores them with
-        `run`. Returns the TrialResult, or the exception raised in its
-        place."""
+        the plan and, for robotic, the routes, and scores them with `run`.
+        Returns the TrialResult, or the exception raised in its place."""
         solver = self.scenario.solver
         m = solver.fleet_size
-        trajectory = None
+        routes = None
         try:
             if strategy == STRATEGY_ROBOTIC:
                 plan = yield from adaptive_plan_machine(tensor, m)
-                trajectory = yield from trajectory_machine(
-                    plan, self.layout, self.scenario.platform
-                )
+                routes = yield from trajectory_machine(plan, self.layout)
             elif strategy == STRATEGY_TERRESTRIAL:
                 plan = yield from fixed_plan_machine(tensor, m, solver.terrestrial_mode)
             elif strategy == STRATEGY_RANDOM:
@@ -258,7 +256,7 @@ class _TrialEngine:
                 plan = solve_random_plan(tensor, m, rng)
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
-            return self.run(sigma, trial_index, strategy, field, tensor, plan, trajectory)
+            return self.run(sigma, trial_index, strategy, field, tensor, plan, routes)
         except Exception as err:
             return err
 
@@ -270,18 +268,17 @@ class _TrialEngine:
         field: TrafficField,
         tensor: GainTensor,
         plan: PlacementPlan,
-        trajectory: TrajectoryPlan | None,
+        routes: np.ndarray | None,
     ) -> TrialResult:
         """One strategy's trial, scored on its unit's traffic and gain
-        tensor; a trajectory is checked against its plan."""
+        tensor; routes are scored as the plan's trajectory."""
         evaluation = evaluate_plan(plan, tensor, self.scenario.solver.fleet_size)
 
-        total_distance = 0.0
-        feasible = True
-        if trajectory is not None:
-            validate_trajectory(trajectory, plan, self.layout)
-            total_distance = trajectory.total_distance_m
-            feasible = trajectory.feasible
+        trajectory = None
+        if routes is not None:
+            trajectory = evaluate_trajectory(
+                routes, plan, self.layout, self.scenario.platform
+            )
 
         metrics = TrialMetrics(
             strategy=strategy,
@@ -289,8 +286,8 @@ class _TrialEngine:
             trial=int(trial_index),
             mean_gain=evaluation.objective,
             served_traffic=float(evaluation.served_traffic.sum()),
-            total_distance_m=total_distance,
-            energy_feasible=feasible,
+            total_distance_m=0.0 if trajectory is None else trajectory.total_distance_m,
+            energy_feasible=trajectory is None or trajectory.feasible,
             matching_weight=evaluation.matching_weight,
             n_weak=tensor.n_weak,
         )

@@ -171,6 +171,14 @@ def _completed_pairs(cost, m: int, rows, matched) -> list[tuple[int, int]]:
     missing places go to the lowest unused cells paired with the lowest
     unused sites, in order. Zero-cost ties therefore resolve to the lowest
     (cell, site) indices, as a matching over every row would.
+
+    The completion keeps the optimum. Every cost is at most 0, and rows
+    outside the request cost 0 for this problem (unserved, or with no
+    negative entry), so an exact matching of `min(m, len(rows))` requested
+    rows reaches the optimum over every size-m matching. A fill pair with
+    a negative cost would beat that optimum, so every released or filled
+    pair costs exactly 0. Tests: `test_served_row_placement_equals_full_matching`
+    and `test_clairvoyant_placement_equals_full_matching`.
     """
     n_cells, n_sites = cost.shape
     pairs = [(int(rows[q]), j) for q, j in matched if cost[rows[q], j] != 0.0]

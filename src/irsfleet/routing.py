@@ -1,15 +1,16 @@
-"""Fleet trajectories across epochs: per-transition assignment plus depot legs.
+"""Fleet trajectories across epochs: per-transition assignment, then scoring.
 
 The travel objective is additive over consecutive-epoch transitions and
 each transition's constraint set is an independent permutation polytope,
 so chaining exact per-transition assignments is jointly optimal (the test
 suite cross-checks this against a joint brute force). Depot legs are
 assignment-independent because every unit starts and ends at the one base
-station; they are reported but not optimized.
+station; they are scored but not optimized.
 
 `trajectory_machine` is a matching machine (see `matching`) that runs one
-`_assignment_machine` per transition: a sweep gathers it over every
-robotic plan of a block, and `Stacker().run` drives one alone.
+`_assignment_machine` per transition and returns only the routes: a sweep
+gathers it over every robotic plan of a block, and `Stacker().run` drives
+one alone. `evaluate_trajectory` scores routes, as `evaluate_plan` plans.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ __all__ = [
     "transition_costs",
     "trajectory_machine",
     "validate_trajectory",
+    "evaluate_trajectory",
 ]
 
 
@@ -40,13 +42,11 @@ class TransitionCosts:
     """
 
     between: np.ndarray      # (epochs - 1, M, M) metres
-    depot_out: np.ndarray    # (M,) base station to epoch-1 sites
-    depot_back: np.ndarray   # (M,) final-epoch sites back to base station
     site_order: np.ndarray   # (epochs, M) site indices, sorted per epoch
 
 
 def transition_costs(plan: PlacementPlan, layout: ScenarioLayout) -> TransitionCosts:
-    """Distance matrices for every consecutive epoch pair plus depot legs."""
+    """Distance matrices for every consecutive epoch pair."""
     order = np.sort(plan.sites, axis=1)
     epochs, m = order.shape
     if not epochs:
@@ -58,17 +58,9 @@ def transition_costs(plan: PlacementPlan, layout: ScenarioLayout) -> TransitionC
             f"distinct sites"
         )
     coords = layout.candidate_sites[order]
-    bs = layout.bs_position
     diff = coords[:-1, :, None, :] - coords[1:, None, :, :]
     between = np.hypot(diff[..., 0], diff[..., 1])
-    depot_out = np.hypot(coords[0][:, 0] - bs[0], coords[0][:, 1] - bs[1])
-    depot_back = np.hypot(coords[-1][:, 0] - bs[0], coords[-1][:, 1] - bs[1])
-    return TransitionCosts(
-        between=between,
-        depot_out=depot_out,
-        depot_back=depot_back,
-        site_order=order,
-    )
+    return TransitionCosts(between=between, site_order=order)
 
 
 def _assignment_machine(cost):
@@ -159,7 +151,8 @@ def _tight_detour(tight, witness, i, j, available) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryPlan:
-    """Site sequence, travel legs and energy ledger for every unit.
+    """Site sequence, travel legs and energy ledger for every unit, as
+    `evaluate_trajectory` scores routes.
 
     Legs per unit: depot departure, the epoch transitions, depot return;
     `cumulative_m` is the running total after each leg.
@@ -173,18 +166,14 @@ class TrajectoryPlan:
     feasible: bool
 
 
-def trajectory_machine(
-    plan: PlacementPlan,
-    layout: ScenarioLayout,
-    platform: PlatformParams,
-):
+def trajectory_machine(plan: PlacementPlan, layout: ScenarioLayout):
     """Matching machine that assigns units to sites epoch by epoch,
-    minimizing total travel.
+    minimizing total travel. Returns the (M, epochs) integer routes of
+    global site indices.
 
     Unit k starts at the k-th occupied site of epoch one (sorted order);
-    every transition is an exact assignment. Depot legs out of and back to
-    the base station are added to each route, and any unit whose mission
-    energy, depot legs included, exceeds the battery is flagged.
+    every transition is an exact assignment. Depot legs and energy are
+    left to `evaluate_trajectory`.
 
     The transitions' `_assignment_machine`s run in lockstep: the first
     round asks for every transition's dual solve, and each later round for
@@ -197,49 +186,22 @@ def trajectory_machine(
     assigned = yield from gather(_assignment_machine(c) for c in costs.between)
 
     routes = np.zeros((m, epochs), dtype=int)
-    legs = np.zeros((m, epochs + 1))
     routes[:, 0] = order[0]
-    legs[:, 0] = costs.depot_out
-
     # Position of each unit's current site within the sorted epoch order.
     unit_row = np.arange(m)
     for t, (perm, _) in enumerate(assigned):
-        next_cols = perm[unit_row]
-        legs[:, t + 1] = costs.between[t][unit_row, next_cols]
-        routes[:, t + 1] = order[t + 1][next_cols]
-        unit_row = next_cols
-
-    legs[:, epochs] = costs.depot_back[unit_row]
-
-    cumulative = np.cumsum(legs, axis=1)
-    ledgers = tuple(
-        mission_ledger(float(cumulative[k, -1]), platform) for k in range(m)
-    )
-    return TrajectoryPlan(
-        routes=routes,
-        leg_m=legs,
-        cumulative_m=cumulative,
-        total_distance_m=float(legs.sum()),
-        ledgers=ledgers,
-        feasible=all(ledger.feasible for ledger in ledgers),
-    )
+        unit_row = perm[unit_row]
+        routes[:, t + 1] = order[t + 1][unit_row]
+    return routes
 
 
-def validate_trajectory(
-    trajectory: TrajectoryPlan,
-    plan: PlacementPlan,
-    layout: ScenarioLayout,
-) -> None:
-    """Independent consistency check of a trajectory against its plan.
-
-    Confirms that routing never alters the placement (per-epoch site
-    multisets match), that every leg is the planar distance it claims,
-    that cumulative distances are nondecreasing, and that the total is
-    conserved. Raises PlanValidationError on any violation.
-    """
-    m, epochs = trajectory.routes.shape
+def validate_trajectory(routes: np.ndarray, plan: PlacementPlan) -> None:
+    """Independent check of routes against their plan: the epoch count,
+    then per-epoch site sets equal to the plan's with no site shared.
+    Raises PlanValidationError naming the first violation."""
+    epochs = routes.shape[1]
     planned = np.sort(plan.sites, axis=1)
-    routed = np.sort(trajectory.routes.T, axis=1)
+    routed = np.sort(routes.T, axis=1)
     if len(planned) != epochs:
         raise PlanValidationError("trajectory epoch count differs from plan")
     differs = np.ones(epochs, dtype=bool)
@@ -256,22 +218,30 @@ def validate_trajectory(
         raise PlanValidationError(
             f"site-exclusivity: two units share a site at epoch {wrong[0] + 1}"
         )
-    bs = np.broadcast_to(layout.bs_position, (m, 1, 2))
-    points = np.concatenate(
-        [bs, layout.candidate_sites[trajectory.routes], bs], axis=1
-    )
+
+
+def evaluate_trajectory(
+    routes: np.ndarray,
+    plan: PlacementPlan,
+    layout: ScenarioLayout,
+    platform: PlatformParams,
+) -> TrajectoryPlan:
+    """Score routes: each unit's legs, depot departure and return
+    included, their running sum and its energy ledger; a unit whose mission
+    energy exceeds the battery is flagged. Validates the routes against
+    the plan first, so routes that alter the placement raise."""
+    validate_trajectory(routes, plan)
+    bs = np.broadcast_to(layout.bs_position, (routes.shape[0], 1, 2))
+    points = np.concatenate([bs, layout.candidate_sites[routes], bs], axis=1)
     step = np.diff(points, axis=1)
-    expect = np.hypot(step[..., 0], step[..., 1])
-    # Each check asks that the good condition holds, so a NaN fails it:
-    # every ordered comparison with NaN is false.
-    wrong = np.argwhere(~(np.abs(expect - trajectory.leg_m) <= 1e-6))
-    if len(wrong):
-        k, leg = wrong[0]
-        raise PlanValidationError(
-            f"leg-distance: unit {k} leg {leg} is not the planar "
-            f"distance between its endpoints"
-        )
-    if not np.all(np.diff(trajectory.cumulative_m, axis=1) >= -1e-9):
-        raise PlanValidationError("cumulative distance decreases along a route")
-    if not abs(trajectory.leg_m.sum() - trajectory.total_distance_m) <= 1e-6:
-        raise PlanValidationError("total distance does not equal the leg sum")
+    legs = np.hypot(step[..., 0], step[..., 1])
+    cumulative = np.cumsum(legs, axis=1)
+    ledgers = tuple(mission_ledger(d, platform) for d in cumulative[:, -1].tolist())
+    return TrajectoryPlan(
+        routes=routes,
+        leg_m=legs,
+        cumulative_m=cumulative,
+        total_distance_m=float(legs.sum()),
+        ledgers=ledgers,
+        feasible=all(ledger.feasible for ledger in ledgers),
+    )

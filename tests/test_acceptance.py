@@ -18,7 +18,6 @@ measurement.
 
 import dataclasses
 import math
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -52,6 +51,7 @@ from irsfleet.planner import (
 )
 from irsfleet.routing import (
     _assignment_machine,
+    evaluate_trajectory,
     trajectory_machine,
     transition_costs,
     validate_trajectory,
@@ -186,7 +186,8 @@ def test_criterion_4_solver_exactness():
         ]
         sites = np.array(epoch_sites)
         plan = PlacementPlan("robotic", np.tile(np.arange(3), (3, 1)), sites)
-        traj = Stacker().run(trajectory_machine(plan, layout, platform))
+        routes = Stacker().run(trajectory_machine(plan, layout))
+        traj = evaluate_trajectory(routes, plan, layout, platform)
         costs = transition_costs(plan, layout)
         middle = float(traj.leg_m[:, 1:3].sum())
         assert middle == pytest.approx(best_transition_chain(list(costs.between)), abs=1e-9)
@@ -369,7 +370,7 @@ def test_criterion_9_feasibility_and_energy(sweep):
                 res = run_trial(scenario, sigma, trial, strategy, MASTER_SEED)
                 evaluate_plan(res.plan, res.tensor, scenario.solver.fleet_size)
                 if res.trajectory is not None:
-                    validate_trajectory(res.trajectory, res.plan, scenario.layout())
+                    validate_trajectory(res.trajectory.routes, res.plan)
                     assert (res.trajectory.cumulative_m[:, -1] <= fly_budget).all()
                     assert all(l.feasible for l in res.trajectory.ledgers)
                 checked += 1

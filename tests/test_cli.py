@@ -305,7 +305,7 @@ def test_a_sweep_names_the_first_failing_trial_not_the_first_to_fail(
     tmp_path, capsys, monkeypatch
 ):
     # One block of two units. Unit 0's robotic trial fails last, when its
-    # trajectory is checked after the routing rounds; both of unit 1's
+    # routes are scored after the routing rounds; both of unit 1's
     # placements fail first (two weak cells for a fleet of ten). The error
     # names unit 0's robotic trial, the first failure in (unit, strategy)
     # order; one raised in the order trials fail would name unit 1.
@@ -338,7 +338,7 @@ def test_a_sweep_names_the_first_failing_trial_not_the_first_to_fail(
 
     monkeypatch.setattr(harness, "build_gain_tensor", trimmed)
     monkeypatch.setattr(planner, "_check_fit", logged_fit)
-    monkeypatch.setattr(harness, "validate_trajectory", refuse)
+    monkeypatch.setattr(harness, "evaluate_trajectory", refuse)
     out = tmp_path / "out"
     argv = ["sweep", "--seed", "5", "--trials", "2", "--sigma", "2.8",
             "--strategy", "robotic", "terrestrial", "--out", str(out)]

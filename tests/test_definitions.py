@@ -1,5 +1,6 @@
 """Every function, class and method under `src/irsfleet/` is used by the
 program itself: some code of the package loads it by name or attribute.
+And every name a package or test module imports is used.
 
 The check is by bare name, so it cannot tell two definitions of one name
 apart; it catches a definition that nothing in the package reaches any
@@ -9,7 +10,8 @@ more, such as a wrapper whose callers all moved to another path.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "irsfleet"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "irsfleet"
 
 # Kept although no package code loads them, each with its reason.
 ALLOWED = {
@@ -55,3 +57,68 @@ def test_every_definition_is_loaded_by_the_package():
     assert [q for q in unloaded if q not in ALLOWED] == []
     # An allowance whose definition is gone or used again is stale.
     assert sorted(ALLOWED) == [q for q in unloaded if q in ALLOWED]
+
+
+def _scanned_modules() -> dict[str, Path]:
+    """Every package and test module, by the name it is imported as."""
+    modules = {path.stem: path for path in sorted(TESTS.glob("*.py"))}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "irsfleet" if path.stem == "__init__" else f"irsfleet.{path.stem}"
+        modules[name] = path
+    return modules
+
+
+def _imports(tree: ast.Module) -> list[tuple[str, str, str]]:
+    """(bound name, source module, imported name) of every import in a
+    module; a relative import resolves within the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                found.append((bound, alias.name, ""))
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                source = ".".join(filter(None, ("irsfleet", node.module)))
+            for alias in node.names:
+                found.append((alias.asname or alias.name, source, alias.name))
+    return found
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_used():
+    # An import is used when its module loads the name, lists it in
+    # `__all__`, or another scanned module imports it from there (the
+    # re-exports of `tests/bruteforce.py`).
+    modules = _scanned_modules()
+    trees = {name: ast.parse(path.read_text()) for name, path in modules.items()}
+    imports = {name: _imports(tree) for name, tree in trees.items()}
+    imported_from = {
+        (source, original)
+        for found in imports.values()
+        for _, source, original in found
+    }
+    unused = []
+    for name, tree in trees.items():
+        used = _exported(tree) | {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{modules[name].relative_to(TESTS.parent)}: {bound}"
+            for bound, _, _ in imports[name]
+            if bound not in used and (name, bound) not in imported_from
+        ]
+    assert unused == []

@@ -13,7 +13,6 @@ from irsfleet import (
     ExperimentConfig,
     Scenario,
     TrialError,
-    default_scenario,
     run_experiment,
     run_trial,
 )

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -15,6 +13,7 @@ from irsfleet.matching import Stacker, min_cost_matching
 from irsfleet.planner import PlacementPlan, PlanValidationError
 from irsfleet.routing import (
     _assignment_machine,
+    evaluate_trajectory,
     trajectory_machine,
     transition_costs,
     validate_trajectory,
@@ -29,6 +28,18 @@ def _plan(epoch_sites, strategy="robotic"):
     sites = np.array(epoch_sites, dtype=int)
     cells = np.broadcast_to(np.arange(sites.shape[1]), sites.shape)
     return PlacementPlan(strategy, cells, sites)
+
+
+def _trajectory(plan, platform=PLATFORM):
+    """The plan's routes, scored."""
+    routes = Stacker().run(trajectory_machine(plan, LAYOUT))
+    return evaluate_trajectory(routes, plan, LAYOUT, platform)
+
+
+def _depot_legs(sites):
+    """Planar distances from the base station to each site."""
+    step = LAYOUT.candidate_sites[np.asarray(sites)] - LAYOUT.bs_position
+    return np.hypot(step[..., 0], step[..., 1])
 
 
 # --------------------------------------------------------- transition costs
@@ -54,7 +65,9 @@ def test_single_unit_costs():
     plan = _plan([(0,), (9,), (99,)])
     costs = transition_costs(plan, LAYOUT)
     assert costs.between.shape == (2, 1, 1)
-    assert costs.depot_out.shape == (1,)
+    traj = _trajectory(plan)
+    assert traj.leg_m.shape == (1, 4)
+    assert traj.leg_m[0, [0, 3]].tolist() == _depot_legs([0, 99]).tolist()
 
 
 def test_wrong_occupancy_rejected():
@@ -155,7 +168,7 @@ def test_batched_routes_match_per_transition_assignments_on_tied_grid():
             for _ in range(4)
         ]
         plan = _plan(epoch_sites)
-        traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
+        traj = _trajectory(plan)
         costs = transition_costs(plan, LAYOUT)
         unit_row = np.arange(10)
         for t, cost in enumerate(costs.between):
@@ -165,6 +178,39 @@ def test_batched_routes_match_per_transition_assignments_on_tied_grid():
             unit_row = next_rows
             expect = np.asarray(costs.site_order[t + 1])[unit_row]
             assert np.array_equal(traj.routes[:, t + 1], expect)
+
+
+def test_scored_legs_match_the_transition_costs():
+    # Routing solves on `transition_costs`, scoring measures the routes:
+    # the two distance computations must agree leg for leg.
+    rng = np.random.Generator(np.random.Philox(43))
+    shapes = [(1, 1), (1, 6), (6, 1)] + [
+        tuple(rng.integers(1, 8, size=2).tolist()) for _ in range(40)
+    ]
+    for epochs, m in shapes:
+        plan = _plan(
+            [rng.choice(LAYOUT.n_sites, size=m, replace=False) for _ in range(epochs)]
+        )
+        traj = _trajectory(plan)
+        costs = transition_costs(plan, LAYOUT)
+        # each unit's row in every epoch's sorted site order
+        rows = [
+            np.searchsorted(order, traj.routes[:, t])
+            for t, order in enumerate(costs.site_order)
+        ]
+        transitions = [
+            between[rows[t], rows[t + 1]] for t, between in enumerate(costs.between)
+        ]
+        for t, legs in enumerate(transitions):
+            assert np.array_equal(traj.leg_m[:, t + 1], legs)
+        out, back = _depot_legs(traj.routes[:, 0]), _depot_legs(traj.routes[:, -1])
+        assert np.array_equal(traj.leg_m[:, 0], out)
+        assert np.array_equal(traj.leg_m[:, -1], back)
+        travel = out + sum(transitions, np.zeros(m)) + back
+        e_fly = PLATFORM.p_fly_w * travel / PLATFORM.v_fly_mps
+        assert [ledger.e_fly_j for ledger in traj.ledgers] == pytest.approx(
+            e_fly.tolist(), rel=1e-12
+        )
 
 
 def test_transitions_share_stacked_rounds(monkeypatch):
@@ -189,7 +235,7 @@ def test_transitions_share_stacked_rounds(monkeypatch):
     monkeypatch.setattr(routing, "_assignment_machine", counted_machine)
     monkeypatch.setattr(matching, "min_cost_matching_batch", counted_batch)
     plan = _plan([(0, 9), (90, 99), (0, 9), (40, 50)])
-    Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
+    Stacker().run(trajectory_machine(plan, LAYOUT))
     assert machines == [(2, 2)] * 3
     assert stacks[0] == ((3, 2, 2), [2] * 3, [2] * 3)
 
@@ -201,7 +247,7 @@ def test_transitions_share_stacked_rounds(monkeypatch):
             for _ in range(4)
         ]
         stacks.clear()
-        Stacker().run(trajectory_machine(_plan(epoch_sites), LAYOUT, PLATFORM))
+        Stacker().run(trajectory_machine(_plan(epoch_sites), LAYOUT))
         assert stacks[0] == ((3, 10, 10), [10] * 3, [10] * 3)
         assert all(shape[2] < 10 for shape, _, _ in stacks[1:])
         shared += any(shape[0] > 1 for shape, _, _ in stacks[1:])
@@ -212,20 +258,16 @@ def test_transitions_share_stacked_rounds(monkeypatch):
 
 def test_static_plan_travel_is_depot_only():
     plan = _plan([(22, 44), (22, 44), (22, 44)])
-    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
-    costs = transition_costs(plan, LAYOUT)
+    traj = _trajectory(plan)
     assert traj.leg_m[:, 1:3].sum() == 0.0
-    assert traj.total_distance_m == pytest.approx(
-        costs.depot_out.sum() + costs.depot_back.sum()
-    )
-    validate_trajectory(traj, plan, LAYOUT)
+    assert traj.total_distance_m == pytest.approx(2.0 * _depot_legs([22, 44]).sum())
 
 
 def test_solver_prefers_staying_put():
     # both units could swap sites at equal total cost zero vs positive
     plan = _plan([(10, 70), (10, 70)])
-    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
-    assert np.array_equal(traj.routes[:, 0], traj.routes[:, 1])
+    routes = Stacker().run(trajectory_machine(plan, LAYOUT))
+    assert np.array_equal(routes[:, 0], routes[:, 1])
 
 
 def test_chained_transitions_match_joint_brute_force():
@@ -237,12 +279,11 @@ def test_chained_transitions_match_joint_brute_force():
             for _ in range(3)
         ]
         plan = _plan(epoch_sites)
-        traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
+        traj = _trajectory(plan)
         costs = transition_costs(plan, LAYOUT)
         middle = traj.leg_m[:, 1:3].sum()
         expect = best_transition_chain(list(costs.between))
         assert middle == pytest.approx(expect, abs=1e-9)
-        validate_trajectory(traj, plan, LAYOUT)
 
 
 def test_trajectory_bookkeeping():
@@ -252,7 +293,7 @@ def test_trajectory_bookkeeping():
         for _ in range(6)
     ]
     plan = _plan(epoch_sites)
-    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
+    traj = _trajectory(plan)
     # conservation and monotonicity
     assert traj.total_distance_m == pytest.approx(traj.leg_m.sum())
     assert (np.diff(traj.cumulative_m, axis=1) >= -1e-12).all()
@@ -286,58 +327,29 @@ def test_transition_optimality_beats_identity_and_random():
             assert optimal <= sampled + 1e-9
 
 
-def test_validator_names_the_first_wrong_leg():
-    plan = _plan([(0, 9), (90, 99), (0, 9)])
-    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
-    traj.leg_m[1, 2] += 1.0
-    traj.leg_m[0, 3] += 1.0
-    with pytest.raises(PlanValidationError, match="unit 0 leg 3 "):
-        validate_trajectory(traj, plan, LAYOUT)
-    traj.leg_m[0, 3] -= 1.0
-    with pytest.raises(PlanValidationError, match="unit 1 leg 2 "):
-        validate_trajectory(traj, plan, LAYOUT)
-
-
 def test_validator_checks_the_trajectory_against_the_plan():
     plan = _plan([(0, 9), (90, 99), (0, 9)])
-    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
+    routes = Stacker().run(trajectory_machine(plan, LAYOUT))
     # the same sites in another unit order are the same occupancy
-    validate_trajectory(traj, _plan([(9, 0), (99, 90), (9, 0)]), LAYOUT)
+    validate_trajectory(routes, _plan([(9, 0), (99, 90), (9, 0)]))
     with pytest.raises(PlanValidationError, match="epoch count"):
-        validate_trajectory(traj, _plan([(0, 9), (90, 99)]), LAYOUT)
+        validate_trajectory(routes, _plan([(0, 9), (90, 99)]))
     with pytest.raises(PlanValidationError, match="occupancy: trajectory epoch 2 "):
-        validate_trajectory(traj, _plan([(0, 9), (90, 98), (0, 9)]), LAYOUT)
+        validate_trajectory(routes, _plan([(0, 9), (90, 98), (0, 9)]))
     with pytest.raises(PlanValidationError, match="occupancy: trajectory epoch 1 "):
-        validate_trajectory(traj, _plan([(0,), (90,), (0,)]), LAYOUT)
-    shared = dataclasses.replace(traj, routes=np.array([[0, 90, 9], [0, 90, 9]]))
+        validate_trajectory(routes, _plan([(0,), (90,), (0,)]))
+    shared = np.array([[0, 90, 9], [0, 90, 9]])
     with pytest.raises(PlanValidationError, match="share a site at epoch 1"):
-        validate_trajectory(shared, _plan([(0, 0), (90, 90), (9, 9)]), LAYOUT)
-
-
-def test_validator_rejects_non_finite_distances():
-    plan = _plan([(0, 9), (90, 99), (0, 9)])
-    traj = Stacker().run(trajectory_machine(plan, LAYOUT, PLATFORM))
-    validate_trajectory(traj, plan, LAYOUT)
-    leg = traj.leg_m.copy()
-    traj.leg_m[1, 2] = np.nan
-    with pytest.raises(PlanValidationError, match="unit 1 leg 2 "):
-        validate_trajectory(traj, plan, LAYOUT)
-    traj.leg_m[:] = leg
-    traj.cumulative_m[0, 1] = np.nan
-    with pytest.raises(PlanValidationError, match="cumulative distance"):
-        validate_trajectory(traj, plan, LAYOUT)
-    traj.cumulative_m[:] = np.cumsum(leg, axis=1)
-    validate_trajectory(traj, plan, LAYOUT)
-    for total in (np.inf, np.nan):
-        bad = dataclasses.replace(traj, total_distance_m=total)
-        with pytest.raises(PlanValidationError, match="total distance"):
-            validate_trajectory(bad, plan, LAYOUT)
+        validate_trajectory(shared, _plan([(0, 0), (90, 90), (9, 9)]))
+    # scoring checks first
+    with pytest.raises(PlanValidationError, match="occupancy: trajectory epoch 2 "):
+        evaluate_trajectory(routes, _plan([(0, 9), (90, 98), (0, 9)]), LAYOUT, PLATFORM)
 
 
 def test_infeasible_energy_is_flagged():
     plan = _plan([(0, 9), (90, 99), (0, 9), (90, 99)])
     # battery barely covers the static loads, leaving ~no flight budget
     weak_battery = PlatformParams(battery_j=432_000.0 + 38_880.0 + 10.0)
-    traj = Stacker().run(trajectory_machine(plan, LAYOUT, weak_battery))
+    traj = _trajectory(plan, weak_battery)
     assert not traj.feasible
     assert any(not ledger.feasible for ledger in traj.ledgers)
