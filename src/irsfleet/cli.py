@@ -66,20 +66,19 @@ def _cmd_plan(args) -> int:
     )
     # The trial runs before --out exists, so an infeasible one leaves none.
     result = run_trial(scenario, sigma, args.trial, args.strategy, args.seed)
-    layout = scenario.layout()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_metadata(config, out / "run_metadata.json")
     _write_rows(
         out / "placement.csv",
         PLACEMENT_HEADER,
-        placement_rows(args.trial, result, layout),
+        placement_rows(args.trial, result, scenario.layout()),
     )
     if result.trajectory is not None:
         _write_rows(
             out / "trajectory.csv",
             TRAJECTORY_HEADER,
-            trajectory_rows(args.trial, result.trajectory, layout),
+            trajectory_rows(args.trial, result.trajectory),
         )
     _write_rows(out / "traffic.csv", TRAFFIC_HEADER, traffic_rows(result.traffic))
 

@@ -35,9 +35,6 @@ class ScenarioLayout:
     def n_sites(self) -> int:
         return (self.grid_rows + 1) * (self.grid_cols + 1)
 
-    def grid_row_col(self, grid_index: int) -> tuple[int, int]:
-        return divmod(int(grid_index), self.grid_cols)
-
 
 def build_layout(
     rows: int,

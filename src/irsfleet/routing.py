@@ -151,14 +151,17 @@ def _tight_detour(tight, witness, i, j, available) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryPlan:
-    """Site sequence, travel legs and energy ledger for every unit, as
-    `evaluate_trajectory` scores routes.
+    """Site sequence, visited points, travel legs and energy ledger for
+    every unit, as `evaluate_trajectory` scores routes.
 
-    Legs per unit: depot departure, the epoch transitions, depot return;
-    `cumulative_m` is the running total after each leg.
+    `points` per unit: the base station, the routed sites, the base
+    station. Legs per unit join consecutive points (depot departure, the
+    epoch transitions, depot return); `cumulative_m` is the running total
+    after each leg.
     """
 
     routes: np.ndarray         # (M, epochs) global site indices
+    points: np.ndarray         # (M, epochs + 2, 2) metres
     leg_m: np.ndarray          # (M, epochs + 1) metres
     cumulative_m: np.ndarray   # (M, epochs + 1) metres
     total_distance_m: float
@@ -239,6 +242,7 @@ def evaluate_trajectory(
     ledgers = tuple(mission_ledger(d, platform) for d in cumulative[:, -1].tolist())
     return TrajectoryPlan(
         routes=routes,
+        points=points,
         leg_m=legs,
         cumulative_m=cumulative,
         total_distance_m=float(legs.sum()),

@@ -404,7 +404,7 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-# sha256 of every deterministic artifact of two small runs. Refactors must
+# sha256 of every deterministic artifact of four small runs. Refactors must
 # keep these bytes; a change that alters an output on purpose records the
 # new digests here and says why. Recorded with numpy 2.4.6 (CPython 3.11);
 # another numpy may legitimately draw other bytes. They were first recorded
@@ -414,7 +414,9 @@ def test_cli_import_loads_no_scipy():
 # result read (nlos_rule, cascade_mean_in_denominator, the three platform
 # masses, epoch_sampling, random_mode, random_max_iterations) left the
 # recorded scenario; every CSV digest stayed. They changed again when
-# k_d_db, a direct-link K factor no result read, left it.
+# k_d_db, a direct-link K factor no result read, left it. The two
+# fixed-strategy plans were recorded later, at a commit that still gave
+# every digest above.
 GOLDEN = {
     "sweep": {
         "trials.csv": "f55f7a0f0d34fa2b7c871ce11ccd282b8a4a20b55ce68904a911145d1045679c",
@@ -430,10 +432,24 @@ GOLDEN = {
         "traffic.csv": "0de8f294070f6d54832489be4cb117a68a1d141a426c142aa8e12df12bfee3cb",
         "run_metadata.json": "82bca96b0f94eded8b879fccd16e677e686282e510a65668b6313bfdae42c14d",
     },
+    "plan-terrestrial": {
+        "placement.csv": "f9330d63a7fe86ba4ea92498e3980d7d4ba3a906237dbbb38ec8472a3bf02503",
+        "traffic.csv": "0de8f294070f6d54832489be4cb117a68a1d141a426c142aa8e12df12bfee3cb",
+        "run_metadata.json": "a329d3fee0cffa0a3a4421cdaf0848fdb6849a40b2e22c90ff423dfd11ddfa29",
+    },
+    "plan-random": {
+        "placement.csv": "e13fa3d79b3d66163ec7b14ff852d09c9a60ac0d884ded940eaff96d262bc3d9",
+        "traffic.csv": "0de8f294070f6d54832489be4cb117a68a1d141a426c142aa8e12df12bfee3cb",
+        "run_metadata.json": "43abab292f8ae0d6b45e75d565b83f9c3695650f2a57ccac2df8f1336e1c2323",
+    },
 }
 GOLDEN_ARGS = {
     "sweep": ["sweep", "--seed", "20260810", "--trials", "2"],
     "plan": ["plan", "--seed", "7", "--sigma", "2.8"],
+    "plan-terrestrial": [
+        "plan", "--seed", "7", "--sigma", "2.8", "--strategy", "terrestrial"
+    ],
+    "plan-random": ["plan", "--seed", "7", "--sigma", "2.8", "--strategy", "random"],
 }
 
 

@@ -97,6 +97,40 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                leaf.id
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            )
+    return names
+
+
+def test_every_exported_name_is_bound():
+    # `test_every_import_is_used` counts an `__all__` listing as a use, so
+    # an entry left behind by a deleted name would pass it unnoticed.
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stale += [
+            f"{path.name}: {name}"
+            for name in sorted(_exported(tree) - _top_level_names(tree))
+        ]
+    assert stale == []
+
+
 def test_every_import_is_used():
     # An import is used when its module loads the name, lists it in
     # `__all__`, or another scanned module imports it from there (the

@@ -24,8 +24,10 @@ from irsfleet.harness import (
     summarize,
     trial_rng,
 )
+from irsfleet.energy import PlatformParams
 from irsfleet.planner import TERRESTRIAL_MODES, GainTensor, evaluate_plan
 from irsfleet.scenario import GeometryConfig, SolverOptions
+from irsfleet.traffic import TrafficModel
 
 SMALL = Scenario(solver=SolverOptions(fleet_size=5))
 
@@ -334,6 +336,141 @@ def test_trajectory_csv_covers_depot_legs(tmp_path):
     last = rows[fleet * (epochs + 2)]
     assert last[2] == str(epochs + 1)
     assert float(last[6]) > 0.0
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _reference_trajectory_rows(trial_index, trajectory, layout) -> list[list]:
+    """The per-cell loop `harness.trajectory_rows` replaced, which rebuilt
+    the visited points from the routes."""
+    m, epochs = trajectory.routes.shape
+    depot = np.broadcast_to(layout.bs_position, (m, 1, 2))
+    points = np.concatenate(
+        [depot, layout.candidate_sites[trajectory.routes], depot], axis=1
+    )
+    start = np.zeros((m, 1))
+    legs = np.concatenate([start, trajectory.leg_m], axis=1)
+    cumulative = np.concatenate([start, trajectory.cumulative_m], axis=1)
+    total = trajectory.cumulative_m[:, -1]
+    e_fly = np.array([ledger.e_fly_j for ledger in trajectory.ledgers])
+    ratio = np.divide(e_fly, total, out=np.zeros(m), where=total > 0)
+    columns = zip(
+        points[..., 0].tolist(),
+        points[..., 1].tolist(),
+        legs.tolist(),
+        cumulative.tolist(),
+        (cumulative * ratio[:, None]).tolist(),
+        [_reference_fmt(ledger.feasible) for ledger in trajectory.ledgers],
+    )
+    rows = []
+    for k, (xs, ys, leg, cum, energy, feasible) in enumerate(columns):
+        for epoch in range(epochs + 2):
+            rows.append(
+                [
+                    trial_index,
+                    k,
+                    epoch,
+                    repr(xs[epoch]),
+                    repr(ys[epoch]),
+                    repr(leg[epoch]),
+                    repr(cum[epoch]),
+                    repr(energy[epoch]),
+                    feasible,
+                ]
+            )
+    return rows
+
+
+def _reference_placement_rows(trial_index, result, layout) -> list[list]:
+    """The per-pair loop `harness.placement_rows` replaced, with one scalar
+    gain lookup per pair."""
+    tensor, plan = result.tensor, result.plan
+    grids = tensor.weak_grids.tolist()
+    rows = []
+    for t, (cells, sites) in enumerate(zip(plan.cells.tolist(), plan.sites.tolist())):
+        for q, site in zip(cells, sites):
+            r, c = divmod(int(grids[q]), layout.grid_cols)
+            point = layout.candidate_sites[site]
+            rows.append(
+                [
+                    result.metrics.strategy,
+                    trial_index,
+                    t + 1,
+                    r,
+                    c,
+                    _reference_fmt(float(point[0])),
+                    _reference_fmt(float(point[1])),
+                    _reference_fmt(float(tensor.gain_at(t, q, site))),
+                    _reference_fmt(float(tensor.demand[t, q])),
+                ]
+            )
+    return rows
+
+
+ROW_SCENARIOS = {
+    "default": Scenario(),
+    "every-unit-infeasible": Scenario(platform=PlatformParams(battery_j=471380.0)),
+    "fleet-0": Scenario(solver=SolverOptions(fleet_size=0)),
+    "fleet-1": Scenario(solver=SolverOptions(fleet_size=1)),
+    "one-epoch": Scenario(traffic=TrafficModel(epochs=1)),
+    "17x17-fleet-4": Scenario(
+        geometry=GeometryConfig(grid_rows=17, grid_cols=17),
+        solver=SolverOptions(fleet_size=4),
+    ),
+}
+
+
+def _cells_as_csv_sees_them(rows) -> list[list[str]]:
+    # Exact types: a bool or a NumPy scalar would be written otherwise.
+    for row in rows:
+        assert all(type(cell) in (str, int, float) for cell in row), row
+    return [[str(cell) for cell in row] for row in rows]
+
+
+@pytest.mark.parametrize("strategy", KNOWN_STRATEGIES)
+@pytest.mark.parametrize("name", sorted(ROW_SCENARIOS))
+def test_row_builders_match_the_reference_loops(name, strategy):
+    scenario = ROW_SCENARIOS[name]
+    layout = scenario.layout()
+    result = run_trial(scenario, 2.8, 3, strategy, 7)
+    assert _cells_as_csv_sees_them(
+        harness.placement_rows(3, result, layout)
+    ) == _cells_as_csv_sees_them(_reference_placement_rows(3, result, layout))
+    trajectory = result.trajectory
+    assert (trajectory is None) == (strategy != "robotic")
+    if trajectory is None:
+        return
+    if name == "every-unit-infeasible":
+        assert not any(ledger.feasible for ledger in trajectory.ledgers)
+    assert _cells_as_csv_sees_them(
+        harness.trajectory_rows(3, trajectory)
+    ) == _cells_as_csv_sees_them(_reference_trajectory_rows(3, trajectory, layout))
+
+
+@pytest.mark.parametrize("name", sorted(ROW_SCENARIOS))
+def test_trajectory_energy_column_follows_the_energy_law(name):
+    # The column scales distance by the ledger's ratio rather than applying
+    # the law (which would round some rows differently); both stay within a
+    # few ulps of the law and of the ledger.
+    scenario = ROW_SCENARIOS[name]
+    platform = scenario.platform
+    for trial in range(3):
+        trajectory = run_trial(scenario, 2.8, trial, "robotic", 7).trajectory
+        rows = harness.trajectory_rows(trial, trajectory)
+        cumulative = np.array([row[6] for row in rows])
+        energy = np.array([row[7] for row in rows])
+        law = platform.p_fly_w * cumulative / platform.v_fly_mps
+        np.testing.assert_array_max_ulp(energy, law, maxulp=4)
+        arrival = scenario.traffic.epochs + 1
+        last = np.array([row[7] for row in rows if row[2] == arrival])
+        ledger = np.array([ledger.e_fly_j for ledger in trajectory.ledgers])
+        np.testing.assert_array_max_ulp(last, ledger, maxulp=4)
 
 
 def test_smaller_grid_keeps_running():
