@@ -2,8 +2,9 @@
 
 Direct BS-user links suffer distance-dependent blockage; blocked cells with
 sub-threshold SNR form the weak-coverage set that reflector placement
-targets. The reflected (cascaded) link is evaluated in closed form from the
-second moment of a phase-aligned sum of Rician amplitudes. All SNR
+targets. A trial draws only the blockage, against the scenario's
+`link_budget`. The reflected (cascaded) link is evaluated in closed form
+from the second moment of a phase-aligned sum of Rician amplitudes. All SNR
 composition happens in linear power units; dB only at the boundaries.
 """
 
@@ -16,17 +17,18 @@ from .geometry import DistanceTables
 
 __all__ = [
     "RadioParams",
+    "LinkBudget",
     "ChannelRealization",
     "los_probability",
     "nlos_members",
     "direct_path_loss_db",
     "direct_snr_db",
-    "weak_coverage_set",
     "rician_amplitude_mean",
     "cascade_amplification",
     "cascaded_path_loss_db",
     "cascaded_snr_db",
     "snr_ratio",
+    "link_budget",
     "realize_channel",
 ]
 
@@ -96,13 +98,19 @@ class RadioParams:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One trial's blockage draw and the derived per-cell direct SNRs."""
+class LinkBudget:
+    """Each cell's LoS probability and, as if blocked, its links."""
 
-    los_draws: np.ndarray        # (I,) uniforms in [0, 1)
-    nlos_set: np.ndarray         # sorted cell indices lacking LoS
-    direct_snr_db: np.ndarray    # (I,)
-    weak_set: np.ndarray         # sorted cell indices: non-LoS and below threshold
+    p_los: np.ndarray            # (I,)
+    weak_if_blocked: np.ndarray  # (I,) direct SNR below the threshold
+    gain_if_blocked: np.ndarray  # (I, J) aggregated-over-direct SNR ratio
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelRealization:
+    """One trial's weak-coverage set: the blocked cells weak if blocked."""
+
+    weak_set: np.ndarray  # sorted cell indices
 
 
 def los_probability(d):
@@ -149,17 +157,6 @@ def direct_path_loss_db(distance_m, nlos, params: RadioParams):
 def direct_snr_db(path_loss_db, params: RadioParams):
     """Mean received SNR in dB; unit-power small-scale fading folds out."""
     return path_loss_db + params.tx_power_dbm - params.noise_power_dbm
-
-
-def weak_coverage_set(
-    nlos_set: np.ndarray,
-    snr_db: np.ndarray,
-    params: RadioParams,
-) -> np.ndarray:
-    """Non-LoS cells whose direct SNR falls below the service threshold."""
-    nlos_idx = np.asarray(nlos_set, dtype=int)
-    below = np.asarray(snr_db)[nlos_idx] < params.snr_threshold_db
-    return nlos_idx[below]
 
 
 # Chebyshev coefficients from the Cephes Math Library (S. L. Moshier). Over
@@ -334,22 +331,19 @@ def snr_ratio(gamma_d_db, gamma_c_db):
     return out
 
 
-def realize_channel(
-    distances: DistanceTables,
-    params: RadioParams,
-    rng: np.random.Generator,
-) -> ChannelRealization:
-    """Draw one blockage realization and evaluate every direct-link SNR."""
-    n = distances.d2_bs_ut.shape[0]
-    draws = rng.random(n)
-    mask = nlos_members(los_probability(distances.d2_bs_ut), draws)
-    pl = direct_path_loss_db(distances.l_bs_ut, mask, params)
-    snr = direct_snr_db(pl, params)
-    nlos_idx = np.flatnonzero(mask)
-    weak = weak_coverage_set(nlos_idx, snr, params)
-    return ChannelRealization(
-        los_draws=draws,
-        nlos_set=nlos_idx,
-        direct_snr_db=snr,
-        weak_set=weak,
-    )
+def link_budget(distances: DistanceTables, params: RadioParams) -> LinkBudget:
+    """Evaluate each cell as if blocked (eta2): only a blocked cell can be weak."""
+    snr = direct_snr_db(direct_path_loss_db(distances.l_bs_ut, True, params), params)
+    gamma_c = cascaded_snr_db(distances.r_bs_site[None, :], distances.d_site_ut, params)
+    with np.errstate(all="ignore"):  # `GainTensor` refuses a NaN or infinite ratio
+        return LinkBudget(
+            p_los=los_probability(distances.d2_bs_ut),
+            weak_if_blocked=snr < params.snr_threshold_db,
+            gain_if_blocked=snr_ratio(snr[:, None], gamma_c),
+        )
+
+
+def realize_channel(budget: LinkBudget, rng: np.random.Generator) -> ChannelRealization:
+    """Draw one blockage realization: one uniform per cell."""
+    blocked = nlos_members(budget.p_los, rng.random(budget.p_los.shape[0]))
+    return ChannelRealization(weak_set=np.flatnonzero(blocked & budget.weak_if_blocked))

@@ -1,8 +1,8 @@
 """Monte Carlo experiment runner, metrics aggregation and CSV emission.
 
-The unit of work is one (sigma, trial): its channel and traffic are drawn
-and its gain tensor built once, and every requested strategy is scored on
-that one realization, which makes the strategy comparison paired. A sweep
+The unit of work is one (sigma, trial): its blockage and traffic are drawn
+and its gain tensor sliced from the link budget once; every strategy is
+scored on that one realization, which makes the comparison paired. A sweep
 runs its units in blocks of consecutive units in (sigma, trial) order
 (`_TrialEngine.run_block`): it draws the block's units, then runs one
 matching machine per (unit, strategy) trial, all gathered into shared
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, matching
-from .geometry import DistanceTables, ScenarioLayout, compute_distances
+from .geometry import ScenarioLayout, compute_distances
 from .matching import Stacker, gather
 from .planner import (
     GainTensor,
@@ -48,8 +48,8 @@ from .planner import (
 )
 from .routing import TrajectoryPlan, evaluate_trajectory, trajectory_machine
 from .scenario import Scenario, scenario_as_dict
-from .traffic import TrafficField, sample_traffic
-from .channel import realize_channel
+from .traffic import TrafficField, check_sigma, sample_traffic
+from .channel import link_budget, realize_channel
 
 __all__ = [
     "ExperimentConfig",
@@ -95,8 +95,7 @@ class ExperimentConfig:
         if not self.strategies:
             raise ValueError("strategies must not be empty")
         for sigma in self.sigma_list:
-            if not (sigma > 0 and math.isfinite(sigma)):
-                raise ValueError(f"sigma must be finite and positive, got {sigma}")
+            check_sigma(sigma)
         # A repeat would count the same paired trials twice in the summary.
         if len(set(self.sigma_list)) != len(self.sigma_list):
             raise ValueError(f"sigma_list repeats a value: {self.sigma_list}")
@@ -165,7 +164,7 @@ class _TrialEngine:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.layout: ScenarioLayout = scenario.layout()
-        self.distances: DistanceTables = compute_distances(self.layout)
+        self.budget = link_budget(compute_distances(self.layout), scenario.radio)
         self.stacker = Stacker()
 
     @property
@@ -184,7 +183,7 @@ class _TrialEngine:
     ) -> list[list[TrialResult]]:
         """Every strategy's trial at each (sigma, trial) unit, in order.
 
-        Each unit's channel, traffic and gain tensor are drawn once, and a
+        Each unit's blockage, traffic and gain tensor are drawn once, and a
         draw that fails ends the block before its unit. Then every trial of
         the drawn units runs as one `_trial` machine, all in lockstep, so
         each round stacks every pending solve of the block: every
@@ -224,14 +223,12 @@ class _TrialEngine:
         self, sigma: float, trial_index: int, master_seed: int
     ) -> tuple[TrafficField, GainTensor]:
         """The unit's traffic field and gain tensor."""
-        scenario = self.scenario
-        traffic_model = dataclasses.replace(scenario.traffic, sigma_log=sigma)
+        traffic_model = dataclasses.replace(self.scenario.traffic, sigma_log=sigma)
         channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
-        realization = realize_channel(self.distances, scenario.radio, channel_rng)
+        realization = realize_channel(self.budget, channel_rng)
         traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
         field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
-        tensor = build_gain_tensor(realization, self.distances, field, scenario.radio)
-        return field, tensor
+        return field, build_gain_tensor(self.budget, realization, field)
 
     def _trial(
         self,

@@ -1,9 +1,10 @@
 """Demand-gated gain tensor and the serving-area / anchoring-site optimizers.
 
-The gain tensor is one SNR-ratio matrix (weak cell x site) plus a served
-mask (epoch x weak cell). Solvers and evaluation read epoch t's gain with
-`GainTensor.gain_at`, the matrix entry where the cell is served in t and 1
-otherwise, and never build the dense (epoch, weak cell, site) array.
+The gain tensor is one SNR-ratio matrix (weak cell x site), the weak rows
+of the scenario's link budget, plus a served mask (epoch x weak cell).
+Solvers and evaluation read epoch t's gain with `GainTensor.gain_at`, the
+matrix entry where the cell is served in t and 1 otherwise, and never build
+the dense (epoch, weak cell, site) array.
 
 The placement problem decouples across epochs (no constraint links two
 epochs), so each epoch is an exact cardinality-constrained matching on the
@@ -21,8 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, RadioParams, cascaded_snr_db, snr_ratio
-from .geometry import DistanceTables
+from .channel import ChannelRealization, LinkBudget
 from .traffic import TrafficField
 
 __all__ = [
@@ -129,26 +129,19 @@ class PlanEvaluation:
 
 
 def build_gain_tensor(
+    budget: LinkBudget,
     realization: ChannelRealization,
-    distances: DistanceTables,
     field: TrafficField,
-    params: RadioParams,
 ) -> GainTensor:
-    """Assemble the gains of every weak cell against every site.
+    """Slice the gains of every weak cell at every site from the link budget.
 
     An empty weak set yields an empty tensor (any placement is then
     trivially empty); solvers reject positive fleet sizes against it.
-    A unit whose linear powers underflow or overflow, making a ratio NaN
-    or infinite, is refused by `GainTensor`, for every strategy alike.
+    A weak ratio made NaN or infinite by under- or overflow fails every strategy.
     """
-    weak = np.asarray(realization.weak_set, dtype=int)
-    gamma_c = cascaded_snr_db(
-        distances.r_bs_site[None, :], distances.d_site_ut[weak], params
-    )
-    with np.errstate(all="ignore"):
-        base = snr_ratio(realization.direct_snr_db[weak][:, None], gamma_c)
+    weak = realization.weak_set
     return GainTensor(
-        base=base,
+        base=budget.gain_if_blocked[weak],
         weak_grids=weak,
         demand=field.demand[:, weak],
         thresholds=np.asarray(field.threshold, dtype=float),

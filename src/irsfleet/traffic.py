@@ -8,12 +8,19 @@ import numpy as np
 __all__ = [
     "TrafficModel",
     "TrafficField",
+    "check_sigma",
     "default_epoch_profile",
     "sample_traffic",
 ]
 
 PROFILE_LOW = 0.8
 PROFILE_HIGH = 1.4
+
+
+def check_sigma(sigma: float) -> None:
+    """Refuse a log-scale sigma that is not positive or whose square overflows."""
+    if not (sigma > 0 and math.isfinite(sigma * sigma)):  # NaN fails this too
+        raise ValueError(f"sigma must be finite and positive, squared too, got {sigma}")
 
 
 def default_epoch_profile(epochs: int) -> tuple[float, ...]:
@@ -41,8 +48,7 @@ class TrafficModel:
     def __post_init__(self) -> None:
         if not 0 < self.base_mean_mbps_km2 < math.inf:  # NaN fails this too
             raise ValueError("base mean demand must be finite and positive")
-        if not (self.sigma_log > 0 and math.isfinite(self.sigma_log)):
-            raise ValueError("sigma_log must be finite and positive")
+        check_sigma(self.sigma_log)
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if not 0.0 < self.threshold_fraction < 1.0:

@@ -16,12 +16,12 @@ from irsfleet.channel import (
     cascaded_snr_db,
     direct_path_loss_db,
     direct_snr_db,
+    link_budget,
     los_probability,
     nlos_members,
     realize_channel,
     rician_amplitude_mean,
     snr_ratio,
-    weak_coverage_set,
 )
 from irsfleet.geometry import build_layout, compute_distances
 from irsfleet.oracles import (
@@ -80,12 +80,16 @@ def test_nlos_members_boundary_draws():
 
 
 def test_realize_channel_nlos_set_reproducible_and_calibrated():
+    # With no bar every blocked cell is weak, so the weak set is the
+    # non-LoS set.
     layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
     tables = compute_distances(layout)
     p = los_probability(tables.d2_bs_ut)
+    budget = link_budget(tables, RadioParams(snr_threshold_db=1e9))
+    assert budget.weak_if_blocked.all()
 
     def nlos_set(rng):
-        return realize_channel(tables, PARAMS, rng).nlos_set
+        return realize_channel(budget, rng).weak_set
 
     first = nlos_set(np.random.Generator(np.random.Philox(42)))
     second = nlos_set(np.random.Generator(np.random.Philox(42)))
@@ -116,23 +120,28 @@ def test_direct_snr_examples():
 
 
 def test_weak_coverage_thresholds():
-    snr = np.array([5.0, 15.0, 9.99, 25.0])
-    nlos = np.array([0, 2, 3])
-    no_bar = RadioParams(snr_threshold_db=-1e9)
-    assert weak_coverage_set(nlos, snr, no_bar).size == 0
-    all_bar = RadioParams(snr_threshold_db=1e9)
-    assert np.array_equal(weak_coverage_set(nlos, snr, all_bar), nlos)
-    assert np.array_equal(weak_coverage_set(nlos, snr, PARAMS), [0, 2])
+    tables = compute_distances(build_layout(9, 9, 20.0, (8.5, 2.0, 10.5)))
+    snr = direct_snr_db(direct_path_loss_db(tables.l_bs_ut, True, PARAMS), PARAMS)
+    no_bar = link_budget(tables, RadioParams(snr_threshold_db=-1e9))
+    assert not no_bar.weak_if_blocked.any()
+    all_bar = link_budget(tables, RadioParams(snr_threshold_db=1e9))
+    assert all_bar.weak_if_blocked.all()
+    assert np.array_equal(
+        link_budget(tables, PARAMS).weak_if_blocked, snr < PARAMS.snr_threshold_db
+    )
+    # The bar is strict: a cell whose blocked SNR sits exactly on it is not weak.
+    cell = int(np.argmin(np.abs(snr - PARAMS.snr_threshold_db)))
+    at_bar = link_budget(tables, RadioParams(snr_threshold_db=float(snr[cell])))
+    assert not at_bar.weak_if_blocked[cell] and at_bar.weak_if_blocked.any()
+    assert np.array_equal(at_bar.weak_if_blocked, snr < snr[cell])
 
 
 def test_weak_set_matches_inverted_link_budget():
-    # under defaults a non-LoS cell is weak exactly when its 3-D distance
+    # under defaults a cell is weak if blocked exactly when its 3-D distance
     # exceeds the budget implied by the 10 dB bar
     layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
     tables = compute_distances(layout)
-    nlos = np.arange(layout.n_grids)  # force every cell non-LoS
-    pl = direct_path_loss_db(tables.l_bs_ut, np.ones(layout.n_grids, bool), PARAMS)
-    weak = weak_coverage_set(nlos, direct_snr_db(pl, PARAMS), PARAMS)
+    weak = np.flatnonzero(link_budget(tables, PARAMS).weak_if_blocked)
     bound = 10.0 ** (
         (PARAMS.tx_power_dbm - PARAMS.noise_power_dbm + PARAMS.a_d_db
          - PARAMS.snr_threshold_db) / (10.0 * PARAMS.eta2)
@@ -314,13 +323,13 @@ def test_radio_params_validation():
 
 def test_realize_channel_consistency():
     layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
-    tables = compute_distances(layout)
+    budget = link_budget(compute_distances(layout), PARAMS)
     rng = np.random.Generator(np.random.Philox(5))
-    real = realize_channel(tables, PARAMS, rng)
-    assert real.los_draws.shape == (81,)
-    assert ((real.los_draws >= 0) & (real.los_draws < 1)).all()
-    assert set(real.weak_set) <= set(real.nlos_set)
-    assert (real.direct_snr_db[real.weak_set] < PARAMS.snr_threshold_db).all()
-    again = realize_channel(tables, PARAMS, np.random.Generator(np.random.Philox(5)))
-    assert np.array_equal(real.los_draws, again.los_draws)
+    real = realize_channel(budget, rng)
+    assert set(real.weak_set) <= set(np.flatnonzero(budget.weak_if_blocked))
+    again = realize_channel(budget, np.random.Generator(np.random.Philox(5)))
     assert np.array_equal(real.weak_set, again.weak_set)
+    # Exactly one uniform per cell is drawn.
+    twin = np.random.Generator(np.random.Philox(5))
+    twin.random(81)
+    assert rng.random() == twin.random()

@@ -195,7 +195,7 @@ def test_sweep_rejects_repeated_values(tmp_path, capsys, repeat):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1", "1e160"])
 def test_sweep_rejects_bad_sigma_before_output(tmp_path, capsys, sigma):
     out = tmp_path / "sweep"
     assert main(["sweep", "--trials", "2", "--sigma", sigma, "--out", str(out)]) == 2

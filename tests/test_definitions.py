@@ -1,6 +1,7 @@
 """Every function, class and method under `src/irsfleet/` is used by the
 program itself: some code of the package loads it by name or attribute.
-And every name a package or test module imports is used.
+And every name a package or test module imports is used, and the package
+imports nothing outside the standard library but numpy.
 
 The check is by bare name, so it cannot tell two definitions of one name
 apart; it catches a definition that nothing in the package reaches any
@@ -8,6 +9,7 @@ more, such as a wrapper whose callers all moved to another path.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -156,3 +158,22 @@ def test_every_import_is_used():
             if bound not in used and (name, bound) not in imported_from
         ]
     assert unused == []
+
+
+def test_the_runtime_imports_only_the_standard_library_and_numpy():
+    # scipy, mpmath and hypothesis are test-only oracles.
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {root}"
+                for root in roots
+                if root != "numpy" and root not in sys.stdlib_module_names
+            ]
+    assert outside == []

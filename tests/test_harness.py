@@ -226,7 +226,7 @@ def test_shuffled_unit_blocks_reproduce_the_sweep(in_order_sweep, data):
 
 
 def test_sweep_builds_each_realization_once(monkeypatch):
-    calls = {"realize_channel": 0, "build_gain_tensor": 0}
+    calls = {"link_budget": 0, "realize_channel": 0, "build_gain_tensor": 0}
     for name in calls:
         original = getattr(harness, name)
 
@@ -239,7 +239,8 @@ def test_sweep_builds_each_realization_once(monkeypatch):
         scenario=SMALL, sigma_list=(1.8, 2.8), trials=3, master_seed=17
     )
     run_experiment(config)
-    assert calls == {"realize_channel": 6, "build_gain_tensor": 6}
+    # The link budget once per sweep, each unit's draw and tensor once.
+    assert calls == {"link_budget": 1, "realize_channel": 6, "build_gain_tensor": 6}
 
 
 def test_a_sweep_holds_only_its_current_blocks_gain_tensors(monkeypatch, tmp_path):

@@ -6,7 +6,17 @@ from hypothesis.extra.numpy import arrays
 
 from bruteforce import best_exact_size_weight, dyadic_matrix
 from conftest import make_tensor
-from irsfleet.channel import RadioParams, cascaded_snr_db, realize_channel, snr_ratio
+from irsfleet.channel import (
+    RadioParams,
+    cascaded_snr_db,
+    direct_path_loss_db,
+    direct_snr_db,
+    link_budget,
+    los_probability,
+    nlos_members,
+    realize_channel,
+    snr_ratio,
+)
 from irsfleet.geometry import build_layout, compute_distances
 from irsfleet.matching import Stacker, min_cost_matching
 from irsfleet.planner import (
@@ -26,17 +36,17 @@ from irsfleet.traffic import TrafficModel, sample_traffic
 
 # ------------------------------------------------------------- gain tensor
 
-def _default_pipeline(seed=3, side=9, sigma=2.8):
+def _default_pipeline(seed=3, side=9, sigma=2.8, params=RadioParams()):
     layout = build_layout(side, side, 20.0, (8.5, 2.0, 10.5))
     tables = compute_distances(layout)
-    params = RadioParams()
-    real = realize_channel(tables, params, np.random.Generator(np.random.Philox(seed)))
+    budget = link_budget(tables, params)
+    real = realize_channel(budget, np.random.Generator(np.random.Philox(seed)))
     field = sample_traffic(
         TrafficModel(sigma_log=sigma),
         layout.n_grids,
         np.random.Generator(np.random.Philox(seed + 1)),
     )
-    return layout, tables, params, real, field
+    return layout, tables, budget, real, field
 
 
 def _random_tensor(rng, epochs, n_weak, n_sites):
@@ -65,8 +75,8 @@ def _lone_solve(gains, m):
 
 
 def test_build_gain_tensor_shapes_and_floor():
-    layout, tables, params, real, field = _default_pipeline()
-    tensor = build_gain_tensor(real, tables, field, params)
+    layout, tables, budget, real, field = _default_pipeline()
+    tensor = build_gain_tensor(budget, real, field)
     assert tensor.base.shape == (real.weak_set.size, 100)
     assert tensor.gains.shape == (12, real.weak_set.size, 100)
     assert (tensor.gains >= 1.0).all()
@@ -99,33 +109,48 @@ def test_gain_tensor_gates_on_demand_meeting_the_threshold():
         assert evaluate_plan(plan, tensor, 1).matching_weight == gains[0] - 1.0
 
 
+# A non-default radio that moves the direct, cascaded and threshold terms.
+RADIO = RadioParams(
+    eta2=3.5, eta3=2.2, k_c_db=3.0, tx_power_dbm=30.0, n_elements=1024,
+    carrier_freq_hz=26e9, a_t_db=-55.0, snr_threshold_db=14.0,
+)
+
+
 @pytest.mark.parametrize("side", [9, 17])
 def test_dense_view_equals_the_gated_snr_ratio(side):
-    # Reference: the gated SNR ratio built densely from the same draws.
-    for seed, sigma in ((3, 1.8), (5, 2.8), (7, 3.6)):
-        _, tables, params, real, field = _default_pipeline(seed, side, sigma)
-        tensor = build_gain_tensor(real, tables, field, params)
-        weak = real.weak_set
-        gamma_c = cascaded_snr_db(
-            tables.r_bs_site[None, :], tables.d_site_ut[weak], params
-        )
-        base = snr_ratio(real.direct_snr_db[weak][:, None], gamma_c)
-        demand = field.demand[:, weak]
-        dense = np.where(
-            demand[..., None] >= field.threshold[:, None, None], base[None], 1.0
-        )
-        assert weak.size > 0
-        assert np.array_equal(tensor.gains, dense)
+    # Reference: the weak set and gated SNR ratio computed per unit from the
+    # same draws, evaluating each cell's direct link as drawn.
+    for params in (RadioParams(), RADIO):
+        for seed, sigma in ((3, 1.8), (5, 2.8), (7, 3.6)):
+            _, tables, budget, real, field = _default_pipeline(
+                seed, side, sigma, params
+            )
+            tensor = build_gain_tensor(budget, real, field)
+            draws = np.random.Generator(np.random.Philox(seed)).random(side * side)
+            nlos = nlos_members(los_probability(tables.d2_bs_ut), draws)
+            pl = direct_path_loss_db(tables.l_bs_ut, nlos, params)
+            snr = direct_snr_db(pl, params)
+            weak = np.flatnonzero(nlos & (snr < params.snr_threshold_db))
+            gamma_c = cascaded_snr_db(
+                tables.r_bs_site[None, :], tables.d_site_ut[weak], params
+            )
+            base = snr_ratio(snr[weak][:, None], gamma_c)
+            demand = field.demand[:, weak]
+            dense = np.where(
+                demand[..., None] >= field.threshold[:, None, None], base[None], 1.0
+            )
+            assert weak.size > 0
+            assert np.array_equal(real.weak_set, weak)
+            assert np.array_equal(tensor.base, base)
+            assert np.array_equal(tensor.gains, dense)
 
 
 def test_build_gain_tensor_empty_weak_set():
-    layout, tables, params, real, field = _default_pipeline()
-    quiet = RadioParams(snr_threshold_db=-1e9)
-    real_quiet = realize_channel(
-        tables, quiet, np.random.Generator(np.random.Philox(3))
-    )
+    layout, tables, budget, real, field = _default_pipeline()
+    quiet = link_budget(tables, RadioParams(snr_threshold_db=-1e9))
+    real_quiet = realize_channel(quiet, np.random.Generator(np.random.Philox(3)))
     assert real_quiet.weak_set.size == 0
-    tensor = build_gain_tensor(real_quiet, tables, field, quiet)
+    tensor = build_gain_tensor(quiet, real_quiet, field)
     assert tensor.n_weak == 0
     plan = Stacker().run(adaptive_plan_machine(tensor, 0))
     assert plan.cells.shape == plan.sites.shape == (12, 0)
@@ -135,8 +160,8 @@ def test_build_gain_tensor_empty_weak_set():
 
 
 def test_far_cells_carry_the_largest_gains():
-    layout, tables, params, real, field = _default_pipeline()
-    tensor = build_gain_tensor(real, tables, field, params)
+    layout, tables, budget, real, field = _default_pipeline()
+    tensor = build_gain_tensor(budget, real, field)
     best_per_cell = tensor.gains.max(axis=(0, 2))
     top_cell = tensor.weak_grids[int(best_per_cell.argmax())]
     # the best achievable gain sits at one of the most distant weak cells
@@ -357,8 +382,8 @@ def _assert_modes_dominate(tensor, m):
 def test_fixed_plan_modes_dominance():
     # The ordering on drawn channel and traffic units, fleet of 10.
     for seed, sigma in ((3, 1.8), (5, 2.8), (7, 3.6)):
-        _, tables, params, real, field = _default_pipeline(seed, 9, sigma)
-        _assert_modes_dominate(build_gain_tensor(real, tables, field, params), 10)
+        _, _, budget, real, field = _default_pipeline(seed, 9, sigma)
+        _assert_modes_dominate(build_gain_tensor(budget, real, field), 10)
 
 
 @st.composite

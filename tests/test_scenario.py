@@ -183,7 +183,7 @@ def test_inconsistent_params_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("sigma_log", "nan"), ("base_mean_mbps_km2", "inf")],
+    [("sigma_log", "nan"), ("sigma_log", "1e160"), ("base_mean_mbps_km2", "inf")],
 )
 def test_nonfinite_traffic_values_rejected(tmp_path, key, value):
     path = tmp_path / "bad.ini"
@@ -307,9 +307,10 @@ def test_readme_scenario_block_loads_as_the_defaults(tmp_path):
     assert load_scenario(path) == default_scenario()
 
 
-# `eta1` is the one key no output reads: LoS cells never join the weak set,
-# so the LoS exponent shapes only direct SNRs that nothing reads. It stays
-# as half of the direct path-loss law that `direct_path_loss_db` implements.
+# `eta1` is the one key no output reads: only a blocked cell can be weak,
+# so a run evaluates each cell's direct link only as blocked, with `eta2`.
+# It stays as half of the direct path-loss law that `direct_path_loss_db`
+# implements.
 REACHES_NO_OUTPUT = {"eta1"}
 
 

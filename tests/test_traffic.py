@@ -32,6 +32,16 @@ def test_model_validation():
         TrafficModel(epochs=2, epoch_profile=(0.5, 1.0))  # outside the band
 
 
+def test_sigma_is_refused_once_its_variance_overflows(rng):
+    # sigma**2 overflows past sqrt(max float), about 1.34e154.
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        TrafficModel(sigma_log=1e160)
+    model = TrafficModel(sigma_log=1.3e154)
+    field = sample_traffic(model, 5, rng)
+    assert field.demand.shape == (12, 5)
+    assert np.isfinite(field.demand).all()
+
+
 def test_thresholds_track_epoch_means_exactly():
     model = TrafficModel()
     means = model.epoch_means()
