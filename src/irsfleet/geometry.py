@@ -36,6 +36,16 @@ class ScenarioLayout:
         return (self.grid_rows + 1) * (self.grid_cols + 1)
 
 
+def check_geometry(rows: int, cols: int, cell_side: float, heights) -> None:
+    """Refuse a grid below 1x1, or a length that is not finite and positive."""
+    if not (rows >= 1 and cols >= 1):
+        raise ValueError("grid dimensions must be at least 1x1")
+    if not 0 < cell_side < math.inf:  # NaN fails this too
+        raise ValueError("cell side must be finite and positive")
+    if not all(0 < h < math.inf for h in heights):
+        raise ValueError("height differences must be finite and positive")
+
+
 def build_layout(
     rows: int,
     cols: int,
@@ -45,15 +55,10 @@ def build_layout(
     """Lay out a rows x cols grid of square cells with the BS at the center.
 
     `heights` is the (BS-user, site-BS, site-user) height-difference triple
-    in metres. Raises ValueError on non-positive or non-finite dimensions.
+    in metres. Raises ValueError as `check_geometry` does.
     """
     h1, h2, h3 = (float(h) for h in heights)
-    if not (rows >= 1 and cols >= 1):
-        raise ValueError("grid dimensions must be at least 1x1")
-    if not 0 < cell_side < math.inf:  # NaN fails this too
-        raise ValueError("cell side must be finite and positive")
-    if not all(0 < h < math.inf for h in (h1, h2, h3)):
-        raise ValueError("height differences must be finite and positive")
+    check_geometry(rows, cols, cell_side, (h1, h2, h3))
 
     side = float(cell_side)
     cx = (np.arange(cols) + 0.5) * side

@@ -10,7 +10,9 @@ station; they are scored but not optimized.
 `trajectory_machine` is a matching machine (see `matching`) that runs one
 `_assignment_machine` per transition and returns only the routes: a sweep
 gathers it over every robotic plan of a block, and `Stacker().run` drives
-one alone. `evaluate_trajectory` scores routes, as `evaluate_plan` plans.
+one alone. It assumes a solver's plan (epochs of equally many distinct
+sites) and checks none of it; `planner.validate_plan` does. Then
+`evaluate_trajectory` checks routes against the plan and scores them.
 """
 
 from dataclasses import dataclass
@@ -23,44 +25,11 @@ from .matching import gather
 from .planner import PlacementPlan, PlanValidationError
 
 __all__ = [
-    "TransitionCosts",
     "TrajectoryPlan",
-    "transition_costs",
     "trajectory_machine",
     "validate_trajectory",
     "evaluate_trajectory",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionCosts:
-    """Planar travel distances between occupied sites of consecutive epochs.
-
-    Rows and columns follow the sorted site order of the earlier and later
-    epoch respectively; `site_order` keeps those per-epoch sorted site
-    indices for chaining.
-    """
-
-    between: np.ndarray      # (epochs - 1, M, M) metres
-    site_order: np.ndarray   # (epochs, M) site indices, sorted per epoch
-
-
-def transition_costs(plan: PlacementPlan, layout: ScenarioLayout) -> TransitionCosts:
-    """Distance matrices for every consecutive epoch pair."""
-    order = np.sort(plan.sites, axis=1)
-    epochs, m = order.shape
-    if not epochs:
-        raise PlanValidationError("occupancy: plan has no epochs")
-    repeated = np.flatnonzero((np.diff(order, axis=1) == 0).any(axis=1))
-    if repeated.size:
-        raise PlanValidationError(
-            f"occupancy: epoch {repeated[0] + 1} does not occupy exactly {m} "
-            f"distinct sites"
-        )
-    coords = layout.candidate_sites[order]
-    diff = coords[:-1, :, None, :] - coords[1:, None, :, :]
-    between = np.hypot(diff[..., 0], diff[..., 1])
-    return TransitionCosts(between=between, site_order=order)
 
 
 def _assignment_machine(cost):
@@ -174,19 +143,22 @@ def trajectory_machine(plan: PlacementPlan, layout: ScenarioLayout):
     minimizing total travel. Returns the (M, epochs) integer routes of
     global site indices.
 
-    Unit k starts at the k-th occupied site of epoch one (sorted order);
-    every transition is an exact assignment. Depot legs and energy are
-    left to `evaluate_trajectory`.
+    Unit k starts at the k-th occupied site of epoch one (sorted order) of
+    a solver's plan, which `validate_plan` checks; every transition is an
+    exact assignment. Depot legs and energy are left to `evaluate_trajectory`.
 
     The transitions' `_assignment_machine`s run in lockstep: the first
     round asks for every transition's dual solve, and each later round for
     the next confirmation re-solve of every transition whose tie-break
     still needs one.
     """
-    costs = transition_costs(plan, layout)
-    order = costs.site_order
+    order = np.sort(plan.sites, axis=1)
     epochs, m = order.shape
-    assigned = yield from gather(_assignment_machine(c) for c in costs.between)
+    # between[t]: from epoch t's sorted sites (rows) to epoch t + 1's (columns)
+    coords = layout.candidate_sites[order]
+    step = coords[:-1, :, None, :] - coords[1:, None, :, :]
+    between = np.hypot(step[..., 0], step[..., 1])
+    assigned = yield from gather(_assignment_machine(c) for c in between)
 
     routes = np.zeros((m, epochs), dtype=int)
     routes[:, 0] = order[0]

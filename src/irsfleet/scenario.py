@@ -8,12 +8,12 @@ cannot silently fall back to defaults.
 """
 
 import configparser
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 from .channel import RadioParams
 from .energy import PlatformParams
-from .geometry import ScenarioLayout, build_layout
+from .geometry import ScenarioLayout, build_layout, check_geometry
 from .planner import TERRESTRIAL_MODES
 from .traffic import TrafficModel
 
@@ -42,6 +42,10 @@ class GeometryConfig:
     h2_m: float = 2.0
     h3_m: float = 10.5
 
+    def __post_init__(self) -> None:
+        rows, cols, side, *heights = astuple(self)
+        check_geometry(rows, cols, side, heights)
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -66,10 +70,8 @@ class Scenario:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def layout(self) -> ScenarioLayout:
-        g = self.geometry
-        return build_layout(
-            g.grid_rows, g.grid_cols, g.cell_side_m, (g.h1_m, g.h2_m, g.h3_m)
-        )
+        rows, cols, side, *heights = astuple(self.geometry)
+        return build_layout(rows, cols, side, tuple(heights))
 
 
 def default_scenario() -> Scenario:

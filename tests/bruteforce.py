@@ -8,6 +8,7 @@ live in `irsfleet.oracles`, where `irsfleet validate` uses them too.
 kept column minima across augmentations: the reference for bit-for-bit
 equality of pairs, totals and duals. `certify_matching` checks a solve
 through LP duality alone, so it scales to full-size instances.
+`transition_distances` is the reference for the matrices routing solves.
 """
 
 from itertools import permutations
@@ -90,6 +91,18 @@ def best_transition_chain(transition_matrices) -> float:
             total += float(sum(v[j, perm[j]] for j in range(m)))
         best = min(best, total)
     return float(best)
+
+
+def transition_distances(plan, layout) -> tuple[np.ndarray, np.ndarray]:
+    """Planar distances between consecutive epochs' occupied sites, as a
+    plan-by-plan formula: sort each epoch's sites, gather their points,
+    subtract, `hypot`. Returns the (epochs - 1, m, m) matrices, rows in the
+    earlier epoch's sorted site order and columns in the later one's, and
+    that (epochs, m) sorted site order."""
+    order = np.sort(plan.sites, axis=1)
+    coords = layout.candidate_sites[order]
+    diff = coords[:-1, :, None, :] - coords[1:, None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1]), order
 
 
 def dyadic_matrix(rng: np.random.Generator, shape, lo=-32, hi=32, denom=16):

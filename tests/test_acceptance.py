@@ -28,6 +28,7 @@ from bruteforce import (
     best_transition_chain,
     certify_matching,
     dyadic_matrix,
+    transition_distances,
 )
 from conftest import make_tensor
 from irsfleet import (
@@ -53,7 +54,6 @@ from irsfleet.routing import (
     _assignment_machine,
     evaluate_trajectory,
     trajectory_machine,
-    transition_costs,
     validate_trajectory,
 )
 
@@ -188,9 +188,9 @@ def test_criterion_4_solver_exactness():
         plan = PlacementPlan("robotic", np.tile(np.arange(3), (3, 1)), sites)
         routes = Stacker().run(trajectory_machine(plan, layout))
         traj = evaluate_trajectory(routes, plan, layout, platform)
-        costs = transition_costs(plan, layout)
+        between, _ = transition_distances(plan, layout)
         middle = float(traj.leg_m[:, 1:3].sum())
-        assert middle == pytest.approx(best_transition_chain(list(costs.between)), abs=1e-9)
+        assert middle == pytest.approx(best_transition_chain(list(between)), abs=1e-9)
 
     print(
         "PASS criterion 4: placement (200), assignment (100 x 7x7) and "

@@ -140,6 +140,17 @@ def test_energy_refuses_bad_input_before_printing(capsys, argv, message):
     assert json.loads(captured.err.strip().splitlines()[-1]) == {"error": message}
 
 
+def test_energy_refuses_a_bad_geometry_file(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_text("[geometry]\ncell_side_m = nan\n")
+    assert main(["energy", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "cell side must be finite and positive"}
+    ]
+
+
 def test_energy_reports_an_infeasible_clearance(capsys):
     assert main(["energy", "--min-distance", "0.01", "--distance", "0"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ checked in. The digests live in `corpus_digests.json` beside this module.
 A change that moves an output byte fails here. One that moves bytes on
 purpose re-records only the runs it must, with
 
-    python tests/test_corpus.py RUN [RUN ...]
+    PYTHONPATH=src python tests/test_corpus.py RUN [RUN ...]
 
 (every run when none is named), and names each one with its reason. The
 `GOLDEN` runs of `test_cli.py` are not repeated here.

@@ -6,16 +6,17 @@ from bruteforce import (
     best_transition_chain,
     dyadic_matrix,
     lexmin_assignment_by_resolves,
+    transition_distances,
 )
+from conftest import make_tensor
 from irsfleet.energy import PlatformParams, flight_range
 from irsfleet.geometry import build_layout
 from irsfleet.matching import Stacker, min_cost_matching
-from irsfleet.planner import PlacementPlan, PlanValidationError
+from irsfleet.planner import PlacementPlan, PlanValidationError, validate_plan
 from irsfleet.routing import (
     _assignment_machine,
     evaluate_trajectory,
     trajectory_machine,
-    transition_costs,
     validate_trajectory,
 )
 
@@ -42,13 +43,13 @@ def _depot_legs(sites):
     return np.hypot(step[..., 0], step[..., 1])
 
 
-# --------------------------------------------------------- transition costs
+# ----------------------------------------------------- transition distances
 
 def test_static_plan_has_zero_diagonal():
     plan = _plan([(0, 5, 11), (0, 5, 11)])
-    costs = transition_costs(plan, LAYOUT)
-    assert np.allclose(np.diag(costs.between[0]), 0.0)
-    assert costs.site_order.tolist() == [[0, 5, 11], [0, 5, 11]]
+    between, order = transition_distances(plan, LAYOUT)
+    assert np.allclose(np.diag(between[0]), 0.0)
+    assert order.tolist() == [[0, 5, 11], [0, 5, 11]]
 
 
 def test_345_offset_between_epochs():
@@ -57,23 +58,50 @@ def test_345_offset_between_epochs():
     a = 0                      # vertex (0, 0)
     b = 4 * 11 + 3             # vertex (30, 40)
     plan = _plan([(a,), (b,)])
-    costs = transition_costs(plan, layout)
-    assert costs.between[0][0, 0] == pytest.approx(50.0)
+    between, _ = transition_distances(plan, layout)
+    assert between[0][0, 0] == pytest.approx(50.0)
 
 
 def test_single_unit_costs():
     plan = _plan([(0,), (9,), (99,)])
-    costs = transition_costs(plan, LAYOUT)
-    assert costs.between.shape == (2, 1, 1)
+    between, _ = transition_distances(plan, LAYOUT)
+    assert between.shape == (2, 1, 1)
     traj = _trajectory(plan)
     assert traj.leg_m.shape == (1, 4)
     assert traj.leg_m[0, [0, 3]].tolist() == _depot_legs([0, 99]).tolist()
 
 
+@pytest.mark.parametrize(
+    "grid", [(9, 9, 20.0), (17, 17, 20.0), (5, 11, 13.7)], ids=str
+)
+def test_first_round_requests_the_reference_distances(grid):
+    # trajectory_machine's first round asks for one dual solve per
+    # transition, on the distances from the earlier epoch's sorted sites
+    # (rows) to the later epoch's (columns).
+    layout = build_layout(*grid, (8.5, 2.0, 10.5))
+    rng = np.random.Generator(np.random.Philox(44))
+    for epochs, m in [(2, 1), (3, 4), (12, 10)]:
+        plan = _plan(
+            [rng.choice(layout.n_sites, size=m, replace=False) for _ in range(epochs)]
+        )
+        between, _ = transition_distances(plan, layout)
+        requests = next(trajectory_machine(plan, layout))
+        assert len(requests) == epochs - 1
+        for (cost, size_hint, size), expect in zip(requests, between):
+            assert np.array_equal(cost, expect)
+            assert (size_hint, size) == (None, m)
+
+
 def test_wrong_occupancy_rejected():
+    # Routing does not check a plan; validation refuses a repeated site in
+    # the plan and in the routes routed from it.
     bad = _plan([(0, 5), (3, 3)])
-    with pytest.raises(PlanValidationError, match="occupancy: epoch 2 "):
-        transition_costs(bad, LAYOUT)
+    tensor = make_tensor(np.full((2, LAYOUT.n_sites), 2.0), epochs=2)
+    with pytest.raises(PlanValidationError, match="site-exclusivity: epoch 2 "):
+        validate_plan(bad, tensor, 2)
+    routes = Stacker().run(trajectory_machine(bad, LAYOUT))
+    with pytest.raises(PlanValidationError, match="share a site at epoch 2"):
+        evaluate_trajectory(routes, bad, LAYOUT, PLATFORM)
 
 
 # ------------------------------------------------------------- assignment
@@ -147,7 +175,7 @@ def test_assignment_matches_resolve_oracle_on_tied_grid_transitions():
             tuple(sorted(rng.choice(LAYOUT.n_sites, size=10, replace=False).tolist()))
             for _ in range(4)
         ]
-        for cost in transition_costs(_plan(epoch_sites), LAYOUT).between:
+        for cost in transition_distances(_plan(epoch_sites), LAYOUT)[0]:
             perm, total = Stacker().run(_assignment_machine(cost))
             expect_perm, expect_total = lexmin_assignment_by_resolves(cost)
             assert np.array_equal(perm, expect_perm)
@@ -169,19 +197,19 @@ def test_batched_routes_match_per_transition_assignments_on_tied_grid():
         ]
         plan = _plan(epoch_sites)
         traj = _trajectory(plan)
-        costs = transition_costs(plan, LAYOUT)
+        between, order = transition_distances(plan, LAYOUT)
         unit_row = np.arange(10)
-        for t, cost in enumerate(costs.between):
+        for t, cost in enumerate(between):
             perm, _ = Stacker().run(_assignment_machine(cost))
             next_rows = perm[unit_row]
             assert np.array_equal(traj.leg_m[:, t + 1], cost[unit_row, next_rows])
             unit_row = next_rows
-            expect = np.asarray(costs.site_order[t + 1])[unit_row]
+            expect = order[t + 1][unit_row]
             assert np.array_equal(traj.routes[:, t + 1], expect)
 
 
 def test_scored_legs_match_the_transition_costs():
-    # Routing solves on `transition_costs`, scoring measures the routes:
+    # Routing solves on the transition distances, scoring measures the routes:
     # the two distance computations must agree leg for leg.
     rng = np.random.Generator(np.random.Philox(43))
     shapes = [(1, 1), (1, 6), (6, 1)] + [
@@ -192,15 +220,12 @@ def test_scored_legs_match_the_transition_costs():
             [rng.choice(LAYOUT.n_sites, size=m, replace=False) for _ in range(epochs)]
         )
         traj = _trajectory(plan)
-        costs = transition_costs(plan, LAYOUT)
+        between, order = transition_distances(plan, LAYOUT)
         # each unit's row in every epoch's sorted site order
         rows = [
-            np.searchsorted(order, traj.routes[:, t])
-            for t, order in enumerate(costs.site_order)
+            np.searchsorted(sites, traj.routes[:, t]) for t, sites in enumerate(order)
         ]
-        transitions = [
-            between[rows[t], rows[t + 1]] for t, between in enumerate(costs.between)
-        ]
+        transitions = [cost[rows[t], rows[t + 1]] for t, cost in enumerate(between)]
         for t, legs in enumerate(transitions):
             assert np.array_equal(traj.leg_m[:, t + 1], legs)
         out, back = _depot_legs(traj.routes[:, 0]), _depot_legs(traj.routes[:, -1])
@@ -280,9 +305,9 @@ def test_chained_transitions_match_joint_brute_force():
         ]
         plan = _plan(epoch_sites)
         traj = _trajectory(plan)
-        costs = transition_costs(plan, LAYOUT)
+        between, _ = transition_distances(plan, LAYOUT)
         middle = traj.leg_m[:, 1:3].sum()
-        expect = best_transition_chain(list(costs.between))
+        expect = best_transition_chain(list(between))
         assert middle == pytest.approx(expect, abs=1e-9)
 
 
@@ -316,14 +341,14 @@ def test_transition_optimality_beats_identity_and_random():
         for _ in range(4)
     ]
     plan = _plan(epoch_sites)
-    costs = transition_costs(plan, LAYOUT)
-    for t in range(costs.between.shape[0]):
-        _, optimal = Stacker().run(_assignment_machine(costs.between[t]))
-        identity = float(np.trace(costs.between[t]))
+    between, _ = transition_distances(plan, LAYOUT)
+    for cost in between:
+        _, optimal = Stacker().run(_assignment_machine(cost))
+        identity = float(np.trace(cost))
         assert optimal <= identity + 1e-9
         for _ in range(10):
             perm = rng.permutation(5)
-            sampled = float(costs.between[t][np.arange(5), perm].sum())
+            sampled = float(cost[np.arange(5), perm].sum())
             assert optimal <= sampled + 1e-9
 
 

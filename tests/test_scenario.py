@@ -228,6 +228,22 @@ def test_bad_radio_values_rejected(tmp_path, key, value, message):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("cell_side_m", "nan", "cell side must be finite and positive"),
+        ("grid_rows", "0", "grid dimensions must be at least 1x1"),
+        ("h2_m", "-1", "height differences must be finite and positive"),
+    ],
+)
+def test_bad_geometry_values_rejected(tmp_path, key, value, message):
+    # The file is refused when it loads, with `build_layout`'s message.
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[geometry]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+
+
 def test_nan_epoch_profile_rejected(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[traffic]\nepochs = 3\nepoch_profile = nan, 1.0, 1.2\n")
