@@ -3,8 +3,9 @@ results and exhaustive optima of the matching solver.
 
 Per-sample small-scale fading lives only here; the production path uses
 expectations. The samplers are deliberately independent of the closed
-forms they check, and the brute force enumerates every feasible support
-and permutation instead of sharing any logic with the solver.
+forms they check (they share only `channel`'s rule on the Rician
+factor), and the brute force enumerates every feasible support and
+permutation instead of sharing any logic with the solver.
 """
 
 import os
@@ -14,6 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, permutations
 
 import numpy as np
+
+from .channel import _rician_factor
 
 __all__ = [
     "sample_rician_fading",
@@ -36,9 +39,7 @@ def sample_rician_fading(
 ) -> np.ndarray:
     """Unit-power complex Rician coefficients: fixed dominant path plus
     circular Gaussian scatter. K = 0 degenerates to Rayleigh."""
-    k = float(k_linear)
-    if k < 0:
-        raise ValueError("Rician factor must be nonnegative")
+    k = _rician_factor(k_linear)
     _require_draws(size)
     dominant = np.sqrt(k / (1.0 + k))
     scatter_scale = np.sqrt(1.0 / (2.0 * (1.0 + k)))
@@ -61,9 +62,9 @@ def empirical_mean_amplitude(
 # random streams, so changing it changes the sampled values.
 _CHUNK_DRAWS = 2048
 # Most draws held at once across the worker threads. Each worker keeps
-# three float32 (chunk, N) buffers; a 4096-draw chunk sampled with
-# temporaries peaks at six (4096, N) arrays, so this bound keeps the
-# oracle's peak memory at or below that.
+# three float32 (chunk, N) buffers and samples in place; a 4096-draw chunk
+# sampled with temporaries peaks at six (4096, N) arrays, so this bound
+# keeps the oracle's peak memory at or below that.
 _DRAWS_IN_FLIGHT = 8192
 
 
@@ -101,37 +102,50 @@ def _core_pinner(workers: int):
 
 
 class _CascadeWorker:
-    """One thread's reusable float32 buffers for the cascade oracle."""
+    """One thread's reusable float32 buffers for the cascade oracle.
+
+    Amplitudes are drawn in units of the scatter scale s = sqrt(1/(2(1+K)))
+    and in polar form: a/s = |c + R e^(i theta)| with c = sqrt(2K) the
+    dominant path, R = sqrt(2E) for E ~ Exp(1) and theta = 2 pi U for
+    U ~ U[0, 1), the Box-Muller form of the circular Gaussian scatter, so
+    the law is exactly Rician. (a/s)^2 is taken as (c - R)^2 +
+    4cR cos^2(pi U): both terms are nonnegative, where
+    c^2 + R^2 + 2cR cos(theta) can round below zero in float32.
+    """
 
     def __init__(self, n: int, k: float, rows: int) -> None:
         # Single-precision draws: the amplitudes feed a percent-level
         # moment check, and halving the bandwidth roughly halves the
         # runtime at large element counts. Accumulation stays in double
         # precision.
-        self.dominant = np.float32(np.sqrt(k / (1.0 + k)))
-        self.scale = np.float32(np.sqrt(1.0 / (2.0 * (1.0 + k))))
+        self.c = np.float32(np.sqrt(2.0 * k))
         self.a = np.empty((rows, n), dtype=np.float32)
         self.b = np.empty_like(self.a)
-        self.im = np.empty_like(self.a)
+        self.t = np.empty_like(self.a)
         self.s = np.empty(rows, dtype=np.float32)
 
     def _amplitudes(self, out: np.ndarray, rng: np.random.Generator) -> None:
-        # |dominant + scale * (x + iy)| for standard normal x then y, in place.
-        im = self.im[: len(out)]
-        rng.standard_normal(out=out, dtype=np.float32)
-        out *= self.scale
-        out += self.dominant
+        # a/s into `out`, in place: E into `out`, then U into the scratch.
+        t = self.t[: len(out)]
+        rng.standard_exponential(out=out, dtype=np.float32)
+        rng.random(out=t, dtype=np.float32)
+        out *= 2
+        np.sqrt(out, out=out)  # R
+        t *= np.float32(np.pi)
+        np.cos(t, out=t)
+        t *= t
+        t *= out
+        t *= 4 * self.c  # 4cR cos^2(pi U)
+        out -= self.c
         out *= out
-        rng.standard_normal(out=im, dtype=np.float32)
-        im *= self.scale
-        im *= im
-        out += im
+        out += t
         np.sqrt(out, out=out)
 
     def chunk_sum(self, key: int, chunk: int, rows: int) -> float:
-        """sum(s**2) over one chunk's draws, s the phase-aligned product sum."""
+        """sum(s**2) over one chunk's draws, s the phase-aligned product
+        sum of amplitudes in scatter-scale units."""
         seed = np.random.SeedSequence([key, chunk])
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = np.random.Generator(np.random.PCG64(seed))
         a, b, s = self.a[:rows], self.b[:rows], self.s[:rows]
         self._amplitudes(a, rng)
         self._amplitudes(b, rng)
@@ -152,19 +166,18 @@ def empirical_cascade_amplification(
     nonnegative amplitude products.
 
     The draws are split into fixed chunks. Chunk c samples from its own
-    Philox stream keyed by (key, c), where key is one 63-bit draw from
-    `rng`, so `rng` always advances by exactly one draw. Chunks run on a
-    pool of one thread per usable core (at most one per chunk and
-    `_DRAWS_IN_FLIGHT // _CHUNK_DRAWS`), each thread pinned to its own
+    PCG64 stream keyed by (key, c), where key is one 63-bit draw from
+    `rng`, so `rng` always advances by exactly one draw; a chunk draws a's
+    exponentials and uniforms, then b's, in polar form (`_CascadeWorker`).
+    Chunks run on a pool of one thread per usable core (at most one per
+    chunk and `_DRAWS_IN_FLIGHT // _CHUNK_DRAWS`), each pinned to its own
     core and taking the next chunk when idle. The chunks' double-precision
-    sums are added in chunk order, so the result is the same float for
-    every thread count.
+    sums are added in chunk order and scaled by s^4 = (1/(2(1+K)))^2 once,
+    so the result is the same float for every thread count.
     """
     n = int(n_elements)
-    k = float(k_linear)
+    k = _rician_factor(k_linear)
     n_draws = int(n_draws)
-    if k < 0:
-        raise ValueError("Rician factor must be nonnegative")
     if n < 1:
         raise ValueError("element count must be at least 1")
     _require_draws(n_draws)
@@ -189,7 +202,7 @@ def empirical_cascade_amplification(
     with ThreadPoolExecutor(max_workers=workers, initializer=pin) as pool:
         for part in pool.map(chunk_sum, range(n_chunks)):
             total += part
-    return total / float(n_draws)
+    return total * (0.5 / (1.0 + k)) ** 2 / float(n_draws)
 
 
 def best_exact_size_weight(weights, size: int) -> float:

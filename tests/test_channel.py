@@ -227,6 +227,17 @@ def test_samplers_reject_nonpositive_draw_counts(draws):
         empirical_cascade_amplification(16, 0.0, draws, rng)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -1.0])
+def test_samplers_reject_a_rician_factor_not_finite_and_nonnegative(k):
+    rng = np.random.Generator(np.random.Philox(3))
+    with pytest.raises(ValueError, match="Rician factor"):
+        sample_rician_fading(k, 4, rng)
+    with pytest.raises(ValueError, match="Rician factor"):
+        empirical_mean_amplitude(k, 4, rng)
+    with pytest.raises(ValueError, match="Rician factor"):
+        empirical_cascade_amplification(16, k, 4, rng)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_cascade_oracle_rejects_nonpositive_element_counts(n):
     rng = np.random.Generator(np.random.Philox(3))

@@ -1,12 +1,15 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from irsfleet import oracles
-from irsfleet.oracles import empirical_cascade_amplification
+from irsfleet.channel import rician_amplitude_mean
+from irsfleet.oracles import empirical_cascade_amplification, sample_rician_fading
 
 CHUNK = oracles._CHUNK_DRAWS
 DRAW_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
@@ -42,27 +45,73 @@ def test_cascade_oracle_is_independent_of_worker_count(n_draws, monkeypatch):
 
 
 def test_cascade_oracle_matches_a_loop_over_chunk_streams(monkeypatch):
-    # Reference: each chunk's amplitudes drawn from its own keyed stream in
-    # the sampler's order (a's real then imaginary parts, then b's), the
-    # phase-aligned product summed per draw, accumulated in double precision.
+    # Reference: each chunk's amplitudes drawn from its own keyed PCG64
+    # stream in the sampler's order (a's exponentials, a's uniforms, then
+    # b's), built in float32 as |c + R e^(2 pi i U)| in scatter-scale units,
+    # the phase-aligned product summed per draw, accumulated in double
+    # precision and scaled by s^4 at the end.
     n, k, n_draws = 4, 10.0, 2 * CHUNK + 3
     key = int(_caller().integers(2**63))
-    dominant = np.float32(np.sqrt(k / (1.0 + k)))
-    scale = np.float32(np.sqrt(1.0 / (2.0 * (1.0 + k))))
+    c = np.float32(np.sqrt(2.0 * k))
     total = 0.0
-    for c, start in enumerate(range(0, n_draws, CHUNK)):
+    for chunk, start in enumerate(range(0, n_draws, CHUNK)):
         rows = min(CHUNK, n_draws - start)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([key, c])))
+        seed = np.random.SeedSequence([key, chunk])
+        rng = np.random.Generator(np.random.PCG64(seed))
         amps = []
         for _ in range(2):
-            re = dominant + scale * rng.standard_normal((rows, n), dtype=np.float32)
-            im = scale * rng.standard_normal((rows, n), dtype=np.float32)
-            amps.append(np.sqrt(re * re + im * im))
+            e = rng.standard_exponential((rows, n), dtype=np.float32)
+            u = rng.random((rows, n), dtype=np.float32)
+            r = np.sqrt(e * np.float32(2))
+            cos = np.cos(u * np.float32(np.pi))
+            d = r - c
+            amps.append(np.sqrt(d * d + cos * cos * r * (np.float32(4) * c)))
         s = np.einsum("ij,ij->i", *amps).astype(np.float64)
         total += float(np.square(s).sum())
-    expect = total / n_draws
+    expect = total * (0.5 / (1.0 + k)) ** 2 / float(n_draws)
     _report_cores(monkeypatch, 2)
     assert empirical_cascade_amplification(n, k, n_draws, _caller()) == expect
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 10.0, 100.0])
+def test_polar_amplitudes_match_the_cartesian_sampler(k):
+    # The oracle's polar draws and `sample_rician_fading`'s cartesian ones
+    # share no code; both must follow the same Rician law.
+    rows, n = 2000, 100
+    worker = oracles._CascadeWorker(n, k, rows)
+    worker._amplitudes(worker.a, np.random.Generator(np.random.PCG64(31)))
+    polar = worker.a.ravel() * np.sqrt(1.0 / (2.0 * (1.0 + k)))
+    cartesian = np.abs(
+        sample_rician_fading(k, rows * n, np.random.Generator(np.random.Philox(37)))
+    )
+    assert ks_2samp(polar, cartesian).pvalue > 0.01
+    root_n = np.sqrt(polar.size)
+    mean = np.sqrt(np.pi) / 2.0 * rician_amplitude_mean(k)
+    assert abs(polar.mean() - mean) < 5 * polar.std() / root_n
+    power = polar * polar
+    assert abs(power.mean() - 1.0) < 5 * power.std() / root_n
+
+
+def test_polar_amplitudes_stay_finite_at_a_huge_factor_and_one_draw():
+    worker = oracles._CascadeWorker(64, 1e6, 1)
+    assert np.isfinite(worker.chunk_sum(5, 0, 1))
+    assert np.isfinite(worker.a).all() and np.isfinite(worker.b).all()
+    value = empirical_cascade_amplification(64, 1e6, 1, _caller())
+    assert np.isfinite(value) and value > 0.0
+
+
+def test_a_warm_worker_samples_a_chunk_in_place():
+    # Each worker holds three (rows, N) buffers and no temporaries, which
+    # is what `_DRAWS_IN_FLIGHT` budgets for.
+    worker = oracles._CascadeWorker(256, 10.0, CHUNK)
+    worker.chunk_sum(11, 0, CHUNK)
+    tracemalloc.start()
+    try:
+        worker.chunk_sum(11, 1, CHUNK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < worker.a.nbytes / 8
 
 
 def test_more_workers_than_cores_under_rapid_switching_lose_no_chunk(monkeypatch):
