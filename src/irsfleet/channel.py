@@ -119,18 +119,12 @@ def los_probability(d):
     1 below 18 m, then 18/d + exp(-d/36) * (1 - 18/d); continuous at the
     breakpoint and strictly decreasing beyond it.
     """
-    arr = np.atleast_1d(np.asarray(d, dtype=float))
-    if (arr < 0).any():
+    d = np.asarray(d, dtype=float)
+    if not (d >= 0).all():  # NaN fails this too
         raise ValueError("distance must be nonnegative")
-    out = np.ones_like(arr)
-    far = arr >= LOS_BREAKPOINT_M
-    if far.any():
-        df = arr[far]
-        frac = LOS_BREAKPOINT_M / df
-        out[far] = frac + np.exp(-df / LOS_DECAY_M) * (1.0 - frac)
-    if np.ndim(d) == 0:
-        return float(out[0])
-    return out
+    # Below the breakpoint `frac` is exactly 1, and so is the probability.
+    frac = LOS_BREAKPOINT_M / np.maximum(d, LOS_BREAKPOINT_M)
+    return frac + np.exp(-d / LOS_DECAY_M) * (1.0 - frac)
 
 
 def nlos_members(p_los, draws) -> np.ndarray:
@@ -144,14 +138,11 @@ def direct_path_loss_db(distance_m, nlos, params: RadioParams):
 
     Non-LoS cells use exponent eta2, LoS cells eta1.
     """
-    arr = np.atleast_1d(np.asarray(distance_m, dtype=float))
-    if (arr <= 0).any():
+    d = np.asarray(distance_m, dtype=float)
+    if not (d > 0).all():  # NaN fails this too
         raise ValueError("link distance must be positive")
-    exponent = np.where(np.atleast_1d(nlos), params.eta2, params.eta1)
-    out = params.a_d_db - 10.0 * exponent * np.log10(arr)
-    if np.ndim(distance_m) == 0:
-        return float(out[0])
-    return out
+    exponent = np.where(nlos, params.eta2, params.eta1)
+    return params.a_d_db - 10.0 * exponent * np.log10(d)
 
 
 def direct_snr_db(path_loss_db, params: RadioParams):
@@ -292,7 +283,7 @@ def cascaded_path_loss_db(r_m, d_m, params: RadioParams):
     """Two-hop reflected path loss in dB: BS-to-surface times surface-to-user."""
     r = np.asarray(r_m, dtype=float)
     d = np.asarray(d_m, dtype=float)
-    if (r <= 0).any() or (d <= 0).any():
+    if not ((r > 0).all() and (d > 0).all()):  # NaN fails this too
         raise ValueError("link distances must be positive")
     return (
         params.a_t_db
@@ -325,10 +316,7 @@ def snr_ratio(gamma_d_db, gamma_c_db):
     """
     direct = 10.0 ** (np.asarray(gamma_d_db, dtype=float) / 10.0)
     cascaded = 10.0 ** (np.asarray(gamma_c_db, dtype=float) / 10.0)
-    out = (direct + cascaded) / direct
-    if np.ndim(gamma_d_db) == 0 and np.ndim(gamma_c_db) == 0:
-        return float(out)
-    return out
+    return (direct + cascaded) / direct
 
 
 def link_budget(distances: DistanceTables, params: RadioParams) -> LinkBudget:

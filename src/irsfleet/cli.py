@@ -37,7 +37,7 @@ from .harness import (
     TRAJECTORY_HEADER,
     _write_rows,
 )
-from .matching import min_cost_matching
+from .matching import Stacker
 from .oracles import (
     best_exact_size_cost,
     empirical_cascade_amplification,
@@ -165,16 +165,12 @@ def _cmd_validate(args) -> int:
     rng = np.random.Generator(np.random.Philox(20260810))
     draws = args.draws
 
-    p36 = los_probability(36.0)
+    p10, p18, p36 = los_probability([10.0, 18.0, 36.0])
     expect36 = 0.5 + np.exp(-1.0) * 0.5
-    gap18 = abs(
-        los_probability(18.0) - (18.0 / 18.0 + np.exp(-0.5) * (1 - 18.0 / 18.0))
-    )
+    gap18 = abs(p18 - (18.0 / 18.0 + np.exp(-0.5) * (1 - 18.0 / 18.0)))
     _check(
         "los-probability",
-        los_probability(10.0) == 1.0
-        and abs(p36 - expect36) < 1e-12
-        and gap18 < 1e-12,
+        p10 == 1.0 and abs(p36 - expect36) < 1e-12 and gap18 < 1e-12,
         f"p(36)={p36:.6f}, breakpoint gap={gap18:.1e}",
         failures,
     )
@@ -217,15 +213,20 @@ def _cmd_validate(args) -> int:
         failures,
     )
 
+    # Solved as a sweep solves a round: stacked by column count, tallest first.
     match_rng = np.random.Generator(np.random.Philox(7))
-    ok = True
+    requests = []
     for _ in range(20):
         rows = int(match_rng.integers(1, 6))
         cols = int(match_rng.integers(1, 6))
         size = int(match_rng.integers(0, min(rows, cols) + 1))
         cost = match_rng.integers(-32, 32, size=(rows, cols)) / 4.0
-        _, total = min_cost_matching(cost, size)
-        ok = ok and total == best_exact_size_cost(cost, size)
+        requests.append((cost, None, size))
+    solved = Stacker().solve(requests)
+    ok = all(
+        total == best_exact_size_cost(cost, size)
+        for (cost, _, size), (_, total, _, _) in zip(requests, solved)
+    )
     _check("matching-vs-brute-force", ok, "20 random instances", failures)
 
     platform = default_scenario().platform

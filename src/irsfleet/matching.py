@@ -19,7 +19,7 @@ lockstep as one, so each round stacks every request still pending:
 placement epochs, transition dual solves and tie-break confirmations of a
 whole block of units. `Stacker.run` drives a machine, solving each
 round's requests in stacks of at most `STACK_CELLS` cost cells. A lone
-solve is the one-machine, one-request case.
+solve is one request to `Stacker.solve`, or a stack of one.
 
 Every augmentation starts its shortest-path search from all free rows at
 once, so each column begins at its least reduced cost over the free rows.
@@ -64,7 +64,6 @@ import numpy as np
 
 __all__ = [
     "STACK_CELLS",
-    "min_cost_matching",
     "min_cost_matching_batch",
     "Stacker",
     "gather",
@@ -80,36 +79,22 @@ __all__ = [
 STACK_CELLS = 2**18
 
 
-def min_cost_matching(cost, size: int) -> tuple[list[tuple[int, int]], float]:
-    """Minimum-total-cost matching with exactly `size` row/column pairs.
-
-    Returns (pairs sorted by row, total cost of the original matrix).
-    Deterministic: every argmin prefers the lowest index, so fully tied
-    inputs select the diagonal prefix (lowest row/column pairs first).
-
-    Raises ValueError for a non-matrix, non-finite entries, or
-    size > min(shape).
-    """
-    c_in = np.asarray(cost, dtype=float)
-    if c_in.ndim != 2:
-        raise ValueError("cost must be a 2-D matrix")
-    pairs, total, _, _ = min_cost_matching_batch(c_in[None], [len(c_in)], [size])[0]
-    return pairs, total
-
-
 def min_cost_matching_batch(
     cost, n_rows, sizes
 ) -> list[tuple[list[tuple[int, int]], float, np.ndarray, np.ndarray]]:
-    """`min_cost_matching` of every problem in a stack, in one solve, with
-    the solver's final dual potentials (u, v).
+    """Minimum-total-cost matchings of every problem in a stack, in one
+    solve, with the solver's final dual potentials (u, v).
 
     `cost` is (B, rows, cols); problem b is `cost[b, :n_rows[b]]` matched
     with exactly `sizes[b]` pairs, and the rows below it are ignored.
     Returns one (pairs, total, u, v) per problem, equal bit for bit to its
-    lone solve; u has `n_rows[b]` entries. For size >= 1 the reduced costs
-    `cost[i, j] - u[i] - v[j]` are nonnegative everywhere and zero on the
-    matched pairs (up to rounding), so for a full square matching
-    `u.sum() + v.sum()` is the total. For size 0 both potentials are zero.
+    solve in a stack of one. Pairs come sorted by row, and the total is
+    over the caller's matrix. Every argmin prefers the lowest index, so a
+    fully tied matrix takes the diagonal prefix. u has `n_rows[b]` entries.
+    For size >= 1 the reduced costs `cost[i, j] - u[i] - v[j]` are
+    nonnegative everywhere and zero on the matched pairs (up to rounding),
+    so for a full square matching `u.sum() + v.sum()` is the total. For
+    size 0 both potentials are zero.
 
     Raises ValueError for a non-stack, a row count that does not fit, an
     infeasible size, or a non-finite entry in a problem of positive size.

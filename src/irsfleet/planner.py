@@ -35,6 +35,7 @@ __all__ = [
     "STRATEGY_TERRESTRIAL",
     "STRATEGY_RANDOM",
     "TERRESTRIAL_MODES",
+    "check_terrestrial_mode",
     "build_gain_tensor",
     "adaptive_plan_machine",
     "fixed_plan_machine",
@@ -49,6 +50,12 @@ STRATEGY_RANDOM = "random"
 FIXED_STRATEGIES = (STRATEGY_TERRESTRIAL, STRATEGY_RANDOM)
 
 TERRESTRIAL_MODES = ("epoch1", "clairvoyant")
+
+
+def check_terrestrial_mode(mode: str) -> None:
+    """Refuse a terrestrial mode outside `TERRESTRIAL_MODES`."""
+    if mode not in TERRESTRIAL_MODES:
+        raise ValueError(f"terrestrial_mode must be {' or '.join(TERRESTRIAL_MODES)}")
 
 
 class InfeasiblePlacementError(RuntimeError):
@@ -67,7 +74,7 @@ class GainTensor:
     cell at each site. A cell is served in an epoch when its demand meets
     the threshold; its gains are then its `base` row, and exactly 1
     otherwise. Every site is a candidate, so a local site index is global.
-    A NaN, infinite or below-1 ratio is refused when the tensor is built.
+    A NaN, infinite or below-1 ratio, or no epoch, is refused on building.
     """
 
     base: np.ndarray         # (n_weak, n_sites) SNR ratio
@@ -78,6 +85,8 @@ class GainTensor:
     def __post_init__(self) -> None:
         if not np.all((self.base >= 1.0) & (self.base < np.inf)):  # NaN fails this too
             raise ValueError("gains must be finite and at least 1")
+        if self.n_epochs < 1:
+            raise ValueError("tensor must cover at least one epoch")
 
     @cached_property
     def served(self) -> np.ndarray:
@@ -250,10 +259,7 @@ def fixed_plan_machine(tensor: GainTensor, m: int, mode: str = "epoch1"):
     fixed placement, never worse than epoch1). Ties resolve as in
     `adaptive_plan_machine`.
     """
-    if mode not in TERRESTRIAL_MODES:
-        raise ValueError(f"terrestrial mode must be one of {TERRESTRIAL_MODES}")
-    if tensor.n_epochs < 1:
-        raise ValueError("tensor must cover at least one epoch")
+    check_terrestrial_mode(mode)
     _check_fit(tensor, m)
     if mode == "epoch1":
         masks, cost = tensor.served[:1], 1.0 - tensor.base

@@ -14,7 +14,7 @@ from pathlib import Path
 from .channel import RadioParams
 from .energy import PlatformParams
 from .geometry import ScenarioLayout, build_layout, check_geometry
-from .planner import TERRESTRIAL_MODES
+from .planner import check_terrestrial_mode
 from .traffic import TrafficModel
 
 __all__ = [
@@ -55,10 +55,10 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.fleet_size < 0:
             raise ScenarioError("fleet_size must be nonnegative")
-        if self.terrestrial_mode not in TERRESTRIAL_MODES:
-            raise ScenarioError(
-                f"terrestrial_mode must be {' or '.join(TERRESTRIAL_MODES)}"
-            )
+        try:
+            check_terrestrial_mode(self.terrestrial_mode)
+        except ValueError as err:
+            raise ScenarioError(str(err)) from None
 
 
 @dataclass(frozen=True)

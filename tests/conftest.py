@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irsfleet import default_scenario
+from irsfleet.matching import min_cost_matching_batch
 from irsfleet.planner import GainTensor
 
 
@@ -39,3 +40,10 @@ def make_tensor(
         demand=demand,
         thresholds=np.asarray(thresholds, dtype=float),
     )
+
+
+def solve_matching(cost, size: int):
+    """A lone matching solve, as a stack of one: (pairs, total)."""
+    cost = np.asarray(cost, dtype=float)
+    pairs, total, _, _ = min_cost_matching_batch(cost[None], [len(cost)], [size])[0]
+    return pairs, total

@@ -50,8 +50,10 @@ def test_los_probability_continuous_at_breakpoint():
 
 
 def test_los_probability_rejects_negative():
-    with pytest.raises(ValueError):
-        los_probability(-1.0)
+    # A NaN distance is refused too, not read as certain line of sight.
+    for d in (-1.0, math.nan, [math.nan, 40.0]):
+        with pytest.raises(ValueError):
+            los_probability(d)
 
 
 @given(st.floats(min_value=18.0, max_value=5000.0))
@@ -66,6 +68,24 @@ def test_los_probability_vectorized():
     out = los_probability(np.array([0.0, 10.0, 36.0, 72.0]))
     assert out.shape == (4,)
     assert out[0] == 1.0 and out[1] == 1.0
+
+
+ULP_18 = math.ulp(18.0)
+
+
+@pytest.mark.parametrize("d", [0.0, 18.0 - ULP_18, 18.0, 18.0 + ULP_18, 1e300, math.inf])
+def test_laws_give_a_scalar_the_value_of_a_one_element_array(d):
+    # Each law is one array expression; a scalar is its 0-d case.
+    forms = [(los_probability(d), los_probability([d]))]
+    if d > 0:
+        forms += [
+            (direct_path_loss_db(d, nlos, PARAMS), direct_path_loss_db([d], [nlos], PARAMS))
+            for nlos in (False, True)
+        ]
+    forms.append((snr_ratio(7.22, -d), snr_ratio([7.22], [-d])))
+    for scalar, array in forms:
+        assert isinstance(scalar, float) and array.shape == (1,)
+        assert scalar == array[0]
 
 
 # ------------------------------------------------------------ blockage draw
@@ -109,8 +129,9 @@ def test_direct_path_loss_examples():
     assert direct_path_loss_db(1.0, True, PARAMS) == pytest.approx(-61.38)
     assert direct_path_loss_db(100.0, False, PARAMS) == pytest.approx(-103.38)
     assert direct_path_loss_db(100.0, True, PARAMS) == pytest.approx(-124.78)
-    with pytest.raises(ValueError):
-        direct_path_loss_db(0.0, True, PARAMS)
+    for d in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            direct_path_loss_db(d, True, PARAMS)
 
 
 def test_direct_snr_examples():
@@ -283,8 +304,9 @@ def test_cascaded_path_loss_and_snr():
     )
     assert cascaded_snr_db(50.0, 20.0, PARAMS) == pytest.approx(expect, abs=1e-9)
     assert expect == pytest.approx(14.10, abs=0.01)
-    with pytest.raises(ValueError):
-        cascaded_snr_db(0.0, 20.0, PARAMS)
+    for r, d in ((0.0, 20.0), (math.nan, 20.0), (50.0, math.nan)):
+        with pytest.raises(ValueError):
+            cascaded_snr_db(r, d, PARAMS)
 
 
 def test_cascaded_snr_distance_doubling_law():

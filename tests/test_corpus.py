@@ -2,9 +2,11 @@
 
 Each run goes through `cli.main` in process, on a scenario built from one
 row of `VARIANTS` and written with `write_scenario`; no scenario file is
-checked in. The digests live in `corpus_digests.json` beside this module.
-A change that moves an output byte fails here. One that moves bytes on
-purpose re-records only the runs it must, with
+checked in. A command that writes no files (`validate`) records its exit
+code and the sha256 of its stdout instead. The digests live in
+`corpus_digests.json` beside this module. A change that moves an output
+byte fails here. One that moves bytes on purpose re-records only the runs
+it must, with
 
     PYTHONPATH=src python tests/test_corpus.py RUN [RUN ...]
 
@@ -69,6 +71,9 @@ SMALL = (
     "5x11",
 )
 
+# Commands that write their results under --out.
+WRITES_FILES = ("plan", "sweep")
+
 # run -> (variant, argv without --config and --out)
 RUNS = {
     "sweep-100": ("default", ["sweep", "--seed", "20260810", "--trials", "100"]),
@@ -84,6 +89,7 @@ RUNS = {
     },
     "radio/sweep": ("radio", ["sweep", "--seed", "9", "--trials", "20"]),
     **{f"mute/plan-{s}": ("mute", ["plan", "--strategy", s]) for s in KNOWN_STRATEGIES},
+    "validate": ("default", ["validate", "--draws", "20000"]),
 }
 
 
@@ -100,16 +106,23 @@ def _scenario(variant: str) -> Scenario:
 
 def _run(name: str, tmp_path: Path) -> dict:
     """One corpus run: {file: sha256} when it exits 0, else its exit code
-    and the stderr it printed."""
+    and the stderr it printed; for a command without --out, its exit code
+    and the sha256 of its stdout."""
     variant, argv = RUNS[name]
     if variant != "default":
         config = tmp_path / f"{variant}.ini"
         write_scenario(_scenario(variant), config)
         argv = argv + ["--config", str(config)]
+    writes = argv[0] in WRITES_FILES
     out = tmp_path / "out"
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv + ["--out", str(out)])
+    if writes:
+        argv = argv + ["--out", str(out)]
+    printed, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if not writes:
+        stdout = hashlib.sha256(printed.getvalue().encode()).hexdigest()
+        return {"exit": code, "stdout": stdout}
     if code:
         assert not out.exists()
         return {"exit": code, "stderr": err.getvalue()}

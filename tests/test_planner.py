@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bruteforce import best_exact_size_weight, dyadic_matrix
-from conftest import make_tensor
+from conftest import make_tensor, solve_matching
 from irsfleet.channel import (
     RadioParams,
     cascaded_snr_db,
@@ -18,7 +18,7 @@ from irsfleet.channel import (
     snr_ratio,
 )
 from irsfleet.geometry import build_layout, compute_distances
-from irsfleet.matching import Stacker, min_cost_matching
+from irsfleet.matching import Stacker
 from irsfleet.planner import (
     InfeasiblePlacementError,
     PlacementPlan,
@@ -238,7 +238,7 @@ def test_served_row_placement_equals_full_matching(kind):
     for _ in range(500):
         gains, m = _gated_gains(rng, kind)
         pairs, weight = _lone_solve(gains, m)
-        full_pairs, full_cost = min_cost_matching(1.0 - gains, m)
+        full_pairs, full_cost = solve_matching(1.0 - gains, m)
         assert pairs == full_pairs
         assert weight == -full_cost
 
@@ -260,7 +260,7 @@ def test_clairvoyant_placement_equals_full_matching():
         tensor = make_tensor(1.0 + rng.integers(0, 3, size=(6, 5)) / 4.0, served)
         m = int(rng.integers(0, 6))
         plan = Stacker().run(fixed_plan_machine(tensor, m, "clairvoyant"))
-        full_pairs, _ = min_cost_matching(-(tensor.gains - 1.0).sum(axis=0), m)
+        full_pairs, _ = solve_matching(-(tensor.gains - 1.0).sum(axis=0), m)
         assert _pairs(plan)[0] == full_pairs
 
 
@@ -297,7 +297,7 @@ def test_fixed_plans_equal_the_dense_reference():
             if mode == "epoch1":
                 pairs, _ = _lone_solve(dense[0], m)
             else:
-                pairs, _ = min_cost_matching(-(dense - 1.0).sum(axis=0), m)
+                pairs, _ = solve_matching(-(dense - 1.0).sum(axis=0), m)
             weight = 0.0
             for t in range(12):
                 for q, j in pairs:
@@ -407,6 +407,13 @@ def test_fixed_plan_rejects_unknown_mode():
     tensor = make_tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
         Stacker().run(fixed_plan_machine(tensor, 1, "psychic"))
+
+
+def test_tensor_without_an_epoch_is_refused():
+    # So neither placement machine is handed one: scoring it would divide
+    # by its zero epochs.
+    with pytest.raises(ValueError, match="at least one epoch"):
+        make_tensor(np.full((3, 4), 2.0), served=np.zeros((0, 3), bool))
 
 
 def test_random_plan_degenerate_cases(rng):

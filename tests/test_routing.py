@@ -8,10 +8,10 @@ from bruteforce import (
     lexmin_assignment_by_resolves,
     transition_distances,
 )
-from conftest import make_tensor
+from conftest import make_tensor, solve_matching
 from irsfleet.energy import PlatformParams, flight_range
 from irsfleet.geometry import build_layout
-from irsfleet.matching import Stacker, min_cost_matching
+from irsfleet.matching import Stacker
 from irsfleet.planner import PlacementPlan, PlanValidationError, validate_plan
 from irsfleet.routing import (
     _assignment_machine,
@@ -180,7 +180,7 @@ def test_assignment_matches_resolve_oracle_on_tied_grid_transitions():
             expect_perm, expect_total = lexmin_assignment_by_resolves(cost)
             assert np.array_equal(perm, expect_perm)
             assert total == expect_total
-            pairs, _ = min_cost_matching(cost, 10)
+            pairs, _ = solve_matching(cost, 10)
             n_ties += list(perm) != [j for _, j in pairs]
     # the tie-break really chose against the solver's first optimum
     assert n_ties > 0
