@@ -10,6 +10,7 @@ composition happens in linear power units; dB only at the boundaries.
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,18 @@ class LinkBudget:
     p_los: np.ndarray            # (I,)
     weak_if_blocked: np.ndarray  # (I,) direct SNR below the threshold
     gain_if_blocked: np.ndarray  # (I, J) aggregated-over-direct SNR ratio
+
+    @cached_property
+    def cost_if_blocked(self) -> np.ndarray:  # (I, J) placement cost 1 - gain
+        return 1.0 - self.gain_if_blocked
+
+    @cached_property
+    def helped_if_blocked(self) -> np.ndarray:  # (I,) some cost below 0
+        return self.cost_if_blocked.min(axis=1, initial=0.0) < 0.0
+
+    @cached_property
+    def sound_if_blocked(self) -> np.ndarray:  # (I,) gains finite, >= 1, not NaN
+        return ((self.gain_if_blocked >= 1.0) & (self.gain_if_blocked < np.inf)).all(1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
 """Monte Carlo experiment runner, metrics aggregation and CSV emission.
 
 The unit of work is one (sigma, trial): its blockage and traffic are drawn
-and its gain tensor sliced from the link budget once; every strategy is
+and its gain tensor indexed into the link budget once; every strategy is
 scored on that one realization, which makes the comparison paired. A sweep
 runs its units in blocks of consecutive units in (sigma, trial) order
 (`_TrialEngine.run_block`): it draws the block's units, then runs one
@@ -169,9 +169,9 @@ class _TrialEngine:
 
     @property
     def block_units(self) -> int:
-        """Units per block: as many as `matching.STACK_CELLS` cells of
-        placement cost hold, a unit's cost being at most one cell per
-        (grid cell, site), and at least one."""
+        """Units per block: as many as `matching.STACK_CELLS` cells hold at
+        one per (grid cell, site) of a unit, and at least one. A unit holds
+        no cost cells: its placements index `budget.cost_if_blocked`."""
         cells = self.layout.n_grids * self.layout.n_sites
         return max(1, matching.STACK_CELLS // max(1, cells))
 

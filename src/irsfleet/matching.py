@@ -18,8 +18,10 @@ A machine's return value is its answer. `gather` runs many machines in
 lockstep as one, so each round stacks every request still pending:
 placement epochs, transition dual solves and tie-break confirmations of a
 whole block of units. `Stacker.run` drives a machine, solving each
-round's requests in stacks of at most `STACK_CELLS` cost cells. A lone
-solve is one request to `Stacker.solve`, or a stack of one.
+round's requests in stacks of at most `STACK_CELLS` cost cells over one
+matrix: the one a round's requests name (a sweep's placement cost), or
+their distinct matrices stacked (routing's). A lone solve is one request
+to `Stacker.solve`, or a table of one.
 
 Every augmentation starts its shortest-path search from all free rows at
 once, so each column begins at its least reduced cost over the free rows.
@@ -37,21 +39,19 @@ Rounding can make distinct costs tie, so the one free row that starts the
 augmenting path is picked from its column's reduced costs, exactly as a
 full rescan would pick it (lowest index among the least).
 
-A stack of B problems shares one (B, rows, cols) array; problem b owns its
-first `n_rows[b]` rows and asks for `sizes[b]` pairs. Each element's pairs,
-total and potentials are those of solving it alone, whatever else is in
-the stack, because:
+A stack of B problems is one matrix and a (B, rows) table of row indices,
+gathered once into a dense (B, rows, cols) array that the Dijkstra steps
+read; rows past a problem's count (padding) repeat its first row. Each
+element's pairs, total and potentials are those of its lone solve:
 
-- Rows past a problem's own count are padding, whatever they hold. They
-  are never free, and every read of them is masked to +inf, so a padding
-  row never sets a column minimum, never starts a path and, never being
-  matched, never lies on one. A problem of size 0 is all padding.
+- A padding row repeats a listed row, so it changes no column minimum.
+  It is never free, so it never starts a path and, never being matched,
+  never lies on one. A problem of size 0 is not stacked at all.
 - Each problem has its own shift, the least of its own entries and zero.
 - Every Dijkstra step runs on the whole stack. A problem that has found
   its free column, or needs no more augmentations, is masked out of every
-  write: its step reads and writes one spare padding row below the stack,
-  whose +inf costs improve no column. So its state is what it would be
-  alone.
+  write: its step reads +inf costs and writes one spare row below the
+  stack. So its state is what it would be alone.
 - The float operations, and their order, are those of a lone solve: a
   relaxation is `path_len + c[i] - u[i] - v`; the potential update is
   `v += min(dist, path_len)` and `u -= min(row_dist, path_len)`; the
@@ -73,42 +73,48 @@ __all__ = [
 # A sweep block holds at most this many cells of placement cost too
 # (`harness._TrialEngine.block_units`). A larger single problem or unit
 # still runs alone. A lone small solve is mostly call overhead, so taller
-# stacks win until padding and row copies dominate: on the 17x17 grid,
+# stacks win until gathering padded stacks dominates: on the 17x17 grid,
 # 2**17 loses to one stack per unit, and 2**19 holds six units at once
 # for ~10 MiB more peak memory. Not a knob: CHANGES.md has the table.
 STACK_CELLS = 2**18
 
 
 def min_cost_matching_batch(
-    cost, n_rows, sizes
+    cost, index, n_rows, sizes
 ) -> list[tuple[list[tuple[int, int]], float, np.ndarray, np.ndarray]]:
-    """Minimum-total-cost matchings of every problem in a stack, in one
-    solve, with the solver's final dual potentials (u, v).
+    """Minimum-total-cost matchings of every problem over one matrix, in
+    one solve, with the solver's final dual potentials (u, v).
 
-    `cost` is (B, rows, cols); problem b is `cost[b, :n_rows[b]]` matched
-    with exactly `sizes[b]` pairs, and the rows below it are ignored.
-    Returns one (pairs, total, u, v) per problem, equal bit for bit to its
-    solve in a stack of one. Pairs come sorted by row, and the total is
-    over the caller's matrix. Every argmin prefers the lowest index, so a
-    fully tied matrix takes the diagonal prefix. u has `n_rows[b]` entries.
-    For size >= 1 the reduced costs `cost[i, j] - u[i] - v[j]` are
-    nonnegative everywhere and zero on the matched pairs (up to rounding),
-    so for a full square matching `u.sum() + v.sum()` is the total. For
-    size 0 both potentials are zero.
+    `cost` is (R, cols); problem b is `cost[index[b, :n_rows[b]]]`, rows
+    in any order, matched with exactly `sizes[b]` pairs, and the rest of
+    its `index` row is ignored. Returns one (pairs, total, u, v) per
+    problem, equal bit for bit to its solve in a table of one. Pairs come
+    sorted by row, and the total is over the caller's matrix. Every argmin
+    prefers the lowest index, so a fully tied matrix takes the diagonal
+    prefix. u has `n_rows[b]` entries. For size >= 1 the reduced costs
+    `cost[i, j] - u[i] - v[j]` are nonnegative everywhere and zero on the
+    matched pairs (up to rounding), so for a full square matching
+    `u.sum() + v.sum()` is the total. For size 0 both potentials are zero.
 
-    Raises ValueError for a non-stack, a row count that does not fit, an
-    infeasible size, or a non-finite entry in a problem of positive size.
+    Raises ValueError for a non-matrix or non-table, a row count that does
+    not fit, a listed row outside the matrix, an infeasible size, or a
+    non-finite entry in a row that a problem of positive size lists.
     """
     c_in = np.asarray(cost, dtype=float)
-    if c_in.ndim != 3:
-        raise ValueError("cost must be a (problems, rows, cols) stack")
-    n_batch, height, n_cols = c_in.shape
+    index = np.asarray(index, dtype=int)
+    if c_in.ndim != 2 or index.ndim != 2:
+        raise ValueError("need a (rows, cols) matrix and a (problems, rows) table")
+    n_batch, height = index.shape
+    n_cols = c_in.shape[1]
     n_rows = np.asarray(n_rows, dtype=int)
     sizes = np.asarray(sizes, dtype=int)
     if n_rows.shape != (n_batch,) or sizes.shape != (n_batch,):
         raise ValueError("need one row count and one match size per problem")
     if ((n_rows < 0) | (n_rows > height)).any():
         raise ValueError(f"row counts must lie in [0, {height}]")
+    listed = np.arange(height) < n_rows[:, None]
+    if ((index < 0) | (index >= len(c_in)))[listed].any():
+        raise ValueError(f"row indices must lie in [0, {len(c_in)})")
     infeasible = np.flatnonzero((sizes < 0) | (sizes > np.minimum(n_rows, n_cols)))
     if infeasible.size:
         b = infeasible[0]
@@ -116,22 +122,27 @@ def min_cost_matching_batch(
             f"match size {sizes[b]} infeasible for {n_rows[b]}x{n_cols} costs"
         )
 
-    # Rows of size-0 problems are padding too: such a problem is solved.
-    real = np.arange(height) < np.where(sizes > 0, n_rows, 0)[:, None]
-    # A real row's least and greatest entries are finite iff all its
-    # entries are; NaN propagates into both.
-    row_low = c_in.min(axis=2, initial=np.inf)
-    row_high = c_in.max(axis=2, initial=-np.inf)
-    if not ((np.isfinite(row_low) & np.isfinite(row_high)) | ~real).all():
+    # A problem of size 0 is solved as it stands; only the rest are stacked.
+    results = [None] * n_batch
+    for b in np.flatnonzero(sizes == 0).tolist():
+        results[b] = ([], 0.0, np.zeros(n_rows[b]), np.zeros(n_cols))
+    live = np.flatnonzero(sizes > 0)
+    listed, n_rows, sizes, n_batch = listed[live], n_rows[live], sizes[live], live.size
+    # Padding rows repeat their problem's first row, so a stack reads only
+    # listed rows and a column's least entry is its least over them.
+    index = np.where(listed, index[live], index[live, :1])
+    # A row's least and greatest entries are finite iff all its entries
+    # are; NaN propagates into both.
+    row_low = c_in.min(axis=1, initial=np.inf)
+    row_high = c_in.max(axis=1, initial=-np.inf)
+    if not (np.isfinite(row_low) & np.isfinite(row_high))[index].all():
         raise ValueError("cost entries must be finite")
-    least = np.where(real, row_low, np.inf).min(axis=1, initial=np.inf)
-    shift = np.minimum(0.0, least)[:, None]
-    # The shifted cost c = c_in - shift is read row by row or column by
-    # column, never stored whole. Rounding is monotone, so a least shifted
-    # cost is the least cost, shifted.
-    col_min = np.minimum.reduce(
-        c_in, axis=1, where=real[:, :, None], initial=np.inf
-    ) - shift
+    shift = np.minimum(0.0, row_low[index].min(axis=1, initial=np.inf))[:, None]
+    # The stack, gathered once. The shifted cost c = c_in - shift is read
+    # row by row or column by column, never stored whole. Rounding is
+    # monotone, so a least shifted cost is the least cost, shifted.
+    c_in = c_in[index]
+    col_min = c_in.min(axis=1, initial=np.inf) - shift
 
     # Row-indexed state has one spare row below the stack, where the row
     # writes of problems that have stopped searching land.
@@ -141,7 +152,7 @@ def min_cost_matching_batch(
     row_match = np.full((n_batch, height), -1)
     col_match = np.full((n_batch, n_cols), -1)
     free = np.zeros((n_batch, height + 1), dtype=bool)
-    free[:, :height] = real  # padding rows are never free
+    free[:, :height] = listed  # padding rows are never free
     parent = np.empty((n_batch, n_cols), dtype=int)
     unscanned = np.empty((n_batch, n_cols), dtype=bool)
     end_col = np.zeros(n_batch, dtype=int)
@@ -210,9 +221,9 @@ def min_cost_matching_batch(
         c_row = c_in[solving, source] - shift[solving]
         held, stale = (c_row == col_min[solving]).nonzero()
         held = solving[held]
-        col_min[held, stale] = np.minimum.reduce(
-            c_in[held, :, stale], axis=1, where=free[held, :height], initial=np.inf
-        ) - shift[held, 0]
+        col_min[held, stale] = np.where(
+            free[held, :height], c_in[held, :, stale], np.inf
+        ).min(axis=1) - shift[held, 0]
 
     # Every problem's pairs in row order, problem after problem.
     owner, rows = (row_match >= 0).nonzero()
@@ -223,23 +234,15 @@ def min_cost_matching_batch(
     # potentials of the caller's matrix with the same reduced costs.
     u = u[:, :height] + shift
     ends = np.cumsum(sizes).tolist()
-    results = []
     for b, (start, end) in enumerate(zip([0] + ends, ends)):
         total = float(matched[start:end].sum())
-        results.append((pairs[start:end], total, u[b, : n_rows[b]], v[b]))
+        results[live[b]] = (pairs[start:end], total, u[b, : n_rows[b]], v[b])
     return results
 
 
 class Stacker:
     """Solves matching machines' requests in stacks of at most `STACK_CELLS`
-    cost cells, reusing one buffer for every stack it builds.
-
-    A sweep keeps one for its whole run, so its stacks are not allocated
-    and paged in afresh for every round.
-    """
-
-    def __init__(self):
-        self._buffer = np.zeros(0)
+    cost cells."""
 
     def run(self, machine):
         """Drive a matching machine to its answer, one `solve` per round."""
@@ -257,7 +260,8 @@ class Stacker:
 
         Requests with one column count share stacks, tallest first, each
         stack holding as many as fit in `STACK_CELLS` cells (at least
-        one). Every result equals its lone solve bit for bit, so the
+        one), indexing their one matrix uncopied or their distinct ones
+        stacked. Every result equals its lone solve bit for bit, so the
         stacking changes no value.
         """
         counts = [len(m) if rows is None else len(rows) for m, rows, _ in requests]
@@ -266,36 +270,27 @@ class Stacker:
             by_cols.setdefault(matrix.shape[1], []).append(k)
         results = [None] * len(requests)
         for n_cols, members in by_cols.items():
+            mats = list({id(requests[k][0]): requests[k][0] for k in members}.values())
+            matrix = mats[0] if len(mats) == 1 else np.concatenate(mats)
+            ends = np.cumsum([len(m) for m in mats]).tolist()
+            start = {id(m): end - len(m) for m, end in zip(mats, ends)}
             members.sort(key=lambda k: -counts[k])
             while members:
                 most = counts[members[0]]
                 height = max(1, STACK_CELLS // max(1, most * n_cols))
                 chunk, members = members[:height], members[height:]
-                stack = self._stack(len(chunk), most, n_cols)
+                n_rows = np.array([counts[k] for k in chunk])
+                first = [start[id(requests[k][0])] for k in chunk]
+                index = np.add.outer(first, np.arange(most))  # every row, in order
                 for b, k in enumerate(chunk):
-                    matrix, rows, _ = requests[k]
-                    if rows is None:
-                        stack[b, : counts[k]] = matrix
-                    else:
-                        # "clip" writes straight into the stack; "raise"
-                        # would gather into a buffer first. Row lists hold
-                        # row indices.
-                        out = stack[b, : counts[k]]
-                        np.take(matrix, rows, axis=0, out=out, mode="clip")
-                    stack[b, counts[k] :] = 0.0
+                    if requests[k][1] is not None:
+                        index[b, : counts[k]] = first[b] + np.asarray(requests[k][1])
                 solved = min_cost_matching_batch(
-                    stack, [counts[k] for k in chunk], [requests[k][2] for k in chunk]
+                    matrix, index, n_rows, [requests[k][2] for k in chunk]
                 )
                 for k, result in zip(chunk, solved):
                     results[k] = result
         return results
-
-    def _stack(self, height: int, rows: int, cols: int) -> np.ndarray:
-        """A (height, rows, cols) view of the buffer, grown when too small."""
-        cells = height * rows * cols
-        if self._buffer.size < cells:
-            self._buffer = np.empty(cells)
-        return self._buffer[:cells].reshape(height, rows, cols)
 
 
 def gather(machines):

@@ -1,19 +1,21 @@
 """Demand-gated gain tensor and the serving-area / anchoring-site optimizers.
 
-The gain tensor is one SNR-ratio matrix (weak cell x site), the weak rows
-of the scenario's link budget, plus a served mask (epoch x weak cell).
+The gain tensor is one SNR-ratio matrix (cell x site), the weak rows of
+the scenario's link budget, plus a served mask (epoch x weak cell).
 Solvers and evaluation read epoch t's gain with `GainTensor.gain_at`, the
 matrix entry where the cell is served in t and 1 otherwise, and never build
 the dense (epoch, weak cell, site) array.
 
 The placement problem decouples across epochs (no constraint links two
 epochs), so each epoch is an exact cardinality-constrained matching on the
-weak-cell x site bipartite graph with edge cost 1 - gain. The exact
-solvers are matching machines (see `matching`): a sweep gathers them over
-a block of units, and `Stacker().run` drives one alone. Solvers return
-pairs only, as local (weak-set position, site) index arrays; `evaluate_plan`
-scores every plan, with the convention that an unserved weak cell earns
-unit gain: 1 + (selected gain excess) / (epochs * weak cells).
+weak-cell x site bipartite graph with edge cost 1 - gain, which solvers
+request as rows of the scenario's one `LinkBudget.cost_if_blocked`
+(clairvoyant sums its own). The exact solvers are matching machines (see
+`matching`): a sweep gathers them over a block of units, and
+`Stacker().run` drives one alone. Solvers return pairs only, as local
+(weak-set position, site) index arrays; `evaluate_plan` scores every plan,
+with the convention that an unserved weak cell earns unit gain:
+1 + (selected gain excess) / (epochs * weak cells).
 """
 
 import itertools
@@ -70,20 +72,20 @@ class PlanValidationError(ValueError):
 class GainTensor:
     """Gated gains over (epoch, weak cell, candidate site).
 
-    Stored as the aggregated-over-direct SNR ratio `base` of each weak
-    cell at each site. A cell is served in an epoch when its demand meets
-    the threshold; its gains are then its `base` row, and exactly 1
-    otherwise. Every site is a candidate, so a local site index is global.
-    A NaN, infinite or below-1 ratio, or no epoch, is refused on building.
+    Stored as weak rows of the shared link budget: the SNR ratio `base` of
+    each weak cell at each site. A cell is served in an epoch when its
+    demand meets the threshold; its gains are then its `base` row, and
+    exactly 1 otherwise. Every site is a candidate, so a local site index
+    is global. A NaN, infinite or below-1 ratio, or no epoch, is refused.
     """
 
-    base: np.ndarray         # (n_weak, n_sites) SNR ratio
+    budget: LinkBudget       # the scenario's, indexed by global cell
     weak_grids: np.ndarray   # (n_weak,) global cell indices, sorted
     demand: np.ndarray       # (epochs, n_weak) Mbps/km^2
     thresholds: np.ndarray   # (epochs,) Mbps/km^2
 
     def __post_init__(self) -> None:
-        if not np.all((self.base >= 1.0) & (self.base < np.inf)):  # NaN fails this too
+        if not self.budget.sound_if_blocked[self.weak_grids].all():
             raise ValueError("gains must be finite and at least 1")
         if self.n_epochs < 1:
             raise ValueError("tensor must cover at least one epoch")
@@ -93,10 +95,21 @@ class GainTensor:
         """(epochs, n_weak) mask of the cells whose demand meets the threshold."""
         return self.demand >= self.thresholds[:, None]
 
+    @property
+    def helped(self) -> np.ndarray:
+        """(epochs, n_weak) mask of the served cells with some gain above 1."""
+        return self.served & self.budget.helped_if_blocked[self.weak_grids]
+
+    @property
+    def base(self) -> np.ndarray:
+        """(n_weak, n_sites) SNR ratio, copied on every access."""
+        return self.budget.gain_if_blocked[self.weak_grids]
+
     def gain_at(self, epochs, cells, sites) -> np.ndarray:
         """Gains at broadcast (epoch, local cell, site) index arrays: the
         `base` entry where the cell is served in that epoch, 1 otherwise."""
-        return np.where(self.served[epochs, cells], self.base[cells, sites], 1.0)
+        ratio = self.budget.gain_if_blocked[self.weak_grids[cells], sites]
+        return np.where(self.served[epochs, cells], ratio, 1.0)
 
     @property
     def gains(self) -> np.ndarray:
@@ -110,11 +123,11 @@ class GainTensor:
 
     @property
     def n_weak(self) -> int:
-        return self.base.shape[0]
+        return self.weak_grids.size
 
     @property
     def n_sites(self) -> int:
-        return self.base.shape[1]
+        return self.budget.gain_if_blocked.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +155,7 @@ def build_gain_tensor(
     realization: ChannelRealization,
     field: TrafficField,
 ) -> GainTensor:
-    """Slice the gains of every weak cell at every site from the link budget.
+    """The tensor of the unit's weak cells, over the link budget's gains.
 
     An empty weak set yields an empty tensor (any placement is then
     trivially empty); solvers reject positive fleet sizes against it.
@@ -150,7 +163,7 @@ def build_gain_tensor(
     """
     weak = realization.weak_set
     return GainTensor(
-        base=budget.gain_if_blocked[weak],
+        budget=budget,
         weak_grids=weak,
         demand=field.demand[:, weak],
         thresholds=np.asarray(field.threshold, dtype=float),
@@ -165,9 +178,9 @@ def _check_fit(tensor: GainTensor, m: int) -> None:
         )
 
 
-def _completed_pairs(cost, m: int, rows, matched) -> list[tuple[int, int]]:
-    """Pairs of an exact matching on rows `rows` of `cost`, completed to m
-    places.
+def _completed_pairs(cost, rows, m: int, cells, matched) -> list[tuple[int, int]]:
+    """Pairs of an exact matching on rows `rows[cells]` of `cost`, completed
+    to m places.
 
     Any matched pair of zero cost is released, and the released and
     missing places go to the lowest unused cells paired with the lowest
@@ -176,14 +189,14 @@ def _completed_pairs(cost, m: int, rows, matched) -> list[tuple[int, int]]:
 
     The completion keeps the optimum. Every cost is at most 0, and rows
     outside the request cost 0 for this problem (unserved, or with no
-    negative entry), so an exact matching of `min(m, len(rows))` requested
+    negative entry), so an exact matching of `min(m, len(cells))` requested
     rows reaches the optimum over every size-m matching. A fill pair with
     a negative cost would beat that optimum, so every released or filled
     pair costs exactly 0. Tests: `test_served_row_placement_equals_full_matching`
     and `test_clairvoyant_placement_equals_full_matching`.
     """
-    n_cells, n_sites = cost.shape
-    pairs = [(int(rows[q]), j) for q, j in matched if cost[rows[q], j] != 0.0]
+    n_cells, n_sites = len(rows), cost.shape[1]
+    pairs = [(int(cells[r]), j) for r, j in matched if cost[rows[cells[r]], j] != 0.0]
     if len(pairs) < m:
         used_cells = {q for q, _ in pairs}
         used_sites = {j for _, j in pairs}
@@ -194,24 +207,23 @@ def _completed_pairs(cost, m: int, rows, matched) -> list[tuple[int, int]]:
     return pairs
 
 
-def _served_matchings(cost, masks, m: int):
+def _served_matchings(cost, rows, masks, m: int):
     """Matching machine for exact size-m min-cost matchings of a nonpositive
-    matrix, one per row mask.
+    matrix, one per weak-set mask; row `rows[q]` holds position q's costs.
 
-    Only the masked rows with a negative entry (a served cell has some
-    gain above 1) are matched, one request per mask; each matching is then
-    completed. Returns the (len(masks), m) cell and site arrays.
+    Only the masked cells, each with a negative entry, are matched, one
+    request per mask; each matching is then completed. Returns the
+    (len(masks), m) cell and site arrays.
     """
-    negative = cost.min(axis=1, initial=0.0) < 0.0
-    rows = [np.flatnonzero(mask & negative) for mask in masks]
-    solved = yield [(cost, r, min(m, r.size)) for r in rows]
+    picked = [np.flatnonzero(mask) for mask in masks]
+    solved = yield [(cost, rows[q], min(m, q.size)) for q in picked]
     pairs = np.array(
         [
-            _completed_pairs(cost, m, r, matched)
-            for r, (matched, _, _, _) in zip(rows, solved)
+            _completed_pairs(cost, rows, m, q, matched)
+            for q, (matched, _, _, _) in zip(picked, solved)
         ],
         dtype=int,
-    ).reshape(len(rows), m, 2)
+    ).reshape(len(picked), m, 2)
     return pairs[..., 0], pairs[..., 1]
 
 
@@ -228,7 +240,8 @@ def adaptive_plan_machine(tensor: GainTensor, m: int):
     exact matching over every row.
     """
     _check_fit(tensor, m)
-    cells, sites = yield from _served_matchings(1.0 - tensor.base, tensor.served, m)
+    cost, weak = tensor.budget.cost_if_blocked, tensor.weak_grids
+    cells, sites = yield from _served_matchings(cost, weak, tensor.helped, m)
     return PlacementPlan(STRATEGY_ROBOTIC, cells, sites)
 
 
@@ -262,12 +275,13 @@ def fixed_plan_machine(tensor: GainTensor, m: int, mode: str = "epoch1"):
     check_terrestrial_mode(mode)
     _check_fit(tensor, m)
     if mode == "epoch1":
-        masks, cost = tensor.served[:1], 1.0 - tensor.base
+        cost, rows = tensor.budget.cost_if_blocked, tensor.weak_grids
+        masks = tensor.helped[:1]
     else:
         # Cells that are never served have all-zero rows here.
-        masks = np.ones((1, tensor.n_weak), dtype=bool)
-        cost = 0.0 - _summed_excess(tensor)
-    cells, sites = yield from _served_matchings(cost, masks, m)
+        cost, rows = 0.0 - _summed_excess(tensor), np.arange(tensor.n_weak)
+        masks = cost.min(axis=1, initial=0.0)[None] < 0.0
+    cells, sites = yield from _served_matchings(cost, rows, masks, m)
     return _replicated_plan(tensor, cells, sites, STRATEGY_TERRESTRIAL)
 
 

@@ -54,11 +54,8 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         if self.fleet_size < 0:
-            raise ScenarioError("fleet_size must be nonnegative")
-        try:
-            check_terrestrial_mode(self.terrestrial_mode)
-        except ValueError as err:
-            raise ScenarioError(str(err)) from None
+            raise ValueError("fleet_size must be nonnegative")
+        check_terrestrial_mode(self.terrestrial_mode)
 
 
 @dataclass(frozen=True)

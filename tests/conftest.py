@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irsfleet import default_scenario
+from irsfleet.channel import LinkBudget
 from irsfleet.matching import min_cost_matching_batch
 from irsfleet.planner import GainTensor
 
@@ -34,16 +35,34 @@ def make_tensor(
     demand = np.asarray(demand, dtype=float)
     if thresholds is None:
         thresholds = np.full(demand.shape[0], 1.0)
+    n_cells = base.shape[0]
+    budget = LinkBudget(
+        p_los=np.zeros(n_cells),
+        weak_if_blocked=np.ones(n_cells, dtype=bool),
+        gain_if_blocked=base,
+    )
     return GainTensor(
-        base=base,
-        weak_grids=np.arange(base.shape[0]),
+        budget=budget,
+        weak_grids=np.arange(n_cells),
         demand=demand,
         thresholds=np.asarray(thresholds, dtype=float),
     )
 
 
+def solve_indexed(cost, row_lists, sizes, padding=0, pad=0):
+    """One `min_cost_matching_batch` call over `cost`: problem b matches
+    `cost[row_lists[b]]` with `sizes[b]` pairs. The index table has
+    `padding` columns beyond the longest list, and every entry past a
+    problem's list holds row `pad`."""
+    n_rows = [len(rows) for rows in row_lists]
+    index = np.full((len(row_lists), max(n_rows, default=0) + padding), pad)
+    for b, rows in enumerate(row_lists):
+        index[b, : n_rows[b]] = rows
+    return min_cost_matching_batch(cost, index, n_rows, sizes)
+
+
 def solve_matching(cost, size: int):
-    """A lone matching solve, as a stack of one: (pairs, total)."""
+    """A lone matching solve, as a table of one: (pairs, total)."""
     cost = np.asarray(cost, dtype=float)
-    pairs, total, _, _ = min_cost_matching_batch(cost[None], [len(cost)], [size])[0]
+    pairs, total, _, _ = solve_indexed(cost, [range(len(cost))], [size])[0]
     return pairs, total

@@ -66,10 +66,10 @@ def _certifying(solve, log):
     """`min_cost_matching_batch` that certifies each element it returns
     and logs (rows, cols, size, violated conditions) for it."""
 
-    def spy(cost, n_rows, sizes):
-        results = solve(cost, n_rows, sizes)
+    def spy(cost, index, n_rows, sizes):
+        results = solve(cost, index, n_rows, sizes)
         for b, (pairs, _, u, v) in enumerate(results):
-            problem = np.asarray(cost)[b, : n_rows[b]]
+            problem = np.asarray(cost)[np.asarray(index)[b, : n_rows[b]]]
             failed = certify_matching(problem, pairs, u, v, sizes[b])
             log.append((*problem.shape, sizes[b], failed))
         return results

@@ -283,7 +283,7 @@ def test_a_sweep_fails_at_its_first_failing_unit(tmp_path, capsys, monkeypatch):
         if len(draws) > 1:
             return tensor
         return GainTensor(
-            base=tensor.base[:2],
+            budget=tensor.budget,
             weak_grids=tensor.weak_grids[:2],
             demand=tensor.demand[:, :2],
             thresholds=tensor.thresholds,
@@ -330,7 +330,7 @@ def test_a_sweep_names_the_first_failing_trial_not_the_first_to_fail(
         if len(tensors) != 2:
             return tensor
         return GainTensor(
-            base=tensor.base[:2],
+            budget=tensor.budget,
             weak_grids=tensor.weak_grids[:2],
             demand=tensor.demand[:, :2],
             thresholds=tensor.thresholds,

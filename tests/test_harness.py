@@ -271,6 +271,28 @@ def test_a_sweep_holds_only_its_current_blocks_gain_tensors(monkeypatch, tmp_pat
         assert alive_at_build == expect
 
 
+def test_placement_requests_name_the_engines_one_cost_matrix(monkeypatch):
+    # Every robotic epoch and epoch-1 terrestrial placement of a block
+    # indexes the engine's one cost matrix, so no unit copies its rows.
+    engine = harness._TrialEngine(SMALL)
+    assert SMALL.solver.terrestrial_mode == "epoch1"
+    rounds = []
+    solve = engine.stacker.solve
+
+    def logged(requests):
+        rounds.append(requests)
+        return solve(requests)
+
+    monkeypatch.setattr(engine.stacker, "solve", logged)
+    units = [(1.8, 0), (2.8, 1), (3.6, 2)]
+    engine.run_block(units, 5, KNOWN_STRATEGIES)
+    placement, *routing = rounds
+    assert len(placement) == len(units) * (SMALL.traffic.epochs + 1)
+    cost = engine.budget.cost_if_blocked
+    assert all(matrix is cost for matrix, _, _ in placement)
+    assert all(matrix is not cost for round_ in routing for matrix, _, _ in round_)
+
+
 def test_sweep_rows_are_paired_single_trials(tmp_path):
     config = ExperimentConfig(
         scenario=SMALL, sigma_list=(2.8, 1.8), trials=2, master_seed=19,

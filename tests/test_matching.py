@@ -9,16 +9,16 @@ from bruteforce import (
     dyadic_matrix,
     rescan_matching_with_duals,
 )
-from conftest import solve_matching
+from conftest import solve_indexed, solve_matching
 from irsfleet import run_trial
-from irsfleet.matching import min_cost_matching_batch
+from irsfleet.matching import Stacker, min_cost_matching_batch
 from irsfleet.scenario import GeometryConfig, Scenario, SolverOptions
 
 
 def _lone_solve(cost, size):
-    """A batch of one: the pairs, total and potentials of a lone solve."""
+    """A table of one: the pairs, total and potentials of a lone solve."""
     cost = np.asarray(cost, dtype=float)
-    return min_cost_matching_batch(cost[None], [len(cost)], [size])[0]
+    return solve_indexed(cost, [range(len(cost))], [size])[0]
 
 
 def test_trivial_sizes():
@@ -152,14 +152,13 @@ def _assert_same_solve(got, expect):
 
 
 def _solve_stack(n_cols, problems, padding, fill):
-    """Batch solve of (cost, size) problems, `fill` in every padding row."""
-    height = max(cost.shape[0] for cost, _ in problems) + padding
-    stack = np.full((len(problems), height, n_cols), fill)
-    for b, (cost, _) in enumerate(problems):
-        stack[b, : cost.shape[0]] = cost
-    return min_cost_matching_batch(
-        stack, [cost.shape[0] for cost, _ in problems], [size for _, size in problems]
-    )
+    """Batch solve of (cost, size) problems stacked into one matrix below a
+    row of `fill`, which every padding entry of the index table names."""
+    matrix = np.concatenate([np.full((1, n_cols), fill)] + [c for c, _ in problems])
+    starts = np.cumsum([1] + [cost.shape[0] for cost, _ in problems])
+    row_lists = [range(s, s + c.shape[0]) for s, (c, _) in zip(starts, problems)]
+    sizes = [size for _, size in problems]
+    return solve_indexed(matrix, row_lists, sizes, padding=padding, pad=0)
 
 
 def _stacked_solve(cost, size, rng):
@@ -283,8 +282,8 @@ def test_rounding_tie_starts_from_the_lowest_free_row():
 @st.composite
 def _stacks(draw):
     """Small stacks of dyadic-tie or ulp-perturbed-third problems with
-    mixed row counts and sizes (0 included), padding rows that hold NaN,
-    a cost below every entry or +inf, and a drawn order."""
+    mixed row counts and sizes (0 included), padding entries that name a
+    row of NaN, a cost below every entry or +inf, and a drawn order."""
     n_cols = draw(st.integers(1, 6))
     family = draw(st.sampled_from(["dyadic", "thirds"]))
     problems = []
@@ -325,29 +324,104 @@ def test_batch_elements_equal_lone_solves_and_rescan(stack):
 
 
 def test_batch_of_no_problems_or_no_rows():
-    assert min_cost_matching_batch(np.zeros((0, 3, 4)), [], []) == []
-    solved = min_cost_matching_batch(np.zeros((2, 0, 3)), [0, 0], [0, 0])
+    assert min_cost_matching_batch(np.zeros((3, 4)), np.zeros((0, 5)), [], []) == []
+    solved = min_cost_matching_batch(np.zeros((0, 3)), np.zeros((2, 0)), [0, 0], [0, 0])
     for pairs, total, u, v in solved:
         assert (pairs, total, u.shape) == ([], 0.0, (0,))
         assert np.array_equal(v, np.zeros(3))
 
 
 def test_batch_input_validation():
-    stack = np.zeros((2, 3, 4))
-    with pytest.raises(ValueError, match="stack"):
-        min_cost_matching_batch(np.zeros((3, 4)), [3], [1])
+    matrix, index = np.zeros((3, 4)), np.array([[0, 1, 2], [2, 1, 0]])
+    with pytest.raises(ValueError, match="matrix and a"):
+        min_cost_matching_batch(np.zeros((2, 3, 4)), index, [3, 3], [1, 1])
+    with pytest.raises(ValueError, match="matrix and a"):
+        min_cost_matching_batch(matrix, [0, 1, 2], [3], [1])
     with pytest.raises(ValueError, match="one row count and one match size"):
-        min_cost_matching_batch(stack, [3], [1, 1])
+        min_cost_matching_batch(matrix, index, [3], [1, 1])
     with pytest.raises(ValueError, match=r"row counts must lie in \[0, 3\]"):
-        min_cost_matching_batch(stack, [3, 4], [1, 1])
+        min_cost_matching_batch(matrix, index, [3, 4], [1, 1])
+    with pytest.raises(ValueError, match=r"row indices must lie in \[0, 3\)"):
+        min_cost_matching_batch(matrix, [[0, 3, 1]], [2], [1])
+    with pytest.raises(ValueError, match=r"row indices must lie in \[0, 3\)"):
+        min_cost_matching_batch(matrix, [[0, -1]], [2], [0])
     with pytest.raises(ValueError, match="match size 3 infeasible for 2x4 costs"):
-        min_cost_matching_batch(stack, [3, 2], [1, 3])
-    stack[1, 0, 2] = np.inf
+        min_cost_matching_batch(matrix, index, [3, 2], [1, 3])
+    matrix[2, 2] = np.inf
+    index = np.array([[0, 1, 2], [1, 0, 2]])
     with pytest.raises(ValueError, match="finite"):
-        min_cost_matching_batch(stack, [3, 3], [1, 1])
-    # Non-finite entries are ignored in padding rows and in size-0 problems,
-    # as a lone solve of size 0 ignores them.
-    assert min_cost_matching_batch(stack, [3, 0], [1, 0])[1][:2] == ([], 0.0)
-    assert min_cost_matching_batch(stack, [3, 3], [1, 0])[1][:2] == ([], 0.0)
-    pairs, total, u, v = min_cost_matching_batch(stack, [3, 2], [1, 0])[1]
+        min_cost_matching_batch(matrix, index, [3, 3], [1, 1])
+    # Non-finite entries are ignored in rows that only padding or size-0
+    # problems list, as a lone solve of size 0 ignores them; index entries
+    # past a problem's rows are never read.
+    assert min_cost_matching_batch(matrix, index, [2, 3], [1, 0])[1][:2] == ([], 0.0)
+    solved = min_cost_matching_batch(matrix, index, [3, 2], [0, 1])
+    assert solved[0][:2] == ([], 0.0)
+    pairs, total, u, v = solved[1]
     assert u.shape == (2,) and v.shape == (4,)
+    solved = min_cost_matching_batch(matrix, [[0, 1, 9], [2, -7, 0]], [1, 1], [1, 0])
+    assert solved[0][:2] == ([(0, 0)], 0.0) and solved[1][:2] == ([], 0.0)
+
+
+def _assert_each_equals_its_lone_solve(matrix, row_lists, sizes, solved):
+    for rows, size, got in zip(row_lists, sizes, solved, strict=True):
+        cost = matrix[np.asarray(rows, dtype=int)]
+        expect = rescan_matching_with_duals(cost, size)
+        _assert_same_solve(_lone_solve(cost, size), expect)
+        _assert_same_solve(got, expect)
+
+
+@pytest.mark.parametrize("family", ["dyadic", "normal"])
+def test_unsorted_overlapping_row_lists_into_one_matrix(family):
+    # Problems list rows of one shared matrix in any order, with repeats
+    # across problems and within one; size-0 problems are among them, and
+    # rows of NaN and -inf that only size-0 problems or padding name.
+    rng = np.random.Generator(np.random.Philox(61))
+    for _ in range(40):
+        n_cols = int(rng.integers(1, 7))
+        if family == "dyadic":
+            matrix = dyadic_matrix(rng, (9, n_cols), lo=-2, hi=2, denom=2)
+        else:
+            matrix = rng.normal(size=(9, n_cols)) * 10.0 ** rng.integers(-3, 4)
+        matrix[7], matrix[8] = np.nan, -np.inf
+        row_lists, sizes = [], []
+        for _ in range(int(rng.integers(1, 6))):
+            rows = rng.choice(7, size=int(rng.integers(0, 8)), replace=True)
+            size = int(rng.integers(0, min(len(rows), n_cols) + 1))
+            if size == 0 and rng.random() < 0.5:
+                rows = np.append(rows, [7, 8])
+            row_lists.append(rows.tolist())
+            sizes.append(size)
+        pad = int(rng.choice([0, 7, 8]))
+        solved = solve_indexed(matrix, row_lists, sizes, padding=1, pad=pad)
+        _assert_each_equals_its_lone_solve(matrix, row_lists, sizes, solved)
+        positive = [b for b, size in enumerate(sizes) if size > 0]
+        if positive:
+            row_lists[positive[0]] = row_lists[positive[0]] + [7]
+            with pytest.raises(ValueError, match="finite"):
+                solve_indexed(matrix, row_lists, sizes, pad=pad)
+
+
+def test_a_round_over_two_matrices_of_one_column_count():
+    # One round names two matrices of four columns and one of three; each
+    # request's rows are offset into the stacked matrix, and a NaN row that
+    # only a size-0 request names is ignored.
+    rng = np.random.Generator(np.random.Philox(62))
+    first = dyadic_matrix(rng, (6, 4), lo=-2, hi=2, denom=2)
+    second = dyadic_matrix(rng, (3, 4), lo=-2, hi=2, denom=2)
+    second[2] = np.nan
+    third = dyadic_matrix(rng, (5, 3))
+    requests = [
+        (first, np.array([5, 0, 3]), 2),
+        (second, None, 0),
+        (third, np.array([4, 4, 1]), 3),
+        (second, np.array([1, 0]), 2),
+        (first, None, 4),
+        (first, np.array([2, 2, 5, 1]), 0),
+    ]
+    solved = Stacker().solve(requests)
+    for (matrix, rows, size), got in zip(requests, solved, strict=True):
+        rows = np.arange(len(matrix)) if rows is None else rows
+        _assert_each_equals_its_lone_solve(matrix, [rows], [size], [got])
+    with pytest.raises(ValueError, match="finite"):
+        Stacker().solve(requests + [(second, None, 1)])

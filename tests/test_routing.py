@@ -253,9 +253,11 @@ def test_transitions_share_stacked_rounds(monkeypatch):
         machines.append(np.asarray(cost).shape)
         return original_machine(cost)
 
-    def counted_batch(cost, n_rows, sizes):
-        stacks.append((np.shape(cost), list(n_rows), list(sizes)))
-        return original_batch(cost, n_rows, sizes)
+    def counted_batch(cost, index, n_rows, sizes):
+        # The stack's (problems, rows, cols) shape, as the solver gathers it.
+        shape = (*np.shape(index), np.shape(cost)[1])
+        stacks.append((shape, list(n_rows), list(sizes)))
+        return original_batch(cost, index, n_rows, sizes)
 
     monkeypatch.setattr(routing, "_assignment_machine", counted_machine)
     monkeypatch.setattr(matching, "min_cost_matching_batch", counted_batch)

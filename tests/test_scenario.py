@@ -7,7 +7,7 @@ import pytest
 
 from irsfleet import Scenario, ScenarioError, default_scenario, load_scenario
 from irsfleet.cli import main
-from irsfleet.scenario import SolverOptions, write_scenario
+from irsfleet.scenario import write_scenario
 
 
 def test_default_values_match_the_tables():
@@ -284,11 +284,27 @@ def test_empty_list_item_rejected(tmp_path, profile):
         load_scenario(path)
 
 
-def test_solver_options_validation():
-    with pytest.raises(ScenarioError):
-        SolverOptions(terrestrial_mode="other")
-    with pytest.raises(ScenarioError):
-        SolverOptions(fleet_size=-1)
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("geometry", "grid_rows", 0),
+        ("radio", "eta1", 9.0),
+        ("platform", "p_fly_w", float("nan")),
+        ("traffic", "epochs", 0),
+        ("solver", "fleet_size", -1),
+        ("solver", "terrestrial_mode", "other"),
+    ],
+)
+def test_a_section_built_directly_raises_value_error(tmp_path, section, key, value):
+    # Every section refuses a bad value with a plain ValueError; only
+    # `load_scenario` turns it into a ScenarioError, with the same message.
+    with pytest.raises(ValueError) as built:
+        type(getattr(Scenario(), section))(**{key: value})
+    assert type(built.value) is ValueError
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match=re.escape(str(built.value))):
+        load_scenario(path)
 
 
 def _ini_keys(text: str) -> list[tuple[str, str]]:
