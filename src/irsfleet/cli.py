@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matching
 from .channel import (
     cascade_amplification,
     los_probability,
@@ -37,7 +37,6 @@ from .harness import (
     TRAJECTORY_HEADER,
     _write_rows,
 )
-from .matching import Stacker
 from .oracles import (
     best_exact_size_cost,
     empirical_cascade_amplification,
@@ -222,7 +221,7 @@ def _cmd_validate(args) -> int:
         size = int(match_rng.integers(0, min(rows, cols) + 1))
         cost = match_rng.integers(-32, 32, size=(rows, cols)) / 4.0
         requests.append((cost, None, size))
-    solved = Stacker().solve(requests)
+    solved = matching.solve(requests)
     ok = all(
         total == best_exact_size_cost(cost, size)
         for (cost, _, size), (_, total, _, _) in zip(requests, solved)

@@ -5,10 +5,11 @@ and its gain tensor indexed into the link budget once; every strategy is
 scored on that one realization, which makes the comparison paired. A sweep
 runs its units in blocks of consecutive units in (sigma, trial) order
 (`_TrialEngine.run_block`): it draws the block's units, then runs one
-matching machine per (unit, strategy) trial, all gathered into shared
-matching stacks. Each trial solves its placement and, for robotic, its
-routes, and is scored as soon as its solves are done: `evaluate_plan`
-scores the plan and `evaluate_trajectory` the routes. A single trial
+matching machine per (unit, strategy) trial, all gathered into one that
+`matching.run` drives, so each round's solves share stacks. Each trial
+solves its placement and, for robotic, its routes, and is scored as soon
+as its solves are done: `evaluate_plan` scores the plan and
+`evaluate_trajectory` the routes. A single trial
 is a block of one unit of one strategy. Every unit is a pure function of
 (master seed, sigma, trial index): substreams come from a counter-based
 generator keyed on those values, never on execution order, and every
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__, matching
 from .geometry import ScenarioLayout, compute_distances
-from .matching import Stacker, gather
+from .matching import gather
 from .planner import (
     GainTensor,
     PlacementPlan,
@@ -165,7 +166,6 @@ class _TrialEngine:
         self.scenario = scenario
         self.layout: ScenarioLayout = scenario.layout()
         self.budget = link_budget(compute_distances(self.layout), scenario.radio)
-        self.stacker = Stacker()
 
     @property
     def block_units(self) -> int:
@@ -208,7 +208,7 @@ class _TrialEngine:
             for sigma, trial, field, tensor in drawn
             for strategy in strategies
         ]
-        outcomes = self.stacker.run(
+        outcomes = matching.run(
             gather(self._trial(*job, master_seed) for job in jobs)
         )
         for (sigma, trial, strategy, _, _), outcome in zip(jobs, outcomes):

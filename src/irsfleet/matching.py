@@ -13,15 +13,16 @@ its lexicographic tie-break from them, and re-solves only the rest.
 Callers that need many solves write them as matching machines: generators
 that yield a list of requests, each `(matrix, rows, size)` asking for an
 exact size-`size` matching of `matrix[rows]` (every row when `rows` is
-None), and are sent back one `min_cost_matching_batch` result per request.
-A machine's return value is its answer. `gather` runs many machines in
-lockstep as one, so each round stacks every request still pending:
-placement epochs, transition dual solves and tie-break confirmations of a
-whole block of units. `Stacker.run` drives a machine, solving each
-round's requests in stacks of at most `STACK_CELLS` cost cells over one
-matrix: the one a round's requests name (a sweep's placement cost), or
-their distinct matrices stacked (routing's). A lone solve is one request
-to `Stacker.solve`, or a table of one.
+None), and are sent back one `solve` result per request. A machine's
+return value is its answer. `gather` runs many machines in lockstep as
+one, so each round stacks every request still pending: placement epochs,
+transition dual solves and tie-break confirmations of a whole block of
+units. `run` drives a machine, handing each round to `solve`, the one way
+into the solver. `solve` checks each request against its own matrix,
+then solves the round in stacks of at most `STACK_CELLS` cost cells, each
+over one matrix: the one a round's requests name (a sweep's placement
+cost), or their distinct matrices stacked (routing's). A lone solve is a
+round of one request.
 
 Every augmentation starts its shortest-path search from all free rows at
 once, so each column begins at its least reduced cost over the free rows.
@@ -47,7 +48,8 @@ element's pairs, total and potentials are those of its lone solve:
 - A padding row repeats a listed row, so it changes no column minimum.
   It is never free, so it never starts a path and, never being matched,
   never lies on one. A problem of size 0 is not stacked at all.
-- Each problem has its own shift, the least of its own entries and zero.
+- Each problem has its own shift, the least of its column minima and
+  zero, which is the least of its own entries and zero.
 - Every Dijkstra step runs on the whole stack. A problem that has found
   its free column, or needs no more augmentations, is masked out of every
   write: its step reads +inf costs and writes one spare row below the
@@ -60,12 +62,14 @@ element's pairs, total and potentials are those of its lone solve:
   was still current.
 """
 
+import operator
+
 import numpy as np
 
 __all__ = [
     "STACK_CELLS",
-    "min_cost_matching_batch",
-    "Stacker",
+    "solve",
+    "run",
     "gather",
 ]
 
@@ -79,70 +83,110 @@ __all__ = [
 STACK_CELLS = 2**18
 
 
-def min_cost_matching_batch(
-    cost, index, n_rows, sizes
-) -> list[tuple[list[tuple[int, int]], float, np.ndarray, np.ndarray]]:
-    """Minimum-total-cost matchings of every problem over one matrix, in
-    one solve, with the solver's final dual potentials (u, v).
+def run(machine):
+    """Drive a matching machine to its answer, one `solve` per round."""
+    solved = None
+    while True:
+        try:
+            requests = machine.send(solved)
+        except StopIteration as stop:
+            return stop.value
+        solved = solve(requests)
 
-    `cost` is (R, cols); problem b is `cost[index[b, :n_rows[b]]]`, rows
-    in any order, matched with exactly `sizes[b]` pairs, and the rest of
-    its `index` row is ignored. Returns one (pairs, total, u, v) per
-    problem, equal bit for bit to its solve in a table of one. Pairs come
-    sorted by row, and the total is over the caller's matrix. Every argmin
-    prefers the lowest index, so a fully tied matrix takes the diagonal
-    prefix. u has `n_rows[b]` entries. For size >= 1 the reduced costs
-    `cost[i, j] - u[i] - v[j]` are nonnegative everywhere and zero on the
-    matched pairs (up to rounding), so for a full square matching
-    `u.sum() + v.sum()` is the total. For size 0 both potentials are zero.
 
-    Raises ValueError for a non-matrix or non-table, a row count that does
-    not fit, a listed row outside the matrix, an infeasible size, or a
-    non-finite entry in a row that a problem of positive size lists.
+def solve(requests) -> list:
+    """Minimum-total-cost matchings of every `(matrix, rows, size)`
+    request, with the solver's final dual potentials (u, v).
+
+    Request k asks for exactly `size` pairs of `matrix[rows]`, a 2-D
+    array-like, rows in any order (every row when `rows` is None). Returns
+    one (pairs, total, u, v) per request, equal bit for bit to its lone
+    solve. Pairs come sorted by row, and the total is over the request's
+    costs. Every argmin prefers the lowest index, so a fully tied matrix
+    takes the diagonal prefix. u has one entry per listed row. For size
+    >= 1 the reduced costs `cost[i, j] - u[i] - v[j]` are nonnegative
+    everywhere and zero on the matched pairs (up to rounding), so for a
+    full square matching `u.sum() + v.sum()` is the total. For size 0 both
+    potentials are zero.
+
+    Requests with one column count share stacks, tallest first, each
+    holding as many as fit in `STACK_CELLS` cells (at least one), over
+    their one matrix uncopied or their distinct ones stacked.
+
+    Raises ValueError for a non-matrix, a listed row outside its own
+    matrix, an infeasible size, or a non-finite entry in a row that a
+    request of positive size lists, and TypeError for a size that is not
+    an integer.
     """
-    c_in = np.asarray(cost, dtype=float)
-    index = np.asarray(index, dtype=int)
-    if c_in.ndim != 2 or index.ndim != 2:
-        raise ValueError("need a (rows, cols) matrix and a (problems, rows) table")
-    n_batch, height = index.shape
-    n_cols = c_in.shape[1]
-    n_rows = np.asarray(n_rows, dtype=int)
-    sizes = np.asarray(sizes, dtype=int)
-    if n_rows.shape != (n_batch,) or sizes.shape != (n_batch,):
-        raise ValueError("need one row count and one match size per problem")
-    if ((n_rows < 0) | (n_rows > height)).any():
-        raise ValueError(f"row counts must lie in [0, {height}]")
-    listed = np.arange(height) < n_rows[:, None]
-    if ((index < 0) | (index >= len(c_in)))[listed].any():
-        raise ValueError(f"row indices must lie in [0, {len(c_in)})")
-    infeasible = np.flatnonzero((sizes < 0) | (sizes > np.minimum(n_rows, n_cols)))
-    if infeasible.size:
-        b = infeasible[0]
-        raise ValueError(
-            f"match size {sizes[b]} infeasible for {n_rows[b]}x{n_cols} costs"
-        )
+    results = [None] * len(requests)
+    # Per column count: its distinct matrices, in order of first use, and
+    # its requests of positive size.
+    groups: dict[int, tuple[dict, list]] = {}
+    for k, (matrix, rows, size) in enumerate(requests):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2:
+            raise ValueError("need a (rows, cols) matrix")
+        if rows is None:
+            rows = np.arange(len(matrix))
+        else:
+            rows = np.asarray(rows, dtype=int)
+            if ((rows < 0) | (rows >= len(matrix))).any():
+                raise ValueError(f"row indices must lie in [0, {len(matrix)})")
+        n_cols, size = matrix.shape[1], operator.index(size)
+        if not 0 <= size <= min(len(rows), n_cols):
+            raise ValueError(
+                f"match size {size} infeasible for {len(rows)}x{n_cols} costs"
+            )
+        if size == 0:
+            results[k] = ([], 0.0, np.zeros(len(rows)), np.zeros(n_cols))
+            continue
+        mats, live = groups.setdefault(n_cols, ({}, []))
+        mats.setdefault(id(matrix), matrix)
+        live.append((k, id(matrix), rows, size))
 
-    # A problem of size 0 is solved as it stands; only the rest are stacked.
-    results = [None] * n_batch
-    for b in np.flatnonzero(sizes == 0).tolist():
-        results[b] = ([], 0.0, np.zeros(n_rows[b]), np.zeros(n_cols))
-    live = np.flatnonzero(sizes > 0)
-    listed, n_rows, sizes, n_batch = listed[live], n_rows[live], sizes[live], live.size
-    # Padding rows repeat their problem's first row, so a stack reads only
-    # listed rows and a column's least entry is its least over them.
-    index = np.where(listed, index[live], index[live, :1])
-    # A row's least and greatest entries are finite iff all its entries
-    # are; NaN propagates into both.
-    row_low = c_in.min(axis=1, initial=np.inf)
-    row_high = c_in.max(axis=1, initial=-np.inf)
-    if not (np.isfinite(row_low) & np.isfinite(row_high))[index].all():
-        raise ValueError("cost entries must be finite")
-    shift = np.minimum(0.0, row_low[index].min(axis=1, initial=np.inf))[:, None]
+    for mats, live in groups.values():
+        mats = list(mats.values())
+        matrix = mats[0] if len(mats) == 1 else np.concatenate(mats)
+        ends = np.cumsum([len(m) for m in mats]).tolist()
+        start = {id(m): end - len(m) for m, end in zip(mats, ends)}
+        finite = np.isfinite(matrix).all(axis=1)
+        live.sort(key=lambda request: -len(request[2]))
+        while live:
+            most = len(live[0][2])
+            height = max(1, STACK_CELLS // (most * matrix.shape[1]))
+            chunk, live = live[:height], live[height:]
+            # Each problem's rows, offset into the stacked matrix, then
+            # padding that repeats its first row: the table names listed
+            # rows only, so a column's least entry is its least over them.
+            index = np.empty((len(chunk), most), dtype=int)
+            for b, (_, key, rows, _) in enumerate(chunk):
+                np.add(rows, start[key], out=index[b, : len(rows)])
+                index[b, len(rows) :] = index[b, 0]
+            if not finite[index].all():
+                raise ValueError("cost entries must be finite")
+            n_rows = np.array([len(rows) for _, _, rows, _ in chunk])
+            sizes = np.array([size for *_, size in chunk])
+            solved = _solve_stack(matrix, index, n_rows, sizes)
+            for (k, *_), result in zip(chunk, solved):
+                results[k] = result
+    return results
+
+
+def _solve_stack(cost, index, n_rows, sizes) -> list:
+    """`solve`'s results for problems `cost[index[b, :n_rows[b]]]` of
+    sizes >= 1, every later entry of an `index` row repeating its first;
+    `solve` has checked them all."""
+    n_batch, height = index.shape
+    n_cols = cost.shape[1]
+    listed = np.arange(height) < n_rows[:, None]
     # The stack, gathered once. The shifted cost c = c_in - shift is read
     # row by row or column by column, never stored whole. Rounding is
-    # monotone, so a least shifted cost is the least cost, shifted.
-    c_in = c_in[index]
-    col_min = c_in.min(axis=1, initial=np.inf) - shift
+    # monotone, so a least shifted cost is the least cost, shifted, and
+    # `min` is exact, so the least column minimum is the least entry.
+    c_in = cost[index]
+    col_min = c_in.min(axis=1)
+    shift = np.minimum(0.0, col_min.min(axis=1))[:, None]
+    col_min -= shift
 
     # Row-indexed state has one spare row below the stack, where the row
     # writes of problems that have stopped searching land.
@@ -234,63 +278,10 @@ def min_cost_matching_batch(
     # potentials of the caller's matrix with the same reduced costs.
     u = u[:, :height] + shift
     ends = np.cumsum(sizes).tolist()
-    for b, (start, end) in enumerate(zip([0] + ends, ends)):
-        total = float(matched[start:end].sum())
-        results[live[b]] = (pairs[start:end], total, u[b, : n_rows[b]], v[b])
-    return results
-
-
-class Stacker:
-    """Solves matching machines' requests in stacks of at most `STACK_CELLS`
-    cost cells."""
-
-    def run(self, machine):
-        """Drive a matching machine to its answer, one `solve` per round."""
-        solved = None
-        while True:
-            try:
-                requests = machine.send(solved)
-            except StopIteration as stop:
-                return stop.value
-            solved = self.solve(requests)
-
-    def solve(self, requests) -> list:
-        """One `min_cost_matching_batch` result per `(matrix, rows, size)`
-        request.
-
-        Requests with one column count share stacks, tallest first, each
-        stack holding as many as fit in `STACK_CELLS` cells (at least
-        one), indexing their one matrix uncopied or their distinct ones
-        stacked. Every result equals its lone solve bit for bit, so the
-        stacking changes no value.
-        """
-        counts = [len(m) if rows is None else len(rows) for m, rows, _ in requests]
-        by_cols: dict[int, list[int]] = {}
-        for k, (matrix, _, _) in enumerate(requests):
-            by_cols.setdefault(matrix.shape[1], []).append(k)
-        results = [None] * len(requests)
-        for n_cols, members in by_cols.items():
-            mats = list({id(requests[k][0]): requests[k][0] for k in members}.values())
-            matrix = mats[0] if len(mats) == 1 else np.concatenate(mats)
-            ends = np.cumsum([len(m) for m in mats]).tolist()
-            start = {id(m): end - len(m) for m, end in zip(mats, ends)}
-            members.sort(key=lambda k: -counts[k])
-            while members:
-                most = counts[members[0]]
-                height = max(1, STACK_CELLS // max(1, most * n_cols))
-                chunk, members = members[:height], members[height:]
-                n_rows = np.array([counts[k] for k in chunk])
-                first = [start[id(requests[k][0])] for k in chunk]
-                index = np.add.outer(first, np.arange(most))  # every row, in order
-                for b, k in enumerate(chunk):
-                    if requests[k][1] is not None:
-                        index[b, : counts[k]] = first[b] + np.asarray(requests[k][1])
-                solved = min_cost_matching_batch(
-                    matrix, index, n_rows, [requests[k][2] for k in chunk]
-                )
-                for k, result in zip(chunk, solved):
-                    results[k] = result
-        return results
+    return [
+        (pairs[start:end], float(matched[start:end].sum()), u[b, : n_rows[b]], v[b])
+        for b, (start, end) in enumerate(zip([0] + ends, ends))
+    ]
 
 
 def gather(machines):

@@ -12,7 +12,7 @@ weak-cell x site bipartite graph with edge cost 1 - gain, which solvers
 request as rows of the scenario's one `LinkBudget.cost_if_blocked`
 (clairvoyant sums its own). The exact solvers are matching machines (see
 `matching`): a sweep gathers them over a block of units, and
-`Stacker().run` drives one alone. Solvers return pairs only, as local
+`matching.run` drives one alone. Solvers return pairs only, as local
 (weak-set position, site) index arrays; `evaluate_plan` scores every plan,
 with the convention that an unserved weak cell earns unit gain:
 1 + (selected gain excess) / (epochs * weak cells).
@@ -229,7 +229,7 @@ def _served_matchings(cost, rows, masks, m: int):
 
 def adaptive_plan_machine(tensor: GainTensor, m: int):
     """Matching machine for the exact epoch-by-epoch optimum; units may
-    relocate freely. `Stacker().run` drives it alone.
+    relocate freely. `matching.run` drives it alone.
 
     Maximizes each epoch's summed gain excess subject to one site per unit
     and one unit per cell, with exactly m placements. One round asks for

@@ -9,7 +9,7 @@ station; they are scored but not optimized.
 
 `trajectory_machine` is a matching machine (see `matching`) that runs one
 `_assignment_machine` per transition and returns only the routes: a sweep
-gathers it over every robotic plan of a block, and `Stacker().run` drives
+gathers it over every robotic plan of a block, and `matching.run` drives
 one alone. It assumes a solver's plan (epochs of equally many distinct
 sites) and checks none of it; `planner.validate_plan` does. Then
 `evaluate_trajectory` checks routes against the plan and scores them.

@@ -114,7 +114,7 @@ def dyadic_matrix(rng: np.random.Generator, shape, lo=-32, hi=32, denom=16):
 def rescan_matching_with_duals(cost, size: int):
     """Successive-shortest-path matching that rebuilds every free row's
     reduced costs and their column argmin at each augmentation. Same
-    contract and rounding as a lone `min_cost_matching_batch` solve."""
+    contract and rounding as a lone `matching.solve` request."""
     c_in = np.asarray(cost, dtype=float)
     n_rows, n_cols = c_in.shape
     if size == 0:

@@ -3,7 +3,7 @@ import pytest
 
 from irsfleet import default_scenario
 from irsfleet.channel import LinkBudget
-from irsfleet.matching import min_cost_matching_batch
+from irsfleet.matching import solve
 from irsfleet.planner import GainTensor
 
 
@@ -49,20 +49,15 @@ def make_tensor(
     )
 
 
-def solve_indexed(cost, row_lists, sizes, padding=0, pad=0):
-    """One `min_cost_matching_batch` call over `cost`: problem b matches
-    `cost[row_lists[b]]` with `sizes[b]` pairs. The index table has
-    `padding` columns beyond the longest list, and every entry past a
-    problem's list holds row `pad`."""
-    n_rows = [len(rows) for rows in row_lists]
-    index = np.full((len(row_lists), max(n_rows, default=0) + padding), pad)
-    for b, rows in enumerate(row_lists):
-        index[b, : n_rows[b]] = rows
-    return min_cost_matching_batch(cost, index, n_rows, sizes)
+def solve_indexed(cost, row_lists, sizes):
+    """One `matching.solve` round over `cost`: request b matches
+    `cost[row_lists[b]]` with `sizes[b]` pairs, and every request names
+    one matrix."""
+    cost = np.asarray(cost, dtype=float)
+    return solve([(cost, rows, size) for rows, size in zip(row_lists, sizes)])
 
 
 def solve_matching(cost, size: int):
-    """A lone matching solve, as a table of one: (pairs, total)."""
-    cost = np.asarray(cost, dtype=float)
-    pairs, total, _, _ = solve_indexed(cost, [range(len(cost))], [size])[0]
+    """A lone matching solve, as a round of one: (pairs, total)."""
+    pairs, total, _, _ = solve([(cost, None, size)])[0]
     return pairs, total

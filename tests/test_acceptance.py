@@ -44,7 +44,7 @@ from irsfleet.cli import main as cli_main
 from irsfleet.energy import PlatformParams, flight_range
 from irsfleet.geometry import build_layout
 from irsfleet.oracles import empirical_cascade_amplification
-from irsfleet.matching import Stacker
+from irsfleet.matching import run
 from irsfleet.planner import (
     PlacementPlan,
     adaptive_plan_machine,
@@ -63,7 +63,7 @@ TRIALS = 100
 
 
 def _certifying(solve, log):
-    """`min_cost_matching_batch` that certifies each element it returns
+    """`matching._solve_stack` that certifies each element it returns
     and logs (rows, cols, size, violated conditions) for it."""
 
     def spy(cost, index, n_rows, sizes):
@@ -90,8 +90,7 @@ def certified_sweep():
     log = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            matching, "min_cost_matching_batch",
-            _certifying(matching.min_cost_matching_batch, log),
+            matching, "_solve_stack", _certifying(matching._solve_stack, log)
         )
         result = run_experiment(config)
     return result, log
@@ -168,13 +167,13 @@ def test_criterion_4_solver_exactness():
         m = int(rng.integers(0, min(nq, nj, 3) + 1))
         gains = 1.0 + np.abs(dyadic_matrix(rng, (nq, nj)))
         tensor = make_tensor(gains)
-        plan = Stacker().run(adaptive_plan_machine(tensor, m))
+        plan = run(adaptive_plan_machine(tensor, m))
         weight = evaluate_plan(plan, tensor, m).matching_weight
         assert weight == best_exact_size_weight(gains - 1.0, m)
 
     for _ in range(100):
         cost = np.abs(dyadic_matrix(rng, (7, 7)))
-        _, total = Stacker().run(_assignment_machine(cost))
+        _, total = run(_assignment_machine(cost))
         assert total == best_assignment_value(cost)
 
     layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
@@ -186,7 +185,7 @@ def test_criterion_4_solver_exactness():
         ]
         sites = np.array(epoch_sites)
         plan = PlacementPlan("robotic", np.tile(np.arange(3), (3, 1)), sites)
-        routes = Stacker().run(trajectory_machine(plan, layout))
+        routes = run(trajectory_machine(plan, layout))
         traj = evaluate_trajectory(routes, plan, layout, platform)
         between, _ = transition_distances(plan, layout)
         middle = float(traj.leg_m[:, 1:3].sum())
@@ -271,8 +270,7 @@ def test_every_block_solve_carries_a_duality_certificate(certified_sweep):
     wide_log = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            matching, "min_cost_matching_batch",
-            _certifying(matching.min_cost_matching_batch, wide_log),
+            matching, "_solve_stack", _certifying(matching._solve_stack, wide_log)
         )
         for mode in ("epoch1", "clairvoyant"):
             solver = dataclasses.replace(

@@ -277,13 +277,13 @@ def test_placement_requests_name_the_engines_one_cost_matrix(monkeypatch):
     engine = harness._TrialEngine(SMALL)
     assert SMALL.solver.terrestrial_mode == "epoch1"
     rounds = []
-    solve = engine.stacker.solve
+    solve = matching.solve
 
     def logged(requests):
         rounds.append(requests)
         return solve(requests)
 
-    monkeypatch.setattr(engine.stacker, "solve", logged)
+    monkeypatch.setattr(matching, "solve", logged)
     units = [(1.8, 0), (2.8, 1), (3.6, 2)]
     engine.run_block(units, 5, KNOWN_STRATEGIES)
     placement, *routing = rounds

@@ -11,14 +11,13 @@ from bruteforce import (
 )
 from conftest import solve_indexed, solve_matching
 from irsfleet import run_trial
-from irsfleet.matching import Stacker, min_cost_matching_batch
+from irsfleet.matching import solve
 from irsfleet.scenario import GeometryConfig, Scenario, SolverOptions
 
 
 def _lone_solve(cost, size):
-    """A table of one: the pairs, total and potentials of a lone solve."""
-    cost = np.asarray(cost, dtype=float)
-    return solve_indexed(cost, [range(len(cost))], [size])[0]
+    """A round of one: the pairs, total and potentials of a lone solve."""
+    return solve([(cost, None, size)])[0]
 
 
 def test_trivial_sizes():
@@ -151,19 +150,19 @@ def _assert_same_solve(got, expect):
     assert np.array_equal(v, ref_v)
 
 
-def _solve_stack(n_cols, problems, padding, fill):
-    """Batch solve of (cost, size) problems stacked into one matrix below a
-    row of `fill`, which every padding entry of the index table names."""
+def _solve_below_fill(n_cols, problems, fill):
+    """One round of (cost, size) problems, each naming its own rows of one
+    matrix that stacks them below a row of `fill`, which none lists."""
     matrix = np.concatenate([np.full((1, n_cols), fill)] + [c for c, _ in problems])
     starts = np.cumsum([1] + [cost.shape[0] for cost, _ in problems])
     row_lists = [range(s, s + c.shape[0]) for s, (c, _) in zip(starts, problems)]
     sizes = [size for _, size in problems]
-    return solve_indexed(matrix, row_lists, sizes, padding=padding, pad=0)
+    return solve_indexed(matrix, row_lists, sizes)
 
 
 def _stacked_solve(cost, size, rng):
     """Solve `cost` as one problem of a stack, between a taller neighbour
-    and a smaller one, in random order, over padding cheaper than any cost."""
+    and a smaller one, in random order, below a row cheaper than any cost."""
     n_rows, n_cols = cost.shape
     tall = dyadic_matrix(rng, (n_rows + 2, n_cols), lo=-2, hi=2, denom=2)
     short = dyadic_matrix(rng, (min(n_rows, 1), n_cols))
@@ -173,7 +172,7 @@ def _stacked_solve(cost, size, rng):
         (short, min(short.shape)),
     ]
     order = rng.permutation(len(problems)).tolist()
-    solved = _solve_stack(n_cols, [problems[k] for k in order], 1, -1e6)
+    solved = _solve_below_fill(n_cols, [problems[k] for k in order], -1e6)
     return solved[order.index(1)]
 
 
@@ -282,8 +281,8 @@ def test_rounding_tie_starts_from_the_lowest_free_row():
 @st.composite
 def _stacks(draw):
     """Small stacks of dyadic-tie or ulp-perturbed-third problems with
-    mixed row counts and sizes (0 included), padding entries that name a
-    row of NaN, a cost below every entry or +inf, and a drawn order."""
+    mixed row counts and sizes (0 included), below an unlisted row of NaN,
+    a cost below every entry or +inf, and a drawn order."""
     n_cols = draw(st.integers(1, 6))
     family = draw(st.sampled_from(["dyadic", "thirds"]))
     problems = []
@@ -304,18 +303,17 @@ def _stacks(draw):
                 nudge = nudge - np.sign(nudge)
         size = draw(st.integers(0, min(n_rows, n_cols)))
         problems.append((cost, size))
-    padding = draw(st.integers(0, 2))
     fill = draw(st.sampled_from([np.nan, -1e6, np.inf]))
     order = draw(st.permutations(range(len(problems))))
-    return n_cols, problems, padding, fill, order
+    return n_cols, problems, fill, order
 
 
 @given(_stacks())
 @settings(max_examples=150, deadline=None)
 def test_batch_elements_equal_lone_solves_and_rescan(stack):
-    n_cols, problems, padding, fill, order = stack
-    solved = _solve_stack(n_cols, problems, padding, fill)
-    reordered = _solve_stack(n_cols, [problems[k] for k in order], padding, fill)
+    n_cols, problems, fill, order = stack
+    solved = _solve_below_fill(n_cols, problems, fill)
+    reordered = _solve_below_fill(n_cols, [problems[k] for k in order], fill)
     for b, (cost, size) in enumerate(problems):
         expect = rescan_matching_with_duals(cost, size)
         _assert_same_solve(_lone_solve(cost, size), expect)
@@ -324,42 +322,41 @@ def test_batch_elements_equal_lone_solves_and_rescan(stack):
 
 
 def test_batch_of_no_problems_or_no_rows():
-    assert min_cost_matching_batch(np.zeros((3, 4)), np.zeros((0, 5)), [], []) == []
-    solved = min_cost_matching_batch(np.zeros((0, 3)), np.zeros((2, 0)), [0, 0], [0, 0])
+    assert solve([]) == []
+    empty = np.zeros((0, 3))
+    solved = solve([(empty, None, 0), (empty, [], 0)])
     for pairs, total, u, v in solved:
         assert (pairs, total, u.shape) == ([], 0.0, (0,))
         assert np.array_equal(v, np.zeros(3))
 
 
 def test_batch_input_validation():
-    matrix, index = np.zeros((3, 4)), np.array([[0, 1, 2], [2, 1, 0]])
-    with pytest.raises(ValueError, match="matrix and a"):
-        min_cost_matching_batch(np.zeros((2, 3, 4)), index, [3, 3], [1, 1])
-    with pytest.raises(ValueError, match="matrix and a"):
-        min_cost_matching_batch(matrix, [0, 1, 2], [3], [1])
-    with pytest.raises(ValueError, match="one row count and one match size"):
-        min_cost_matching_batch(matrix, index, [3], [1, 1])
-    with pytest.raises(ValueError, match=r"row counts must lie in \[0, 3\]"):
-        min_cost_matching_batch(matrix, index, [3, 4], [1, 1])
+    matrix = np.zeros((3, 4))
+    with pytest.raises(ValueError, match="matrix"):
+        solve([(matrix, [0, 1, 2], 1), (np.zeros((2, 3, 4)), None, 1)])
+    with pytest.raises(ValueError, match="matrix"):
+        solve([([0, 1, 2], None, 1)])
     with pytest.raises(ValueError, match=r"row indices must lie in \[0, 3\)"):
-        min_cost_matching_batch(matrix, [[0, 3, 1]], [2], [1])
+        solve([(matrix, [0, 3], 1)])
     with pytest.raises(ValueError, match=r"row indices must lie in \[0, 3\)"):
-        min_cost_matching_batch(matrix, [[0, -1]], [2], [0])
+        solve([(matrix, [0, -1], 0)])
     with pytest.raises(ValueError, match="match size 3 infeasible for 2x4 costs"):
-        min_cost_matching_batch(matrix, index, [3, 2], [1, 3])
+        solve([(matrix, [0, 1, 2], 1), (matrix, [2, 1], 3)])
+    with pytest.raises(ValueError, match="match size -1 infeasible for 3x4 costs"):
+        solve([(matrix, None, -1)])
+    with pytest.raises(TypeError):
+        solve([(matrix, None, 1.5)])
     matrix[2, 2] = np.inf
-    index = np.array([[0, 1, 2], [1, 0, 2]])
     with pytest.raises(ValueError, match="finite"):
-        min_cost_matching_batch(matrix, index, [3, 3], [1, 1])
-    # Non-finite entries are ignored in rows that only padding or size-0
-    # problems list, as a lone solve of size 0 ignores them; index entries
-    # past a problem's rows are never read.
-    assert min_cost_matching_batch(matrix, index, [2, 3], [1, 0])[1][:2] == ([], 0.0)
-    solved = min_cost_matching_batch(matrix, index, [3, 2], [0, 1])
+        solve([(matrix, [0, 1, 2], 1), (matrix, [1, 0, 2], 1)])
+    # Non-finite entries are ignored in rows that only size-0 requests
+    # list, as a lone solve of size 0 ignores them.
+    assert solve([(matrix, [0, 1], 1), (matrix, [1, 0, 2], 0)])[1][:2] == ([], 0.0)
+    solved = solve([(matrix, [0, 1, 2], 0), (matrix, [1, 0], 1)])
     assert solved[0][:2] == ([], 0.0)
     pairs, total, u, v = solved[1]
     assert u.shape == (2,) and v.shape == (4,)
-    solved = min_cost_matching_batch(matrix, [[0, 1, 9], [2, -7, 0]], [1, 1], [1, 0])
+    solved = solve([(matrix, [0], 1), (matrix, [2], 0)])
     assert solved[0][:2] == ([(0, 0)], 0.0) and solved[1][:2] == ([], 0.0)
 
 
@@ -375,7 +372,7 @@ def _assert_each_equals_its_lone_solve(matrix, row_lists, sizes, solved):
 def test_unsorted_overlapping_row_lists_into_one_matrix(family):
     # Problems list rows of one shared matrix in any order, with repeats
     # across problems and within one; size-0 problems are among them, and
-    # rows of NaN and -inf that only size-0 problems or padding name.
+    # rows of NaN and -inf that only size-0 problems name.
     rng = np.random.Generator(np.random.Philox(61))
     for _ in range(40):
         n_cols = int(rng.integers(1, 7))
@@ -392,14 +389,13 @@ def test_unsorted_overlapping_row_lists_into_one_matrix(family):
                 rows = np.append(rows, [7, 8])
             row_lists.append(rows.tolist())
             sizes.append(size)
-        pad = int(rng.choice([0, 7, 8]))
-        solved = solve_indexed(matrix, row_lists, sizes, padding=1, pad=pad)
+        solved = solve_indexed(matrix, row_lists, sizes)
         _assert_each_equals_its_lone_solve(matrix, row_lists, sizes, solved)
         positive = [b for b, size in enumerate(sizes) if size > 0]
         if positive:
             row_lists[positive[0]] = row_lists[positive[0]] + [7]
             with pytest.raises(ValueError, match="finite"):
-                solve_indexed(matrix, row_lists, sizes, pad=pad)
+                solve_indexed(matrix, row_lists, sizes)
 
 
 def test_a_round_over_two_matrices_of_one_column_count():
@@ -419,9 +415,39 @@ def test_a_round_over_two_matrices_of_one_column_count():
         (first, None, 4),
         (first, np.array([2, 2, 5, 1]), 0),
     ]
-    solved = Stacker().solve(requests)
+    solved = solve(requests)
     for (matrix, rows, size), got in zip(requests, solved, strict=True):
         rows = np.arange(len(matrix)) if rows is None else rows
         _assert_each_equals_its_lone_solve(matrix, [rows], [size], [got])
     with pytest.raises(ValueError, match="finite"):
-        Stacker().solve(requests + [(second, None, 1)])
+        solve(requests + [(second, None, 1)])
+
+
+@pytest.mark.parametrize("rows", [[-1], [3], [0, 3]])
+def test_a_row_outside_its_own_matrix_is_refused_in_any_round(rows):
+    # The rows a request lists are checked against its own matrix, not
+    # against the stacked matrix its round shares with another one of the
+    # same column count, where -1 or 3 would name a neighbour's row.
+    rng = np.random.Generator(np.random.Philox(63))
+    own = dyadic_matrix(rng, (3, 2))
+    other = dyadic_matrix(rng, (4, 2))
+    refused = r"row indices must lie in \[0, 3\)"
+    for round_ in (
+        [(own, rows, 1)],
+        [(other, None, 1), (own, rows, 1)],
+        [(own, rows, 1), (other, None, 1)],
+        [(own, None, 1), (other, [0], 1), (own, rows, 1)],
+    ):
+        with pytest.raises(ValueError, match=refused):
+            solve(round_)
+
+
+def test_a_nested_list_matrix_solves_like_its_array():
+    rng = np.random.Generator(np.random.Philox(64))
+    cost = dyadic_matrix(rng, (4, 3), lo=-2, hi=2, denom=2)
+    nested = cost.tolist()
+    requests = [(None, 3), ([2, 0, 2], 2), ([1], 1), ([3, 1], 0)]
+    as_lists = solve([(nested, rows, size) for rows, size in requests])
+    as_array = solve([(cost, rows, size) for rows, size in requests])
+    for got, expect in zip(as_lists, as_array, strict=True):
+        _assert_same_solve(got, expect)

@@ -18,7 +18,7 @@ from irsfleet.channel import (
     snr_ratio,
 )
 from irsfleet.geometry import build_layout, compute_distances
-from irsfleet.matching import Stacker
+from irsfleet.matching import run
 from irsfleet.planner import (
     InfeasiblePlacementError,
     PlacementPlan,
@@ -70,7 +70,7 @@ def _pairs(plan):
 def _lone_solve(gains, m):
     """Pairs and gain excess of one epoch's gains, solved as a one-epoch tensor."""
     tensor = make_tensor(gains)
-    plan = Stacker().run(adaptive_plan_machine(tensor, m))
+    plan = run(adaptive_plan_machine(tensor, m))
     return _pairs(plan)[0], evaluate_plan(plan, tensor, m).matching_weight
 
 
@@ -152,11 +152,11 @@ def test_build_gain_tensor_empty_weak_set():
     assert real_quiet.weak_set.size == 0
     tensor = build_gain_tensor(quiet, real_quiet, field)
     assert tensor.n_weak == 0
-    plan = Stacker().run(adaptive_plan_machine(tensor, 0))
+    plan = run(adaptive_plan_machine(tensor, 0))
     assert plan.cells.shape == plan.sites.shape == (12, 0)
     assert evaluate_plan(plan, tensor, 0).objective == 1.0
     with pytest.raises(InfeasiblePlacementError):
-        Stacker().run(adaptive_plan_machine(tensor, 1))
+        run(adaptive_plan_machine(tensor, 1))
 
 
 def test_far_cells_carry_the_largest_gains():
@@ -193,7 +193,7 @@ def test_epoch_placement_all_ones_breaks_ties_low():
 
 def test_epoch_placement_infeasible():
     with pytest.raises(InfeasiblePlacementError):
-        Stacker().run(adaptive_plan_machine(make_tensor(np.ones((2, 5))), 3))
+        run(adaptive_plan_machine(make_tensor(np.ones((2, 5))), 3))
 
 
 def test_epoch_placement_matches_brute_force():
@@ -259,7 +259,7 @@ def test_clairvoyant_placement_equals_full_matching():
         served[:, rng.random(6) < 0.4] = False  # cells never served
         tensor = make_tensor(1.0 + rng.integers(0, 3, size=(6, 5)) / 4.0, served)
         m = int(rng.integers(0, 6))
-        plan = Stacker().run(fixed_plan_machine(tensor, m, "clairvoyant"))
+        plan = run(fixed_plan_machine(tensor, m, "clairvoyant"))
         full_pairs, _ = solve_matching(-(tensor.gains - 1.0).sum(axis=0), m)
         assert _pairs(plan)[0] == full_pairs
 
@@ -302,7 +302,7 @@ def test_fixed_plans_equal_the_dense_reference():
             for t in range(12):
                 for q, j in pairs:
                     weight += float(dense[t, q, j]) - 1.0
-            plan = Stacker().run(fixed_plan_machine(tensor, m, mode))
+            plan = run(fixed_plan_machine(tensor, m, mode))
             assert _pairs(plan) == [pairs] * 12
             ev = evaluate_plan(plan, tensor, m)
             assert ev.matching_weight == weight
@@ -314,9 +314,9 @@ def test_fixed_plans_equal_the_dense_reference():
 def test_single_epoch_reduces_to_epoch_solver():
     gains = 1.0 + np.abs(dyadic_matrix(np.random.Generator(np.random.Philox(4)), (5, 6)))
     tensor = make_tensor(gains)
-    plan = Stacker().run(adaptive_plan_machine(tensor, 3))
-    fixed1 = Stacker().run(fixed_plan_machine(tensor, 3, "epoch1"))
-    fixed2 = Stacker().run(fixed_plan_machine(tensor, 3, "clairvoyant"))
+    plan = run(adaptive_plan_machine(tensor, 3))
+    fixed1 = run(fixed_plan_machine(tensor, 3, "epoch1"))
+    fixed2 = run(fixed_plan_machine(tensor, 3, "clairvoyant"))
     pairs, weight = _lone_solve(gains, 3)
     for p in (plan, fixed1, fixed2):
         assert _pairs(p) == [pairs]
@@ -330,7 +330,7 @@ def test_adaptive_plan_equals_epoch_by_epoch_solves():
     for _ in range(40):
         base = 1.0 + np.abs(dyadic_matrix(rng, (7, 6), lo=-2, hi=2, denom=2))
         tensor = make_tensor(base, rng.random((5, 7)) >= rng.random())
-        plan = Stacker().run(adaptive_plan_machine(tensor, 3))
+        plan = run(adaptive_plan_machine(tensor, 3))
         weight = 0.0
         for t in range(5):
             epoch = make_tensor(
@@ -338,7 +338,7 @@ def test_adaptive_plan_equals_epoch_by_epoch_solves():
                 demand=tensor.demand[t : t + 1],
                 thresholds=tensor.thresholds[t : t + 1],
             )
-            alone = Stacker().run(adaptive_plan_machine(epoch, 3))
+            alone = run(adaptive_plan_machine(epoch, 3))
             weight += evaluate_plan(alone, epoch, 3).matching_weight
             assert np.array_equal(plan.cells[t], alone.cells[0])
             assert np.array_equal(plan.sites[t], alone.sites[0])
@@ -349,9 +349,9 @@ def test_adaptive_plan_equals_epoch_by_epoch_solves():
 def test_relocation_beats_any_fixed_placement():
     # Cell 0 is served in epoch 1 only, cell 1 in epoch 2 only.
     tensor = make_tensor([[5.0, 1.0], [5.0, 1.0]], [[True, False], [False, True]])
-    adaptive = Stacker().run(adaptive_plan_machine(tensor, 1))
-    epoch1 = Stacker().run(fixed_plan_machine(tensor, 1, "epoch1"))
-    clair = Stacker().run(fixed_plan_machine(tensor, 1, "clairvoyant"))
+    adaptive = run(adaptive_plan_machine(tensor, 1))
+    epoch1 = run(fixed_plan_machine(tensor, 1, "epoch1"))
+    clair = run(fixed_plan_machine(tensor, 1, "clairvoyant"))
     assert _pairs(adaptive) == [[(0, 0)], [(1, 0)]]
     assert _pairs(epoch1) == _pairs(clair) == [[(0, 0)], [(0, 0)]]
     robotic, epoch1, clair = (
@@ -366,9 +366,9 @@ def test_relocation_beats_any_fixed_placement():
 def _assert_modes_dominate(tensor, m):
     """robotic >= clairvoyant fixed >= epoch1 fixed >= 1, as scored."""
     plans = (
-        Stacker().run(adaptive_plan_machine(tensor, m)),
-        Stacker().run(fixed_plan_machine(tensor, m, "clairvoyant")),
-        Stacker().run(fixed_plan_machine(tensor, m, "epoch1")),
+        run(adaptive_plan_machine(tensor, m)),
+        run(fixed_plan_machine(tensor, m, "clairvoyant")),
+        run(fixed_plan_machine(tensor, m, "epoch1")),
     )
     for plan in plans[1:]:
         assert (plan.cells == plan.cells[0]).all()
@@ -406,7 +406,7 @@ def test_fixed_plan_modes_dominance_on_drawn_tensors(unit):
 def test_fixed_plan_rejects_unknown_mode():
     tensor = make_tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        Stacker().run(fixed_plan_machine(tensor, 1, "psychic"))
+        run(fixed_plan_machine(tensor, 1, "psychic"))
 
 
 def test_tensor_without_an_epoch_is_refused():
@@ -451,7 +451,7 @@ def test_random_mean_below_fixed_mean():
     fixed_obj, random_obj = [], []
     for _ in range(100):
         tensor = _random_tensor(rng, epochs=2, n_weak=4, n_sites=5)
-        fixed = Stacker().run(fixed_plan_machine(tensor, 2, "epoch1"))
+        fixed = run(fixed_plan_machine(tensor, 2, "epoch1"))
         random = solve_random_plan(tensor, 2, rng)
         fixed_obj.append(evaluate_plan(fixed, tensor, 2).objective)
         random_obj.append(evaluate_plan(random, tensor, 2).objective)
@@ -466,7 +466,7 @@ def test_evaluate_matches_solver_objective():
     demand = np.abs(rng.normal(size=(3, 5))) * 100.0
     tensor = make_tensor(base, demand=demand, thresholds=np.full(3, 50.0))
     assert 0 < tensor.served.sum() < tensor.served.size
-    plan = Stacker().run(adaptive_plan_machine(tensor, 2))
+    plan = run(adaptive_plan_machine(tensor, 2))
     ev = evaluate_plan(plan, tensor, 2)
     # the weight is the one-epoch solves' total, epoch by epoch
     totals = [_lone_solve(tensor.gains[t], 2)[1] for t in range(3)]
@@ -480,7 +480,7 @@ def test_evaluate_matches_solver_objective():
 
 def test_empty_plan_evaluates_to_unit_gain():
     tensor = make_tensor(np.ones((3, 3)), epochs=2)
-    plan = Stacker().run(adaptive_plan_machine(tensor, 0))
+    plan = run(adaptive_plan_machine(tensor, 0))
     ev = evaluate_plan(plan, tensor, 0)
     assert ev.objective == 1.0
     assert ev.served_traffic.sum() == 0.0

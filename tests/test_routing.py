@@ -11,7 +11,7 @@ from bruteforce import (
 from conftest import make_tensor, solve_matching
 from irsfleet.energy import PlatformParams, flight_range
 from irsfleet.geometry import build_layout
-from irsfleet.matching import Stacker
+from irsfleet.matching import run
 from irsfleet.planner import PlacementPlan, PlanValidationError, validate_plan
 from irsfleet.routing import (
     _assignment_machine,
@@ -33,7 +33,7 @@ def _plan(epoch_sites, strategy="robotic"):
 
 def _trajectory(plan, platform=PLATFORM):
     """The plan's routes, scored."""
-    routes = Stacker().run(trajectory_machine(plan, LAYOUT))
+    routes = run(trajectory_machine(plan, LAYOUT))
     return evaluate_trajectory(routes, plan, LAYOUT, platform)
 
 
@@ -99,7 +99,7 @@ def test_wrong_occupancy_rejected():
     tensor = make_tensor(np.full((2, LAYOUT.n_sites), 2.0), epochs=2)
     with pytest.raises(PlanValidationError, match="site-exclusivity: epoch 2 "):
         validate_plan(bad, tensor, 2)
-    routes = Stacker().run(trajectory_machine(bad, LAYOUT))
+    routes = run(trajectory_machine(bad, LAYOUT))
     with pytest.raises(PlanValidationError, match="share a site at epoch 2"):
         evaluate_trajectory(routes, bad, LAYOUT, PLATFORM)
 
@@ -107,24 +107,24 @@ def test_wrong_occupancy_rejected():
 # ------------------------------------------------------------- assignment
 
 def test_assignment_examples():
-    perm, total = Stacker().run(_assignment_machine([[0.0, 5.0], [5.0, 0.0]]))
+    perm, total = run(_assignment_machine([[0.0, 5.0], [5.0, 0.0]]))
     assert list(perm) == [0, 1] and total == 0.0
-    perm, total = Stacker().run(_assignment_machine([[1.0, 2.0], [3.0, 1.0]]))
+    perm, total = run(_assignment_machine([[1.0, 2.0], [3.0, 1.0]]))
     assert list(perm) == [0, 1] and total == 2.0
 
 
 def test_assignment_lexicographic_ties():
-    perm, total = Stacker().run(_assignment_machine([[5.0, 5.0], [0.0, 0.0]]))
+    perm, total = run(_assignment_machine([[5.0, 5.0], [0.0, 0.0]]))
     assert list(perm) == [0, 1] and total == 5.0
-    perm, _ = Stacker().run(_assignment_machine(np.ones((4, 4))))
+    perm, _ = run(_assignment_machine(np.ones((4, 4))))
     assert list(perm) == [0, 1, 2, 3]
 
 
 def test_assignment_input_validation():
     with pytest.raises(ValueError):
-        Stacker().run(_assignment_machine(np.ones((2, 3))))
+        run(_assignment_machine(np.ones((2, 3))))
     with pytest.raises(ValueError):
-        Stacker().run(_assignment_machine(np.array([[-1.0, 0.0], [0.0, 1.0]])))
+        run(_assignment_machine(np.array([[-1.0, 0.0], [0.0, 1.0]])))
 
 
 def test_assignment_matches_brute_force_with_lex_ties():
@@ -133,7 +133,7 @@ def test_assignment_matches_brute_force_with_lex_ties():
         m = int(rng.integers(1, 6))
         # small integers make ties frequent
         cost = rng.integers(0, 4, size=(m, m)).astype(float)
-        perm, total = Stacker().run(_assignment_machine(cost))
+        perm, total = run(_assignment_machine(cost))
         expect_perm, expect_total = best_assignment(cost)
         assert total == expect_total
         assert tuple(perm) == expect_perm
@@ -143,7 +143,7 @@ def test_assignment_7x7_brute_force():
     rng = np.random.Generator(np.random.Philox(22))
     for _ in range(30):
         cost = np.abs(dyadic_matrix(rng, (7, 7)))
-        _, total = Stacker().run(_assignment_machine(cost))
+        _, total = run(_assignment_machine(cost))
         _, expect = best_assignment(cost)
         assert total == expect
 
@@ -159,7 +159,7 @@ def test_assignment_tie_tolerance(excess, lex_smaller_wins):
     # (3.0) the 2*tol pruning margin.
     tol = 1e-9 * 1000.0
     cost = np.array([[500.0 + excess * tol, 500.0], [500.0, 500.0]])
-    perm, total = Stacker().run(_assignment_machine(cost))
+    perm, total = run(_assignment_machine(cost))
     if lex_smaller_wins:
         assert list(perm) == [0, 1] and total == cost[0, 0] + 500.0
     else:
@@ -176,7 +176,7 @@ def test_assignment_matches_resolve_oracle_on_tied_grid_transitions():
             for _ in range(4)
         ]
         for cost in transition_distances(_plan(epoch_sites), LAYOUT)[0]:
-            perm, total = Stacker().run(_assignment_machine(cost))
+            perm, total = run(_assignment_machine(cost))
             expect_perm, expect_total = lexmin_assignment_by_resolves(cost)
             assert np.array_equal(perm, expect_perm)
             assert total == expect_total
@@ -200,7 +200,7 @@ def test_batched_routes_match_per_transition_assignments_on_tied_grid():
         between, order = transition_distances(plan, LAYOUT)
         unit_row = np.arange(10)
         for t, cost in enumerate(between):
-            perm, _ = Stacker().run(_assignment_machine(cost))
+            perm, _ = run(_assignment_machine(cost))
             next_rows = perm[unit_row]
             assert np.array_equal(traj.leg_m[:, t + 1], cost[unit_row, next_rows])
             unit_row = next_rows
@@ -247,22 +247,22 @@ def test_transitions_share_stacked_rounds(monkeypatch):
 
     machines, stacks = [], []
     original_machine = routing._assignment_machine
-    original_batch = matching.min_cost_matching_batch
+    original_stack = matching._solve_stack
 
     def counted_machine(cost):
         machines.append(np.asarray(cost).shape)
         return original_machine(cost)
 
-    def counted_batch(cost, index, n_rows, sizes):
+    def counted_stack(cost, index, n_rows, sizes):
         # The stack's (problems, rows, cols) shape, as the solver gathers it.
         shape = (*np.shape(index), np.shape(cost)[1])
         stacks.append((shape, list(n_rows), list(sizes)))
-        return original_batch(cost, index, n_rows, sizes)
+        return original_stack(cost, index, n_rows, sizes)
 
     monkeypatch.setattr(routing, "_assignment_machine", counted_machine)
-    monkeypatch.setattr(matching, "min_cost_matching_batch", counted_batch)
+    monkeypatch.setattr(matching, "_solve_stack", counted_stack)
     plan = _plan([(0, 9), (90, 99), (0, 9), (40, 50)])
-    Stacker().run(trajectory_machine(plan, LAYOUT))
+    run(trajectory_machine(plan, LAYOUT))
     assert machines == [(2, 2)] * 3
     assert stacks[0] == ((3, 2, 2), [2] * 3, [2] * 3)
 
@@ -274,7 +274,7 @@ def test_transitions_share_stacked_rounds(monkeypatch):
             for _ in range(4)
         ]
         stacks.clear()
-        Stacker().run(trajectory_machine(_plan(epoch_sites), LAYOUT))
+        run(trajectory_machine(_plan(epoch_sites), LAYOUT))
         assert stacks[0] == ((3, 10, 10), [10] * 3, [10] * 3)
         assert all(shape[2] < 10 for shape, _, _ in stacks[1:])
         shared += any(shape[0] > 1 for shape, _, _ in stacks[1:])
@@ -293,7 +293,7 @@ def test_static_plan_travel_is_depot_only():
 def test_solver_prefers_staying_put():
     # both units could swap sites at equal total cost zero vs positive
     plan = _plan([(10, 70), (10, 70)])
-    routes = Stacker().run(trajectory_machine(plan, LAYOUT))
+    routes = run(trajectory_machine(plan, LAYOUT))
     assert np.array_equal(routes[:, 0], routes[:, 1])
 
 
@@ -345,7 +345,7 @@ def test_transition_optimality_beats_identity_and_random():
     plan = _plan(epoch_sites)
     between, _ = transition_distances(plan, LAYOUT)
     for cost in between:
-        _, optimal = Stacker().run(_assignment_machine(cost))
+        _, optimal = run(_assignment_machine(cost))
         identity = float(np.trace(cost))
         assert optimal <= identity + 1e-9
         for _ in range(10):
@@ -356,7 +356,7 @@ def test_transition_optimality_beats_identity_and_random():
 
 def test_validator_checks_the_trajectory_against_the_plan():
     plan = _plan([(0, 9), (90, 99), (0, 9)])
-    routes = Stacker().run(trajectory_machine(plan, LAYOUT))
+    routes = run(trajectory_machine(plan, LAYOUT))
     # the same sites in another unit order are the same occupancy
     validate_trajectory(routes, _plan([(9, 0), (99, 90), (9, 0)]))
     with pytest.raises(PlanValidationError, match="epoch count"):
