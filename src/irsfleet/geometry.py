@@ -105,9 +105,10 @@ def compute_distances(layout: ScenarioLayout) -> DistanceTables:
     l_bs_ut = np.hypot(d2, layout.h1)
     r2 = np.hypot(sites[:, 0] - bs[0], sites[:, 1] - bs[1])
     r_bs_site = np.hypot(r2, layout.h2)
-    diff = centers[:, None, :] - sites[None, :, :]
-    planar = np.hypot(diff[..., 0], diff[..., 1])
-    d_site_ut = np.hypot(planar, layout.h3)
+    d_site_ut = np.hypot(
+        centers[:, 0, None] - sites[:, 0], centers[:, 1, None] - sites[:, 1]
+    )
+    np.hypot(d_site_ut, layout.h3, out=d_site_ut)
     return DistanceTables(
         l_bs_ut=l_bs_ut,
         r_bs_site=r_bs_site,

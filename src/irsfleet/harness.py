@@ -170,8 +170,11 @@ class _TrialEngine:
     @property
     def block_units(self) -> int:
         """Units per block: as many as `matching.STACK_CELLS` cells hold at
-        one per (grid cell, site) of a unit, and at least one. A unit holds
-        no cost cells: its placements index `budget.cost_if_blocked`."""
+        one per (grid cell, site) of a unit, the most its gain tensor
+        holds, and at least one. A unit asks for at most epochs + 1
+        placement problems, none spanning more than the sites, so the
+        block's placement round fits one stack of solver state whenever
+        the epochs are fewer than the grid cells."""
         cells = self.layout.n_grids * self.layout.n_sites
         return max(1, matching.STACK_CELLS // max(1, cells))
 

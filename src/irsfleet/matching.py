@@ -19,16 +19,17 @@ one, so each round stacks every request still pending: placement epochs,
 transition dual solves and tie-break confirmations of a whole block of
 units. `run` drives a machine, handing each round to `solve`, the one way
 into the solver. `solve` checks each request against its own matrix,
-then solves the round in stacks of at most `STACK_CELLS` cost cells, each
-over one matrix: the one a round's requests name (a sweep's placement
-cost), or their distinct matrices stacked (routing's). A lone solve is a
-round of one request.
+then solves the round in stacks of at most `STACK_CELLS` cells of solver
+state, each over one matrix: the one a round's requests name (a sweep's
+placement cost), or their distinct matrices stacked and padded out to the
+widest (routing's). A lone solve is a round of one request.
 
 Every augmentation starts its shortest-path search from all free rows at
 once, so each column begins at its least reduced cost over the free rows.
 The solver keeps each column's minimum of the (shifted) cost over the free
-rows for the whole solve, and after an augmentation recomputes only the
-columns whose minimum its newly matched row may have held. That is exact,
+rows for the whole solve, and after each augmentation but a problem's
+last recomputes only the columns whose minimum its newly matched row may
+have held. That is exact,
 bit for bit, because every free row carries the same potential: all rows
 start at zero, each free row is a source at distance zero and so receives
 the same update, and a matched row never becomes free again. That holds
@@ -40,20 +41,24 @@ Rounding can make distinct costs tie, so the one free row that starts the
 augmenting path is picked from its column's reduced costs, exactly as a
 full rescan would pick it (lowest index among the least).
 
-A stack of B problems is one matrix and a (B, rows) table of row indices,
-gathered once into a dense (B, rows, cols) array that the Dijkstra steps
-read; rows past a problem's count (padding) repeat its first row. Each
-element's pairs, total and potentials are those of its lone solve:
+A stack of B problems is one matrix and a (B, rows) table of row indices;
+rows past a problem's count (padding) repeat its first row. The solver
+reads the matrix through the table, a row or a column per problem at a
+time, and holds no gathered copy of the stack. Each element's pairs,
+total and potentials are those of its lone solve:
 
 - A padding row repeats a listed row, so it changes no column minimum.
   It is never free, so it never starts a path and, never being matched,
   never lies on one. A problem of size 0 is not stacked at all.
+- A problem narrower than the stack has padding columns, never read into
+  its state: their column minimum is +inf and every search starts with
+  them scanned, so they are never picked, relaxed into or refreshed, and
+  its v is returned at its own width.
 - Each problem has its own shift, the least of its column minima and
   zero, which is the least of its own entries and zero.
-- Every Dijkstra step runs on the whole stack. A problem that has found
-  its free column, or needs no more augmentations, is masked out of every
-  write: its step reads +inf costs and writes one spare row below the
-  stack. So its state is what it would be alone.
+- A Dijkstra step reads and writes only the problems still searching. A
+  problem that has found its free column, or needs no more
+  augmentations, takes no step, so its state is what it would be alone.
 - The float operations, and their order, are those of a lone solve: a
   relaxation is `path_len + c[i] - u[i] - v`; the potential update is
   `v += min(dist, path_len)` and `u -= min(row_dist, path_len)`; the
@@ -73,13 +78,22 @@ __all__ = [
     "gather",
 ]
 
-# Most cost cells one stack holds, counted as height x most rows x cols.
-# A sweep block holds at most this many cells of placement cost too
-# (`harness._TrialEngine.block_units`). A larger single problem or unit
-# still runs alone. A lone small solve is mostly call overhead, so taller
-# stacks win until gathering padded stacks dominates: on the 17x17 grid,
-# 2**17 loses to one stack per unit, and 2**19 holds six units at once
-# for ~10 MiB more peak memory. Not a knob: CHANGES.md has the table.
+# Most cells of solver state one stack holds, counted as problems x the
+# most rows or columns of any of them, and most cost cells the solver
+# gathers at once. A sweep block holds at most this many cells of gain
+# tensor too (`harness._TrialEngine.block_units`), so its placement round
+# is one stack. A larger single problem or unit still runs alone.
+# Medians of 5 fresh runs alternated on a 2-vCPU Xeon VM, in seconds
+# scaled to the benchmark's reference host speed, with each 100-trial
+# sweep's peak RSS:
+#   budget  wide pass  acceptance pass  100 trials 9x9  100 trials 17x17
+#   2**16   0.372      0.353            1.59  52 MiB    1.55  46 MiB
+#   2**17   0.372      0.346            1.40  53 MiB    1.55  46 MiB
+#   2**18   0.344      0.364            1.54  58 MiB    1.53  48 MiB
+#   2**19   0.348      0.362            1.43  66 MiB    1.32  51 MiB
+# Most differences are within this host's noise (~10%), but memory grows
+# with the budget, and 2**18 is the least that gives a 17x17 block two
+# units, which the wide pass runs faster than blocks of one. Not a knob.
 STACK_CELLS = 2**18
 
 
@@ -103,25 +117,27 @@ def solve(requests) -> list:
     one (pairs, total, u, v) per request, equal bit for bit to its lone
     solve. Pairs come sorted by row, and the total is over the request's
     costs. Every argmin prefers the lowest index, so a fully tied matrix
-    takes the diagonal prefix. u has one entry per listed row. For size
-    >= 1 the reduced costs `cost[i, j] - u[i] - v[j]` are nonnegative
-    everywhere and zero on the matched pairs (up to rounding), so for a
-    full square matching `u.sum() + v.sum()` is the total. For size 0 both
-    potentials are zero.
+    takes the diagonal prefix. u has one entry per listed row and v one
+    per column of the request's matrix. For size >= 1 the reduced costs
+    `cost[i, j] - u[i] - v[j]` are nonnegative everywhere and zero on the
+    matched pairs (up to rounding), so for a full square matching
+    `u.sum() + v.sum()` is the total. For size 0 both potentials are zero.
 
-    Requests with one column count share stacks, tallest first, each
-    holding as many as fit in `STACK_CELLS` cells (at least one), over
-    their one matrix uncopied or their distinct ones stacked.
+    Requests of any shapes share stacks, largest first, each holding as
+    many as fit in `STACK_CELLS` cells of solver state (at least one), a
+    problem's state spanning its rows or its columns, whichever are more.
+    A round's one matrix is read uncopied; its distinct matrices are
+    stacked once, each padded out to the widest.
 
-    Raises ValueError for a non-matrix, a listed row outside its own
-    matrix, an infeasible size, or a non-finite entry in a row that a
-    request of positive size lists, and TypeError for a size that is not
-    an integer.
+    Raises ValueError for a non-matrix, a row list that is not 1-D, a
+    listed row outside its own matrix, an infeasible size, or a non-finite entry in a row that a
+    request of positive size lists, and TypeError for a size or a row
+    list that is not integer.
     """
     results = [None] * len(requests)
-    # Per column count: its distinct matrices, in order of first use, and
-    # its requests of positive size.
-    groups: dict[int, tuple[dict, list]] = {}
+    # The distinct matrices, in order of first use, and the requests of
+    # positive size.
+    mats, live = {}, []
     for k, (matrix, rows, size) in enumerate(requests):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -129,7 +145,12 @@ def solve(requests) -> list:
         if rows is None:
             rows = np.arange(len(matrix))
         else:
-            rows = np.asarray(rows, dtype=int)
+            rows = np.asarray(rows)
+            if rows.dtype.kind not in "iu" and rows.size:
+                raise TypeError(f"row indices must be integers, not {rows.dtype}")
+            if rows.ndim != 1:
+                raise ValueError("row indices must form a 1-D list")
+            rows = rows.astype(int, copy=False)
             if ((rows < 0) | (rows >= len(matrix))).any():
                 raise ValueError(f"row indices must lie in [0, {len(matrix)})")
         n_cols, size = matrix.shape[1], operator.index(size)
@@ -140,103 +161,120 @@ def solve(requests) -> list:
         if size == 0:
             results[k] = ([], 0.0, np.zeros(len(rows)), np.zeros(n_cols))
             continue
-        mats, live = groups.setdefault(n_cols, ({}, []))
         mats.setdefault(id(matrix), matrix)
         live.append((k, id(matrix), rows, size))
+    if not live:
+        return results
 
-    for mats, live in groups.values():
-        mats = list(mats.values())
-        matrix = mats[0] if len(mats) == 1 else np.concatenate(mats)
-        ends = np.cumsum([len(m) for m in mats]).tolist()
-        start = {id(m): end - len(m) for m, end in zip(mats, ends)}
-        finite = np.isfinite(matrix).all(axis=1)
-        live.sort(key=lambda request: -len(request[2]))
-        while live:
-            most = len(live[0][2])
-            height = max(1, STACK_CELLS // (most * matrix.shape[1]))
-            chunk, live = live[:height], live[height:]
-            # Each problem's rows, offset into the stacked matrix, then
-            # padding that repeats its first row: the table names listed
-            # rows only, so a column's least entry is its least over them.
-            index = np.empty((len(chunk), most), dtype=int)
-            for b, (_, key, rows, _) in enumerate(chunk):
-                np.add(rows, start[key], out=index[b, : len(rows)])
-                index[b, len(rows) :] = index[b, 0]
-            if not finite[index].all():
-                raise ValueError("cost entries must be finite")
-            n_rows = np.array([len(rows) for _, _, rows, _ in chunk])
-            sizes = np.array([size for *_, size in chunk])
-            solved = _solve_stack(matrix, index, n_rows, sizes)
-            for (k, *_), result in zip(chunk, solved):
-                results[k] = result
+    # One matrix, or the distinct ones one below the other, each padded
+    # with zero columns out to the widest. A padding entry is never read
+    # into the solver's state.
+    mats = list(mats.values())
+    ends = np.cumsum([len(m) for m in mats]).tolist()
+    start = {id(m): end - len(m) for m, end in zip(mats, ends)}
+    width = {id(m): m.shape[1] for m in mats}
+    matrix = mats[0]
+    if len(mats) > 1:
+        matrix = np.zeros((ends[-1], max(width.values())))
+        for m, end in zip(mats, ends):
+            matrix[end - len(m) : end, : m.shape[1]] = m
+    finite = np.isfinite(matrix).all(axis=1)
+
+    live.sort(key=lambda request: -max(len(request[2]), width[request[1]]))
+    while live:
+        _, key, rows, _ = live[0]
+        height = max(1, STACK_CELLS // max(len(rows), width[key]))
+        chunk, live = live[:height], live[height:]
+        n_rows = np.array([len(rows) for _, _, rows, _ in chunk])
+        n_cols = np.array([width[key] for _, key, _, _ in chunk])
+        sizes = np.array([size for *_, size in chunk])
+        # Each problem's rows, offset into the stacked matrix, then
+        # padding that repeats its first row: the table names listed
+        # rows only, so a column's least entry is its least over them.
+        index = np.empty((len(chunk), n_rows.max()), dtype=int)
+        for b, (_, key, rows, _) in enumerate(chunk):
+            np.add(rows, start[key], out=index[b, : len(rows)])
+            index[b, len(rows) :] = index[b, 0]
+        if not finite[index].all():
+            raise ValueError("cost entries must be finite")
+        solved = _solve_stack(matrix[:, : n_cols.max()], index, n_rows, n_cols, sizes)
+        for (k, *_), result in zip(chunk, solved):
+            results[k] = result
     return results
 
 
-def _solve_stack(cost, index, n_rows, sizes) -> list:
-    """`solve`'s results for problems `cost[index[b, :n_rows[b]]]` of
-    sizes >= 1, every later entry of an `index` row repeating its first;
-    `solve` has checked them all."""
+def _solve_stack(cost, index, n_rows, n_cols, sizes) -> list:
+    """`solve`'s results for problems `cost[index[b, :n_rows[b]], :n_cols[b]]`
+    of sizes >= 1, every later entry of an `index` row repeating its
+    first; `solve` has checked them all."""
     n_batch, height = index.shape
-    n_cols = cost.shape[1]
+    width = cost.shape[1]
     listed = np.arange(height) < n_rows[:, None]
-    # The stack, gathered once. The shifted cost c = c_in - shift is read
-    # row by row or column by column, never stored whole. Rounding is
-    # monotone, so a least shifted cost is the least cost, shifted, and
-    # `min` is exact, so the least column minimum is the least entry.
-    c_in = cost[index]
-    col_min = c_in.min(axis=1)
+    own = np.arange(width) < n_cols[:, None]
+    # Each column's least entry over the listed rows, from a transient
+    # gather of at most `STACK_CELLS` cost cells (one problem at least) at
+    # a time. The shifted cost c = cost - shift is read through `index`
+    # row by row or column by column, never stored. Rounding is monotone,
+    # so a least shifted cost is the least cost, shifted, and `min` is
+    # exact, so the least column minimum is the least entry. Padding
+    # columns get +inf, so they set no shift.
+    col_min = np.empty((n_batch, width))
+    chunk = max(1, STACK_CELLS // (height * width))
+    for lo in range(0, n_batch, chunk):
+        cost[index[lo : lo + chunk]].min(axis=1, out=col_min[lo : lo + chunk])
+    col_min[~own] = np.inf
     shift = np.minimum(0.0, col_min.min(axis=1))[:, None]
     col_min -= shift
 
-    # Row-indexed state has one spare row below the stack, where the row
-    # writes of problems that have stopped searching land.
     ar = np.arange(n_batch)
-    u = np.zeros((n_batch, height + 1))
-    v = np.zeros((n_batch, n_cols))
+    u = np.zeros((n_batch, height))
+    v = np.zeros((n_batch, width))
     row_match = np.full((n_batch, height), -1)
-    col_match = np.full((n_batch, n_cols), -1)
-    free = np.zeros((n_batch, height + 1), dtype=bool)
-    free[:, :height] = listed  # padding rows are never free
-    parent = np.empty((n_batch, n_cols), dtype=int)
-    unscanned = np.empty((n_batch, n_cols), dtype=bool)
+    col_match = np.full((n_batch, width), -1)
+    free = listed.copy()  # padding rows are never free
+    parent = np.empty((n_batch, width), dtype=int)
+    unscanned = np.empty((n_batch, width), dtype=bool)
     end_col = np.zeros(n_batch, dtype=int)
     path_len = np.zeros(n_batch)
 
     for k in range(sizes.max(initial=0)):
         active = sizes > k  # problems that still augment
+        solving = active.nonzero()[0]
         # Multi-source shortest path over columns: any free row is a
         # source, and all of them share one potential.
         free_u = u[ar, free.argmax(axis=1)]
         dist = col_min - free_u[:, None] - v
         parent.fill(-1)  # -1: reached straight from a free row
         row_dist = np.where(free, 0.0, np.inf)
-        unscanned.fill(True)
+        np.copyto(unscanned, own)  # padding columns start scanned
 
-        searching = active.copy()
+        s = solving  # problems still searching
         while True:
-            masked = np.where(unscanned, dist, np.inf)
+            masked = np.where(unscanned[s], dist[s], np.inf)
             j = masked.argmin(axis=1)
-            step = masked[ar, j]
-            unscanned[ar, j] = False
-            # Row -1 is the spare row of u and row_dist.
-            i = np.where(searching, col_match[ar, j], -1)
-            np.copyto(end_col, j, where=searching)
-            np.copyto(path_len, step, where=searching)
-            searching &= i >= 0
-            if not np.count_nonzero(searching):
+            step = masked[ar[: len(s)], j]
+            unscanned[s, j] = False
+            i = col_match[s, j]
+            end_col[s] = j
+            path_len[s] = step
+            # A free column ends the search; a matched one continues
+            # through its row (tight back edge).
+            on = i >= 0
+            if not on.any():
                 break
-            # Matched column: continue through its row (tight back edge).
-            row_dist[ar, i] = step
-            # A problem that is not searching relaxes +inf: no improvement.
-            c_row = np.where(searching[:, None], c_in[ar, i] - shift, np.inf)
-            relaxed = step[:, None] + c_row - u[ar, i][:, None] - v
-            improve = (relaxed < dist) & unscanned
-            np.copyto(dist, relaxed, where=improve)
-            np.copyto(parent, i[:, None], where=improve)
+            s, i, step = s[on], i[on], step[on]
+            row_dist[s, i] = step
+            c_row = cost[index[s, i]] - shift[s]
+            relaxed = step[:, None] + c_row - u[s, i][:, None] - v[s]
+            reached = dist[s]
+            improve = (relaxed < reached) & unscanned[s]
+            dist[s] = np.where(improve, relaxed, reached)
+            parent[s] = np.where(improve, i[:, None], parent[s])
 
+        # A path reached straight from a free row starts at its end
+        # column; a longer one is walked back from there.
         first = end_col.copy()
-        solving = active.nonzero()[0]
-        for b in solving.tolist():
+        for b in solving[parent[solving, first[solving]] >= 0].tolist():
             j = first.item(b)
             i = parent.item(b, j)
             while i >= 0:  # a matched row moves onto column j
@@ -248,9 +286,9 @@ def _solve_stack(cost, index, n_rows, sizes) -> list:
             first[b] = j
         # The path starts at the lowest free row among the least reduced
         # costs of its first column, the row a full rescan would pick.
-        c_col = c_in[ar, :, first] - shift
+        c_col = cost[index, first[:, None]] - shift
         reduced = c_col - free_u[:, None] - v[ar, first][:, None]
-        source = np.where(free[:, :height], reduced, np.inf).argmin(axis=1)[solving]
+        source = np.where(free, reduced, np.inf).argmin(axis=1)[solving]
         row_match[solving, source] = first[solving]
         col_match[solving, first[solving]] = source
 
@@ -260,26 +298,35 @@ def _solve_stack(cost, index, n_rows, sizes) -> list:
         np.add(v, np.minimum(dist, cap), out=v, where=active[:, None])
         np.subtract(u, np.minimum(row_dist, cap), out=u, where=active[:, None])
 
-        # Only the columns whose minimum a source row held can change.
+        # Only the columns whose minimum a source row held can change, and
+        # only a problem that augments again reads them; a padding
+        # column's +inf minimum is held by no finite entry.
         free[solving, source] = False
-        c_row = c_in[solving, source] - shift[solving]
-        held, stale = (c_row == col_min[solving]).nonzero()
-        held = solving[held]
+        again = sizes[solving] > k + 1
+        more = solving[again]
+        c_row = cost[index[more, source[again]]] - shift[more]
+        held, stale = (c_row == col_min[more]).nonzero()
+        held = more[held]
         col_min[held, stale] = np.where(
-            free[held, :height], c_in[held, :, stale], np.inf
+            free[held], cost[index[held], stale[:, None]], np.inf
         ).min(axis=1) - shift[held, 0]
 
     # Every problem's pairs in row order, problem after problem.
     owner, rows = (row_match >= 0).nonzero()
     cols = row_match[owner, rows]
     pairs = list(zip(rows.tolist(), cols.tolist()))
-    matched = c_in[owner, rows, cols]
+    matched = cost[index[owner, rows], cols]
     # Potentials of the shifted matrix; moving the shift into u makes them
     # potentials of the caller's matrix with the same reduced costs.
-    u = u[:, :height] + shift
+    u = u + shift
     ends = np.cumsum(sizes).tolist()
     return [
-        (pairs[start:end], float(matched[start:end].sum()), u[b, : n_rows[b]], v[b])
+        (
+            pairs[start:end],
+            float(matched[start:end].sum()),
+            u[b, : n_rows[b]],
+            v[b, : n_cols[b]],
+        )
         for b, (start, end) in enumerate(zip([0] + ends, ends))
     ]
 

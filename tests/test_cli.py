@@ -476,8 +476,8 @@ def test_outputs_match_golden_digests(tmp_path, command):
 
 def test_stack_budget_changes_no_output_byte(tmp_path, monkeypatch):
     # A 1-cell budget solves every problem alone, in blocks of one unit; a
-    # 2**40-cell one puts each sweep in one block, and each round's
-    # problems of one column count in one stack.
+    # 2**40-cell one puts each sweep in one block and each round, across
+    # column counts, in one stack.
     base = default_scenario()
     clairvoyant = tmp_path / "clairvoyant.ini"
     write_scenario(

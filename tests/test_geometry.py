@@ -133,3 +133,15 @@ def test_reflection_symmetry_permutes_tables_onto_themselves():
     assert np.allclose(tables.l_bs_ut[grid_perm], tables.l_bs_ut)
     assert np.allclose(tables.r_bs_site[site_perm], tables.r_bs_site)
     assert np.allclose(tables.d_site_ut[np.ix_(grid_perm, site_perm)], tables.d_site_ut)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 4), (17, 17)])
+def test_site_to_user_distances_are_the_hypot_of_each_offset(shape):
+    # Bit for bit the planar hypot of each (cell, site) offset, then the
+    # hypot with the anchor height.
+    layout = build_layout(*shape, 20.0, HEIGHTS)
+    diff = layout.cell_centers[:, None, :] - layout.candidate_sites[None, :, :]
+    expect = np.hypot(np.hypot(diff[..., 0], diff[..., 1]), layout.h3)
+    got = compute_distances(layout).d_site_ut
+    assert got.flags.c_contiguous
+    assert got.tobytes() == expect.tobytes()

@@ -293,6 +293,56 @@ def test_placement_requests_name_the_engines_one_cost_matrix(monkeypatch):
     assert all(matrix is not cost for round_ in routing for matrix, _, _ in round_)
 
 
+def _stacks_per_round(monkeypatch, engine, units):
+    """Run a block; per solve round, its request count and the distinct
+    column counts of each stack it is solved in."""
+    rounds = []
+    solve, solve_stack = matching.solve, matching._solve_stack
+
+    def logged_solve(requests):
+        rounds.append((len(requests), []))
+        return solve(requests)
+
+    def logged_stack(cost, index, n_rows, n_cols, sizes):
+        rounds[-1][1].append(sorted(set(n_cols.tolist())))
+        return solve_stack(cost, index, n_rows, n_cols, sizes)
+
+    monkeypatch.setattr(matching, "solve", logged_solve)
+    monkeypatch.setattr(matching, "_solve_stack", logged_stack)
+    engine.run_block(units, 20260810, KNOWN_STRATEGIES)
+    return rounds
+
+
+def test_a_wide_blocks_placement_round_is_one_stack(monkeypatch):
+    # Two 17x17 fleet-4 units a block: 12 robotic epochs and one epoch-1
+    # terrestrial placement each, of ~200 served rows, in one stack.
+    base = Scenario()
+    wide = dataclasses.replace(
+        base,
+        geometry=GeometryConfig(grid_rows=17, grid_cols=17),
+        solver=dataclasses.replace(base.solver, fleet_size=4),
+    )
+    engine = harness._TrialEngine(wide)
+    assert engine.block_units == 2
+    rounds = _stacks_per_round(monkeypatch, engine, [(1.8, 0), (2.8, 0)])
+    assert rounds[0] == (26, [[engine.layout.n_sites]])
+    assert all(len(stacks) == 1 for _, stacks in rounds), rounds
+
+
+def test_every_round_of_an_acceptance_block_is_one_stack(monkeypatch):
+    # The six units of an acceptance-sweep part: placement, transition and
+    # each tie-break re-solve round, whatever its column counts, is one
+    # stack.
+    engine = harness._TrialEngine(Scenario())
+    units = [(sigma, trial) for sigma in (1.8, 2.8, 3.6) for trial in range(2)]
+    assert engine.block_units >= len(units)
+    rounds = _stacks_per_round(monkeypatch, engine, units)
+    assert all(len(stacks) == 1 for _, stacks in rounds), rounds
+    epochs = engine.scenario.traffic.epochs
+    assert rounds[0] == (len(units) * (epochs + 1), [[engine.layout.n_sites]])
+    assert any(len(stacks[0]) > 1 for _, stacks in rounds[2:]), rounds
+
+
 def test_sweep_rows_are_paired_single_trials(tmp_path):
     config = ExperimentConfig(
         scenario=SMALL, sigma_list=(2.8, 1.8), trials=2, master_seed=19,

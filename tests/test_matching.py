@@ -10,7 +10,7 @@ from bruteforce import (
     rescan_matching_with_duals,
 )
 from conftest import solve_indexed, solve_matching
-from irsfleet import run_trial
+from irsfleet import matching, run_trial
 from irsfleet.matching import solve
 from irsfleet.scenario import GeometryConfig, Scenario, SolverOptions
 
@@ -396,6 +396,68 @@ def test_unsorted_overlapping_row_lists_into_one_matrix(family):
             row_lists[positive[0]] = row_lists[positive[0]] + [7]
             with pytest.raises(ValueError, match="finite"):
                 solve_indexed(matrix, row_lists, sizes)
+
+
+def test_row_lists_that_are_not_integers_are_refused():
+    # Floats would be truncated to other rows, and a mask would be read as
+    # rows 1, 0 and 1; an empty list stays valid.
+    matrix = np.arange(12.0).reshape(3, 4)
+    for rows in ([0.5, 1.7], np.array([0.0, 2.0]), [True, False, True]):
+        with pytest.raises(TypeError, match="row indices must be integers"):
+            solve([(matrix, rows, 1)])
+        with pytest.raises(TypeError, match="row indices must be integers"):
+            solve([(matrix, None, 2), (matrix, rows, 0)])
+    solved = solve([(matrix, [], 0), (matrix, np.array([2], dtype=np.uint8), 1)])
+    assert solved[1][:2] == ([(0, 0)], 8.0)
+    # A nested list is no row list either, whatever the size.
+    for size in (0, 1):
+        with pytest.raises(ValueError, match="1-D"):
+            solve([(matrix, [[0, 1]], size)])
+
+
+@st.composite
+def _mixed_width_rounds(draw):
+    """One round over a 100-column matrix, a 10x10 one and square ones
+    from 9x9 down to 1x1, each named by one or two requests that list
+    rows (repeats and none included) or every row, in a drawn order, with
+    a drawn stack budget."""
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    shapes = [(12, 100)] + [(n, n) for n in range(10, 0, -1)]
+    if draw(st.booleans()):
+        matrices = [dyadic_matrix(rng, shape, lo=-2, hi=2, denom=2) for shape in shapes]
+    else:
+        matrices = [rng.normal(size=shape) for shape in shapes]
+    requests = []
+    for matrix in matrices:
+        for _ in range(draw(st.integers(1, 2))):
+            rows = None
+            if draw(st.booleans()):
+                top = len(matrix) - 1
+                rows = draw(st.lists(st.integers(0, top), max_size=top + 3))
+            n_rows = len(matrix) if rows is None else len(rows)
+            size = draw(st.integers(0, min(n_rows, matrix.shape[1])))
+            requests.append((matrix, rows, size))
+    order = draw(st.permutations(requests))
+    return order, draw(st.sampled_from([1, 30, 400, 2**18]))
+
+
+@given(_mixed_width_rounds())
+@settings(max_examples=60, deadline=None)
+def test_a_round_of_mixed_column_counts_equals_its_lone_solves(round_):
+    # Narrower problems share a stack with wider ones through padding
+    # columns; each keeps the pairs, total and potentials of its lone
+    # solve, with one column potential per column of its own matrix.
+    requests, budget = round_
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "STACK_CELLS", budget)
+        solved = solve(requests)
+    for (matrix, rows, size), got in zip(requests, solved, strict=True):
+        assert len(got[3]) == matrix.shape[1]
+        cost = matrix if rows is None else matrix[rows]
+        expect = rescan_matching_with_duals(cost, size)
+        _assert_same_solve(_lone_solve(cost, size), expect)
+        _assert_same_solve(solve([(matrix, rows, size)])[0], expect)
+        _assert_same_solve(got, expect)
 
 
 def test_a_round_over_two_matrices_of_one_column_count():

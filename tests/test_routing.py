@@ -253,18 +253,17 @@ def test_transitions_share_stacked_rounds(monkeypatch):
         machines.append(np.asarray(cost).shape)
         return original_machine(cost)
 
-    def counted_stack(cost, index, n_rows, sizes):
-        # The stack's (problems, rows, cols) shape, as the solver gathers it.
-        shape = (*np.shape(index), np.shape(cost)[1])
-        stacks.append((shape, list(n_rows), list(sizes)))
-        return original_stack(cost, index, n_rows, sizes)
+    def counted_stack(cost, index, n_rows, n_cols, sizes):
+        # The stack's problem count and each element's rows, columns and size.
+        stacks.append((len(index), list(n_rows), list(n_cols), list(sizes)))
+        return original_stack(cost, index, n_rows, n_cols, sizes)
 
     monkeypatch.setattr(routing, "_assignment_machine", counted_machine)
     monkeypatch.setattr(matching, "_solve_stack", counted_stack)
     plan = _plan([(0, 9), (90, 99), (0, 9), (40, 50)])
     run(trajectory_machine(plan, LAYOUT))
     assert machines == [(2, 2)] * 3
-    assert stacks[0] == ((3, 2, 2), [2] * 3, [2] * 3)
+    assert stacks[0] == (3, [2] * 3, [2] * 3, [2] * 3)
 
     rng = np.random.Generator(np.random.Philox(41))
     shared = 0
@@ -275,9 +274,9 @@ def test_transitions_share_stacked_rounds(monkeypatch):
         ]
         stacks.clear()
         run(trajectory_machine(_plan(epoch_sites), LAYOUT))
-        assert stacks[0] == ((3, 10, 10), [10] * 3, [10] * 3)
-        assert all(shape[2] < 10 for shape, _, _ in stacks[1:])
-        shared += any(shape[0] > 1 for shape, _, _ in stacks[1:])
+        assert stacks[0] == (3, [10] * 3, [10] * 3, [10] * 3)
+        assert all(max(n_cols) < 10 for _, _, n_cols, _ in stacks[1:])
+        shared += any(height > 1 for height, *_ in stacks[1:])
     assert shared > 0
 
 
