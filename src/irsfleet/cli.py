@@ -26,16 +26,8 @@ from .harness import (
     ExperimentConfig,
     KNOWN_STRATEGIES,
     RNG_NAME,
-    placement_rows,
     run_experiment,
-    run_trial,
-    traffic_rows,
-    trajectory_rows,
-    write_metadata,
-    PLACEMENT_HEADER,
-    TRAFFIC_HEADER,
-    TRAJECTORY_HEADER,
-    _write_rows,
+    run_plan,
 )
 from .oracles import (
     best_exact_size_cost,
@@ -62,25 +54,9 @@ def _cmd_plan(args) -> int:
         sigma_list=(float(sigma),),
         trials=1,
         master_seed=args.seed,
+        output_dir=Path(args.out),
     )
-    # The trial runs before --out exists, so an infeasible one leaves none.
-    result = run_trial(scenario, sigma, args.trial, args.strategy, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_metadata(config, out / "run_metadata.json")
-    _write_rows(
-        out / "placement.csv",
-        PLACEMENT_HEADER,
-        placement_rows(args.trial, result, scenario.layout()),
-    )
-    if result.trajectory is not None:
-        _write_rows(
-            out / "trajectory.csv",
-            TRAJECTORY_HEADER,
-            trajectory_rows(args.trial, result.trajectory),
-        )
-    _write_rows(out / "traffic.csv", TRAFFIC_HEADER, traffic_rows(result.traffic))
-
+    result = run_plan(config, args.trial)
     m = result.metrics
     print(
         f"strategy={m.strategy} sigma={m.sigma} trial={m.trial} "
@@ -88,7 +64,7 @@ def _cmd_plan(args) -> int:
         f"total_distance_m={m.total_distance_m:.6g} "
         f"energy_feasible={str(m.energy_feasible).lower()}"
     )
-    print(f"wrote {out}")
+    print(f"wrote {config.output_dir}")
     return 0
 
 
@@ -212,7 +188,8 @@ def _cmd_validate(args) -> int:
         failures,
     )
 
-    # Solved as a sweep solves a round: stacked by column count, tallest first.
+    # Solved as a sweep solves a routing round: one `solve` of many matrices,
+    # stacked and padded out to the widest.
     match_rng = np.random.Generator(np.random.Philox(7))
     requests = []
     for _ in range(20):

@@ -16,7 +16,11 @@ generator keyed on those values, never on execution order, and every
 stacked solve equals its lone solve, so units can run in any order,
 grouping (or concurrently) and reproduce bit-identically.
 
-CSV row builders zip columns of the arrays the scorers already hold, and
+Every CSV is built as one table, a dict from column name to column
+values in file order, out of the arrays the scorers already hold: each
+column name is written once, in its builder (`trials_table`,
+`summary_table`, `trajectory_table`, `placement_table`, `traffic_table`).
+`_write_rows` writes every file of `run_experiment` and `run_plan`, and
 `csv` writes each float cell as its shortest round-trip repr.
 """
 
@@ -63,6 +67,7 @@ __all__ = [
     "trial_rng",
     "run_trial",
     "run_experiment",
+    "run_plan",
     "summarize",
 ]
 
@@ -169,12 +174,12 @@ class _TrialEngine:
 
     @property
     def block_units(self) -> int:
-        """Units per block: as many as `matching.STACK_CELLS` cells hold at
-        one per (grid cell, site) of a unit, the most its gain tensor
-        holds, and at least one. A unit asks for at most epochs + 1
-        placement problems, none spanning more than the sites, so the
-        block's placement round fits one stack of solver state whenever
-        the epochs are fewer than the grid cells."""
+        """Units per block: `matching.STACK_CELLS` // (grid cells x
+        sites), and at least one. A unit asks for at most epochs + 1
+        placement problems, none spanning more rows or columns than the
+        sites, and a stack holds `STACK_CELLS` // sites of them, so the
+        block's placement round is one stack whenever epochs + 1 <= grid
+        cells."""
         cells = self.layout.n_grids * self.layout.n_sites
         return max(1, matching.STACK_CELLS // max(1, cells))
 
@@ -368,79 +373,29 @@ def _fmt(value):
     return value
 
 
-TRIALS_HEADER = [
-    "strategy",
-    "sigma",
-    "trial",
-    "mean_gain",
-    "served_traffic_mbps_km2",
-    "total_distance_m",
-    "energy_feasible",
-]
-
-SUMMARY_HEADER = [
-    "strategy",
-    "sigma",
-    "trials",
-    "mean_gain_mean",
-    "mean_gain_std",
-    "mean_gain_ci95",
-    "served_traffic_mean",
-    "served_traffic_std",
-    "served_traffic_ci95",
-    "total_distance_mean",
-    "total_distance_std",
-    "all_energy_feasible",
-]
-
-TRAJECTORY_HEADER = [
-    "trial",
-    "uav_id",
-    "epoch",
-    "site_x",
-    "site_y",
-    "leg_m",
-    "cumulative_m",
-    "e_fly_j",
-    "feasible_flag",
-]
-
-TRAFFIC_HEADER = ["epoch", "grid_index", "demand_mbps_km2"]
-
-PLACEMENT_HEADER = [
-    "strategy",
-    "trial",
-    "epoch",
-    "grid_row",
-    "grid_col",
-    "site_x",
-    "site_y",
-    "gain",
-    "demand",
-]
+def trials_table(metrics: list[TrialMetrics]) -> dict[str, list]:
+    """trials.csv: one row per trial, in `metrics` order."""
+    return {
+        "strategy": [row.strategy for row in metrics],
+        "sigma": [row.sigma for row in metrics],
+        "trial": [row.trial for row in metrics],
+        "mean_gain": [row.mean_gain for row in metrics],
+        "served_traffic_mbps_km2": [row.served_traffic for row in metrics],
+        "total_distance_m": [row.total_distance_m for row in metrics],
+        "energy_feasible": [_fmt(row.energy_feasible) for row in metrics],
+    }
 
 
-def trials_rows(metrics: list[TrialMetrics]) -> list[list]:
-    return [
-        [
-            row.strategy,
-            row.sigma,
-            row.trial,
-            row.mean_gain,
-            row.served_traffic,
-            row.total_distance_m,
-            _fmt(row.energy_feasible),
-        ]
-        for row in metrics
-    ]
+def summary_table(summaries: list[dict]) -> dict[str, list]:
+    """summary.csv: `summarize`'s rows, its keys as the columns."""
+    return {
+        column: [_fmt(row[column]) for row in summaries] for column in summaries[0]
+    }
 
 
-def summary_rows(summaries: list[dict]) -> list[list]:
-    return [[_fmt(row[column]) for column in SUMMARY_HEADER] for row in summaries]
-
-
-def trajectory_rows(trial_index: int, trajectory: TrajectoryPlan) -> list[tuple]:
-    """Rows for the per-unit travel CSV.
+def trajectory_table(trial_index: int, trajectory: TrajectoryPlan) -> dict[str, list]:
+    """The per-unit travel table of trajectory.csv and the sweep's
+    trajectories_sigma_<s>.csv, one row per (UAV, epoch).
 
     Epoch 0 is the depot departure point, epochs 1..T the anchored sites,
     epoch T+1 the depot return; cumulative distance and flight energy are
@@ -458,64 +413,69 @@ def trajectory_rows(trial_index: int, trajectory: TrajectoryPlan) -> list[tuple]
     total = trajectory.cumulative_m[:, -1]
     e_fly = np.array([ledger.e_fly_j for ledger in trajectory.ledgers])
     ratio = np.divide(e_fly, total, out=np.zeros(m), where=total > 0)
-    return list(
-        zip(
-            itertools.repeat(trial_index),
-            np.repeat(np.arange(m), n).tolist(),
-            np.tile(np.arange(n), m).tolist(),
-            trajectory.points[..., 0].ravel().tolist(),
-            trajectory.points[..., 1].ravel().tolist(),
-            legs.ravel().tolist(),
-            cumulative.ravel().tolist(),
-            (cumulative * ratio[:, None]).ravel().tolist(),
-            [_fmt(ledger.feasible) for ledger in trajectory.ledgers for _ in range(n)],
-        )
-    )
+    return {
+        "trial": [trial_index] * (m * n),
+        "uav_id": np.repeat(np.arange(m), n).tolist(),
+        "epoch": np.tile(np.arange(n), m).tolist(),
+        "site_x": trajectory.points[..., 0].ravel().tolist(),
+        "site_y": trajectory.points[..., 1].ravel().tolist(),
+        "leg_m": legs.ravel().tolist(),
+        "cumulative_m": cumulative.ravel().tolist(),
+        "e_fly_j": (cumulative * ratio[:, None]).ravel().tolist(),
+        "feasible_flag": [
+            _fmt(ledger.feasible) for ledger in trajectory.ledgers for _ in range(n)
+        ],
+    }
 
 
-def placement_rows(
+def placement_table(
     trial_index: int,
     result: TrialResult,
     layout: ScenarioLayout,
-) -> list[tuple]:
+) -> dict[str, list]:
+    """placement.csv: one row per anchored (epoch, weak cell, site)."""
     tensor, plan = result.tensor, result.plan
     epochs = np.repeat(np.arange(plan.cells.shape[0]), plan.cells.shape[1])
     cells, sites = np.ravel(plan.cells), np.ravel(plan.sites)
     grid_row, grid_col = np.divmod(tensor.weak_grids[cells], layout.grid_cols)
     points = layout.candidate_sites[sites]
-    return list(
-        zip(
-            itertools.repeat(result.metrics.strategy),
-            itertools.repeat(trial_index),
-            (epochs + 1).tolist(),
-            grid_row.tolist(),
-            grid_col.tolist(),
-            points[:, 0].tolist(),
-            points[:, 1].tolist(),
-            tensor.gain_at(epochs, cells, sites).tolist(),
-            tensor.demand[epochs, cells].tolist(),
-        )
-    )
+    return {
+        "strategy": [result.metrics.strategy] * epochs.size,
+        "trial": [trial_index] * epochs.size,
+        "epoch": (epochs + 1).tolist(),
+        "grid_row": grid_row.tolist(),
+        "grid_col": grid_col.tolist(),
+        "site_x": points[:, 0].tolist(),
+        "site_y": points[:, 1].tolist(),
+        "gain": tensor.gain_at(epochs, cells, sites).tolist(),
+        "demand": tensor.demand[epochs, cells].tolist(),
+    }
 
 
-def traffic_rows(field: TrafficField) -> list[list]:
-    """(epoch, grid_index, demand) rows of a demand field; epochs 1-based."""
-    return [
-        [t + 1, i, demand]
-        for t, epoch_demand in enumerate(field.demand.tolist())
-        for i, demand in enumerate(epoch_demand)
-    ]
+def traffic_table(field: TrafficField) -> dict[str, list]:
+    """traffic.csv: the demand field, one row per (epoch, grid cell); epochs
+    1-based."""
+    epochs, grids = field.demand.shape
+    return {
+        "epoch": np.repeat(np.arange(1, epochs + 1), grids).tolist(),
+        "grid_index": np.tile(np.arange(grids), epochs).tolist(),
+        "demand_mbps_km2": field.demand.ravel().tolist(),
+    }
 
 
-def _write_rows(path, header: list[str], rows: list[list]) -> None:
-    """Write a CSV beside `path` and rename it into place once complete."""
+def _write_rows(path, tables: list[dict[str, list]]) -> None:
+    """Write `tables`, each a dict of column name to column values in file
+    order, as one CSV: the first table's column names, then every table's
+    rows. The file is written beside `path` and renamed into place once
+    complete."""
     path = Path(path)
     partial = path.with_name(f".{path.name}.partial")
     try:
         with partial.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerow(tables[0])
+            for table in tables:
+                writer.writerows(zip(*table.values()))
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
@@ -559,7 +519,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         write_metadata(config, out / "run_metadata.json")
 
     by_strategy: dict[str, list[TrialMetrics]] = {s: [] for s in config.strategies}
-    trajectory_tables: dict[float, list[list]] = {}
+    trajectory_tables: dict[float, list[dict[str, list]]] = {}
 
     units = [(s, t) for s in config.sigma_list for t in range(config.trials)]
     size = engine.block_units
@@ -571,8 +531,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             row = result.metrics
             by_strategy[row.strategy].append(row)
             if result.trajectory is not None and out is not None:
-                trajectory_tables.setdefault(row.sigma, []).extend(
-                    trajectory_rows(row.trial, result.trajectory)
+                trajectory_tables.setdefault(row.sigma, []).append(
+                    trajectory_table(row.trial, result.trajectory)
                 )
         # The results hold the block's gain tensors; drop them so the
         # next block is not drawn with this one's still alive.
@@ -581,12 +541,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     metrics = [row for rows in by_strategy.values() for row in rows]
     summaries = summarize(metrics)
     if out is not None:
-        _write_rows(out / "trials.csv", TRIALS_HEADER, trials_rows(metrics))
-        _write_rows(out / "summary.csv", SUMMARY_HEADER, summary_rows(summaries))
-        for sigma, rows in trajectory_tables.items():
-            _write_rows(
-                out / f"trajectories_sigma_{sigma!r}.csv",
-                TRAJECTORY_HEADER,
-                rows,
-            )
+        _write_rows(out / "trials.csv", [trials_table(metrics)])
+        _write_rows(out / "summary.csv", [summary_table(summaries)])
+        for sigma, tables in trajectory_tables.items():
+            _write_rows(out / f"trajectories_sigma_{sigma!r}.csv", tables)
     return ExperimentResult(metrics=metrics, summaries=summaries)
+
+
+def run_plan(config: ExperimentConfig, trial_index: int) -> TrialResult:
+    """The config's one strategy at its one sigma on one trial, with its
+    files in `config.output_dir`: run_metadata.json, placement.csv,
+    trajectory.csv for the relocating strategy, and traffic.csv, the
+    demand field the trial was scored on.
+
+    The trial runs before the output directory exists, so a trial that
+    fails leaves none.
+    """
+    if config.output_dir is None or config.trials != 1:
+        raise ValueError("run_plan needs one trial and an output directory")
+    if len(config.strategies) != 1 or len(config.sigma_list) != 1:
+        raise ValueError("run_plan needs one strategy and one sigma")
+    ((strategy,), (sigma,)) = config.strategies, config.sigma_list
+    result = run_trial(
+        config.scenario, sigma, trial_index, strategy, config.master_seed
+    )
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_metadata(config, out / "run_metadata.json")
+    layout = config.scenario.layout()
+    _write_rows(out / "placement.csv", [placement_table(trial_index, result, layout)])
+    if result.trajectory is not None:
+        _write_rows(
+            out / "trajectory.csv", [trajectory_table(trial_index, result.trajectory)]
+        )
+    _write_rows(out / "traffic.csv", [traffic_table(result.traffic)])
+    return result

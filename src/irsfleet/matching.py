@@ -80,9 +80,10 @@ __all__ = [
 
 # Most cells of solver state one stack holds, counted as problems x the
 # most rows or columns of any of them, and most cost cells the solver
-# gathers at once. A sweep block holds at most this many cells of gain
-# tensor too (`harness._TrialEngine.block_units`), so its placement round
-# is one stack. A larger single problem or unit still runs alone.
+# gathers at once. A sweep block holds this over grid cells x sites units
+# (`harness._TrialEngine.block_units`), so its placement round is one stack
+# whenever epochs + 1 <= grid cells. A larger single problem or unit still
+# runs alone.
 # Medians of 5 fresh runs alternated on a 2-vCPU Xeon VM, in seconds
 # scaled to the benchmark's reference host speed, with each 100-trial
 # sweep's peak RSS:

@@ -72,11 +72,12 @@ class PlanValidationError(ValueError):
 class GainTensor:
     """Gated gains over (epoch, weak cell, candidate site).
 
-    Stored as weak rows of the shared link budget: the SNR ratio `base` of
-    each weak cell at each site. A cell is served in an epoch when its
-    demand meets the threshold; its gains are then its `base` row, and
-    exactly 1 otherwise. Every site is a candidate, so a local site index
-    is global. A NaN, infinite or below-1 ratio, or no epoch, is refused.
+    Stored as weak rows of the shared link budget: the SNR ratio
+    `budget.gain_if_blocked[weak_grids]` of each weak cell at each site. A
+    cell is served in an epoch when its demand meets the threshold; its
+    gains are then its ratio row, and exactly 1 otherwise. Every site is a
+    candidate, so a local site index is global. A NaN, infinite or below-1
+    ratio, or no epoch, is refused.
     """
 
     budget: LinkBudget       # the scenario's, indexed by global cell
@@ -100,14 +101,9 @@ class GainTensor:
         """(epochs, n_weak) mask of the served cells with some gain above 1."""
         return self.served & self.budget.helped_if_blocked[self.weak_grids]
 
-    @property
-    def base(self) -> np.ndarray:
-        """(n_weak, n_sites) SNR ratio, copied on every access."""
-        return self.budget.gain_if_blocked[self.weak_grids]
-
     def gain_at(self, epochs, cells, sites) -> np.ndarray:
         """Gains at broadcast (epoch, local cell, site) index arrays: the
-        `base` entry where the cell is served in that epoch, 1 otherwise."""
+        SNR ratio where the cell is served in that epoch, 1 otherwise."""
         ratio = self.budget.gain_if_blocked[self.weak_grids[cells], sites]
         return np.where(self.served[epochs, cells], ratio, 1.0)
 
@@ -256,7 +252,7 @@ def _replicated_plan(tensor: GainTensor, cells, sites, strategy: str):
 def _summed_excess(tensor: GainTensor) -> np.ndarray:
     """Epoch-summed gain excess of every (cell, site), added in epoch order
     from zeros: the floats of `(tensor.gains - 1.0).sum(axis=0)`."""
-    excess = tensor.base - 1.0
+    excess = tensor.budget.gain_if_blocked[tensor.weak_grids] - 1.0
     total = np.zeros_like(excess)
     for served in tensor.served:
         np.add(total, excess, out=total, where=served[:, None])

@@ -22,19 +22,17 @@ from irsfleet.oracles import (  # noqa: F401  (re-exported for the tests)
 
 
 def best_assignment(cost) -> tuple[tuple[int, ...], float]:
-    """Min-cost full permutation and its value; ties resolved to the
-    lexicographically smallest permutation."""
+    """Min-cost full permutation and its value, by vectorized enumeration;
+    ties resolved to the lexicographically smallest permutation, since
+    `permutations` yields in lexicographic order and `argmin` takes the
+    first least total. Exact for integer or dyadic costs, whose totals are
+    the same in any summation order."""
     c = np.asarray(cost, dtype=float)
     m = c.shape[0]
-    best_perm: tuple[int, ...] | None = None
-    best_total = np.inf
-    for perm in permutations(range(m)):  # lexicographic iteration order
-        total = float(sum(c[i, perm[i]] for i in range(m)))
-        if total < best_total:
-            best_total = total
-            best_perm = perm
-    assert best_perm is not None
-    return best_perm, best_total
+    perms = np.array(list(permutations(range(m))), dtype=int)
+    totals = c[np.arange(m), perms].sum(axis=1)
+    best = int(np.argmin(totals))
+    return tuple(perms[best].tolist()), float(totals[best])
 
 
 def lexmin_assignment_by_resolves(cost) -> tuple[np.ndarray, float]:
@@ -65,15 +63,6 @@ def lexmin_assignment_by_resolves(cost) -> tuple[np.ndarray, float]:
         else:
             raise AssertionError("no column extends an optimal prefix")
     return perm, float(c[np.arange(m), perm].sum())
-
-
-def best_assignment_value(cost) -> float:
-    """Min-cost permutation value via vectorized full enumeration."""
-    c = np.asarray(cost, dtype=float)
-    m = c.shape[0]
-    perms = np.array(list(permutations(range(m))))
-    totals = c[np.arange(m)[None, :], perms].sum(axis=1)
-    return float(totals.min())
 
 
 def best_transition_chain(transition_matrices) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from bruteforce import (
-    best_assignment_value,
+    best_assignment,
     best_exact_size_weight,
     best_transition_chain,
     certify_matching,
@@ -175,7 +175,7 @@ def test_criterion_4_solver_exactness():
     for _ in range(100):
         cost = np.abs(dyadic_matrix(rng, (7, 7)))
         _, total = run(_assignment_machine(cost))
-        assert total == best_assignment_value(cost)
+        assert total == best_assignment(cost)[1]
 
     layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
     platform = PlatformParams()

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import subprocess
@@ -11,15 +10,8 @@ from pathlib import Path
 import pytest
 
 from irsfleet import default_scenario, run_trial
-from irsfleet import cli, harness, matching, planner
+from irsfleet import harness, matching, planner
 from irsfleet.cli import main
-from irsfleet.harness import (
-    PLACEMENT_HEADER,
-    TRAFFIC_HEADER,
-    TRAJECTORY_HEADER,
-    _write_rows,
-    traffic_rows,
-)
 from irsfleet.planner import GainTensor, InfeasiblePlacementError
 from irsfleet.scenario import write_scenario
 
@@ -42,17 +34,38 @@ def test_plan_subcommand(tmp_path, capsys):
     assert "mean_gain=" in printed
     with (out / "placement.csv").open() as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == PLACEMENT_HEADER
+    assert rows[0] == [
+        "strategy",
+        "trial",
+        "epoch",
+        "grid_row",
+        "grid_col",
+        "site_x",
+        "site_y",
+        "gain",
+        "demand",
+    ]
     assert len(rows) == 1 + 12 * 10  # epochs x fleet size
     with (out / "trajectory.csv").open() as fh:
         trows = list(csv.reader(fh))
-    assert trows[0] == TRAJECTORY_HEADER
+    assert trows[0] == [
+        "trial",
+        "uav_id",
+        "epoch",
+        "site_x",
+        "site_y",
+        "leg_m",
+        "cumulative_m",
+        "e_fly_j",
+        "feasible_flag",
+    ]
     # the traffic the trial was scored on, not a re-derived field
     result = run_trial(default_scenario(), 2.8, 0, "robotic", 7)
-    _write_rows(
-        tmp_path / "expected_traffic.csv", TRAFFIC_HEADER, traffic_rows(result.traffic)
+    harness._write_rows(
+        tmp_path / "expected_traffic.csv", [harness.traffic_table(result.traffic)]
     )
     expected = (tmp_path / "expected_traffic.csv").read_bytes()
+    assert expected.startswith(b"epoch,grid_index,demand_mbps_km2\r\n")
     assert (out / "traffic.csv").read_bytes() == expected
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["generator"] == "philox"
@@ -60,17 +73,45 @@ def test_plan_subcommand(tmp_path, capsys):
 
 
 def test_a_failed_traffic_write_leaves_no_traffic_file(tmp_path, capsys, monkeypatch):
-    def failing_rows(field):
-        yield from itertools.islice(traffic_rows(field), 2)
-        raise ValueError("could not convert the third demand")
+    traffic_table = harness.traffic_table
 
-    monkeypatch.setattr(cli, "traffic_rows", failing_rows)
+    def failing_table(field):
+        table = traffic_table(field)
+        demand = table["demand_mbps_km2"]
+
+        def failing_demand():
+            yield from demand[:2]
+            raise ValueError("could not convert the third demand")
+
+        table["demand_mbps_km2"] = failing_demand()
+        return table
+
+    monkeypatch.setattr(harness, "traffic_table", failing_table)
     out = tmp_path / "plan"
     assert main(["plan", "--out", str(out)]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "could not convert the third demand"
     assert not (out / "traffic.csv").exists()
     assert not (out / ".traffic.csv.partial").exists()
+
+
+def test_every_csv_goes_through_the_one_writer(tmp_path, monkeypatch):
+    # `harness._write_rows` is the one CSV writer, and the span the
+    # benchmark times as `harness.write_csv`.
+    written = []
+    write_rows = harness._write_rows
+
+    def recorded(path, *args):
+        written.append(Path(path))
+        write_rows(path, *args)
+
+    monkeypatch.setattr(harness, "_write_rows", recorded)
+    plan, sweep = tmp_path / "plan", tmp_path / "sweep"
+    assert main(["plan", "--strategy", "robotic", "--out", str(plan)]) == 0
+    assert main(["sweep", "--trials", "1", "--out", str(sweep)]) == 0
+    files = sorted([*plan.glob("*.csv"), *sweep.glob("*.csv")])
+    assert len(files) == 3 + 5  # plan: placement, trajectory, traffic
+    assert sorted(written) == files
 
 
 def test_plan_fixed_strategy_has_no_trajectory(tmp_path):

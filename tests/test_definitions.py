@@ -171,6 +171,46 @@ def test_every_import_is_used():
     assert unused == []
 
 
+# Underscore names of one package module that another may still take,
+# each with its reason.
+PRIVATE_ALLOWED = {
+    "oracles -> channel._rician_factor": (
+        "the oracles sample the channel's own Rician-factor rule, as the "
+        "`oracles` docstring says"
+    ),
+}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_takes_another_modules_private_names():
+    # A module that imports (`from .x import _name`) or reads (`x._name`)
+    # an underscore name of another package module depends on what that
+    # module keeps to itself.
+    taken = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        package_modules = {}
+        for bound, source, original in _imports(tree):
+            if source == "irsfleet" and (PACKAGE / f"{original}.py").exists():
+                package_modules[bound] = original
+            elif source.startswith("irsfleet.") and _is_private(original):
+                taken.add(f"{path.stem} -> {source[9:]}.{original}")
+        taken.update(
+            f"{path.stem} -> {package_modules[node.value.id]}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in package_modules
+            and _is_private(node.attr)
+        )
+    assert sorted(taken - set(PRIVATE_ALLOWED)) == []
+    # An allowance no module takes any more is stale.
+    assert sorted(set(PRIVATE_ALLOWED) - taken) == []
+
+
 def test_the_runtime_imports_only_the_standard_library_and_numpy():
     # scipy, mpmath and hypothesis are test-only oracles.
     outside = []

@@ -19,8 +19,6 @@ from irsfleet import (
 from irsfleet import harness, matching
 from irsfleet.harness import (
     KNOWN_STRATEGIES,
-    SUMMARY_HEADER,
-    TRIALS_HEADER,
     summarize,
     trial_rng,
 )
@@ -141,11 +139,32 @@ def test_run_experiment_table_shape_and_summary(tmp_path):
 
     with (tmp_path / "trials.csv").open() as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == TRIALS_HEADER
+    assert rows[0] == [
+        "strategy",
+        "sigma",
+        "trial",
+        "mean_gain",
+        "served_traffic_mbps_km2",
+        "total_distance_m",
+        "energy_feasible",
+    ]
     assert len(rows) == 7
     with (tmp_path / "summary.csv").open() as fh:
         srows = list(csv.reader(fh))
-    assert srows[0] == SUMMARY_HEADER
+    assert srows[0] == [
+        "strategy",
+        "sigma",
+        "trials",
+        "mean_gain_mean",
+        "mean_gain_std",
+        "mean_gain_ci95",
+        "served_traffic_mean",
+        "served_traffic_std",
+        "served_traffic_ci95",
+        "total_distance_mean",
+        "total_distance_std",
+        "all_energy_feasible",
+    ]
     assert len(srows) == 4
     assert (tmp_path / "trajectories_sigma_2.8.csv").exists()
     assert (tmp_path / "run_metadata.json").exists()
@@ -420,7 +439,7 @@ def _reference_fmt(value) -> str:
 
 
 def _reference_trajectory_rows(trial_index, trajectory, layout) -> list[list]:
-    """The per-cell loop `harness.trajectory_rows` replaced, which rebuilt
+    """The per-cell loop `harness.trajectory_table` replaced, which rebuilt
     the visited points from the routes."""
     m, epochs = trajectory.routes.shape
     depot = np.broadcast_to(layout.bs_position, (m, 1, 2))
@@ -461,7 +480,7 @@ def _reference_trajectory_rows(trial_index, trajectory, layout) -> list[list]:
 
 
 def _reference_placement_rows(trial_index, result, layout) -> list[list]:
-    """The per-pair loop `harness.placement_rows` replaced, with one scalar
+    """The per-pair loop `harness.placement_table` replaced, with one scalar
     gain lookup per pair."""
     tensor, plan = result.tensor, result.plan
     grids = tensor.weak_grids.tolist()
@@ -499,6 +518,13 @@ ROW_SCENARIOS = {
 }
 
 
+def _table_rows(table) -> list[list]:
+    """A table's rows as the writer zips them; a short column would drop
+    rows silently, so every column must have one length."""
+    assert len({len(column) for column in table.values()}) == 1
+    return [list(row) for row in zip(*table.values())]
+
+
 def _cells_as_csv_sees_them(rows) -> list[list[str]]:
     # Exact types: a bool or a NumPy scalar would be written otherwise.
     for row in rows:
@@ -513,7 +539,7 @@ def test_row_builders_match_the_reference_loops(name, strategy):
     layout = scenario.layout()
     result = run_trial(scenario, 2.8, 3, strategy, 7)
     assert _cells_as_csv_sees_them(
-        harness.placement_rows(3, result, layout)
+        _table_rows(harness.placement_table(3, result, layout))
     ) == _cells_as_csv_sees_them(_reference_placement_rows(3, result, layout))
     trajectory = result.trajectory
     assert (trajectory is None) == (strategy != "robotic")
@@ -522,7 +548,7 @@ def test_row_builders_match_the_reference_loops(name, strategy):
     if name == "every-unit-infeasible":
         assert not any(ledger.feasible for ledger in trajectory.ledgers)
     assert _cells_as_csv_sees_them(
-        harness.trajectory_rows(3, trajectory)
+        _table_rows(harness.trajectory_table(3, trajectory))
     ) == _cells_as_csv_sees_them(_reference_trajectory_rows(3, trajectory, layout))
 
 
@@ -535,13 +561,13 @@ def test_trajectory_energy_column_follows_the_energy_law(name):
     platform = scenario.platform
     for trial in range(3):
         trajectory = run_trial(scenario, 2.8, trial, "robotic", 7).trajectory
-        rows = harness.trajectory_rows(trial, trajectory)
-        cumulative = np.array([row[6] for row in rows])
-        energy = np.array([row[7] for row in rows])
+        table = harness.trajectory_table(trial, trajectory)
+        cumulative = np.array(table["cumulative_m"])
+        energy = np.array(table["e_fly_j"])
         law = platform.p_fly_w * cumulative / platform.v_fly_mps
         np.testing.assert_array_max_ulp(energy, law, maxulp=4)
         arrival = scenario.traffic.epochs + 1
-        last = np.array([row[7] for row in rows if row[2] == arrival])
+        last = energy[np.array(table["epoch"]) == arrival]
         ledger = np.array([ledger.e_fly_j for ledger in trajectory.ledgers])
         np.testing.assert_array_max_ulp(last, ledger, maxulp=4)
 
@@ -578,7 +604,7 @@ def test_trials_never_build_the_dense_gain_view(monkeypatch, tmp_path, mode):
     layout = scenario.layout()
     for strategy in KNOWN_STRATEGIES:
         result = run_trial(scenario, 2.8, 1, strategy, 77)
-        assert len(harness.placement_rows(1, result, layout)) == (
+        assert len(_table_rows(harness.placement_table(1, result, layout))) == (
             scenario.traffic.epochs * scenario.solver.fleet_size
         )
     config = ExperimentConfig(
@@ -587,18 +613,46 @@ def test_trials_never_build_the_dense_gain_view(monkeypatch, tmp_path, mode):
     run_experiment(config)
 
 
+def test_run_plan_refuses_a_config_that_is_not_one_trial(tmp_path):
+    one = ExperimentConfig(
+        scenario=SMALL,
+        strategies=("random",),
+        sigma_list=(2.8,),
+        trials=1,
+        output_dir=tmp_path / "plan",
+    )
+    for config, message in [
+        (dataclasses.replace(one, output_dir=None), "output directory"),
+        (dataclasses.replace(one, trials=2), "one trial"),
+        (dataclasses.replace(one, strategies=("random", "robotic")), "one strategy"),
+        (dataclasses.replace(one, sigma_list=(1.8, 2.8)), "one sigma"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            harness.run_plan(config, 0)
+    assert not (tmp_path / "plan").exists()
+    assert harness.run_plan(one, 0).metrics.strategy == "random"
+    assert sorted(p.name for p in (tmp_path / "plan").iterdir()) == [
+        "placement.csv",
+        "run_metadata.json",
+        "traffic.csv",
+    ]
+
+
 def test_a_failed_csv_write_leaves_no_file(tmp_path):
-    def rows():
-        yield ["robotic", 1]
-        raise OSError("disk full")
+    def failing_table():
+        def trials():
+            yield 1
+            raise OSError("disk full")
+
+        return {"strategy": ["robotic", "robotic"], "trial": trials()}
 
     path = tmp_path / "trials.csv"
     with pytest.raises(OSError, match="disk full"):
-        harness._write_rows(path, ["strategy", "trial"], rows())
+        harness._write_rows(path, [failing_table()])
     assert list(tmp_path.iterdir()) == []
     # A complete earlier file is kept whole.
-    harness._write_rows(path, ["strategy", "trial"], [["robotic", 1]])
+    harness._write_rows(path, [{"strategy": ["robotic"], "trial": [1]}])
     with pytest.raises(OSError, match="disk full"):
-        harness._write_rows(path, ["strategy", "trial"], rows())
+        harness._write_rows(path, [failing_table()])
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_text() == "strategy,trial\nrobotic,1\n"

@@ -77,7 +77,10 @@ def _lone_solve(gains, m):
 def test_build_gain_tensor_shapes_and_floor():
     layout, tables, budget, real, field = _default_pipeline()
     tensor = build_gain_tensor(budget, real, field)
-    assert tensor.base.shape == (real.weak_set.size, 100)
+    assert tensor.budget.gain_if_blocked[tensor.weak_grids].shape == (
+        real.weak_set.size,
+        100,
+    )
     assert tensor.gains.shape == (12, real.weak_set.size, 100)
     assert (tensor.gains >= 1.0).all()
     assert np.array_equal(tensor.weak_grids, real.weak_set)
@@ -141,7 +144,8 @@ def test_dense_view_equals_the_gated_snr_ratio(side):
             )
             assert weak.size > 0
             assert np.array_equal(real.weak_set, weak)
-            assert np.array_equal(tensor.base, base)
+            ratio = tensor.budget.gain_if_blocked[tensor.weak_grids]
+            assert np.array_equal(ratio, base)
             assert np.array_equal(tensor.gains, dense)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_tensor
-from irsfleet.harness import TRAFFIC_HEADER, _write_rows, traffic_rows
+from irsfleet.harness import _write_rows, traffic_table
 from irsfleet.traffic import (
     TrafficModel,
     default_epoch_profile,
@@ -107,7 +107,7 @@ def test_traffic_csv_export(tmp_path, rng):
     model = TrafficModel(epochs=2)
     field = sample_traffic(model, 3, rng)
     path = tmp_path / "traffic.csv"
-    _write_rows(path, TRAFFIC_HEADER, traffic_rows(field))
+    _write_rows(path, [traffic_table(field)])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,grid_index,demand_mbps_km2"
     assert len(lines) == 1 + 2 * 3
