@@ -8,6 +8,8 @@ gaps are ignored, which upper-bounds both terms).
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "PlatformParams",
     "EnergyLedger",
@@ -54,9 +56,10 @@ class PlatformParams:
         return self.service_hours * 3600.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyLedger:
-    """Mission energy split for one unit; feasible iff the battery covers it."""
+    """Mission energy split, feasible where the battery covers it: one
+    unit's scalars, or (M,) arrays of M units' distance-dependent terms."""
 
     e_fly_j: float
     e_grasp_j: float
@@ -65,9 +68,9 @@ class EnergyLedger:
     feasible: bool
 
 
-def fly_energy(distance_m: float, params: PlatformParams) -> float:
-    """Propulsion energy for a horizontal relocation distance."""
-    if not 0 <= distance_m < math.inf:  # NaN fails this too
+def fly_energy(distance_m, params: PlatformParams):
+    """Propulsion energy for a relocation distance, or each of an array."""
+    if not np.all((0 <= distance_m) & (distance_m < math.inf)):  # NaN fails too
         raise ValueError("distance must be finite and nonnegative")
     return params.p_fly_w * distance_m / params.v_fly_mps
 
@@ -91,8 +94,9 @@ def flight_range(params: PlatformParams) -> float:
     return residual / params.p_fly_w * params.v_fly_mps
 
 
-def mission_ledger(distance_m: float, params: PlatformParams) -> EnergyLedger:
-    """Full accounting for one unit flying `distance_m` over the mission."""
+def mission_ledger(distance_m, params: PlatformParams) -> EnergyLedger:
+    """Full accounting for a unit flying `distance_m` over the mission, or
+    one ledger of arrays for an array of distances, one per unit."""
     e_fly = fly_energy(distance_m, params)
     e_grasp = grasp_energy(params)
     e_reflect = reflect_energy(params)

@@ -295,7 +295,8 @@ class _TrialEngine:
             mean_gain=evaluation.objective,
             served_traffic=float(evaluation.served_traffic.sum()),
             total_distance_m=0.0 if trajectory is None else trajectory.total_distance_m,
-            energy_feasible=trajectory is None or trajectory.feasible,
+            energy_feasible=trajectory is None
+            or bool(trajectory.ledger.feasible.all()),
             matching_weight=evaluation.matching_weight,
             n_weak=tensor.n_weak,
         )
@@ -411,8 +412,8 @@ def trajectory_table(trial_index: int, trajectory: TrajectoryPlan) -> dict[str, 
     legs = np.concatenate([start, trajectory.leg_m], axis=1)
     cumulative = np.concatenate([start, trajectory.cumulative_m], axis=1)
     total = trajectory.cumulative_m[:, -1]
-    e_fly = np.array([ledger.e_fly_j for ledger in trajectory.ledgers])
-    ratio = np.divide(e_fly, total, out=np.zeros(m), where=total > 0)
+    ledger = trajectory.ledger
+    ratio = np.divide(ledger.e_fly_j, total, out=np.zeros(m), where=total > 0)
     return {
         "trial": [trial_index] * (m * n),
         "uav_id": np.repeat(np.arange(m), n).tolist(),
@@ -422,9 +423,7 @@ def trajectory_table(trial_index: int, trajectory: TrajectoryPlan) -> dict[str, 
         "leg_m": legs.ravel().tolist(),
         "cumulative_m": cumulative.ravel().tolist(),
         "e_fly_j": (cumulative * ratio[:, None]).ravel().tolist(),
-        "feasible_flag": [
-            _fmt(ledger.feasible) for ledger in trajectory.ledgers for _ in range(n)
-        ],
+        "feasible_flag": list(map(_fmt, np.repeat(ledger.feasible, n).tolist())),
     }
 
 

@@ -352,7 +352,8 @@ def validate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> None:
 
 
 def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvaluation:
-    """Score a plan: its objective, gain excess and served demand.
+    """Score a plan: its objective, gain excess and served demand, each sum
+    added pair by pair in plan order from 0.0, as a loop would (not `np.sum`).
 
     Validates feasibility first against the fleet size m, so an infeasible
     plan raises rather than scoring.
@@ -360,14 +361,12 @@ def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvalua
     validate_plan(plan, tensor, m)
     epochs = np.repeat(np.arange(tensor.n_epochs), m)
     cells, sites = np.ravel(plan.cells), np.ravel(plan.sites)
-    gains = tensor.gain_at(epochs, cells, sites)
-    # Summed pair by pair in plan order.
-    weight = 0.0
-    for gain in gains.tolist():
-        weight += gain - 1.0
-    served = [0.0] * tensor.n_epochs
-    for t, demand in zip(epochs.tolist(), tensor.demand[epochs, cells].tolist()):
-        served[t] += demand
+    excess = np.zeros(epochs.size + 1)
+    excess[1:] = tensor.gain_at(epochs, cells, sites) - 1.0
+    demand = np.zeros((tensor.n_epochs, m + 1))
+    demand[:, 1:] = tensor.demand[epochs, cells].reshape(tensor.n_epochs, m)
+    weight = float(np.add.accumulate(excess)[-1])
+    served = np.add.accumulate(demand, axis=1)[:, -1]
     # An empty weak set has no cell to average over; it scores unit gain.
     objective = 1.0
     if tensor.n_weak:
@@ -375,5 +374,5 @@ def evaluate_plan(plan: PlacementPlan, tensor: GainTensor, m: int) -> PlanEvalua
     return PlanEvaluation(
         objective=objective,
         matching_weight=weight,
-        served_traffic=np.array(served),
+        served_traffic=served,
     )

@@ -120,8 +120,8 @@ def _tight_detour(tight, witness, i, j, available) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryPlan:
-    """Site sequence, visited points, travel legs and energy ledger for
-    every unit, as `evaluate_trajectory` scores routes.
+    """Site sequence, visited points and travel legs of every unit, and
+    their one energy ledger of (M,) arrays, as `evaluate_trajectory` scores.
 
     `points` per unit: the base station, the routed sites, the base
     station. Legs per unit join consecutive points (depot departure, the
@@ -134,8 +134,7 @@ class TrajectoryPlan:
     leg_m: np.ndarray          # (M, epochs + 1) metres
     cumulative_m: np.ndarray   # (M, epochs + 1) metres
     total_distance_m: float
-    ledgers: tuple[EnergyLedger, ...]
-    feasible: bool
+    ledger: EnergyLedger
 
 
 def trajectory_machine(plan: PlacementPlan, layout: ScenarioLayout):
@@ -202,22 +201,20 @@ def evaluate_trajectory(
     platform: PlatformParams,
 ) -> TrajectoryPlan:
     """Score routes: each unit's legs, depot departure and return
-    included, their running sum and its energy ledger; a unit whose mission
-    energy exceeds the battery is flagged. Validates the routes against
-    the plan first, so routes that alter the placement raise."""
+    included, their running sum, and one ledger of every unit's energy,
+    flagging a unit whose mission energy exceeds the battery. Validates
+    the routes against the plan first, so altered placements raise."""
     validate_trajectory(routes, plan)
     bs = np.broadcast_to(layout.bs_position, (routes.shape[0], 1, 2))
     points = np.concatenate([bs, layout.candidate_sites[routes], bs], axis=1)
     step = np.diff(points, axis=1)
     legs = np.hypot(step[..., 0], step[..., 1])
     cumulative = np.cumsum(legs, axis=1)
-    ledgers = tuple(mission_ledger(d, platform) for d in cumulative[:, -1].tolist())
     return TrajectoryPlan(
         routes=routes,
         points=points,
         leg_m=legs,
         cumulative_m=cumulative,
         total_distance_m=float(legs.sum()),
-        ledgers=ledgers,
-        feasible=all(ledger.feasible for ledger in ledgers),
+        ledger=mission_ledger(cumulative[:, -1], platform),
     )

@@ -371,7 +371,7 @@ def test_criterion_9_feasibility_and_energy(sweep):
                 if res.trajectory is not None:
                     validate_trajectory(res.trajectory.routes, res.plan)
                     assert (res.trajectory.cumulative_m[:, -1] <= fly_budget).all()
-                    assert all(l.feasible for l in res.trajectory.ledgers)
+                    assert res.trajectory.ledger.feasible.all()
                 checked += 1
     print(
         f"PASS criterion 9: validators accept all plans (sweep-wide by "

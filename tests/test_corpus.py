@@ -10,8 +10,11 @@ it must, with
 
     PYTHONPATH=src python tests/test_corpus.py RUN [RUN ...]
 
-(every run when none is named), and names each one with its reason. The
-`GOLDEN` runs of `test_cli.py` are not repeated here.
+and names each one with its reason. With no run named, the script records
+only the runs missing from `corpus_digests.json`; a recorded run is
+re-recorded only when it is named, so no output change is absorbed
+silently. The digests were recorded with numpy 2.4.6 (CPython 3.11);
+another numpy may legitimately draw other bytes.
 """
 
 import contextlib
@@ -77,6 +80,14 @@ WRITES_FILES = ("plan", "sweep")
 # run -> (variant, argv without --config and --out)
 RUNS = {
     "sweep-100": ("default", ["sweep", "--seed", "20260810", "--trials", "100"]),
+    "default/sweep-2": ("default", ["sweep", "--seed", "20260810", "--trials", "2"]),
+    "default/plan-robotic": ("default", ["plan", "--seed", "7", "--sigma", "2.8"]),
+    **{
+        f"default/plan-{s}": (
+            "default", ["plan", "--seed", "7", "--sigma", "2.8", "--strategy", s]
+        )
+        for s in ("terrestrial", "random")
+    },
     "17x17-fleet-4/sweep": ("17x17-fleet-4", ["sweep", "--seed", "5", "--trials", "5"]),
     "17x17-fleet-4/plan": (
         "17x17-fleet-4", ["plan", "--seed", "7", "--sigma", "2.8", "--trial", "3"]
@@ -90,6 +101,9 @@ RUNS = {
     "radio/sweep": ("radio", ["sweep", "--seed", "9", "--trials", "20"]),
     **{f"mute/plan-{s}": ("mute", ["plan", "--strategy", s]) for s in KNOWN_STRATEGIES},
     "validate": ("default", ["validate", "--draws", "20000"]),
+    "default/energy": ("default", ["energy"]),
+    "default/energy-20km": ("default", ["energy", "--distance", "20000"]),
+    "every-unit-infeasible/energy": ("every-unit-infeasible", ["energy"]),
 }
 
 
@@ -143,7 +157,7 @@ def test_outputs_match_the_corpus(tmp_path, name):
 
 if __name__ == "__main__":
     recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    for name in sys.argv[1:] or sorted(RUNS):
+    for name in sys.argv[1:] or sorted(set(RUNS) - set(recorded)):
         with tempfile.TemporaryDirectory() as tmp:
             recorded[name] = _run(name, Path(tmp))
     DIGESTS.write_text(json.dumps(dict(sorted(recorded.items())), indent=1) + "\n")

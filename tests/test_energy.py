@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from irsfleet.channel import RadioParams
@@ -26,9 +27,16 @@ def test_fly_energy():
         fly_energy(-1.0, DEFAULTS)
 
 
-@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "distance",
+    [math.nan, math.inf, -math.inf]
+    + [
+        pytest.param(np.array([10.0, bad, 20.0]), id=f"array-with-{bad}")
+        for bad in (-1.0, math.nan, math.inf, -math.inf)
+    ],
+)
 def test_fly_energy_refuses_nonfinite_distance(distance):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
+    with pytest.raises(ValueError, match="distance must be finite and nonnegative"):
         fly_energy(distance, DEFAULTS)
 
 
@@ -66,6 +74,20 @@ def test_mission_ledger():
     broke = mission_ledger(flight_range(DEFAULTS) + 1.0, DEFAULTS)
     assert not broke.feasible
     assert broke.residual_j < 0
+
+
+def test_one_ledger_for_many_distances():
+    # Zero, a short hop, a value that does not round-trip through the ratio,
+    # the exact flight range and just past it.
+    edge = flight_range(DEFAULTS)
+    distances = [0.0, 1000.0, 1234.567891, edge, math.nextafter(edge, math.inf), 2e4]
+    ledger = mission_ledger(np.array(distances), DEFAULTS)
+    for field in ("e_fly_j", "residual_j", "feasible"):
+        alone = [getattr(mission_ledger(d, DEFAULTS), field) for d in distances]
+        assert getattr(ledger, field).tolist() == alone
+    assert ledger.feasible.tolist() == [True, True, True, True, False, False]
+    assert ledger.e_grasp_j == grasp_energy(DEFAULTS)
+    assert ledger.e_reflect_j == reflect_energy(DEFAULTS)
 
 
 def test_platform_validation():

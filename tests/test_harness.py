@@ -449,8 +449,7 @@ def _reference_trajectory_rows(trial_index, trajectory, layout) -> list[list]:
     start = np.zeros((m, 1))
     legs = np.concatenate([start, trajectory.leg_m], axis=1)
     cumulative = np.concatenate([start, trajectory.cumulative_m], axis=1)
-    total = trajectory.cumulative_m[:, -1]
-    e_fly = np.array([ledger.e_fly_j for ledger in trajectory.ledgers])
+    total, e_fly = trajectory.cumulative_m[:, -1], trajectory.ledger.e_fly_j
     ratio = np.divide(e_fly, total, out=np.zeros(m), where=total > 0)
     columns = zip(
         points[..., 0].tolist(),
@@ -458,7 +457,7 @@ def _reference_trajectory_rows(trial_index, trajectory, layout) -> list[list]:
         legs.tolist(),
         cumulative.tolist(),
         (cumulative * ratio[:, None]).tolist(),
-        [_reference_fmt(ledger.feasible) for ledger in trajectory.ledgers],
+        [_reference_fmt(f) for f in trajectory.ledger.feasible.tolist()],
     )
     rows = []
     for k, (xs, ys, leg, cum, energy, feasible) in enumerate(columns):
@@ -545,8 +544,10 @@ def test_row_builders_match_the_reference_loops(name, strategy):
     assert (trajectory is None) == (strategy != "robotic")
     if trajectory is None:
         return
+    # A Python bool, which `_fmt` writes as true/false.
+    assert result.metrics.energy_feasible is bool(trajectory.ledger.feasible.all())
     if name == "every-unit-infeasible":
-        assert not any(ledger.feasible for ledger in trajectory.ledgers)
+        assert not trajectory.ledger.feasible.any()
     assert _cells_as_csv_sees_them(
         _table_rows(harness.trajectory_table(3, trajectory))
     ) == _cells_as_csv_sees_them(_reference_trajectory_rows(3, trajectory, layout))
@@ -568,8 +569,7 @@ def test_trajectory_energy_column_follows_the_energy_law(name):
         np.testing.assert_array_max_ulp(energy, law, maxulp=4)
         arrival = scenario.traffic.epochs + 1
         last = energy[np.array(table["epoch"]) == arrival]
-        ledger = np.array([ledger.e_fly_j for ledger in trajectory.ledgers])
-        np.testing.assert_array_max_ulp(last, ledger, maxulp=4)
+        np.testing.assert_array_max_ulp(last, trajectory.ledger.e_fly_j, maxulp=4)
 
 
 def test_smaller_grid_keeps_running():

@@ -482,6 +482,23 @@ def test_evaluate_matches_solver_objective():
         assert ev.served_traffic[t] == pytest.approx(demand[t, cells].sum())
 
 
+def test_pair_sums_run_in_plan_order():
+    # 2.0, then nine 2**-52: each is half an ulp of 2.0, so adding them in
+    # plan order keeps 2.0, while numpy's pairwise sum adds the nine first.
+    values = [2.0] + [2.0**-52] * 9
+    base = np.ones((10, 10))
+    np.fill_diagonal(base, 1.0 + np.array(values))
+    tensor = make_tensor(base, demand=[values], thresholds=[0.0])
+    plan = _plan("robotic", [list(range(10))], [list(range(10))])
+    ev = evaluate_plan(plan, tensor, 10)
+    in_order = 0.0
+    for value in values:
+        in_order += value
+    assert in_order == 2.0 and np.sum(values) == 2.0000000000000018
+    assert ev.matching_weight == 2.0
+    assert ev.served_traffic[0] == in_order
+
+
 def test_empty_plan_evaluates_to_unit_gain():
     tensor = make_tensor(np.ones((3, 3)), epochs=2)
     plan = run(adaptive_plan_machine(tensor, 0))

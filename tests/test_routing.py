@@ -233,9 +233,7 @@ def test_scored_legs_match_the_transition_costs():
         assert np.array_equal(traj.leg_m[:, -1], back)
         travel = out + sum(transitions, np.zeros(m)) + back
         e_fly = PLATFORM.p_fly_w * travel / PLATFORM.v_fly_mps
-        assert [ledger.e_fly_j for ledger in traj.ledgers] == pytest.approx(
-            e_fly.tolist(), rel=1e-12
-        )
+        assert traj.ledger.e_fly_j.tolist() == pytest.approx(e_fly.tolist(), rel=1e-12)
 
 
 def test_transitions_share_stacked_rounds(monkeypatch):
@@ -327,11 +325,11 @@ def test_trajectory_bookkeeping():
     for t, sites in enumerate(epoch_sites):
         assert sorted(traj.routes[:, t].tolist()) == list(sites)
     # energy ledger covers the whole route
-    for k, ledger in enumerate(traj.ledgers):
-        assert ledger.e_fly_j == pytest.approx(
+    for k, e_fly_j in enumerate(traj.ledger.e_fly_j.tolist()):
+        assert e_fly_j == pytest.approx(
             PLATFORM.p_fly_w * traj.cumulative_m[k, -1] / PLATFORM.v_fly_mps
         )
-    assert traj.feasible
+    assert traj.ledger.feasible.all()
     assert (traj.cumulative_m[:, -1] < flight_range(PLATFORM)).all()
 
 
@@ -377,5 +375,5 @@ def test_infeasible_energy_is_flagged():
     # battery barely covers the static loads, leaving ~no flight budget
     weak_battery = PlatformParams(battery_j=432_000.0 + 38_880.0 + 10.0)
     traj = _trajectory(plan, weak_battery)
-    assert not traj.feasible
-    assert any(not ledger.feasible for ledger in traj.ledgers)
+    assert not traj.ledger.feasible.all()
+    assert not traj.ledger.feasible.any()
