@@ -196,7 +196,8 @@ class _TrialEngine:
         the drawn units runs as one `_trial` machine, all in lockstep, so
         each round stacks every pending solve of the block: every
         strategy's placement problems in the first, every robotic plan's
-        transition dual solves in the second, tie-break re-solves after.
+        transition dual solves in the second, and after them the tie-break
+        re-solves, which run only when a tight detour misses the tolerance.
         A trial that fails leaves the others running. The first failure in
         (unit, strategy) order is raised as a TrialError naming its
         strategy, as a unit-by-unit run would raise it. Only if none fails

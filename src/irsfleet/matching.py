@@ -7,8 +7,9 @@ caller, which is exactly what the placement problem needs (a set number of
 units in service) and what the trajectory step needs (a full permutation).
 With the count fixed, shifting all costs by a constant never changes the
 argmin, so negative costs are handled by a one-off shift. The solver's
-final dual potentials are exposed too: the trajectory step settles most of
-its lexicographic tie-break from them, and re-solves only the rest.
+final dual potentials are exposed too: the trajectory step settles its
+lexicographic tie-break from them, and re-solves a candidate only when
+its tight detour misses the tolerance.
 
 Callers that need many solves write them as matching machines: generators
 that yield a list of requests, each `(matrix, rows, size)` asking for an
@@ -16,9 +17,10 @@ exact size-`size` matching of `matrix[rows]` (every row when `rows` is
 None), and are sent back one `solve` result per request. A machine's
 return value is its answer. `gather` runs many machines in lockstep as
 one, so each round stacks every request still pending: placement epochs,
-transition dual solves and tie-break confirmations of a whole block of
-units. `run` drives a machine, handing each round to `solve`, the one way
-into the solver. `solve` checks each request against its own matrix,
+transition dual solves and the tie-break re-solves of a whole block of
+units, which run only when a tight detour misses the tolerance. `run`
+drives a machine, handing each round to `solve`, the one way into the
+solver. `solve` checks each request against its own matrix,
 then solves the round in stacks of at most `STACK_CELLS` cells of solver
 state, each over one matrix: the one a round's requests name (a sweep's
 placement cost), or their distinct matrices stacked and padded out to the
@@ -210,6 +212,10 @@ def _solve_stack(cost, index, n_rows, n_cols, sizes) -> list:
     first; `solve` has checked them all."""
     n_batch, height = index.shape
     width = cost.shape[1]
+    # Single cells are read as one `take` on the flat matrix at these row
+    # offsets; only a column slice of a wider round matrix is copied.
+    flat = np.ascontiguousarray(cost).ravel()
+    offsets = index * width
     listed = np.arange(height) < n_rows[:, None]
     own = np.arange(width) < n_cols[:, None]
     # Each column's least entry over the listed rows, from a transient
@@ -287,7 +293,7 @@ def _solve_stack(cost, index, n_rows, n_cols, sizes) -> list:
             first[b] = j
         # The path starts at the lowest free row among the least reduced
         # costs of its first column, the row a full rescan would pick.
-        c_col = cost[index, first[:, None]] - shift
+        c_col = flat.take(offsets + first[:, None]) - shift
         reduced = c_col - free_u[:, None] - v[ar, first][:, None]
         source = np.where(free, reduced, np.inf).argmin(axis=1)[solving]
         row_match[solving, source] = first[solving]
@@ -309,7 +315,7 @@ def _solve_stack(cost, index, n_rows, n_cols, sizes) -> list:
         held, stale = (c_row == col_min[more]).nonzero()
         held = more[held]
         col_min[held, stale] = np.where(
-            free[held], cost[index[held], stale[:, None]], np.inf
+            free[held], flat.take(offsets[held] + stale[:, None]), np.inf
         ).min(axis=1) - shift[held, 0]
 
     # Every problem's pairs in row order, problem after problem.

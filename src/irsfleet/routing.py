@@ -7,6 +7,18 @@ suite cross-checks this against a joint brute force). Depot legs are
 assignment-independent because every unit starts and ends at the one base
 station; they are scored but not optimized.
 
+Each transition takes the lexicographically smallest permutation within
+a tolerance of its optimum (`_assignment_machine`), and asks the solver
+only what it cannot show on its own. Between equal site sets the
+diagonal is all zero, so the identity is the answer with no solve: no
+nonnegative matrix totals less, and it is the first permutation. Any
+other transition asks for one dual solve. A candidate column is then
+taken with no further solve when the optimal witness permutation can
+detour to it along tight edges and the detour's total, scaled by a
+rounding margin, is within the tolerance: a re-solve of its completion
+could total no more. A completion is re-solved only when a detour
+misses the tolerance, and that re-solve decides as before.
+
 `trajectory_machine` is a matching machine (see `matching`) that runs one
 `_assignment_machine` per transition and returns only the routes: a sweep
 gathers it over every robotic plan of a block, and `matching.run` drives
@@ -41,23 +53,35 @@ def _assignment_machine(cost):
     that still admits an optimal completion, i.e. one whose total is within
     `1e-9 * max(1, optimum)` of it.
 
-    It yields one dual solve first, which decides almost every candidate:
-    the optimal witness's column passes, and a column whose edge, or every
-    completion of it, needs a reduced cost above twice the tolerance fails.
-    Only the rest are confirmed by re-solving the completion, one re-solve
+    A matrix whose diagonal is all zero, an empty one included, yields no
+    request: no nonnegative matrix totals less, and the identity is the
+    lexicographically first permutation, so it is the answer.
+
+    Any other matrix yields one dual solve first, which decides almost
+    every candidate: the optimal witness's column passes, and a column
+    whose edge, or every completion of it, needs a reduced cost above twice
+    the tolerance fails. A column that `_tight_detour` can reach passes
+    with the moved witness, and no solve, when that witness's total, scaled
+    by `1 + 4 * m * eps`, is within the tolerance: a re-solve's optimal
+    completion costs no more than the moved witness's, and the scale
+    covers the rounding gap between two sums of at most m + 1 nonnegative
+    terms, so the re-solve would accept it too. Only a detour that misses
+    the tolerance is decided by re-solving the completion, one re-solve
     per round, in order.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("assignment requires a square cost matrix")
-    m = c.shape[0]
-    if m == 0:
-        return np.zeros(0, dtype=int), 0.0
     if not np.isfinite(c).all() or (c < 0).any():
         raise ValueError("assignment costs must be finite and nonnegative")
+    m = c.shape[0]
+    perm = np.arange(m)
+    if not c[perm, perm].any():
+        return perm, float(c[np.arange(m), perm].sum())
 
     ((pairs, best, u, v),) = yield [(c, None, m)]
     tol = 1e-9 * max(1.0, abs(best))
+    margin = 1.0 + 4 * m * np.finfo(float).eps
     # Every permutation costs `best` plus its reduced costs, all >= 0, so
     # one edge above 2*tol (a margin for rounding in the potentials)
     # rules it out of the tolerance.
@@ -65,7 +89,6 @@ def _assignment_machine(cost):
     # A permutation within the tolerance that extends the accepted prefix;
     # its column in the current row always passes.
     witness = [j for _, j in pairs]
-    perm = np.full(m, -1, dtype=int)
     available = list(range(m))
     prefix = 0.0
     for i in range(m):
@@ -73,49 +96,60 @@ def _assignment_machine(cost):
             if j != witness[i]:
                 if not tight[i][j]:
                     continue
-                if not _tight_detour(tight, witness, i, j, available):
+                moved = _tight_detour(tight, witness, i, j, available)
+                if moved is None:
                     continue
                 rest_rows = np.arange(i + 1, m)
-                rest_cols = np.asarray(
-                    available[:pos] + available[pos + 1 :], dtype=int
-                )
-                sub = c[np.ix_(rest_rows, rest_cols)]
-                ((sub_pairs, completion, _, _),) = yield [(sub, None, m - i - 1)]
-                if prefix + c[i, j] + completion > best + tol:
-                    continue
-                witness[i] = j
-                for r, col in sub_pairs:
-                    witness[i + 1 + r] = int(rest_cols[col])
+                completion = float(c[rest_rows, moved[i + 1 :]].sum())
+                if (prefix + c[i, j] + completion) * margin <= best + tol:
+                    witness = moved
+                else:
+                    rest_cols = np.asarray(
+                        available[:pos] + available[pos + 1 :], dtype=int
+                    )
+                    sub = c[np.ix_(rest_rows, rest_cols)]
+                    ((sub_pairs, completion, _, _),) = yield [(sub, None, m - i - 1)]
+                    if prefix + c[i, j] + completion > best + tol:
+                        continue
+                    witness[i] = j
+                    for r, col in sub_pairs:
+                        witness[i + 1 + r] = int(rest_cols[col])
             perm[i] = j
             prefix += c[i, j]
             available.pop(pos)
             break
-    total = float(c[np.arange(m), perm].sum())
-    return perm, total
+    return perm, float(c[np.arange(m), perm].sum())
 
 
-def _tight_detour(tight, witness, i, j, available) -> bool:
-    """Whether rows after i can take the available columns other than j
-    using tight edges only, once row i takes j instead of its witness column.
+def _tight_detour(tight, witness, i, j, available):
+    """The witness moved so that row i takes j and the rows after i take
+    the available columns other than j along tight edges only, or None
+    if no such move exists.
 
     The witness leaves exactly one row without a column (the one that held
     j) and one column free (row i's), so a perfect tight matching exists
-    iff one augmenting path joins them: a single Kuhn step.
+    iff one augmenting path joins them: a single Kuhn step, whose path
+    each row on it moves along to the column it reached next.
     """
     owner = {witness[r]: r for r in range(i + 1, len(witness))}
     free = witness[i]
-    seen = {j}
+    came = {j: i}  # each reached column, by the row it was reached from
     stack = [owner[j]]
     while stack:
         row = stack.pop()
         for col in available:
-            if col in seen or not tight[row][col]:
+            if col in came or not tight[row][col]:
                 continue
             if col == free:
-                return True
-            seen.add(col)
+                moved = list(witness)
+                while row != i:
+                    moved[row], col = col, witness[row]
+                    row = came[col]
+                moved[i] = col
+                return moved
+            came[col] = row
             stack.append(owner[col])
-    return False
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +181,10 @@ def trajectory_machine(plan: PlacementPlan, layout: ScenarioLayout):
     exact assignment. Depot legs and energy are left to `evaluate_trajectory`.
 
     The transitions' `_assignment_machine`s run in lockstep: the first
-    round asks for every transition's dual solve, and each later round for
-    the next confirmation re-solve of every transition whose tie-break
-    still needs one.
+    round asks for the dual solve of every transition between unequal site
+    sets, and each later round for the next re-solve of every transition
+    whose tie-break still needs one, which is only when a tight detour
+    misses the tolerance.
     """
     order = np.sort(plan.sites, axis=1)
     epochs, m = order.shape

@@ -100,6 +100,14 @@ def dyadic_matrix(rng: np.random.Generator, shape, lo=-32, hi=32, denom=16):
     return rng.integers(lo * denom, hi * denom, size=shape) / denom
 
 
+def near_tie_matrix(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Random m x m costs of 0, 1 or 2, each plus 0, 0.6e-9, 1.2e-9 or
+    1.8e-9 (0 twice as likely): many completions land within, or just
+    past, the assignment tie tolerance of `1e-9 * max(1, optimum)`."""
+    base = rng.integers(0, 3, size=(m, m))
+    return base + rng.choice([0.0, 0.0, 0.6e-9, 1.2e-9, 1.8e-9], size=(m, m))
+
+
 def rescan_matching_with_duals(cost, size: int):
     """Successive-shortest-path matching that rebuilds every free row's
     reduced costs and their column argmin at each augmentation. Same

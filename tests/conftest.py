@@ -61,3 +61,15 @@ def solve_matching(cost, size: int):
     """A lone matching solve, as a round of one: (pairs, total)."""
     pairs, total, _, _ = solve([(cost, None, size)])[0]
     return pairs, total
+
+
+def logged(machine, requests):
+    """`machine`, appending each request it yields to `requests`."""
+    solved = None
+    while True:
+        try:
+            asked = machine.send(solved)
+        except StopIteration as stop:
+            return stop.value
+        requests.extend(asked)
+        solved = yield asked

@@ -28,9 +28,10 @@ from bruteforce import (
     best_transition_chain,
     certify_matching,
     dyadic_matrix,
+    near_tie_matrix,
     transition_distances,
 )
-from conftest import make_tensor
+from conftest import logged, make_tensor
 from irsfleet import (
     ExperimentConfig,
     default_scenario,
@@ -44,7 +45,7 @@ from irsfleet.cli import main as cli_main
 from irsfleet.energy import PlatformParams, flight_range
 from irsfleet.geometry import build_layout
 from irsfleet.oracles import empirical_cascade_amplification
-from irsfleet.matching import run
+from irsfleet.matching import gather, run
 from irsfleet.planner import (
     PlacementPlan,
     adaptive_plan_machine,
@@ -248,10 +249,11 @@ def test_criterion_5_gain_ordering_and_ratios(sweep):
 
 def test_every_block_solve_carries_a_duality_certificate(certified_sweep):
     """Each matching the block path solves passes `certify_matching`: the
-    criterion-5 sweep's placement stacks (100 sites), transition dual
-    stacks (10x10, all 10 pairs) and tie-break re-solve rounds (fewer
-    columns), and every solve of one 17x17, fleet-4 unit in each
-    terrestrial mode."""
+    criterion-5 sweep's placement stacks (100 sites) and transition dual
+    stacks (10x10, all 10 pairs), with no tie-break re-solve; every solve
+    of one 17x17, fleet-4 unit in each terrestrial mode, whose transitions
+    ask for none; and the re-solves of a block of near-tie transitions,
+    whose fallback both takes and refuses candidates."""
     _, log = certified_sweep
     fleet = default_scenario().solver.fleet_size
     kinds = {"placement": 0, "transition": 0, "re-solve": 0}
@@ -261,7 +263,9 @@ def test_every_block_solve_carries_a_duality_certificate(certified_sweep):
             kinds["transition"] += 1
         else:
             kinds["re-solve" if cols < fleet else "placement"] += 1
-    assert min(kinds.values()) > 0, kinds
+    # 300 units of 13 placement problems and 11 transitions each; the 470
+    # transitions between equal site sets are identities, with no solve.
+    assert kinds == {"placement": 3900, "transition": 2830, "re-solve": 0}, kinds
 
     base = default_scenario()
     wide = dataclasses.replace(
@@ -278,13 +282,44 @@ def test_every_block_solve_carries_a_duality_certificate(certified_sweep):
                 base.solver, fleet_size=4, terrestrial_mode=mode
             )
             engine = harness._TrialEngine(dataclasses.replace(wide, solver=solver))
-            engine.run_block([(2.8, 0)], MASTER_SEED, harness.KNOWN_STRATEGIES)
-    # 12 robotic epochs, 1 terrestrial problem, 11 transitions, per mode.
-    assert len(wide_log) >= 2 * 24
+            ((robotic, *_),) = engine.run_block(
+                [(2.8, 0)], MASTER_SEED, harness.KNOWN_STRATEGIES
+            )
+            between, _ = transition_distances(robotic.plan, engine.layout)
+            assert len(between) == 11
+            assert not np.diagonal(between, axis1=1, axis2=2).any()
+    # 12 robotic epochs and 1 terrestrial problem per mode; the unit never
+    # moves, so its 11 transitions solve nothing.
+    assert len(wide_log) == 2 * 13
     assert all(failed == [] for *_, failed in wide_log), wide_log
+
+    # A candidate is re-solved only when its tight detour misses the
+    # tolerance. The fallback took it when the re-solved completion is
+    # the one the answer uses, and refused it otherwise.
+    rng = np.random.Generator(np.random.Philox(29))
+    costs = [near_tie_matrix(rng, 5) for _ in range(40)]
+    asked = [[] for _ in costs]
+    tie_log = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            matching, "_solve_stack", _certifying(matching._solve_stack, tie_log)
+        )
+        answers = run(
+            gather(logged(_assignment_machine(c), a) for c, a in zip(costs, asked))
+        )
+    taken = []
+    for cost, requests, (perm, _) in zip(costs, asked, answers):
+        for sub, _, size in requests[1:]:
+            row = len(cost) - 1 - size
+            rest = np.setdiff1d(np.arange(len(cost)), perm[: row + 1])
+            taken.append(np.array_equal(sub, cost[row + 1 :, rest]))
+    assert True in taken and False in taken, taken
+    assert len(tie_log) == len(costs) + len(taken)
+    assert all(failed == [] for *_, failed in tie_log), tie_log
     print(
         f"PASS certificates: {kinds} on the sweep, {len(wide_log)} solves "
-        f"of a 17x17 fleet-4 unit"
+        f"of a 17x17 fleet-4 unit, {len(taken)} near-tie re-solves "
+        f"({sum(taken)} taken)"
     )
 
 

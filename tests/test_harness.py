@@ -349,17 +349,20 @@ def test_a_wide_blocks_placement_round_is_one_stack(monkeypatch):
 
 
 def test_every_round_of_an_acceptance_block_is_one_stack(monkeypatch):
-    # The six units of an acceptance-sweep part: placement, transition and
-    # each tie-break re-solve round, whatever its column counts, is one
-    # stack.
+    # The six units of an acceptance-sweep part run exactly two rounds,
+    # each one stack: every placement problem, then the dual solve of
+    # every transition but the 11 of 66 between equal site sets. No
+    # tie-break needs a re-solve here.
     engine = harness._TrialEngine(Scenario())
     units = [(sigma, trial) for sigma in (1.8, 2.8, 3.6) for trial in range(2)]
     assert engine.block_units >= len(units)
     rounds = _stacks_per_round(monkeypatch, engine, units)
-    assert all(len(stacks) == 1 for _, stacks in rounds), rounds
     epochs = engine.scenario.traffic.epochs
-    assert rounds[0] == (len(units) * (epochs + 1), [[engine.layout.n_sites]])
-    assert any(len(stacks[0]) > 1 for _, stacks in rounds[2:]), rounds
+    fleet = engine.scenario.solver.fleet_size
+    assert rounds == [
+        (len(units) * (epochs + 1), [[engine.layout.n_sites]]),
+        (55, [[fleet]]),
+    ]
 
 
 def test_sweep_rows_are_paired_single_trials(tmp_path):
