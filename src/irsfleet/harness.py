@@ -4,13 +4,14 @@ The unit of work is one (sigma, trial): its blockage and traffic are drawn
 and its gain tensor indexed into the link budget once; every strategy is
 scored on that one realization, which makes the comparison paired. A sweep
 runs its units in blocks of consecutive units in (sigma, trial) order
-(`_TrialEngine.run_block`): it draws the block's units, then runs one
-matching machine per (unit, strategy) trial, all gathered into one that
-`matching.run` drives, so each round's solves share stacks. Each trial
-solves its placement and, for robotic, its routes, and is scored as soon
-as its solves are done: `evaluate_plan` scores the plan and
-`evaluate_trajectory` the routes. A single trial
-is a block of one unit of one strategy. Every unit is a pure function of
+(`_TrialEngine.run_block`): a block is one `_TrialEngine._unit` matching
+machine per unit, all gathered into one that `matching.run` drives, so
+each round's solves share stacks. A unit draws once and gathers one
+`_trial` machine per strategy on that draw; a draw that fails fails its
+unit's trials. Each trial solves its placement and, for robotic, its
+routes, and is scored as soon as its solves are done: `evaluate_plan`
+scores the plan and `evaluate_trajectory` the routes. A single trial is
+a block of one unit of one strategy. Every unit is a pure function of
 (master seed, sigma, trial index): substreams come from a counter-based
 generator keyed on those values, never on execution order, and every
 stacked solve equals its lone solve, so units can run in any order,
@@ -191,53 +192,50 @@ class _TrialEngine:
     ) -> list[list[TrialResult]]:
         """Every strategy's trial at each (sigma, trial) unit, in order.
 
-        Each unit's blockage, traffic and gain tensor are drawn once, and a
-        draw that fails ends the block before its unit. Then every trial of
-        the drawn units runs as one `_trial` machine, all in lockstep, so
-        each round stacks every pending solve of the block: every
-        strategy's placement problems in the first, every robotic plan's
-        transition dual solves in the second, and after them the tie-break
-        re-solves, which run only when a tight detour misses the tolerance.
-        A trial that fails leaves the others running. The first failure in
-        (unit, strategy) order is raised as a TrialError naming its
-        strategy, as a unit-by-unit run would raise it. Only if none fails
-        is a failed draw raised, naming its unit's first strategy. Every
-        check that can refuse a trial runs inside its own machine; the
-        shared stacked solves get only finite costs and feasible sizes.
+        The block is one `_unit` machine per unit, all gathered into one
+        that `matching.run` drives, so each round stacks every pending
+        solve of the block: every strategy's placement problems in the
+        first, every robotic plan's transition dual solves in the second,
+        and after them the tie-break re-solves, which run only when a tight
+        detour misses the tolerance. A trial that fails leaves the others
+        running, and a draw that fails fails its unit's trials. The first
+        failure in (unit, strategy) order is raised as a TrialError naming
+        its strategy, as a unit-by-unit run would raise it. Every check
+        that can refuse a trial runs inside its own machine; the shared
+        stacked solves get only finite costs and feasible sizes.
         """
-        drawn, failed_draw = [], None
-        for sigma, trial in units:
-            try:
-                drawn.append((sigma, trial, *self._draw(sigma, trial, master_seed)))
-            except Exception as err:
-                failed_draw = (strategies[0], sigma, trial, err)
-                break
-        jobs = [
-            (sigma, trial, strategy, field, tensor)
-            for sigma, trial, field, tensor in drawn
-            for strategy in strategies
-        ]
-        outcomes = matching.run(
-            gather(self._trial(*job, master_seed) for job in jobs)
+        block = matching.run(
+            gather(self._unit(*unit, master_seed, strategies) for unit in units)
         )
-        for (sigma, trial, strategy, _, _), outcome in zip(jobs, outcomes):
-            if isinstance(outcome, Exception):
-                raise _trial_error(strategy, sigma, trial, outcome) from outcome
-        if failed_draw is not None:
-            raise _trial_error(*failed_draw) from failed_draw[-1]
-        n = len(strategies)
-        return [outcomes[k : k + n] for k in range(0, len(outcomes), n)]
+        for (sigma, trial), outcomes in zip(units, block):
+            for strategy, outcome in zip(strategies, outcomes):
+                if isinstance(outcome, Exception):
+                    raise TrialError(
+                        f"strategy={strategy} sigma={sigma} trial={trial}: {outcome}"
+                    ) from outcome
+        return block
 
-    def _draw(
-        self, sigma: float, trial_index: int, master_seed: int
-    ) -> tuple[TrafficField, GainTensor]:
-        """The unit's traffic field and gain tensor."""
-        traffic_model = dataclasses.replace(self.scenario.traffic, sigma_log=sigma)
-        channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
-        realization = realize_channel(self.budget, channel_rng)
-        traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
-        field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
-        return field, build_gain_tensor(self.budget, realization, field)
+    def _unit(self, sigma: float, trial_index: int, master_seed: int, strategies):
+        """Matching machine for one (sigma, trial) unit: it draws the
+        unit's blockage, traffic and gain tensor once, then runs every
+        strategy's `_trial` on that draw in lockstep. Returns each
+        strategy's TrialResult, or the exception raised in its place; a
+        draw that fails is every strategy's exception."""
+        try:
+            traffic_model = dataclasses.replace(self.scenario.traffic, sigma_log=sigma)
+            channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
+            realization = realize_channel(self.budget, channel_rng)
+            traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
+            field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
+            tensor = build_gain_tensor(self.budget, realization, field)
+        except Exception as err:
+            return [err] * len(strategies)
+        return (
+            yield from gather(
+                self._trial(sigma, trial_index, strategy, field, tensor, master_seed)
+                for strategy in strategies
+            )
+        )
 
     def _trial(
         self,
@@ -308,10 +306,6 @@ class _TrialEngine:
             trajectory=trajectory,
             traffic=field,
         )
-
-
-def _trial_error(strategy: str, sigma: float, trial_index: int, err) -> TrialError:
-    return TrialError(f"strategy={strategy} sigma={sigma} trial={trial_index}: {err}")
 
 
 def run_trial(
@@ -561,15 +555,17 @@ def run_plan(config: ExperimentConfig, trial_index: int) -> TrialResult:
         raise ValueError("run_plan needs one trial and an output directory")
     if len(config.strategies) != 1 or len(config.sigma_list) != 1:
         raise ValueError("run_plan needs one strategy and one sigma")
-    ((strategy,), (sigma,)) = config.strategies, config.sigma_list
-    result = run_trial(
-        config.scenario, sigma, trial_index, strategy, config.master_seed
+    (sigma,) = config.sigma_list
+    engine = _TrialEngine(config.scenario)
+    ((result,),) = engine.run_block(
+        [(sigma, trial_index)], config.master_seed, config.strategies
     )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_metadata(config, out / "run_metadata.json")
-    layout = config.scenario.layout()
-    _write_rows(out / "placement.csv", [placement_table(trial_index, result, layout)])
+    _write_rows(
+        out / "placement.csv", [placement_table(trial_index, result, engine.layout)]
+    )
     if result.trajectory is not None:
         _write_rows(
             out / "trajectory.csv", [trajectory_table(trial_index, result.trajectory)]

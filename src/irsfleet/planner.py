@@ -259,7 +259,7 @@ def _summed_excess(tensor: GainTensor) -> np.ndarray:
     return total
 
 
-def fixed_plan_machine(tensor: GainTensor, m: int, mode: str = "epoch1"):
+def fixed_plan_machine(tensor: GainTensor, m: int, mode: str):
     """Matching machine for the best placement that never relocates: one
     round, one request.
 

@@ -9,15 +9,16 @@ station; they are scored but not optimized.
 
 Each transition takes the lexicographically smallest permutation within
 a tolerance of its optimum (`_assignment_machine`), and asks the solver
-only what it cannot show on its own. Between equal site sets the
-diagonal is all zero, so the identity is the answer with no solve: no
-nonnegative matrix totals less, and it is the first permutation. Any
-other transition asks for one dual solve. A candidate column is then
-taken with no further solve when the optimal witness permutation can
-detour to it along tight edges and the detour's total, scaled by a
-rounding margin, is within the tolerance: a re-solve of its completion
-could total no more. A completion is re-solved only when a detour
-misses the tolerance, and that re-solve decides as before.
+only what it cannot show on its own. A one-unit transition takes its
+one permutation, and one between equal site sets, whose diagonal is all
+zero, the identity, both with no solve: no nonnegative matrix totals
+less, and the identity is the first permutation. Any other transition
+asks for one dual solve. A candidate column is then taken with no
+further solve when the optimal witness permutation can detour to it
+along tight edges and the detour's total, scaled by a rounding margin,
+is within the tolerance: a re-solve of its completion could total no
+more. A completion is re-solved only when a detour misses the
+tolerance, and that re-solve decides as before.
 
 `trajectory_machine` is a matching machine (see `matching`) that runs one
 `_assignment_machine` per transition and returns only the routes: a sweep
@@ -53,8 +54,9 @@ def _assignment_machine(cost):
     that still admits an optimal completion, i.e. one whose total is within
     `1e-9 * max(1, optimum)` of it.
 
-    A matrix whose diagonal is all zero, an empty one included, yields no
-    request: no nonnegative matrix totals less, and the identity is the
+    A matrix of fewer than two rows, or whose diagonal is all zero,
+    yields no request: a 1x1 matrix has one permutation, no nonnegative
+    matrix totals less than a zero diagonal, and the identity is the
     lexicographically first permutation, so it is the answer.
 
     Any other matrix yields one dual solve first, which decides almost
@@ -76,7 +78,7 @@ def _assignment_machine(cost):
         raise ValueError("assignment costs must be finite and nonnegative")
     m = c.shape[0]
     perm = np.arange(m)
-    if not c[perm, perm].any():
+    if m < 2 or not c[perm, perm].any():
         return perm, float(c[np.arange(m), perm].sum())
 
     ((pairs, best, u, v),) = yield [(c, None, m)]
@@ -181,10 +183,10 @@ def trajectory_machine(plan: PlacementPlan, layout: ScenarioLayout):
     exact assignment. Depot legs and energy are left to `evaluate_trajectory`.
 
     The transitions' `_assignment_machine`s run in lockstep: the first
-    round asks for the dual solve of every transition between unequal site
-    sets, and each later round for the next re-solve of every transition
-    whose tie-break still needs one, which is only when a tight detour
-    misses the tolerance.
+    round asks for the dual solve of every transition of two or more
+    units between unequal site sets, and each later round for the next
+    re-solve of every transition whose tie-break still needs one, which is
+    only when a tight detour misses the tolerance.
     """
     order = np.sort(plan.sites, axis=1)
     epochs, m = order.shape

@@ -342,7 +342,7 @@ def test_a_sweep_fails_at_its_first_failing_unit(tmp_path, capsys, monkeypatch):
     argv = ["sweep", "--seed", "5", "--trials", "3", "--sigma", "2.8",
             "--strategy", "random", "robotic", "--out", str(out)]
     assert main(argv) == 2
-    assert len(draws) == 2  # the block drew unit 1 before solving unit 0
+    assert len(draws) == 3  # the block drew every unit before solving unit 0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [json.loads(line) for line in captured.err.splitlines()] == [

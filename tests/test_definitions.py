@@ -22,6 +22,10 @@ ALLOWED = {
     "scenario.write_scenario": (
         "perfbench's wide-grid workload and the tests write scenario files with it"
     ),
+    "harness.run_trial": (
+        "the package's exported one-trial entry (`irsfleet.run_trial`), which the "
+        "tests call; `plan` runs its trial on an engine so it can reuse the layout"
+    ),
     "planner.GainTensor.gains": (
         "perfbench's `_observe_tensor` and the tests read the dense view; ROADMAP "
         "item 16 deletes it once the benchmark is mended (item 1)"

@@ -87,6 +87,9 @@ def test_trial_errors_carry_context(monkeypatch):
     impossible = Scenario(solver=SolverOptions(fleet_size=100))
     with pytest.raises(TrialError, match="strategy=robotic sigma=2.8 trial=0"):
         run_trial(impossible, 2.8, 0, "robotic", 1)
+    unknown = r"^strategy=psychic sigma=2.8 trial=0: unknown strategy 'psychic'$"
+    with pytest.raises(TrialError, match=unknown):
+        run_trial(SMALL, 2.8, 0, "psychic", 1)
 
     def refuse(*args, **kwargs):
         raise RuntimeError("refused")

@@ -89,7 +89,8 @@ def test_single_unit_costs():
 def test_first_round_requests_the_reference_distances(grid):
     # trajectory_machine's first round asks for one dual solve per
     # transition, on the distances from the earlier epoch's sorted sites
-    # (rows) to the later epoch's (columns).
+    # (rows) to the later epoch's (columns). A one-unit plan asks for none:
+    # its transitions' only permutations are the routes.
     layout = build_layout(*grid, (8.5, 2.0, 10.5))
     rng = np.random.Generator(np.random.Philox(44))
     for epochs, m in [(2, 1), (3, 4), (12, 10)]:
@@ -97,6 +98,12 @@ def test_first_round_requests_the_reference_distances(grid):
             [rng.choice(layout.n_sites, size=m, replace=False) for _ in range(epochs)]
         )
         between, _ = transition_distances(plan, layout)
+        if m == 1:
+            assert between[0, 0, 0] > 0.0
+            with pytest.raises(StopIteration) as finished:
+                next(trajectory_machine(plan, layout))
+            assert np.array_equal(finished.value.value, plan.sites.T)
+            continue
         requests = next(trajectory_machine(plan, layout))
         assert len(requests) == epochs - 1
         for (cost, size_hint, size), expect in zip(requests, between):
@@ -217,6 +224,14 @@ def test_a_zero_diagonal_is_the_identity_without_a_solve(cost):
     assert asked == []
     assert perm.dtype == int and perm.tolist() == list(range(len(perm)))
     assert total == 0.0 and np.copysign(1.0, total) == 1.0
+
+
+@pytest.mark.parametrize("entry", [7.5, 1e-300])
+def test_a_one_by_one_matrix_is_its_only_permutation_without_a_solve(entry):
+    asked = []
+    perm, total = run(logged(_assignment_machine([[entry]]), asked))
+    assert asked == []
+    assert perm.tolist() == [0] and total == entry
 
 
 def test_tied_grid_transitions_need_only_their_dual_solve():
