@@ -24,6 +24,7 @@ __all__ = [
     "nlos_members",
     "direct_path_loss_db",
     "direct_snr_db",
+    "rician_factor",
     "rician_amplitude_mean",
     "cascade_amplification",
     "cascaded_path_loss_db",
@@ -239,7 +240,9 @@ def _i1e(x: float) -> float:
     return _chbevl(32.0 / x - 2.0, _I1E_LARGE) / math.sqrt(x)
 
 
-def _rician_factor(k_linear: float) -> float:
+def rician_factor(k_linear: float) -> float:
+    """The Rician factor K as a float, refused unless finite and nonnegative;
+    the closed forms here and the samplers in `oracles` share this rule."""
     k = float(k_linear)
     if not 0.0 <= k < math.inf:
         raise ValueError(f"Rician factor must be finite and nonnegative, got {k}")
@@ -261,7 +264,7 @@ def rician_amplitude_mean(k_linear: float) -> float:
     at K = 0 (Rayleigh) toward 2/sqrt(pi) as K -> infinity. K must be
     finite and nonnegative.
     """
-    k = _rician_factor(k_linear)
+    k = rician_factor(k_linear)
     return math.sqrt(1.0 / (1.0 + k)) * _laguerre_half(k)
 
 
@@ -285,7 +288,7 @@ def cascade_amplification(
     if n < 1:
         raise ValueError("need at least one reflecting element")
     pairwise = (math.pi**2 / 16.0) * (n * n - n)
-    k = _rician_factor(k_c_linear)
+    k = rician_factor(k_c_linear)
     if mean_in_denominator:
         bracket = math.sqrt(1.0 / (1.0 + k)) / _laguerre_half(k)
         return n + pairwise / bracket**4

@@ -47,16 +47,7 @@ def _load(args) -> Scenario:
 def _cmd_plan(args) -> int:
     scenario = _load(args)
     sigma = args.sigma if args.sigma is not None else scenario.traffic.sigma_log
-    # Built first so a bad seed, sigma or layout fails before any output.
-    config = ExperimentConfig(
-        scenario=scenario,
-        strategies=(args.strategy,),
-        sigma_list=(float(sigma),),
-        trials=1,
-        master_seed=args.seed,
-        output_dir=Path(args.out),
-    )
-    result = run_plan(config, args.trial)
+    result = run_plan(scenario, sigma, args.trial, args.strategy, args.seed, args.out)
     m = result.metrics
     print(
         f"strategy={m.strategy} sigma={m.sigma} trial={m.trial} "
@@ -64,7 +55,7 @@ def _cmd_plan(args) -> int:
         f"total_distance_m={m.total_distance_m:.6g} "
         f"energy_feasible={str(m.energy_feasible).lower()}"
     )
-    print(f"wrote {config.output_dir}")
+    print(f"wrote {Path(args.out)}")
     return 0
 
 

@@ -30,6 +30,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -95,6 +96,10 @@ class ExperimentConfig:
     output_dir: Path | None = None
 
     def __post_init__(self) -> None:
+        # Python ints: a float would key another value's streams, and a
+        # NumPy integer is not JSON.
+        object.__setattr__(self, "trials", operator.index(self.trials))
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.sigma_list:
@@ -152,11 +157,11 @@ def trial_rng(
     """Counter-based substream keyed on trial coordinates, not run order.
 
     Sigma enters through its IEEE-754 bit pattern so equal values key equal
-    streams regardless of how they were produced.
+    streams regardless of how they were produced; a key that is not an
+    integer raises, so a float never runs another key's streams.
     """
-    seq = np.random.SeedSequence(
-        entropy=(int(master_seed), _sigma_bits(sigma), int(trial_index), int(stream))
-    )
+    keys = (master_seed, _sigma_bits(sigma), trial_index, stream)
+    seq = np.random.SeedSequence(entropy=tuple(map(operator.index, keys)))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -258,11 +263,9 @@ class _TrialEngine:
                 routes = yield from trajectory_machine(plan, self.layout)
             elif strategy == STRATEGY_TERRESTRIAL:
                 plan = yield from fixed_plan_machine(tensor, m, solver.terrestrial_mode)
-            elif strategy == STRATEGY_RANDOM:
+            else:  # random: every entry checks its strategies by ExperimentConfig
                 rng = trial_rng(master_seed, sigma, trial_index, _STREAM_PLACEMENT)
                 plan = solve_random_plan(tensor, m, rng)
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
             return self.run(sigma, trial_index, strategy, field, tensor, plan, routes)
         except Exception as err:
             return err
@@ -315,9 +318,13 @@ def run_trial(
     strategy: str,
     master_seed: int,
 ) -> TrialResult:
-    """Run one end-to-end trial; identical inputs give bit-identical output."""
-    engine = _TrialEngine(scenario)
-    ((result,),) = engine.run_block([(sigma, trial_index)], master_seed, (strategy,))
+    """Run one end-to-end trial; identical inputs give bit-identical output.
+    Its inputs are checked before it runs, by the `ExperimentConfig` of
+    this one trial and by `trial_rng`."""
+    config = ExperimentConfig(scenario, (strategy,), (float(sigma),), 1, master_seed)
+    ((result,),) = _TrialEngine(scenario).run_block(
+        [(config.sigma_list[0], trial_index)], config.master_seed, config.strategies
+    )
     return result
 
 
@@ -542,25 +549,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(metrics=metrics, summaries=summaries)
 
 
-def run_plan(config: ExperimentConfig, trial_index: int) -> TrialResult:
-    """The config's one strategy at its one sigma on one trial, with its
-    files in `config.output_dir`: run_metadata.json, placement.csv,
-    trajectory.csv for the relocating strategy, and traffic.csv, the
-    demand field the trial was scored on.
+def run_plan(
+    scenario: Scenario,
+    sigma: float,
+    trial_index: int,
+    strategy: str,
+    master_seed: int,
+    output_dir: str | Path,
+) -> TrialResult:
+    """`run_trial`, with its files in `output_dir`: run_metadata.json,
+    placement.csv, trajectory.csv for the relocating strategy, and
+    traffic.csv, the demand field the trial was scored on.
 
-    The trial runs before the output directory exists, so a trial that
-    fails leaves none.
+    The inputs are checked as `run_trial` checks them, and the trial runs,
+    before the output directory exists, so neither leaves one on failure.
     """
-    if config.output_dir is None or config.trials != 1:
-        raise ValueError("run_plan needs one trial and an output directory")
-    if len(config.strategies) != 1 or len(config.sigma_list) != 1:
-        raise ValueError("run_plan needs one strategy and one sigma")
-    (sigma,) = config.sigma_list
-    engine = _TrialEngine(config.scenario)
-    ((result,),) = engine.run_block(
-        [(sigma, trial_index)], config.master_seed, config.strategies
+    config = ExperimentConfig(
+        scenario, (strategy,), (float(sigma),), 1, master_seed, Path(output_dir)
     )
-    out = Path(config.output_dir)
+    engine = _TrialEngine(scenario)
+    ((result,),) = engine.run_block(
+        [(config.sigma_list[0], trial_index)], config.master_seed, config.strategies
+    )
+    out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     write_metadata(config, out / "run_metadata.json")
     _write_rows(

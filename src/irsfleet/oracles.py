@@ -3,9 +3,9 @@ results and exhaustive optima of the matching solver.
 
 Per-sample small-scale fading lives only here; the production path uses
 expectations. The samplers are deliberately independent of the closed
-forms they check (they share only `channel`'s rule on the Rician
-factor), and the brute force enumerates every feasible support and
-permutation instead of sharing any logic with the solver.
+forms they check (they share only `channel.rician_factor`, the rule on
+the Rician factor), and the brute force enumerates every feasible support
+and permutation instead of sharing any logic with the solver.
 """
 
 import os
@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .channel import _rician_factor
+from .channel import rician_factor
 
 __all__ = [
     "sample_rician_fading",
@@ -39,7 +39,7 @@ def sample_rician_fading(
 ) -> np.ndarray:
     """Unit-power complex Rician coefficients: fixed dominant path plus
     circular Gaussian scatter. K = 0 degenerates to Rayleigh."""
-    k = _rician_factor(k_linear)
+    k = rician_factor(k_linear)
     _require_draws(size)
     dominant = np.sqrt(k / (1.0 + k))
     scatter_scale = np.sqrt(1.0 / (2.0 * (1.0 + k)))
@@ -176,7 +176,7 @@ def empirical_cascade_amplification(
     so the result is the same float for every thread count.
     """
     n = int(n_elements)
-    k = _rician_factor(k_linear)
+    k = rician_factor(k_linear)
     n_draws = int(n_draws)
     if n < 1:
         raise ValueError("element count must be at least 1")

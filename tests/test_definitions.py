@@ -24,7 +24,8 @@ ALLOWED = {
     ),
     "harness.run_trial": (
         "the package's exported one-trial entry (`irsfleet.run_trial`), which the "
-        "tests call; `plan` runs its trial on an engine so it can reuse the layout"
+        "tests call; `run_plan` checks its inputs through the same one-trial "
+        "`ExperimentConfig` but runs its trial on an engine, to reuse the layout"
     ),
     "planner.GainTensor.gains": (
         "perfbench's `_observe_tensor` and the tests read the dense view; ROADMAP "
@@ -177,12 +178,7 @@ def test_every_import_is_used():
 
 # Underscore names of one package module that another may still take,
 # each with its reason.
-PRIVATE_ALLOWED = {
-    "oracles -> channel._rician_factor": (
-        "the oracles sample the channel's own Rician-factor rule, as the "
-        "`oracles` docstring says"
-    ),
-}
+PRIVATE_ALLOWED: dict[str, str] = {}
 
 
 def _is_private(name: str) -> bool:

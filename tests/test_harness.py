@@ -87,8 +87,8 @@ def test_trial_errors_carry_context(monkeypatch):
     impossible = Scenario(solver=SolverOptions(fleet_size=100))
     with pytest.raises(TrialError, match="strategy=robotic sigma=2.8 trial=0"):
         run_trial(impossible, 2.8, 0, "robotic", 1)
-    unknown = r"^strategy=psychic sigma=2.8 trial=0: unknown strategy 'psychic'$"
-    with pytest.raises(TrialError, match=unknown):
+    # The strategy is checked at the door, before any trial runs.
+    with pytest.raises(ValueError, match=r"^unknown strategy 'psychic'$"):
         run_trial(SMALL, 2.8, 0, "psychic", 1)
 
     def refuse(*args, **kwargs):
@@ -125,6 +125,21 @@ def test_config_validation():
         ExperimentConfig(scenario=SMALL, sigma_list=(2.8, 1.8, 2.8))
     with pytest.raises(ValueError, match="strategies repeat"):
         ExperimentConfig(scenario=SMALL, strategies=("random", "random"))
+    # A float would run another seed's or count's streams, so none is rounded.
+    with pytest.raises(TypeError):
+        ExperimentConfig(scenario=SMALL, master_seed=1.5)
+    with pytest.raises(TypeError):
+        ExperimentConfig(scenario=SMALL, trials=1.5)
+    # A NumPy integer is stored as the Python int it equals, which JSON writes.
+    config = ExperimentConfig(
+        scenario=SMALL, trials=np.int64(2), master_seed=np.int64(3)
+    )
+    assert type(config.trials) is int and type(config.master_seed) is int
+    assert (config.trials, config.master_seed) == (2, 3)
+    # A trial index is keyed by `trial_rng`, which refuses a float the same way.
+    float_trial = r"^strategy=random sigma=2.8 trial=1.5: .* as an integer$"
+    with pytest.raises(TrialError, match=float_trial):
+        run_trial(SMALL, 2.8, 1.5, "random", 1)
 
 
 def test_run_experiment_table_shape_and_summary(tmp_path):
@@ -619,25 +634,20 @@ def test_trials_never_build_the_dense_gain_view(monkeypatch, tmp_path, mode):
     run_experiment(config)
 
 
-def test_run_plan_refuses_a_config_that_is_not_one_trial(tmp_path):
-    one = ExperimentConfig(
-        scenario=SMALL,
-        strategies=("random",),
-        sigma_list=(2.8,),
-        trials=1,
-        output_dir=tmp_path / "plan",
-    )
-    for config, message in [
-        (dataclasses.replace(one, output_dir=None), "output directory"),
-        (dataclasses.replace(one, trials=2), "one trial"),
-        (dataclasses.replace(one, strategies=("random", "robotic")), "one strategy"),
-        (dataclasses.replace(one, sigma_list=(1.8, 2.8)), "one sigma"),
+def test_run_plan_refuses_bad_inputs_before_any_output(tmp_path):
+    out = tmp_path / "plan"
+    for strategy, sigma, seed, error in [
+        ("psychic", 2.8, 1, ValueError),
+        ("random", float("nan"), 1, ValueError),
+        ("random", 2.8, -1, ValueError),
+        ("random", 2.8, 1.5, TypeError),
     ]:
-        with pytest.raises(ValueError, match=message):
-            harness.run_plan(config, 0)
-    assert not (tmp_path / "plan").exists()
-    assert harness.run_plan(one, 0).metrics.strategy == "random"
-    assert sorted(p.name for p in (tmp_path / "plan").iterdir()) == [
+        with pytest.raises(error):
+            harness.run_plan(SMALL, sigma, 0, strategy, seed, out)
+        assert not out.exists()
+    result = harness.run_plan(SMALL, 2.8, 0, "random", 1, out)
+    assert result.metrics.strategy == "random"
+    assert sorted(p.name for p in out.iterdir()) == [
         "placement.csv",
         "run_metadata.json",
         "traffic.csv",

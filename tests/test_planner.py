@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bruteforce import best_exact_size_weight, dyadic_matrix
+from bruteforce import best_exact_size_weight, dyadic_matrix, placement_ilp
 from conftest import make_tensor, solve_matching
+from irsfleet import run_trial
 from irsfleet.channel import (
     RadioParams,
     cascaded_snr_db,
@@ -311,6 +314,37 @@ def test_fixed_plans_equal_the_dense_reference():
             ev = evaluate_plan(plan, tensor, m)
             assert ev.matching_weight == weight
             assert ev.objective == 1.0 + weight / (12 * n_weak)
+
+
+@pytest.mark.parametrize(
+    "strategy, sigma, mode",
+    [
+        ("robotic", 2.8, "epoch1"),
+        ("robotic", 3.6, "epoch1"),
+        ("terrestrial", 2.8, "clairvoyant"),
+    ],
+)
+def test_placement_equals_the_ilp_on_full_size_units(scenario, strategy, sigma, mode):
+    # The placement problem stated as the ILP it is, over the gated dense
+    # gains of a drawn default-scenario unit, and solved by HiGHS: robotic
+    # jointly over every epoch, clairvoyant with one placement for all.
+    solver = dataclasses.replace(scenario.solver, terrestrial_mode=mode)
+    scenario = dataclasses.replace(scenario, solver=solver)
+    m = solver.fleet_size
+    result = run_trial(scenario, sigma, 0, strategy, 20260810)
+    weight = evaluate_plan(result.plan, result.tensor, m).matching_weight
+    excess = result.tensor.gains - 1.0
+    fixed = strategy == "terrestrial"
+    ilp = placement_ilp(excess, m, fixed)
+    assert ilp.status == 0, ilp.message  # HiGHS proved the optimum
+    assert abs(-ilp.fun - weight) <= 1e-12 * abs(weight)
+    # The constraints are a flow polytope with unit capacities and an
+    # integer flow, so the LP relaxation is integral: a fractional vertex
+    # would mean the ILP was stated wrongly.
+    lp = placement_ilp(excess, m, fixed, integral=False)
+    assert lp.status == 0, lp.message
+    assert abs(-lp.fun - weight) <= 1e-12 * abs(weight)
+    assert np.abs(lp.x - np.round(lp.x)).max() <= 1e-9
 
 
 # ------------------------------------------------------------- plan solvers
