@@ -179,8 +179,8 @@ def _cmd_validate(args) -> int:
         failures,
     )
 
-    # Solved as a sweep solves a routing round: one `solve` of many matrices,
-    # stacked and padded out to the widest.
+    # One `solve` of a round of mixed widths, one stack per width; each
+    # element is checked against brute force.
     match_rng = np.random.Generator(np.random.Philox(7))
     requests = []
     for _ in range(20):

@@ -107,7 +107,9 @@ class ExperimentConfig:
         if not self.strategies:
             raise ValueError("strategies must not be empty")
         for sigma in self.sigma_list:
-            check_sigma(sigma)
+            check_sigma(sigma)  # on the raw value, so a string raises
+        # Python floats, as every output names them.
+        object.__setattr__(self, "sigma_list", tuple(map(float, self.sigma_list)))
         # A repeat would count the same paired trials twice in the summary.
         if len(set(self.sigma_list)) != len(self.sigma_list):
             raise ValueError(f"sigma_list repeats a value: {self.sigma_list}")
@@ -158,8 +160,11 @@ def trial_rng(
 
     Sigma enters through its IEEE-754 bit pattern so equal values key equal
     streams regardless of how they were produced; a key that is not an
-    integer raises, so a float never runs another key's streams.
+    integer raises, so a float never runs another key's streams, and a
+    negative trial index raises too.
     """
+    if operator.index(trial_index) < 0:
+        raise ValueError(f"trial index must be nonnegative, got {trial_index}")
     keys = (master_seed, _sigma_bits(sigma), trial_index, stream)
     seq = np.random.SeedSequence(entropy=tuple(map(operator.index, keys)))
     return np.random.Generator(np.random.Philox(seq))
@@ -321,7 +326,7 @@ def run_trial(
     """Run one end-to-end trial; identical inputs give bit-identical output.
     Its inputs are checked before it runs, by the `ExperimentConfig` of
     this one trial and by `trial_rng`."""
-    config = ExperimentConfig(scenario, (strategy,), (float(sigma),), 1, master_seed)
+    config = ExperimentConfig(scenario, (strategy,), (sigma,), 1, master_seed)
     ((result,),) = _TrialEngine(scenario).run_block(
         [(config.sigma_list[0], trial_index)], config.master_seed, config.strategies
     )
@@ -565,7 +570,7 @@ def run_plan(
     before the output directory exists, so neither leaves one on failure.
     """
     config = ExperimentConfig(
-        scenario, (strategy,), (float(sigma),), 1, master_seed, Path(output_dir)
+        scenario, (strategy,), (sigma,), 1, master_seed, Path(output_dir)
     )
     engine = _TrialEngine(scenario)
     ((result,),) = engine.run_block(

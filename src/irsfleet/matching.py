@@ -20,11 +20,11 @@ one, so each round stacks every request still pending: placement epochs,
 transition dual solves and the tie-break re-solves of a whole block of
 units, which run only when a tight detour misses the tolerance. `run`
 drives a machine, handing each round to `solve`, the one way into the
-solver. `solve` checks each request against its own matrix,
-then solves the round in stacks of at most `STACK_CELLS` cells of solver
-state, each over one matrix: the one a round's requests name (a sweep's
-placement cost), or their distinct matrices stacked and padded out to the
-widest (routing's). A lone solve is a round of one request.
+solver. `solve` checks each request against its own matrix, then solves
+the round in stacks of one width, each of at most `STACK_CELLS` cells of
+solver state and over one matrix: the one a width's requests name (a
+sweep's placement cost), or its distinct matrices one below the other
+(routing's). A lone solve is a round of one request.
 
 Every augmentation starts its shortest-path search from all free rows at
 once, so each column begins at its least reduced cost over the free rows.
@@ -52,10 +52,6 @@ total and potentials are those of its lone solve:
 - A padding row repeats a listed row, so it changes no column minimum.
   It is never free, so it never starts a path and, never being matched,
   never lies on one. A problem of size 0 is not stacked at all.
-- A problem narrower than the stack has padding columns, never read into
-  its state: their column minimum is +inf and every search starts with
-  them scanned, so they are never picked, relaxed into or refreshed, and
-  its v is returned at its own width.
 - Each problem has its own shift, the least of its column minima and
   zero, which is the least of its own entries and zero.
 - A Dijkstra step reads and writes only the problems still searching. A
@@ -80,9 +76,9 @@ __all__ = [
     "gather",
 ]
 
-# Most cells of solver state one stack holds, counted as problems x the
-# most rows or columns of any of them, and most cost cells the solver
-# gathers at once. A sweep block holds this over grid cells x sites units
+# Most cells of solver state one stack of one width holds, counted as
+# problems x the width or the most rows of any of them, whichever is
+# more, and most cost cells the solver gathers at once. A sweep block holds this over grid cells x sites units
 # (`harness._TrialEngine.block_units`), so its placement round is one stack
 # whenever epochs + 1 <= grid cells. A larger single problem or unit still
 # runs alone.
@@ -126,11 +122,11 @@ def solve(requests) -> list:
     matched pairs (up to rounding), so for a full square matching
     `u.sum() + v.sum()` is the total. For size 0 both potentials are zero.
 
-    Requests of any shapes share stacks, largest first, each holding as
+    Requests of one width share stacks, largest first, each holding as
     many as fit in `STACK_CELLS` cells of solver state (at least one), a
     problem's state spanning its rows or its columns, whichever are more.
-    A round's one matrix is read uncopied; its distinct matrices are
-    stacked once, each padded out to the widest.
+    A width's one matrix is read uncopied; its distinct matrices are
+    stacked once.
 
     Raises ValueError for a non-matrix, a row list that is not 1-D, a
     listed row outside its own matrix, an infeasible size, or a non-finite entry in a row that a
@@ -138,9 +134,9 @@ def solve(requests) -> list:
     list that is not integer.
     """
     results = [None] * len(requests)
-    # The distinct matrices, in order of first use, and the requests of
-    # positive size.
-    mats, live = {}, []
+    # Per width, its distinct matrices in order of first use and its
+    # requests of positive size.
+    widths = {}
     for k, (matrix, rows, size) in enumerate(requests):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -164,72 +160,59 @@ def solve(requests) -> list:
         if size == 0:
             results[k] = ([], 0.0, np.zeros(len(rows)), np.zeros(n_cols))
             continue
+        mats, live = widths.setdefault(n_cols, ({}, []))
         mats.setdefault(id(matrix), matrix)
         live.append((k, id(matrix), rows, size))
-    if not live:
-        return results
 
-    # One matrix, or the distinct ones one below the other, each padded
-    # with zero columns out to the widest. A padding entry is never read
-    # into the solver's state.
-    mats = list(mats.values())
-    ends = np.cumsum([len(m) for m in mats]).tolist()
-    start = {id(m): end - len(m) for m, end in zip(mats, ends)}
-    width = {id(m): m.shape[1] for m in mats}
-    matrix = mats[0]
-    if len(mats) > 1:
-        matrix = np.zeros((ends[-1], max(width.values())))
-        for m, end in zip(mats, ends):
-            matrix[end - len(m) : end, : m.shape[1]] = m
-    finite = np.isfinite(matrix).all(axis=1)
-
-    live.sort(key=lambda request: -max(len(request[2]), width[request[1]]))
-    while live:
-        _, key, rows, _ = live[0]
-        height = max(1, STACK_CELLS // max(len(rows), width[key]))
-        chunk, live = live[:height], live[height:]
-        n_rows = np.array([len(rows) for _, _, rows, _ in chunk])
-        n_cols = np.array([width[key] for _, key, _, _ in chunk])
-        sizes = np.array([size for *_, size in chunk])
-        # Each problem's rows, offset into the stacked matrix, then
-        # padding that repeats its first row: the table names listed
-        # rows only, so a column's least entry is its least over them.
-        index = np.empty((len(chunk), n_rows.max()), dtype=int)
-        for b, (_, key, rows, _) in enumerate(chunk):
-            np.add(rows, start[key], out=index[b, : len(rows)])
-            index[b, len(rows) :] = index[b, 0]
-        if not finite[index].all():
-            raise ValueError("cost entries must be finite")
-        solved = _solve_stack(matrix[:, : n_cols.max()], index, n_rows, n_cols, sizes)
-        for (k, *_), result in zip(chunk, solved):
-            results[k] = result
+    for width, (mats, live) in widths.items():
+        # One matrix, or the distinct ones one below the other.
+        mats = list(mats.values())
+        ends = np.cumsum([len(m) for m in mats]).tolist()
+        start = {id(m): end - len(m) for m, end in zip(mats, ends)}
+        matrix = mats[0] if len(mats) == 1 else np.concatenate(mats)
+        finite = np.isfinite(matrix).all(axis=1)
+        live.sort(key=lambda request: -max(len(request[2]), width))
+        while live:
+            height = max(1, STACK_CELLS // max(len(live[0][2]), width))
+            chunk, live = live[:height], live[height:]
+            n_rows = np.array([len(rows) for _, _, rows, _ in chunk])
+            sizes = np.array([size for *_, size in chunk])
+            # Each problem's rows, offset into the stacked matrix, then
+            # padding that repeats its first row: the table names listed
+            # rows only, so a column's least entry is its least over them.
+            index = np.empty((len(chunk), n_rows.max()), dtype=int)
+            for b, (_, key, rows, _) in enumerate(chunk):
+                np.add(rows, start[key], out=index[b, : len(rows)])
+                index[b, len(rows) :] = index[b, 0]
+            if not finite[index].all():
+                raise ValueError("cost entries must be finite")
+            solved = _solve_stack(matrix, index, n_rows, sizes)
+            for (k, *_), result in zip(chunk, solved):
+                results[k] = result
     return results
 
 
-def _solve_stack(cost, index, n_rows, n_cols, sizes) -> list:
-    """`solve`'s results for problems `cost[index[b, :n_rows[b]], :n_cols[b]]`
-    of sizes >= 1, every later entry of an `index` row repeating its
-    first; `solve` has checked them all."""
+def _solve_stack(cost, index, n_rows, sizes) -> list:
+    """`solve`'s results for problems `cost[index[b, :n_rows[b]]]` of
+    sizes >= 1, every later entry of an `index` row repeating its first;
+    `solve` has checked them all."""
     n_batch, height = index.shape
     width = cost.shape[1]
     # Single cells are read as one `take` on the flat matrix at these row
-    # offsets; only a column slice of a wider round matrix is copied.
+    # offsets.
     flat = np.ascontiguousarray(cost).ravel()
     offsets = index * width
     listed = np.arange(height) < n_rows[:, None]
-    own = np.arange(width) < n_cols[:, None]
     # Each column's least entry over the listed rows, from a transient
     # gather of at most `STACK_CELLS` cost cells (one problem at least) at
     # a time. The shifted cost c = cost - shift is read through `index`
     # row by row or column by column, never stored. Rounding is monotone,
     # so a least shifted cost is the least cost, shifted, and `min` is
-    # exact, so the least column minimum is the least entry. Padding
-    # columns get +inf, so they set no shift.
+    # exact, so the least column minimum is the least entry.
     col_min = np.empty((n_batch, width))
     chunk = max(1, STACK_CELLS // (height * width))
     for lo in range(0, n_batch, chunk):
         cost[index[lo : lo + chunk]].min(axis=1, out=col_min[lo : lo + chunk])
-    col_min[~own] = np.inf
     shift = np.minimum(0.0, col_min.min(axis=1))[:, None]
     col_min -= shift
 
@@ -240,7 +223,6 @@ def _solve_stack(cost, index, n_rows, n_cols, sizes) -> list:
     col_match = np.full((n_batch, width), -1)
     free = listed.copy()  # padding rows are never free
     parent = np.empty((n_batch, width), dtype=int)
-    unscanned = np.empty((n_batch, width), dtype=bool)
     end_col = np.zeros(n_batch, dtype=int)
     path_len = np.zeros(n_batch)
 
@@ -253,7 +235,7 @@ def _solve_stack(cost, index, n_rows, n_cols, sizes) -> list:
         dist = col_min - free_u[:, None] - v
         parent.fill(-1)  # -1: reached straight from a free row
         row_dist = np.where(free, 0.0, np.inf)
-        np.copyto(unscanned, own)  # padding columns start scanned
+        unscanned = np.ones((n_batch, width), dtype=bool)
 
         s = solving  # problems still searching
         while True:
@@ -306,8 +288,7 @@ def _solve_stack(cost, index, n_rows, n_cols, sizes) -> list:
         np.subtract(u, np.minimum(row_dist, cap), out=u, where=active[:, None])
 
         # Only the columns whose minimum a source row held can change, and
-        # only a problem that augments again reads them; a padding
-        # column's +inf minimum is held by no finite entry.
+        # only a problem that augments again reads them.
         free[solving, source] = False
         again = sizes[solving] > k + 1
         more = solving[again]
@@ -332,7 +313,7 @@ def _solve_stack(cost, index, n_rows, n_cols, sizes) -> list:
             pairs[start:end],
             float(matched[start:end].sum()),
             u[b, : n_rows[b]],
-            v[b, : n_cols[b]],
+            v[b],
         )
         for b, (start, end) in enumerate(zip([0] + ends, ends))
     ]

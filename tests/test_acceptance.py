@@ -67,11 +67,11 @@ def _certifying(solve, log):
     """`matching._solve_stack` that certifies each element it returns
     and logs (rows, cols, size, violated conditions) for it."""
 
-    def spy(cost, index, n_rows, n_cols, sizes):
-        results = solve(cost, index, n_rows, n_cols, sizes)
+    def spy(cost, index, n_rows, sizes):
+        results = solve(cost, index, n_rows, sizes)
         for b, (pairs, _, u, v) in enumerate(results):
-            # The element's own rows and columns of the stacked matrix.
-            problem = np.asarray(cost)[index[b, : n_rows[b]], : n_cols[b]]
+            # The element's own rows of the stacked matrix.
+            problem = np.asarray(cost)[index[b, : n_rows[b]]]
             failed = certify_matching(problem, pairs, u, v, sizes[b])
             log.append((*problem.shape, sizes[b], failed))
         return results

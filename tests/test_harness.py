@@ -90,6 +90,10 @@ def test_trial_errors_carry_context(monkeypatch):
     # The strategy is checked at the door, before any trial runs.
     with pytest.raises(ValueError, match=r"^unknown strategy 'psychic'$"):
         run_trial(SMALL, 2.8, 0, "psychic", 1)
+    # A negative trial index is refused where its streams are keyed.
+    negative = r"^strategy=random sigma=2.8 trial=-1: trial index must be nonnegative, got -1$"
+    with pytest.raises(TrialError, match=negative):
+        run_trial(SMALL, 2.8, -1, "random", 1)
 
     def refuse(*args, **kwargs):
         raise RuntimeError("refused")
@@ -112,7 +116,7 @@ def test_non_relocating_strategies_report_zero_distance():
     assert result.metrics.energy_feasible
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(scenario=SMALL, trials=0)
     with pytest.raises(ValueError):
@@ -140,6 +144,18 @@ def test_config_validation():
     float_trial = r"^strategy=random sigma=2.8 trial=1.5: .* as an integer$"
     with pytest.raises(TrialError, match=float_trial):
         run_trial(SMALL, 2.8, 1.5, "random", 1)
+    # Sigmas are stored as the Python floats every output names: a NumPy
+    # float is written as JSON, and an int as the float that file names
+    # and trials.csv carry. A string is still refused.
+    with pytest.raises(TypeError):
+        ExperimentConfig(scenario=SMALL, sigma_list=("2.8",))
+    metadata = tmp_path / "run_metadata.json"
+    for sigma, stored in [(np.float32(2.8), float(np.float32(2.8))), (2, 2.0)]:
+        config = ExperimentConfig(scenario=SMALL, sigma_list=(sigma,))
+        assert config.sigma_list == (stored,)
+        assert type(config.sigma_list[0]) is float
+        harness.write_metadata(config, metadata)
+        assert f'"sigma_list": [\n    {stored!r}\n  ]' in metadata.read_text()
 
 
 def test_run_experiment_table_shape_and_summary(tmp_path):
@@ -331,8 +347,8 @@ def test_placement_requests_name_the_engines_one_cost_matrix(monkeypatch):
 
 
 def _stacks_per_round(monkeypatch, engine, units):
-    """Run a block; per solve round, its request count and the distinct
-    column counts of each stack it is solved in."""
+    """Run a block; per solve round, its request count and the column
+    count of each stack it is solved in, as a one-item list."""
     rounds = []
     solve, solve_stack = matching.solve, matching._solve_stack
 
@@ -340,9 +356,9 @@ def _stacks_per_round(monkeypatch, engine, units):
         rounds.append((len(requests), []))
         return solve(requests)
 
-    def logged_stack(cost, index, n_rows, n_cols, sizes):
-        rounds[-1][1].append(sorted(set(n_cols.tolist())))
-        return solve_stack(cost, index, n_rows, n_cols, sizes)
+    def logged_stack(cost, index, n_rows, sizes):
+        rounds[-1][1].append([cost.shape[1]])
+        return solve_stack(cost, index, n_rows, sizes)
 
     monkeypatch.setattr(matching, "solve", logged_solve)
     monkeypatch.setattr(matching, "_solve_stack", logged_stack)
@@ -636,14 +652,15 @@ def test_trials_never_build_the_dense_gain_view(monkeypatch, tmp_path, mode):
 
 def test_run_plan_refuses_bad_inputs_before_any_output(tmp_path):
     out = tmp_path / "plan"
-    for strategy, sigma, seed, error in [
-        ("psychic", 2.8, 1, ValueError),
-        ("random", float("nan"), 1, ValueError),
-        ("random", 2.8, -1, ValueError),
-        ("random", 2.8, 1.5, TypeError),
+    for strategy, sigma, trial, seed, error in [
+        ("psychic", 2.8, 0, 1, ValueError),
+        ("random", float("nan"), 0, 1, ValueError),
+        ("random", 2.8, 0, -1, ValueError),
+        ("random", 2.8, 0, 1.5, TypeError),
+        ("random", 2.8, -1, 1, TrialError),
     ]:
         with pytest.raises(error):
-            harness.run_plan(SMALL, sigma, 0, strategy, seed, out)
+            harness.run_plan(SMALL, sigma, trial, strategy, seed, out)
         assert not out.exists()
     result = harness.run_plan(SMALL, 2.8, 0, "random", 1, out)
     assert result.metrics.strategy == "random"

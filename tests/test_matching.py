@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,13 +446,30 @@ def _mixed_width_rounds(draw):
 @given(_mixed_width_rounds())
 @settings(max_examples=60, deadline=None)
 def test_a_round_of_mixed_column_counts_equals_its_lone_solves(round_):
-    # Narrower problems share a stack with wider ones through padding
-    # columns; each keeps the pairs, total and potentials of its lone
-    # solve, with one column potential per column of its own matrix.
+    # Each stack holds problems of one width, and each problem keeps the
+    # pairs, total and potentials of its lone solve, with one column
+    # potential per column of its own matrix.
     requests, budget = round_
+    stacks = []
+    solve_stack = matching._solve_stack
+
+    def logged_stack(cost, index, n_rows, sizes):
+        stacks.append((cost.shape[1], len(index)))
+        return solve_stack(cost, index, n_rows, sizes)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matching, "STACK_CELLS", budget)
+        patch.setattr(matching, "_solve_stack", logged_stack)
         solved = solve(requests)
+    # The stacks of each width hold exactly its requests of positive size,
+    # and with room for all of them a width takes one stack.
+    widths = Counter(matrix.shape[1] for matrix, _, size in requests if size > 0)
+    stacked = Counter()
+    for width, count in stacks:
+        stacked[width] += count
+    assert stacked == widths
+    if budget == 2**18:
+        assert sorted(width for width, _ in stacks) == sorted(widths)
     for (matrix, rows, size), got in zip(requests, solved, strict=True):
         assert len(got[3]) == matrix.shape[1]
         cost = matrix if rows is None else matrix[rows]

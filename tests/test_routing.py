@@ -337,24 +337,25 @@ def test_transitions_share_stacked_rounds(monkeypatch):
         machines.append(np.asarray(cost).shape)
         return original_machine(cost)
 
-    def counted_stack(cost, index, n_rows, n_cols, sizes):
-        # The stack's problem count and each element's rows, columns and size.
-        stacks.append((len(index), list(n_rows), list(n_cols), list(sizes)))
-        return original_stack(cost, index, n_rows, n_cols, sizes)
+    def counted_stack(cost, index, n_rows, sizes):
+        # The stack's problem count and width, and each element's rows and size.
+        stacks.append((len(index), cost.shape[1], list(n_rows), list(sizes)))
+        return original_stack(cost, index, n_rows, sizes)
 
     monkeypatch.setattr(routing, "_assignment_machine", counted_machine)
     monkeypatch.setattr(matching, "_solve_stack", counted_stack)
     plan = _plan([(0, 9), (90, 99), (0, 9), (40, 50)])
     run(trajectory_machine(plan, LAYOUT))
     assert machines == [(2, 2)] * 3
-    assert stacks[0] == (3, [2] * 3, [2] * 3, [2] * 3)
+    assert stacks[0] == (3, 2, [2] * 3, [2] * 3)
 
     # Near ties make detours miss the tolerance: three of these ten
-    # transitions re-solve a completion, all in one stack.
+    # transitions re-solve a completion in one round, one stack per
+    # width.
     rng = np.random.Generator(np.random.Philox(29))
     stacks.clear()
     run(gather(routing._assignment_machine(near_tie_matrix(rng, 5)) for _ in range(10)))
-    assert stacks == [(10, [5] * 10, [5] * 10, [5] * 10), (3, *[[4, 3, 3]] * 3)]
+    assert stacks == [(10, 5, [5] * 10, [5] * 10), (2, 3, [3, 3], [3, 3]), (1, 4, [4], [4])]
 
 
 # ------------------------------------------------------------ trajectories
