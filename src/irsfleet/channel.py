@@ -9,6 +9,7 @@ composition happens in linear power units; dB only at the boundaries.
 """
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -46,10 +47,11 @@ LOS_DECAY_M = 36.0
 class RadioParams:
     """Link-budget constants for the 28 GHz microcell.
 
-    Reference losses are at 1 m. `eta1`/`eta2` are the terrestrial LoS/NLoS
-    path-loss exponents, `eta3` the reflected-link exponent (below the
-    terrestrial NLoS one). `n_elements` must be a squared positive multiple
-    of four (square surface, 2-bit phase coding). Every float must be
+    Reference losses are at 1 m. `eta2` is the direct link's path-loss
+    exponent as blocked, the only way a run evaluates it (only a blocked
+    cell can be weak), and `eta3` the reflected-link exponent, below it.
+    `n_elements` must be a squared positive multiple of four (square
+    surface, 2-bit phase coding). Every float must be
     finite, and so must the linear value of the cascade's Rician K factor.
     The direct link has no K factor: its unit-power fading folds out of the
     mean SNR (`direct_snr_db`), so no such factor could reach a result.
@@ -61,7 +63,6 @@ class RadioParams:
     a_d_db: float = -61.38
     a_t_db: float = -56.38
     a_r_db: float = -56.38
-    eta1: float = 2.1
     eta2: float = 3.17
     eta3: float = 2.4
     k_c_db: float = 10.0
@@ -69,13 +70,12 @@ class RadioParams:
     n_elements: int = 2304
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_elements", operator.index(self.n_elements))
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
         if not self.carrier_freq_hz > 0:
             raise ValueError("carrier frequency must be positive")
-        if not self.eta1 <= self.eta2:
-            raise ValueError("LoS exponent eta1 cannot exceed NLoS exponent eta2")
         if not self.eta3 < self.eta2:
             raise ValueError("reflected-link exponent eta3 must be below eta2")
         try:
@@ -84,7 +84,7 @@ class RadioParams:
             raise ValueError(
                 "k_c_db is too large: its linear value overflows"
             ) from None
-        side = math.isqrt(int(self.n_elements))
+        side = math.isqrt(self.n_elements)
         if side * side != self.n_elements or side <= 0 or side % 4 != 0:
             raise ValueError(
                 "n_elements must be the square of a positive multiple of 4"
@@ -147,16 +147,13 @@ def nlos_members(p_los, draws) -> np.ndarray:
     return np.asarray(draws, dtype=float) >= np.asarray(p_los, dtype=float)
 
 
-def direct_path_loss_db(distance_m, nlos, params: RadioParams):
-    """Distance-power-law path loss of the direct link in dB.
-
-    Non-LoS cells use exponent eta2, LoS cells eta1.
-    """
+def direct_path_loss_db(distance_m, params: RadioParams):
+    """Distance-power-law path loss of the blocked direct link in dB, with
+    exponent eta2."""
     d = np.asarray(distance_m, dtype=float)
     if not (d > 0).all():  # NaN fails this too
         raise ValueError("link distance must be positive")
-    exponent = np.where(nlos, params.eta2, params.eta1)
-    return params.a_d_db - 10.0 * exponent * np.log10(d)
+    return params.a_d_db - 10.0 * params.eta2 * np.log10(d)
 
 
 def direct_snr_db(path_loss_db, params: RadioParams):
@@ -337,7 +334,7 @@ def snr_ratio(gamma_d_db, gamma_c_db):
 
 def link_budget(distances: DistanceTables, params: RadioParams) -> LinkBudget:
     """Evaluate each cell as if blocked (eta2): only a blocked cell can be weak."""
-    snr = direct_snr_db(direct_path_loss_db(distances.l_bs_ut, True, params), params)
+    snr = direct_snr_db(direct_path_loss_db(distances.l_bs_ut, params), params)
     gamma_c = cascaded_snr_db(distances.r_bs_site[None, :], distances.d_site_ut, params)
     with np.errstate(all="ignore"):  # `GainTensor` refuses a NaN or infinite ratio
         return LinkBudget(

@@ -45,9 +45,9 @@ def _load(args) -> Scenario:
 
 
 def _cmd_plan(args) -> int:
-    scenario = _load(args)
-    sigma = args.sigma if args.sigma is not None else scenario.traffic.sigma_log
-    result = run_plan(scenario, sigma, args.trial, args.strategy, args.seed, args.out)
+    result = run_plan(
+        _load(args), args.sigma, args.trial, args.strategy, args.seed, args.out
+    )
     m = result.metrics
     print(
         f"strategy={m.strategy} sigma={m.sigma} trial={m.trial} "
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="run a single trial and emit its artifacts")
     plan.add_argument("--config", help="scenario file (defaults built in)")
     plan.add_argument("--seed", type=int, default=1, help="master seed")
-    plan.add_argument("--sigma", type=float, default=None, help="traffic sigma")
+    plan.add_argument("--sigma", type=float, default=2.8, help="traffic sigma")
     plan.add_argument(
         "--strategy", default="robotic", choices=KNOWN_STRATEGIES
     )
@@ -245,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="full strategy x sigma x trial experiment")
     sweep.add_argument("--config", help="scenario file (defaults built in)")
-    sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--trials", type=int, default=100)
+    sweep.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
+    sweep.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     sweep.add_argument(
-        "--sigma", type=float, nargs="+", default=[1.8, 2.8, 3.6]
+        "--sigma", type=float, nargs="+", default=ExperimentConfig.sigma_list
     )
     sweep.add_argument(
-        "--strategy", nargs="+", default=list(KNOWN_STRATEGIES),
+        "--strategy", nargs="+", default=ExperimentConfig.strategies,
         choices=KNOWN_STRATEGIES,
     )
     sweep.add_argument("--out", required=True)

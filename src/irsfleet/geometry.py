@@ -1,6 +1,7 @@
 """Manhattan-grid microcell layout and transceiver distance tables."""
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ class ScenarioLayout:
 
     grid_rows: int
     grid_cols: int
-    cell_side: float
     bs_position: np.ndarray        # (2,) metres
     cell_centers: np.ndarray       # (rows*cols, 2) metres
     candidate_sites: np.ndarray    # ((rows+1)*(cols+1), 2) metres
@@ -55,8 +55,10 @@ def build_layout(
     """Lay out a rows x cols grid of square cells with the BS at the center.
 
     `heights` is the (BS-user, site-BS, site-user) height-difference triple
-    in metres. Raises ValueError as `check_geometry` does.
+    in metres. Raises ValueError as `check_geometry` does, and TypeError
+    for a grid size that is not an integer.
     """
+    rows, cols = operator.index(rows), operator.index(cols)
     h1, h2, h3 = (float(h) for h in heights)
     check_geometry(rows, cols, cell_side, (h1, h2, h3))
 
@@ -73,9 +75,8 @@ def build_layout(
 
     bs = np.array([cols * side / 2.0, rows * side / 2.0])
     return ScenarioLayout(
-        grid_rows=int(rows),
-        grid_cols=int(cols),
-        cell_side=side,
+        grid_rows=rows,
+        grid_cols=cols,
         bs_position=bs,
         cell_centers=centers,
         candidate_sites=sites,

@@ -26,7 +26,6 @@ column name is written once, in its builder (`trials_table`,
 """
 
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -55,7 +54,7 @@ from .planner import (
 )
 from .routing import TrajectoryPlan, evaluate_trajectory, trajectory_machine
 from .scenario import Scenario, scenario_as_dict
-from .traffic import TrafficField, check_sigma, sample_traffic
+from .traffic import check_sigma, sample_traffic
 from .channel import link_budget, realize_channel
 
 __all__ = [
@@ -141,7 +140,7 @@ class TrialResult:
     plan: PlacementPlan
     tensor: GainTensor
     trajectory: TrajectoryPlan | None
-    traffic: TrafficField
+    traffic: np.ndarray  # (epochs, cells) demand, Mbps/km^2
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +181,7 @@ class _TrialEngine:
         self.scenario = scenario
         self.layout: ScenarioLayout = scenario.layout()
         self.budget = link_budget(compute_distances(self.layout), scenario.radio)
+        self.thresholds = scenario.traffic.thresholds()
 
     @property
     def block_units(self) -> int:
@@ -232,17 +232,20 @@ class _TrialEngine:
         strategy's TrialResult, or the exception raised in its place; a
         draw that fails is every strategy's exception."""
         try:
-            traffic_model = dataclasses.replace(self.scenario.traffic, sigma_log=sigma)
             channel_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_CHANNEL)
             realization = realize_channel(self.budget, channel_rng)
             traffic_rng = trial_rng(master_seed, sigma, trial_index, _STREAM_TRAFFIC)
-            field = sample_traffic(traffic_model, self.layout.n_grids, traffic_rng)
-            tensor = build_gain_tensor(self.budget, realization, field)
+            demand = sample_traffic(
+                self.scenario.traffic, sigma, self.layout.n_grids, traffic_rng
+            )
+            tensor = build_gain_tensor(
+                self.budget, realization, demand, self.thresholds
+            )
         except Exception as err:
             return [err] * len(strategies)
         return (
             yield from gather(
-                self._trial(sigma, trial_index, strategy, field, tensor, master_seed)
+                self._trial(sigma, trial_index, strategy, demand, tensor, master_seed)
                 for strategy in strategies
             )
         )
@@ -252,7 +255,7 @@ class _TrialEngine:
         sigma: float,
         trial_index: int,
         strategy: str,
-        field: TrafficField,
+        demand: np.ndarray,
         tensor: GainTensor,
         master_seed: int,
     ):
@@ -271,7 +274,7 @@ class _TrialEngine:
             else:  # random: every entry checks its strategies by ExperimentConfig
                 rng = trial_rng(master_seed, sigma, trial_index, _STREAM_PLACEMENT)
                 plan = solve_random_plan(tensor, m, rng)
-            return self.run(sigma, trial_index, strategy, field, tensor, plan, routes)
+            return self.run(sigma, trial_index, strategy, demand, tensor, plan, routes)
         except Exception as err:
             return err
 
@@ -280,7 +283,7 @@ class _TrialEngine:
         sigma: float,
         trial_index: int,
         strategy: str,
-        field: TrafficField,
+        demand: np.ndarray,
         tensor: GainTensor,
         plan: PlacementPlan,
         routes: np.ndarray | None,
@@ -312,7 +315,7 @@ class _TrialEngine:
             plan=plan,
             tensor=tensor,
             trajectory=trajectory,
-            traffic=field,
+            traffic=demand,
         )
 
 
@@ -458,14 +461,14 @@ def placement_table(
     }
 
 
-def traffic_table(field: TrafficField) -> dict[str, list]:
-    """traffic.csv: the demand field, one row per (epoch, grid cell); epochs
-    1-based."""
-    epochs, grids = field.demand.shape
+def traffic_table(demand: np.ndarray) -> dict[str, list]:
+    """traffic.csv: the (epochs, cells) demand field, one row per (epoch,
+    grid cell); epochs 1-based."""
+    epochs, grids = demand.shape
     return {
         "epoch": np.repeat(np.arange(1, epochs + 1), grids).tolist(),
         "grid_index": np.tile(np.arange(grids), epochs).tolist(),
-        "demand_mbps_km2": field.demand.ravel().tolist(),
+        "demand_mbps_km2": demand.ravel().tolist(),
     }
 
 

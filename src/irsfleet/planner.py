@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelRealization, LinkBudget
-from .traffic import TrafficField
 
 __all__ = [
     "GainTensor",
@@ -149,9 +148,11 @@ class PlanEvaluation:
 def build_gain_tensor(
     budget: LinkBudget,
     realization: ChannelRealization,
-    field: TrafficField,
+    demand: np.ndarray,
+    thresholds: np.ndarray,
 ) -> GainTensor:
-    """The tensor of the unit's weak cells, over the link budget's gains.
+    """The tensor of the unit's weak cells, over the link budget's gains,
+    gated by its (epochs, cells) demand against the (epochs,) thresholds.
 
     An empty weak set yields an empty tensor (any placement is then
     trivially empty); solvers reject positive fleet sizes against it.
@@ -161,8 +162,8 @@ def build_gain_tensor(
     return GainTensor(
         budget=budget,
         weak_grids=weak,
-        demand=field.demand[:, weak],
-        thresholds=np.asarray(field.threshold, dtype=float),
+        demand=demand[:, weak],
+        thresholds=thresholds,
     )
 
 

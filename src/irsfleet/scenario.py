@@ -8,6 +8,7 @@ cannot silently fall back to defaults.
 """
 
 import configparser
+import operator
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -43,6 +44,8 @@ class GeometryConfig:
     h3_m: float = 10.5
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "grid_rows", operator.index(self.grid_rows))
+        object.__setattr__(self, "grid_cols", operator.index(self.grid_cols))
         rows, cols, side, *heights = astuple(self)
         check_geometry(rows, cols, side, heights)
 
@@ -53,6 +56,7 @@ class SolverOptions:
     terrestrial_mode: str = "epoch1"       # one of TERRESTRIAL_MODES
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "fleet_size", operator.index(self.fleet_size))
         if self.fleet_size < 0:
             raise ValueError("fleet_size must be nonnegative")
         check_terrestrial_mode(self.terrestrial_mode)

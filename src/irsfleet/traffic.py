@@ -1,13 +1,13 @@
 """Spatio-temporal log-normal traffic demand."""
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TrafficModel",
-    "TrafficField",
     "check_sigma",
     "default_epoch_profile",
     "sample_traffic",
@@ -33,40 +33,37 @@ def default_epoch_profile(epochs: int) -> tuple[float, ...]:
 class TrafficModel:
     """Log-normal demand field: i.i.d. across cells, resampled per epoch.
 
-    `sigma_log` is the standard deviation of the underlying normal (log
-    scale). The log-mean is calibrated per epoch so the distribution mean
-    equals `base_mean_mbps_km2` times the epoch multiplier. The gating
-    threshold is `threshold_fraction` of that mean.
+    Its log-scale sigma is the unit's (`sample_traffic`). The log-mean is
+    calibrated per epoch so the distribution mean equals
+    `base_mean_mbps_km2` times the epoch multiplier. The gating threshold
+    is `threshold_fraction` of that mean.
     """
 
     base_mean_mbps_km2: float = 702.0
-    sigma_log: float = 2.8
     epochs: int = 12
     epoch_profile: tuple[float, ...] | None = None
     threshold_fraction: float = 0.01
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "epochs", operator.index(self.epochs))
         if not 0 < self.base_mean_mbps_km2 < math.inf:  # NaN fails this too
             raise ValueError("base mean demand must be finite and positive")
-        check_sigma(self.sigma_log)
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if not 0.0 < self.threshold_fraction < 1.0:
             raise ValueError("threshold_fraction must lie in (0, 1)")
-        if self.epoch_profile is None:
-            object.__setattr__(
-                self, "epoch_profile", default_epoch_profile(self.epochs)
+        profile = self.epoch_profile
+        if profile is None:
+            profile = default_epoch_profile(self.epochs)
+        profile = tuple(map(float, profile))
+        if len(profile) != self.epochs:
+            raise ValueError("epoch_profile length must match epochs")
+        eps = 1e-9
+        if not all(PROFILE_LOW - eps <= x <= PROFILE_HIGH + eps for x in profile):
+            raise ValueError(
+                f"epoch multipliers must lie in [{PROFILE_LOW}, {PROFILE_HIGH}]"
             )
-        else:
-            profile = tuple(float(x) for x in self.epoch_profile)
-            if len(profile) != self.epochs:
-                raise ValueError("epoch_profile length must match epochs")
-            eps = 1e-9
-            if not all(PROFILE_LOW - eps <= x <= PROFILE_HIGH + eps for x in profile):
-                raise ValueError(
-                    f"epoch multipliers must lie in [{PROFILE_LOW}, {PROFILE_HIGH}]"
-                )
-            object.__setattr__(self, "epoch_profile", profile)
+        object.__setattr__(self, "epoch_profile", profile)
 
     def epoch_means(self) -> np.ndarray:
         return self.base_mean_mbps_km2 * np.asarray(self.epoch_profile)
@@ -75,25 +72,19 @@ class TrafficModel:
         return self.threshold_fraction * self.epoch_means()
 
 
-@dataclass(frozen=True, eq=False)
-class TrafficField:
-    demand: np.ndarray      # (epochs, cells) Mbps/km^2
-    threshold: np.ndarray   # (epochs,) Mbps/km^2
-
-
 def sample_traffic(
     model: TrafficModel,
+    sigma: float,
     n_grids: int,
     rng: np.random.Generator,
-) -> TrafficField:
-    """Draw the per-epoch, per-cell demand field.
+) -> np.ndarray:
+    """Draw the (epochs, cells) demand field in Mbps/km^2 at log-scale
+    `sigma`, refused as `check_sigma` refuses it.
 
     log demand ~ Normal(log(mean_t) - sigma^2/2, sigma^2), which makes the
     linear mean exactly mean_t.
     """
-    means = model.epoch_means()
-    mu = np.log(means) - 0.5 * model.sigma_log**2
+    check_sigma(sigma)
+    mu = np.log(model.epoch_means()) - 0.5 * sigma**2
     z = rng.standard_normal((model.epochs, int(n_grids)))
-    demand = np.exp(mu[:, None] + model.sigma_log * z)
-    return TrafficField(demand=demand, threshold=model.thresholds())
-
+    return np.exp(mu[:, None] + sigma * z)

@@ -78,10 +78,7 @@ def test_laws_give_a_scalar_the_value_of_a_one_element_array(d):
     # Each law is one array expression; a scalar is its 0-d case.
     forms = [(los_probability(d), los_probability([d]))]
     if d > 0:
-        forms += [
-            (direct_path_loss_db(d, nlos, PARAMS), direct_path_loss_db([d], [nlos], PARAMS))
-            for nlos in (False, True)
-        ]
+        forms.append((direct_path_loss_db(d, PARAMS), direct_path_loss_db([d], PARAMS)))
     forms.append((snr_ratio(7.22, -d), snr_ratio([7.22], [-d])))
     for scalar, array in forms:
         assert isinstance(scalar, float) and array.shape == (1,)
@@ -125,13 +122,12 @@ def test_realize_channel_nlos_set_reproducible_and_calibrated():
 # ------------------------------------------------------------- link budgets
 
 def test_direct_path_loss_examples():
-    assert direct_path_loss_db(1.0, False, PARAMS) == pytest.approx(-61.38)
-    assert direct_path_loss_db(1.0, True, PARAMS) == pytest.approx(-61.38)
-    assert direct_path_loss_db(100.0, False, PARAMS) == pytest.approx(-103.38)
-    assert direct_path_loss_db(100.0, True, PARAMS) == pytest.approx(-124.78)
+    # The blocked law: a_d_db - 10 * eta2 * log10(d).
+    assert direct_path_loss_db(1.0, PARAMS) == pytest.approx(-61.38)
+    assert direct_path_loss_db(100.0, PARAMS) == pytest.approx(-124.78)
     for d in (0.0, math.nan):
         with pytest.raises(ValueError):
-            direct_path_loss_db(d, True, PARAMS)
+            direct_path_loss_db(d, PARAMS)
 
 
 def test_direct_snr_examples():
@@ -142,7 +138,7 @@ def test_direct_snr_examples():
 
 def test_weak_coverage_thresholds():
     tables = compute_distances(build_layout(9, 9, 20.0, (8.5, 2.0, 10.5)))
-    snr = direct_snr_db(direct_path_loss_db(tables.l_bs_ut, True, PARAMS), PARAMS)
+    snr = direct_snr_db(direct_path_loss_db(tables.l_bs_ut, PARAMS), PARAMS)
     no_bar = link_budget(tables, RadioParams(snr_threshold_db=-1e9))
     assert not no_bar.weak_if_blocked.any()
     all_bar = link_budget(tables, RadioParams(snr_threshold_db=1e9))
@@ -343,9 +339,7 @@ def test_snr_ratio_offset_invariance(gd, gc, offset):
 
 def test_radio_params_validation():
     with pytest.raises(ValueError):
-        RadioParams(eta1=3.5)  # LoS exponent above NLoS
-    with pytest.raises(ValueError):
-        RadioParams(eta3=3.2)  # reflected exponent not below NLoS
+        RadioParams(eta3=3.2)  # reflected exponent not below the direct one
     with pytest.raises(ValueError):
         RadioParams(n_elements=2000)  # not a square
     with pytest.raises(ValueError):

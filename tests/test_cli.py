@@ -10,7 +10,8 @@ import pytest
 
 from irsfleet import default_scenario, run_trial
 from irsfleet import harness, matching, planner
-from irsfleet.cli import main
+from irsfleet.cli import build_parser, main
+from irsfleet.harness import ExperimentConfig
 from irsfleet.planner import GainTensor, InfeasiblePlacementError
 from irsfleet.scenario import write_scenario
 
@@ -221,6 +222,32 @@ def test_validate_rejects_nonpositive_draws(capsys, draws):
     captured = capsys.readouterr()
     assert "--draws: must be at least 1" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("section, key", [("traffic", "sigma_log"), ("radio", "eta1")])
+@pytest.mark.parametrize("command", ["plan", "sweep"])
+def test_a_dropped_scenario_key_fails_before_output(
+    tmp_path, capsys, command, section, key
+):
+    # A run's sigma is its own, and no run evaluates a LoS direct link, so
+    # neither key is part of the scenario any more.
+    config = tmp_path / "old.ini"
+    config.write_text(f"[{section}]\n{key} = 2.5\n")
+    out = tmp_path / command
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": f"unknown key '{key}' in section [{section}]"}
+    assert not out.exists()
+
+
+def test_run_defaults_are_experiment_config_defaults():
+    parser = build_parser()
+    sweep = parser.parse_args(["sweep", "--out", "x"])
+    defaults = ExperimentConfig(default_scenario())
+    assert (sweep.seed, sweep.trials) == (defaults.master_seed, defaults.trials)
+    assert tuple(sweep.sigma) == defaults.sigma_list
+    assert tuple(sweep.strategy) == defaults.strategies
+    assert parser.parse_args(["plan", "--out", "x"]).sigma == 2.8
 
 
 def test_error_is_machine_readable(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every function, class and method under `src/irsfleet/` is used by the
 program itself: some code of the package loads it by name or attribute.
-And every name a package or test module imports is used, and the package
+So is every dataclass field but the scenario's keys, by attribute. And
+every name a package or test module imports is used, and the package
 imports nothing outside the standard library but numpy.
 
 A method or property counts as loaded only through an attribute load
@@ -12,7 +13,10 @@ wrapper whose callers all moved to another path.
 
 import ast
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from irsfleet.scenario import Scenario
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "irsfleet"
@@ -75,6 +79,40 @@ def test_every_definition_is_loaded_by_the_package():
     assert [q for q in unloaded if q not in ALLOWED] == []
     # An allowance whose definition is gone or used again is stale.
     assert sorted(ALLOWED) == [q for q in unloaded if q in ALLOWED]
+
+
+# Dataclass fields kept although no package code loads them, each with its
+# reason.
+FIELDS_ALLOWED = {
+    "routing.TrajectoryPlan.routes": (
+        "the acceptance tests re-validate each trial's solved routes with it"
+    ),
+    "energy.EnergyLedger.e_grasp_j": (
+        "the energy tests check each unit's balance against the grasp law with it"
+    ),
+    "energy.EnergyLedger.e_reflect_j": (
+        "the energy tests check each unit's balance against the reflect law with it"
+    ),
+}
+
+
+def test_every_dataclass_field_is_loaded_by_the_package():
+    # A field is a name annotated in a class body. The scenario sections'
+    # fields are file keys; the key-reach test in `test_scenario.py`
+    # requires each to move an output instead.
+    sections = {f.type.__name__ for f in fields(Scenario)}
+    attributes = _definitions_and_loads()[2]
+    unloaded = [
+        f"{path.stem}.{node.name}.{item.target.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and node.name not in sections
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and item.target.id not in attributes
+    ]
+    assert [q for q in unloaded if q not in FIELDS_ALLOWED] == []
+    # An allowance whose field is gone or loaded again is stale.
+    assert sorted(FIELDS_ALLOWED) == sorted(q for q in unloaded if q in FIELDS_ALLOWED)
 
 
 def _scanned_modules() -> dict[str, Path]:

@@ -64,6 +64,14 @@ def test_invalid_layout_arguments(args):
         build_layout(*args)
 
 
+@pytest.mark.parametrize("rows, cols", [(9.5, 9), (9, 9.0)])
+def test_a_grid_size_that_is_not_an_integer_is_refused(rows, cols):
+    # `np.arange(9.5)` lays out 10 rows of cells, which `int(9.5)` would
+    # record as 9.
+    with pytest.raises(TypeError):
+        build_layout(rows, cols, 20.0, HEIGHTS)
+
+
 def test_bs_to_user_distances():
     layout = build_layout(9, 9, 20.0, HEIGHTS)
     tables = compute_distances(layout)

@@ -44,12 +44,11 @@ def _default_pipeline(seed=3, side=9, sigma=2.8, params=RadioParams()):
     tables = compute_distances(layout)
     budget = link_budget(tables, params)
     real = realize_channel(budget, np.random.Generator(np.random.Philox(seed)))
-    field = sample_traffic(
-        TrafficModel(sigma_log=sigma),
-        layout.n_grids,
-        np.random.Generator(np.random.Philox(seed + 1)),
+    model = TrafficModel()
+    demand = sample_traffic(
+        model, sigma, layout.n_grids, np.random.Generator(np.random.Philox(seed + 1))
     )
-    return layout, tables, budget, real, field
+    return layout, tables, budget, real, (demand, model.thresholds())
 
 
 def _random_tensor(rng, epochs, n_weak, n_sites):
@@ -78,8 +77,8 @@ def _lone_solve(gains, m):
 
 
 def test_build_gain_tensor_shapes_and_floor():
-    layout, tables, budget, real, field = _default_pipeline()
-    tensor = build_gain_tensor(budget, real, field)
+    layout, tables, budget, real, traffic = _default_pipeline()
+    tensor = build_gain_tensor(budget, real, *traffic)
     assert tensor.budget.gain_if_blocked[tensor.weak_grids].shape == (
         real.weak_set.size,
         100,
@@ -92,7 +91,7 @@ def test_build_gain_tensor_shapes_and_floor():
     assert (tensor.gains[gated] == 1.0).all()
     assert (tensor.gains[~gated] > 1.0).all()
     # demand slice mirrors the field
-    assert np.array_equal(tensor.demand, field.demand[:, real.weak_set])
+    assert np.array_equal(tensor.demand, traffic[0][:, real.weak_set])
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.5])
@@ -125,25 +124,25 @@ RADIO = RadioParams(
 @pytest.mark.parametrize("side", [9, 17])
 def test_dense_view_equals_the_gated_snr_ratio(side):
     # Reference: the weak set and gated SNR ratio computed per unit from the
-    # same draws, evaluating each cell's direct link as drawn.
+    # same draws, masking the drawn non-LoS cells by their blocked direct SNR.
     for params in (RadioParams(), RADIO):
         for seed, sigma in ((3, 1.8), (5, 2.8), (7, 3.6)):
-            _, tables, budget, real, field = _default_pipeline(
+            _, tables, budget, real, (demand, thresholds) = _default_pipeline(
                 seed, side, sigma, params
             )
-            tensor = build_gain_tensor(budget, real, field)
+            tensor = build_gain_tensor(budget, real, demand, thresholds)
             draws = np.random.Generator(np.random.Philox(seed)).random(side * side)
             nlos = nlos_members(los_probability(tables.d2_bs_ut), draws)
-            pl = direct_path_loss_db(tables.l_bs_ut, nlos, params)
+            pl = direct_path_loss_db(tables.l_bs_ut, params)
             snr = direct_snr_db(pl, params)
             weak = np.flatnonzero(nlos & (snr < params.snr_threshold_db))
             gamma_c = cascaded_snr_db(
                 tables.r_bs_site[None, :], tables.d_site_ut[weak], params
             )
             base = snr_ratio(snr[weak][:, None], gamma_c)
-            demand = field.demand[:, weak]
+            weak_demand = demand[:, weak]
             dense = np.where(
-                demand[..., None] >= field.threshold[:, None, None], base[None], 1.0
+                weak_demand[..., None] >= thresholds[:, None, None], base[None], 1.0
             )
             assert weak.size > 0
             assert np.array_equal(real.weak_set, weak)
@@ -153,11 +152,11 @@ def test_dense_view_equals_the_gated_snr_ratio(side):
 
 
 def test_build_gain_tensor_empty_weak_set():
-    layout, tables, budget, real, field = _default_pipeline()
+    layout, tables, budget, real, traffic = _default_pipeline()
     quiet = link_budget(tables, RadioParams(snr_threshold_db=-1e9))
     real_quiet = realize_channel(quiet, np.random.Generator(np.random.Philox(3)))
     assert real_quiet.weak_set.size == 0
-    tensor = build_gain_tensor(quiet, real_quiet, field)
+    tensor = build_gain_tensor(quiet, real_quiet, *traffic)
     assert tensor.n_weak == 0
     plan = run(adaptive_plan_machine(tensor, 0))
     assert plan.cells.shape == plan.sites.shape == (12, 0)
@@ -167,8 +166,8 @@ def test_build_gain_tensor_empty_weak_set():
 
 
 def test_far_cells_carry_the_largest_gains():
-    layout, tables, budget, real, field = _default_pipeline()
-    tensor = build_gain_tensor(budget, real, field)
+    layout, tables, budget, real, traffic = _default_pipeline()
+    tensor = build_gain_tensor(budget, real, *traffic)
     best_per_cell = tensor.gains.max(axis=(0, 2))
     top_cell = tensor.weak_grids[int(best_per_cell.argmax())]
     # the best achievable gain sits at one of the most distant weak cells
@@ -420,8 +419,8 @@ def _assert_modes_dominate(tensor, m):
 def test_fixed_plan_modes_dominance():
     # The ordering on drawn channel and traffic units, fleet of 10.
     for seed, sigma in ((3, 1.8), (5, 2.8), (7, 3.6)):
-        _, _, budget, real, field = _default_pipeline(seed, 9, sigma)
-        _assert_modes_dominate(build_gain_tensor(budget, real, field), 10)
+        _, _, budget, real, traffic = _default_pipeline(seed, 9, sigma)
+        _assert_modes_dominate(build_gain_tensor(budget, real, *traffic), 10)
 
 
 @st.composite

@@ -3,6 +3,7 @@ import shutil
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from irsfleet import Scenario, ScenarioError, default_scenario, load_scenario
@@ -18,7 +19,7 @@ def test_default_values_match_the_tables():
     assert s.radio.carrier_freq_hz == 28e9
     assert s.radio.a_d_db == -61.38
     assert s.radio.a_t_db == s.radio.a_r_db == -56.38
-    assert (s.radio.eta1, s.radio.eta2, s.radio.eta3) == (2.1, 3.17, 2.4)
+    assert (s.radio.eta2, s.radio.eta3) == (3.17, 2.4)
     assert s.radio.k_c_db == 10.0
     assert (s.radio.tx_power_dbm, s.radio.noise_power_dbm) == (37.0, -95.0)
     assert s.radio.snr_threshold_db == 10.0
@@ -30,7 +31,6 @@ def test_default_values_match_the_tables():
     assert s.platform.battery_j == 799_200.0
     assert s.platform.service_hours == 12.0
     assert s.traffic.base_mean_mbps_km2 == 702.0
-    assert s.traffic.sigma_log == 2.8
     assert s.traffic.epochs == 12
     assert s.traffic.threshold_fraction == 0.01
     assert s.solver.fleet_size == 10
@@ -54,7 +54,6 @@ NON_DEFAULT = {
         "a_d_db": -60.5,
         "a_t_db": -55.5,
         "a_r_db": -57.5,
-        "eta1": 2.05,
         "eta2": 3.3,
         "eta3": 2.5,
         "k_c_db": 12.5,
@@ -71,7 +70,6 @@ NON_DEFAULT = {
     },
     "traffic": {
         "base_mean_mbps_km2": 650.5,
-        "sigma_log": 1.8,
         "epochs": 4,
         "epoch_profile": (0.85, 1.05, 1.25, 1.35),
         "threshold_fraction": 0.02,
@@ -92,7 +90,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     write_scenario(original, path)
     loaded = load_scenario(path)
     assert loaded == original
-    assert sum(len(values) for values in NON_DEFAULT.values()) == 31
+    assert sum(len(values) for values in NON_DEFAULT.values()) == 29
     for section, values in NON_DEFAULT.items():
         cls = type(getattr(default, section))
         assert list(values) == [f.name for f in fields(cls)], section
@@ -104,10 +102,10 @@ def test_roundtrip_preserves_everything(tmp_path):
 
 def test_partial_file_fills_defaults(tmp_path):
     path = tmp_path / "partial.ini"
-    path.write_text("[solver]\nfleet_size = 3\n\n[traffic]\nsigma_log = 1.8\n")
+    path.write_text("[solver]\nfleet_size = 3\n\n[traffic]\nepochs = 4\n")
     s = load_scenario(path)
     assert s.solver.fleet_size == 3
-    assert s.traffic.sigma_log == 1.8
+    assert s.traffic.epochs == 4
     assert s.radio.n_elements == 2304  # untouched default
 
 
@@ -118,16 +116,19 @@ def test_unknown_section_rejected(tmp_path):
         load_scenario(path)
 
 
-# The typo plus every key that earlier versions accepted and no result read.
+# The typo plus every key that earlier versions accepted and dropped: no
+# result read it, or (`sigma_log`) each run's own sigma replaced it.
 UNKNOWN_KEYS = [
     ("radio", "chutzpah", "11"),
     ("radio", "nlos_rule", "conventional"),
     ("radio", "cascade_mean_in_denominator", "false"),
     ("radio", "k_d_db", "10.0"),
+    ("radio", "eta1", "2.1"),
     ("platform", "mass_irs_kg", "0.1"),
     ("platform", "mass_uav_kg", "4.0"),
     ("platform", "mass_gripper_kg", "0.4"),
     ("traffic", "epoch_sampling", "independent"),
+    ("traffic", "sigma_log", "2.8"),
     ("solver", "random_mode", "direct"),
     ("solver", "random_max_iterations", "10000"),
 ]
@@ -182,8 +183,7 @@ def test_inconsistent_params_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("sigma_log", "nan"), ("sigma_log", "1e160"), ("base_mean_mbps_km2", "inf")],
+    "key, value", [("base_mean_mbps_km2", "nan"), ("base_mean_mbps_km2", "inf")]
 )
 def test_nonfinite_traffic_values_rejected(tmp_path, key, value):
     path = tmp_path / "bad.ini"
@@ -214,7 +214,6 @@ def test_nonfinite_platform_values_rejected(tmp_path, key, value, message):
         ("carrier_freq_hz", "0", "carrier frequency must be positive"),
         ("carrier_freq_hz", "-28e9", "carrier frequency must be positive"),
         ("tx_power_dbm", "nan", "tx_power_dbm must be finite"),
-        ("eta1", "nan", "eta1 must be finite"),
         ("eta2", "inf", "eta2 must be finite"),
         ("snr_threshold_db", "-inf", "snr_threshold_db must be finite"),
         ("k_c_db", "1e308", "k_c_db is too large: its linear value overflows"),
@@ -288,7 +287,7 @@ def test_empty_list_item_rejected(tmp_path, profile):
     "section, key, value",
     [
         ("geometry", "grid_rows", 0),
-        ("radio", "eta1", 9.0),
+        ("radio", "eta3", 9.0),
         ("platform", "p_fly_w", float("nan")),
         ("traffic", "epochs", 0),
         ("solver", "fleet_size", -1),
@@ -305,6 +304,27 @@ def test_a_section_built_directly_raises_value_error(tmp_path, section, key, val
     path.write_text(f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ScenarioError, match=re.escape(str(built.value))):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("geometry", "grid_rows"),
+        ("geometry", "grid_cols"),
+        ("radio", "n_elements"),
+        ("traffic", "epochs"),
+        ("solver", "fleet_size"),
+    ],
+)
+def test_integer_keys_are_stored_as_python_ints(section, key):
+    # A float would reach the solvers (a fleet of 10.0, or 2.5, fails in
+    # the shared solve round, not as its trial's error), and a NumPy
+    # integer is not JSON.
+    cls = type(getattr(Scenario(), section))
+    default = getattr(cls(), key)
+    assert type(getattr(cls(**{key: np.int64(default)}), key)) is int
+    with pytest.raises(TypeError):
+        cls(**{key: float(default)})
 
 
 def _ini_keys(text: str) -> list[tuple[str, str]]:
@@ -337,13 +357,6 @@ def test_readme_scenario_block_loads_as_the_defaults(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(_readme_scenario_block())
     assert load_scenario(path) == default_scenario()
-
-
-# `eta1` is the one key no output reads: only a blocked cell can be weak,
-# so a run evaluates each cell's direct link only as blocked, with `eta2`.
-# It stays as half of the direct path-loss law that `direct_path_loss_db`
-# implements.
-REACHES_NO_OUTPUT = {"eta1"}
 
 
 def _outputs(tmp_path, capsys, config_args):
@@ -381,4 +394,4 @@ def test_every_scenario_key_reaches_a_result(tmp_path, capsys):
             config.write_text(f"[{section}]\n{key} = {value}\n")
             if _outputs(tmp_path, capsys, ["--config", str(config)]) == reference:
                 inert.add(key)
-    assert inert == REACHES_NO_OUTPUT
+    assert inert == set()
