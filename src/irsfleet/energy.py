@@ -62,8 +62,6 @@ class EnergyLedger:
     unit's scalars, or (M,) arrays of M units' distance-dependent terms."""
 
     e_fly_j: float
-    e_grasp_j: float
-    e_reflect_j: float
     residual_j: float
     feasible: bool
 
@@ -98,13 +96,9 @@ def mission_ledger(distance_m, params: PlatformParams) -> EnergyLedger:
     """Full accounting for a unit flying `distance_m` over the mission, or
     one ledger of arrays for an array of distances, one per unit."""
     e_fly = fly_energy(distance_m, params)
-    e_grasp = grasp_energy(params)
-    e_reflect = reflect_energy(params)
-    residual = params.battery_j - e_fly - e_grasp - e_reflect
+    residual = params.battery_j - e_fly - grasp_energy(params) - reflect_energy(params)
     return EnergyLedger(
         e_fly_j=e_fly,
-        e_grasp_j=e_grasp,
-        e_reflect_j=e_reflect,
         residual_j=residual,
         feasible=residual >= 0,
     )

@@ -6,7 +6,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ScenarioLayout", "DistanceTables", "build_layout", "compute_distances"]
+__all__ = [
+    "GeometryConfig",
+    "ScenarioLayout",
+    "DistanceTables",
+    "build_layout",
+    "compute_distances",
+]
+
+
+@dataclass(frozen=True)
+class GeometryConfig:
+    """The `[geometry]` scenario section: a rows x cols grid of square
+    cells and the (BS-user, site-BS, site-user) height differences."""
+
+    grid_rows: int = 9
+    grid_cols: int = 9
+    cell_side_m: float = 20.0
+    h1_m: float = 8.5              # BS <-> user height difference, m
+    h2_m: float = 2.0              # anchor <-> BS height difference, m
+    h3_m: float = 10.5             # anchor <-> user height difference, m
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "grid_rows", operator.index(self.grid_rows))
+        object.__setattr__(self, "grid_cols", operator.index(self.grid_cols))
+        if not (self.grid_rows >= 1 and self.grid_cols >= 1):
+            raise ValueError("grid dimensions must be at least 1x1")
+        if not 0 < self.cell_side_m < math.inf:  # NaN fails this too
+            raise ValueError("cell side must be finite and positive")
+        if not all(0 < h < math.inf for h in (self.h1_m, self.h2_m, self.h3_m)):
+            raise ValueError("height differences must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -18,51 +47,23 @@ class ScenarioLayout:
     at the planar center of the covered area.
     """
 
-    grid_rows: int
-    grid_cols: int
+    geometry: GeometryConfig
     bs_position: np.ndarray        # (2,) metres
     cell_centers: np.ndarray       # (rows*cols, 2) metres
     candidate_sites: np.ndarray    # ((rows+1)*(cols+1), 2) metres
-    h1: float                      # BS <-> user height difference, m
-    h2: float                      # anchor <-> BS height difference, m
-    h3: float                      # anchor <-> user height difference, m
 
     @property
     def n_grids(self) -> int:
-        return self.grid_rows * self.grid_cols
+        return self.geometry.grid_rows * self.geometry.grid_cols
 
     @property
     def n_sites(self) -> int:
-        return (self.grid_rows + 1) * (self.grid_cols + 1)
+        return (self.geometry.grid_rows + 1) * (self.geometry.grid_cols + 1)
 
 
-def check_geometry(rows: int, cols: int, cell_side: float, heights) -> None:
-    """Refuse a grid below 1x1, or a length that is not finite and positive."""
-    if not (rows >= 1 and cols >= 1):
-        raise ValueError("grid dimensions must be at least 1x1")
-    if not 0 < cell_side < math.inf:  # NaN fails this too
-        raise ValueError("cell side must be finite and positive")
-    if not all(0 < h < math.inf for h in heights):
-        raise ValueError("height differences must be finite and positive")
-
-
-def build_layout(
-    rows: int,
-    cols: int,
-    cell_side: float,
-    heights: tuple[float, float, float],
-) -> ScenarioLayout:
-    """Lay out a rows x cols grid of square cells with the BS at the center.
-
-    `heights` is the (BS-user, site-BS, site-user) height-difference triple
-    in metres. Raises ValueError as `check_geometry` does, and TypeError
-    for a grid size that is not an integer.
-    """
-    rows, cols = operator.index(rows), operator.index(cols)
-    h1, h2, h3 = (float(h) for h in heights)
-    check_geometry(rows, cols, cell_side, (h1, h2, h3))
-
-    side = float(cell_side)
+def build_layout(geometry: GeometryConfig) -> ScenarioLayout:
+    """Lay out the section's grid of square cells with the BS at the center."""
+    rows, cols, side = geometry.grid_rows, geometry.grid_cols, geometry.cell_side_m
     cx = (np.arange(cols) + 0.5) * side
     cy = (np.arange(rows) + 0.5) * side
     gy, gx = np.meshgrid(cy, cx, indexing="ij")
@@ -75,14 +76,10 @@ def build_layout(
 
     bs = np.array([cols * side / 2.0, rows * side / 2.0])
     return ScenarioLayout(
-        grid_rows=rows,
-        grid_cols=cols,
+        geometry=geometry,
         bs_position=bs,
         cell_centers=centers,
         candidate_sites=sites,
-        h1=h1,
-        h2=h2,
-        h3=h3,
     )
 
 
@@ -101,15 +98,16 @@ def compute_distances(layout: ScenarioLayout) -> DistanceTables:
     centers = layout.cell_centers
     sites = layout.candidate_sites
     bs = layout.bs_position
+    geometry = layout.geometry
 
     d2 = np.hypot(centers[:, 0] - bs[0], centers[:, 1] - bs[1])
-    l_bs_ut = np.hypot(d2, layout.h1)
+    l_bs_ut = np.hypot(d2, geometry.h1_m)
     r2 = np.hypot(sites[:, 0] - bs[0], sites[:, 1] - bs[1])
-    r_bs_site = np.hypot(r2, layout.h2)
+    r_bs_site = np.hypot(r2, geometry.h2_m)
     d_site_ut = np.hypot(
         centers[:, 0, None] - sites[:, 0], centers[:, 1, None] - sites[:, 1]
     )
-    np.hypot(d_site_ut, layout.h3, out=d_site_ut)
+    np.hypot(d_site_ut, geometry.h3_m, out=d_site_ut)
     return DistanceTables(
         l_bs_ut=l_bs_ut,
         r_bs_site=r_bs_site,

@@ -446,7 +446,7 @@ def placement_table(
     tensor, plan = result.tensor, result.plan
     epochs = np.repeat(np.arange(plan.cells.shape[0]), plan.cells.shape[1])
     cells, sites = np.ravel(plan.cells), np.ravel(plan.sites)
-    grid_row, grid_col = np.divmod(tensor.weak_grids[cells], layout.grid_cols)
+    grid_row, grid_col = np.divmod(tensor.weak_grids[cells], layout.geometry.grid_cols)
     points = layout.candidate_sites[sites]
     return {
         "strategy": [result.metrics.strategy] * epochs.size,

@@ -9,18 +9,17 @@ cannot silently fall back to defaults.
 
 import configparser
 import operator
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .channel import RadioParams
 from .energy import PlatformParams
-from .geometry import ScenarioLayout, build_layout, check_geometry
+from .geometry import GeometryConfig, ScenarioLayout, build_layout
 from .planner import check_terrestrial_mode
 from .traffic import TrafficModel
 
 __all__ = [
     "ScenarioError",
-    "GeometryConfig",
     "SolverOptions",
     "Scenario",
     "default_scenario",
@@ -32,22 +31,6 @@ __all__ = [
 
 class ScenarioError(ValueError):
     """Malformed scenario file or inconsistent parameter values."""
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    grid_rows: int = 9
-    grid_cols: int = 9
-    cell_side_m: float = 20.0
-    h1_m: float = 8.5
-    h2_m: float = 2.0
-    h3_m: float = 10.5
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grid_rows", operator.index(self.grid_rows))
-        object.__setattr__(self, "grid_cols", operator.index(self.grid_cols))
-        rows, cols, side, *heights = astuple(self)
-        check_geometry(rows, cols, side, heights)
 
 
 @dataclass(frozen=True)
@@ -71,8 +54,7 @@ class Scenario:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def layout(self) -> ScenarioLayout:
-        rows, cols, side, *heights = astuple(self.geometry)
-        return build_layout(rows, cols, side, tuple(heights))
+        return build_layout(self.geometry)
 
 
 def default_scenario() -> Scenario:

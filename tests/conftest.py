@@ -3,6 +3,7 @@ import pytest
 
 from irsfleet import default_scenario
 from irsfleet.channel import LinkBudget
+from irsfleet import matching
 from irsfleet.matching import solve
 from irsfleet.planner import GainTensor
 
@@ -73,3 +74,18 @@ def logged(machine, requests):
             return stop.value
         requests.extend(asked)
         solved = yield asked
+
+
+def spy_stacks(patch):
+    """Patch `matching._solve_stack` through `patch` (a `MonkeyPatch`) and
+    return the list to which each stack appends its (cost, index, n_rows,
+    sizes, results)."""
+    stacks, solve_stack = [], matching._solve_stack
+
+    def spy(cost, index, n_rows, sizes):
+        results = solve_stack(cost, index, n_rows, sizes)
+        stacks.append((cost, index, n_rows, sizes, results))
+        return results
+
+    patch.setattr(matching, "_solve_stack", spy)
+    return stacks

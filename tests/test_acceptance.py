@@ -31,19 +31,18 @@ from bruteforce import (
     near_tie_matrix,
     transition_distances,
 )
-from conftest import logged, make_tensor
+from conftest import logged, make_tensor, spy_stacks
 from irsfleet import (
     ExperimentConfig,
     default_scenario,
     harness,
-    matching,
     run_experiment,
     run_trial,
 )
 from irsfleet.channel import cascade_amplification, los_probability
 from irsfleet.cli import main as cli_main
 from irsfleet.energy import PlatformParams, flight_range
-from irsfleet.geometry import build_layout
+from irsfleet.geometry import GeometryConfig, build_layout
 from irsfleet.oracles import empirical_cascade_amplification
 from irsfleet.matching import gather, run
 from irsfleet.planner import (
@@ -63,20 +62,16 @@ SIGMAS = (1.8, 2.8, 3.6)
 TRIALS = 100
 
 
-def _certifying(solve, log):
-    """`matching._solve_stack` that certifies each element it returns
-    and logs (rows, cols, size, violated conditions) for it."""
-
-    def spy(cost, index, n_rows, sizes):
-        results = solve(cost, index, n_rows, sizes)
+def _certified(stacks):
+    """(rows, cols, size, violated conditions) of each problem of the
+    logged stacks, each certified against its own rows."""
+    log = []
+    for cost, index, n_rows, sizes, results in stacks:
         for b, (pairs, _, u, v) in enumerate(results):
-            # The element's own rows of the stacked matrix.
             problem = np.asarray(cost)[index[b, : n_rows[b]]]
             failed = certify_matching(problem, pairs, u, v, sizes[b])
             log.append((*problem.shape, sizes[b], failed))
-        return results
-
-    return spy
+    return log
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +84,10 @@ def certified_sweep():
         trials=TRIALS,
         master_seed=MASTER_SEED,
     )
-    log = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            matching, "_solve_stack", _certifying(matching._solve_stack, log)
-        )
+        stacks = spy_stacks(patch)
         result = run_experiment(config)
-    return result, log
+    return result, _certified(stacks)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +170,7 @@ def test_criterion_4_solver_exactness():
         _, total = run(_assignment_machine(cost))
         assert total == best_assignment(cost)[1]
 
-    layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
+    layout = build_layout(GeometryConfig(9, 9, 20.0, 8.5, 2.0, 10.5))
     platform = PlatformParams()
     for _ in range(20):
         epoch_sites = [
@@ -272,11 +264,8 @@ def test_every_block_solve_carries_a_duality_certificate(certified_sweep):
         base,
         geometry=dataclasses.replace(base.geometry, grid_rows=17, grid_cols=17),
     )
-    wide_log = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            matching, "_solve_stack", _certifying(matching._solve_stack, wide_log)
-        )
+        wide_stacks = spy_stacks(patch)
         for mode in ("epoch1", "clairvoyant"):
             solver = dataclasses.replace(
                 base.solver, fleet_size=4, terrestrial_mode=mode
@@ -290,6 +279,7 @@ def test_every_block_solve_carries_a_duality_certificate(certified_sweep):
             assert not np.diagonal(between, axis1=1, axis2=2).any()
     # 12 robotic epochs and 1 terrestrial problem per mode; the unit never
     # moves, so its 11 transitions solve nothing.
+    wide_log = _certified(wide_stacks)
     assert len(wide_log) == 2 * 13
     assert all(failed == [] for *_, failed in wide_log), wide_log
 
@@ -299,14 +289,12 @@ def test_every_block_solve_carries_a_duality_certificate(certified_sweep):
     rng = np.random.Generator(np.random.Philox(29))
     costs = [near_tie_matrix(rng, 5) for _ in range(40)]
     asked = [[] for _ in costs]
-    tie_log = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            matching, "_solve_stack", _certifying(matching._solve_stack, tie_log)
-        )
+        tie_stacks = spy_stacks(patch)
         answers = run(
             gather(logged(_assignment_machine(c), a) for c, a in zip(costs, asked))
         )
+    tie_log = _certified(tie_stacks)
     taken = []
     for cost, requests, (perm, _) in zip(costs, asked, answers):
         for sub, _, size in requests[1:]:

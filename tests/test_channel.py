@@ -23,7 +23,7 @@ from irsfleet.channel import (
     rician_amplitude_mean,
     snr_ratio,
 )
-from irsfleet.geometry import build_layout, compute_distances
+from irsfleet.geometry import GeometryConfig, build_layout, compute_distances
 from irsfleet.oracles import (
     empirical_cascade_amplification,
     empirical_mean_amplitude,
@@ -99,7 +99,7 @@ def test_nlos_members_boundary_draws():
 def test_realize_channel_nlos_set_reproducible_and_calibrated():
     # With no bar every blocked cell is weak, so the weak set is the
     # non-LoS set.
-    layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
+    layout = build_layout(GeometryConfig(9, 9, 20.0, 8.5, 2.0, 10.5))
     tables = compute_distances(layout)
     p = los_probability(tables.d2_bs_ut)
     budget = link_budget(tables, RadioParams(snr_threshold_db=1e9))
@@ -137,7 +137,7 @@ def test_direct_snr_examples():
 
 
 def test_weak_coverage_thresholds():
-    tables = compute_distances(build_layout(9, 9, 20.0, (8.5, 2.0, 10.5)))
+    tables = compute_distances(build_layout(GeometryConfig(9, 9, 20.0, 8.5, 2.0, 10.5)))
     snr = direct_snr_db(direct_path_loss_db(tables.l_bs_ut, PARAMS), PARAMS)
     no_bar = link_budget(tables, RadioParams(snr_threshold_db=-1e9))
     assert not no_bar.weak_if_blocked.any()
@@ -156,7 +156,7 @@ def test_weak_coverage_thresholds():
 def test_weak_set_matches_inverted_link_budget():
     # under defaults a cell is weak if blocked exactly when its 3-D distance
     # exceeds the budget implied by the 10 dB bar
-    layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
+    layout = build_layout(GeometryConfig(9, 9, 20.0, 8.5, 2.0, 10.5))
     tables = compute_distances(layout)
     weak = np.flatnonzero(link_budget(tables, PARAMS).weak_if_blocked)
     bound = 10.0 ** (
@@ -267,6 +267,8 @@ def test_cascade_amplification_values():
     assert cascade_amplification(2304, 10.0) == pytest.approx(4.8495e6, rel=1e-3)
     # full-coherence ceiling
     assert cascade_amplification(2304, 1e6) == pytest.approx(2304.0**2, rel=1e-3)
+    with pytest.raises(ValueError, match="need at least one reflecting element"):
+        cascade_amplification(0, 10.0)
 
 
 def test_cascade_amplification_variant_forms():
@@ -349,7 +351,7 @@ def test_radio_params_validation():
 
 
 def test_realize_channel_consistency():
-    layout = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
+    layout = build_layout(GeometryConfig(9, 9, 20.0, 8.5, 2.0, 10.5))
     budget = link_budget(compute_distances(layout), PARAMS)
     rng = np.random.Generator(np.random.Philox(5))
     real = realize_channel(budget, rng)

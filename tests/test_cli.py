@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from irsfleet import default_scenario, run_trial
-from irsfleet import harness, matching, planner
+from irsfleet import cli, harness, matching, planner
 from irsfleet.cli import build_parser, main
 from irsfleet.harness import ExperimentConfig
 from irsfleet.planner import GainTensor, InfeasiblePlacementError
@@ -212,6 +212,17 @@ def test_validate_report_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["validate", "--draws", "20000"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_validate_reports_a_failed_check(capsys, monkeypatch):
+    # The benchmark's validate gate counts the lines that start "FAIL ".
+    monkeypatch.setattr(cli, "flight_range", lambda params: 0.0)
+    assert main(["validate", "--draws", "20000"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL flight-range-window: 0.0 m"
+    ]
+    assert lines[-1] == "1 check(s) failed: flight-range-window"
 
 
 @pytest.mark.parametrize("draws", ["0", "-3"])

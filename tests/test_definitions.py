@@ -87,12 +87,6 @@ FIELDS_ALLOWED = {
     "routing.TrajectoryPlan.routes": (
         "the acceptance tests re-validate each trial's solved routes with it"
     ),
-    "energy.EnergyLedger.e_grasp_j": (
-        "the energy tests check each unit's balance against the grasp law with it"
-    ),
-    "energy.EnergyLedger.e_reflect_j": (
-        "the energy tests check each unit's balance against the reflect law with it"
-    ),
 }
 
 

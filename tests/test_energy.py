@@ -68,7 +68,10 @@ def test_mission_ledger():
     ledger = mission_ledger(1000.0, DEFAULTS)
     assert ledger.e_fly_j == pytest.approx(25_360.0)
     assert ledger.residual_j == pytest.approx(
-        DEFAULTS.battery_j - ledger.e_fly_j - ledger.e_grasp_j - ledger.e_reflect_j
+        DEFAULTS.battery_j
+        - ledger.e_fly_j
+        - grasp_energy(DEFAULTS)
+        - reflect_energy(DEFAULTS)
     )
     assert ledger.feasible
     broke = mission_ledger(flight_range(DEFAULTS) + 1.0, DEFAULTS)
@@ -86,8 +89,10 @@ def test_one_ledger_for_many_distances():
         alone = [getattr(mission_ledger(d, DEFAULTS), field) for d in distances]
         assert getattr(ledger, field).tolist() == alone
     assert ledger.feasible.tolist() == [True, True, True, True, False, False]
-    assert ledger.e_grasp_j == grasp_energy(DEFAULTS)
-    assert ledger.e_reflect_j == reflect_energy(DEFAULTS)
+    # Each unit's balance subtracts the grasp and reflect laws, in order.
+    grasp, reflect = grasp_energy(DEFAULTS), reflect_energy(DEFAULTS)
+    balance = DEFAULTS.battery_j - ledger.e_fly_j - grasp - reflect
+    assert ledger.residual_j.tolist() == balance.tolist()
 
 
 def test_platform_validation():
@@ -107,6 +112,8 @@ def test_fraunhofer_distance():
     assert fraunhofer_distance(44, WAVELENGTH) <= 10.5
     with pytest.raises(ValueError):
         fraunhofer_distance(0, WAVELENGTH)
+    with pytest.raises(ValueError, match="wavelength must be positive"):
+        fraunhofer_distance(4, 0.0)
 
 
 def test_size_irs_default_clearance():
@@ -140,7 +147,15 @@ def test_size_irs_refuses_bad_wavelength(wavelength):
         size_irs(10.5, wavelength)
 
 
-@pytest.mark.parametrize("d_min", [0.2, 1.0, 5.0, 10.5, 25.0, 100.0])
+# The last clearance falls just short of 48 elements' boundary: the
+# square-root estimate is 48, and only the overshoot step brings it below.
+@pytest.mark.parametrize(
+    "d_min",
+    [
+        0.2, 1.0, 5.0, 10.5, 25.0, 100.0,
+        fraunhofer_distance(48, WAVELENGTH) * (1 - 1e-12),
+    ],
+)
 def test_size_irs_rule_invariants(d_min):
     sizing = size_irs(d_min, WAVELENGTH)
     assert sizing.n_r % 4 == 0 and sizing.n_r >= 4

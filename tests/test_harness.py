@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spy_stacks
 from irsfleet import (
     ExperimentConfig,
     Scenario,
@@ -23,8 +24,9 @@ from irsfleet.harness import (
     trial_rng,
 )
 from irsfleet.energy import PlatformParams
+from irsfleet.geometry import GeometryConfig
 from irsfleet.planner import TERRESTRIAL_MODES, GainTensor, evaluate_plan
-from irsfleet.scenario import GeometryConfig, SolverOptions
+from irsfleet.scenario import SolverOptions
 from irsfleet.traffic import TrafficModel
 
 SMALL = Scenario(solver=SolverOptions(fleet_size=5))
@@ -123,6 +125,8 @@ def test_config_validation(tmp_path):
         ExperimentConfig(scenario=SMALL, sigma_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(scenario=SMALL, strategies=("psychic",))
+    with pytest.raises(ValueError, match="strategies must not be empty"):
+        ExperimentConfig(scenario=SMALL, strategies=())
     with pytest.raises(ValueError):
         ExperimentConfig(scenario=SMALL, master_seed=-1)
     with pytest.raises(ValueError, match="sigma_list repeats"):
@@ -349,19 +353,16 @@ def test_placement_requests_name_the_engines_one_cost_matrix(monkeypatch):
 def _stacks_per_round(monkeypatch, engine, units):
     """Run a block; per solve round, its request count and the column
     count of each stack it is solved in, as a one-item list."""
-    rounds = []
-    solve, solve_stack = matching.solve, matching._solve_stack
+    rounds, stacks, solve = [], spy_stacks(monkeypatch), matching.solve
 
     def logged_solve(requests):
-        rounds.append((len(requests), []))
-        return solve(requests)
-
-    def logged_stack(cost, index, n_rows, sizes):
-        rounds[-1][1].append([cost.shape[1]])
-        return solve_stack(cost, index, n_rows, sizes)
+        first = len(stacks)
+        solved = solve(requests)
+        widths = [[cost.shape[1]] for cost, *_ in stacks[first:]]
+        rounds.append((len(requests), widths))
+        return solved
 
     monkeypatch.setattr(matching, "solve", logged_solve)
-    monkeypatch.setattr(matching, "_solve_stack", logged_stack)
     engine.run_block(units, 20260810, KNOWN_STRATEGIES)
     return rounds
 
@@ -523,7 +524,7 @@ def _reference_placement_rows(trial_index, result, layout) -> list[list]:
     rows = []
     for t, (cells, sites) in enumerate(zip(plan.cells.tolist(), plan.sites.tolist())):
         for q, site in zip(cells, sites):
-            r, c = divmod(int(grids[q]), layout.grid_cols)
+            r, c = divmod(int(grids[q]), layout.geometry.grid_cols)
             point = layout.candidate_sites[site]
             rows.append(
                 [

@@ -11,10 +11,11 @@ from bruteforce import (
     dyadic_matrix,
     rescan_matching_with_duals,
 )
-from conftest import solve_indexed, solve_matching
+from conftest import solve_indexed, solve_matching, spy_stacks
 from irsfleet import matching, run_trial
 from irsfleet.matching import solve
-from irsfleet.scenario import GeometryConfig, Scenario, SolverOptions
+from irsfleet.geometry import GeometryConfig
+from irsfleet.scenario import Scenario, SolverOptions
 
 
 def _lone_solve(cost, size):
@@ -450,17 +451,11 @@ def test_a_round_of_mixed_column_counts_equals_its_lone_solves(round_):
     # pairs, total and potentials of its lone solve, with one column
     # potential per column of its own matrix.
     requests, budget = round_
-    stacks = []
-    solve_stack = matching._solve_stack
-
-    def logged_stack(cost, index, n_rows, sizes):
-        stacks.append((cost.shape[1], len(index)))
-        return solve_stack(cost, index, n_rows, sizes)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matching, "STACK_CELLS", budget)
-        patch.setattr(matching, "_solve_stack", logged_stack)
+        spied = spy_stacks(patch)
         solved = solve(requests)
+    stacks = [(cost.shape[1], len(index)) for cost, index, *_ in spied]
     # The stacks of each width hold exactly its requests of positive size,
     # and with room for all of them a width takes one stack.
     widths = Counter(matrix.shape[1] for matrix, _, size in requests if size > 0)

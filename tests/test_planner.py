@@ -20,7 +20,7 @@ from irsfleet.channel import (
     realize_channel,
     snr_ratio,
 )
-from irsfleet.geometry import build_layout, compute_distances
+from irsfleet.geometry import GeometryConfig, build_layout, compute_distances
 from irsfleet.matching import run
 from irsfleet.planner import (
     InfeasiblePlacementError,
@@ -40,7 +40,7 @@ from irsfleet.traffic import TrafficModel, sample_traffic
 # ------------------------------------------------------------- gain tensor
 
 def _default_pipeline(seed=3, side=9, sigma=2.8, params=RadioParams()):
-    layout = build_layout(side, side, 20.0, (8.5, 2.0, 10.5))
+    layout = build_layout(GeometryConfig(side, side, 20.0, 8.5, 2.0, 10.5))
     tables = compute_distances(layout)
     budget = link_budget(tables, params)
     real = realize_channel(budget, np.random.Generator(np.random.Philox(seed)))

@@ -9,9 +9,9 @@ from bruteforce import (
     near_tie_matrix,
     transition_distances,
 )
-from conftest import logged, make_tensor, solve_matching
+from conftest import logged, make_tensor, solve_matching, spy_stacks
 from irsfleet.energy import PlatformParams, flight_range
-from irsfleet.geometry import build_layout
+from irsfleet.geometry import GeometryConfig, build_layout
 from irsfleet.matching import gather, run
 from irsfleet.planner import PlacementPlan, PlanValidationError, validate_plan
 from irsfleet.routing import (
@@ -21,7 +21,7 @@ from irsfleet.routing import (
     validate_trajectory,
 )
 
-LAYOUT = build_layout(9, 9, 20.0, (8.5, 2.0, 10.5))
+LAYOUT = build_layout(GeometryConfig(9, 9, 20.0, 8.5, 2.0, 10.5))
 PLATFORM = PlatformParams()
 # At row 1, column 0's tight detour completes for 2.0000000036 and the
 # re-solved completion, of equal decimal cost, sums to 2.0000000036000003:
@@ -66,7 +66,7 @@ def test_static_plan_has_zero_diagonal():
 
 def test_345_offset_between_epochs():
     # sites at (0,0) and (30,40) exist on a 10 m lattice
-    layout = build_layout(10, 10, 10.0, (8.5, 2.0, 10.5))
+    layout = build_layout(GeometryConfig(10, 10, 10.0, 8.5, 2.0, 10.5))
     a = 0                      # vertex (0, 0)
     b = 4 * 11 + 3             # vertex (30, 40)
     plan = _plan([(a,), (b,)])
@@ -91,7 +91,7 @@ def test_first_round_requests_the_reference_distances(grid):
     # transition, on the distances from the earlier epoch's sorted sites
     # (rows) to the later epoch's (columns). A one-unit plan asks for none:
     # its transitions' only permutations are the routes.
-    layout = build_layout(*grid, (8.5, 2.0, 10.5))
+    layout = build_layout(GeometryConfig(*grid, 8.5, 2.0, 10.5))
     rng = np.random.Generator(np.random.Philox(44))
     for epochs, m in [(2, 1), (3, 4), (12, 10)]:
         plan = _plan(
@@ -326,28 +326,27 @@ def test_transitions_share_stacked_rounds(monkeypatch):
     # Every transition runs its own assignment machine. The first round
     # stacks all of a plan's dual solves; a later round stacks the pending
     # fallback re-solves of several transitions at once.
-    import irsfleet.matching as matching
     import irsfleet.routing as routing
 
-    machines, stacks = [], []
+    machines, stacks = [], spy_stacks(monkeypatch)
     original_machine = routing._assignment_machine
-    original_stack = matching._solve_stack
 
     def counted_machine(cost):
         machines.append(np.asarray(cost).shape)
         return original_machine(cost)
 
-    def counted_stack(cost, index, n_rows, sizes):
-        # The stack's problem count and width, and each element's rows and size.
-        stacks.append((len(index), cost.shape[1], list(n_rows), list(sizes)))
-        return original_stack(cost, index, n_rows, sizes)
+    def shapes():
+        # Each stack's problem count and width, and each element's rows and size.
+        return [
+            (len(index), cost.shape[1], list(n_rows), list(sizes))
+            for cost, index, n_rows, sizes, _ in stacks
+        ]
 
     monkeypatch.setattr(routing, "_assignment_machine", counted_machine)
-    monkeypatch.setattr(matching, "_solve_stack", counted_stack)
     plan = _plan([(0, 9), (90, 99), (0, 9), (40, 50)])
     run(trajectory_machine(plan, LAYOUT))
     assert machines == [(2, 2)] * 3
-    assert stacks[0] == (3, 2, [2] * 3, [2] * 3)
+    assert shapes()[0] == (3, 2, [2] * 3, [2] * 3)
 
     # Near ties make detours miss the tolerance: three of these ten
     # transitions re-solve a completion in one round, one stack per
@@ -355,7 +354,7 @@ def test_transitions_share_stacked_rounds(monkeypatch):
     rng = np.random.Generator(np.random.Philox(29))
     stacks.clear()
     run(gather(routing._assignment_machine(near_tie_matrix(rng, 5)) for _ in range(10)))
-    assert stacks == [(10, 5, [5] * 10, [5] * 10), (2, 3, [3, 3], [3, 3]), (1, 4, [4], [4])]
+    assert shapes() == [(10, 5, [5] * 10, [5] * 10), (2, 3, [3, 3], [3, 3]), (1, 4, [4], [4])]
 
 
 # ------------------------------------------------------------ trajectories

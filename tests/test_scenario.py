@@ -236,7 +236,7 @@ def test_bad_radio_values_rejected(tmp_path, key, value, message):
     ],
 )
 def test_bad_geometry_values_rejected(tmp_path, key, value, message):
-    # The file is refused when it loads, with `build_layout`'s message.
+    # The file is refused when it loads, with `GeometryConfig`'s message.
     path = tmp_path / "bad.ini"
     path.write_text(f"[geometry]\n{key} = {value}\n")
     with pytest.raises(ScenarioError, match=message):
