@@ -8,6 +8,7 @@ the Rician factor), and the brute force enumerates every feasible support
 and permutation instead of sharing any logic with the solver.
 """
 
+import operator
 import os
 import queue
 import threading
@@ -55,7 +56,8 @@ def empirical_mean_amplitude(
     rng: np.random.Generator,
 ) -> float:
     """Sample mean of |h| for unit-power Rician h."""
-    return float(np.abs(sample_rician_fading(k_linear, int(n_draws), rng)).mean())
+    n_draws = operator.index(n_draws)
+    return float(np.abs(sample_rician_fading(k_linear, n_draws, rng)).mean())
 
 
 # Draws per chunk of the cascade oracle. The chunk boundaries key the
@@ -106,11 +108,15 @@ class _CascadeWorker:
 
     Amplitudes are drawn in units of the scatter scale s = sqrt(1/(2(1+K)))
     and in polar form: a/s = |c + R e^(i theta)| with c = sqrt(2K) the
-    dominant path, R = sqrt(2E) for E ~ Exp(1) and theta = 2 pi U for
-    U ~ U[0, 1), the Box-Muller form of the circular Gaussian scatter, so
-    the law is exactly Rician. (a/s)^2 is taken as (c - R)^2 +
-    4cR cos^2(pi U): both terms are nonnegative, where
-    c^2 + R^2 + 2cR cos(theta) can round below zero in float32.
+    dominant path, R = sqrt(-2 log(1 - U1)) and theta = 2 pi U2 for
+    U1, U2 ~ U[0, 1), the Box-Muller form of the circular Gaussian
+    scatter. -log(1 - U1) is Exp(1) cut at 24 ln 2 ~ 16.6, since a float32
+    uniform has 24 bits, so the law is Rician but for a tail of
+    probability 2^-24 ~ 6e-8. (a/s)^2 is taken as (c - R)^2 +
+    4cR cos^2(pi U2): both terms are nonnegative, where
+    c^2 + R^2 + 2cR cos(theta) can round below zero in float32. At K = 0
+    (Rayleigh) a/s is R and no phase is drawn; the polar formula would
+    give R too, as sqrt(R * R) == R in binary floating point.
     """
 
     def __init__(self, n: int, k: float, rows: int) -> None:
@@ -125,17 +131,21 @@ class _CascadeWorker:
         self.s = np.empty(rows, dtype=np.float32)
 
     def _amplitudes(self, out: np.ndarray, rng: np.random.Generator) -> None:
-        # a/s into `out`, in place: E into `out`, then U into the scratch.
-        t = self.t[: len(out)]
-        rng.standard_exponential(out=out, dtype=np.float32)
-        rng.random(out=t, dtype=np.float32)
-        out *= 2
+        # a/s into `out`, in place: U1 into `out`, then U2 into the scratch.
+        rng.random(out=out, dtype=np.float32)
+        np.subtract(1, out, out=out)  # exact: 1 - U1 is a multiple of 2^-24
+        np.log(out, out=out)
+        out *= -2
         np.sqrt(out, out=out)  # R
+        if not self.c:
+            return
+        t = self.t[: len(out)]
+        rng.random(out=t, dtype=np.float32)
         t *= np.float32(np.pi)
         np.cos(t, out=t)
         t *= t
         t *= out
-        t *= 4 * self.c  # 4cR cos^2(pi U)
+        t *= 4 * self.c  # 4cR cos^2(pi U2)
         out -= self.c
         out *= out
         out += t
@@ -167,17 +177,19 @@ def empirical_cascade_amplification(
 
     The draws are split into fixed chunks. Chunk c samples from its own
     PCG64 stream keyed by (key, c), where key is one 63-bit draw from
-    `rng`, so `rng` always advances by exactly one draw; a chunk draws a's
-    exponentials and uniforms, then b's, in polar form (`_CascadeWorker`).
+    `rng`, so `rng` always advances by exactly one draw. A chunk draws a's
+    radius uniforms, then a's phase uniforms, then b's, in polar form
+    (`_CascadeWorker`); at K = 0 it draws no phase. The radius's
+    exponential is cut at 24 ln 2 ~ 16.6, a tail of probability 2^-24.
     Chunks run on a pool of one thread per usable core (at most one per
     chunk and `_DRAWS_IN_FLIGHT // _CHUNK_DRAWS`), each pinned to its own
     core and taking the next chunk when idle. The chunks' double-precision
     sums are added in chunk order and scaled by s^4 = (1/(2(1+K)))^2 once,
     so the result is the same float for every thread count.
     """
-    n = int(n_elements)
+    n = operator.index(n_elements)
     k = rician_factor(k_linear)
-    n_draws = int(n_draws)
+    n_draws = operator.index(n_draws)
     if n < 1:
         raise ValueError("element count must be at least 1")
     _require_draws(n_draws)

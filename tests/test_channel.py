@@ -244,6 +244,31 @@ def test_samplers_reject_nonpositive_draw_counts(draws):
         empirical_cascade_amplification(16, 0.0, draws, rng)
 
 
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def test_oracle_counts_must_be_integers():
+    # A float count is refused, not truncated to another count's draws.
+    rng = _philox(3)
+    with pytest.raises(TypeError):
+        empirical_mean_amplitude(0.0, 1000.7, rng)
+    with pytest.raises(TypeError):
+        empirical_cascade_amplification(16, 0.0, 1000.7, rng)
+    with pytest.raises(TypeError):
+        empirical_cascade_amplification(16.9, 0.0, 1000, rng)
+    with pytest.raises(TypeError):
+        empirical_cascade_amplification(16.0, 0.0, 1000, rng)
+    # A numpy integer is an integer.
+    i16, i1000 = np.int64(16), np.int64(1000)
+    assert empirical_mean_amplitude(0.0, i1000, _philox(3)) == (
+        empirical_mean_amplitude(0.0, 1000, _philox(3))
+    )
+    assert empirical_cascade_amplification(i16, 0.0, i1000, _philox(3)) == (
+        empirical_cascade_amplification(16, 0.0, 1000, _philox(3))
+    )
+
+
 @pytest.mark.parametrize("k", [math.nan, math.inf, -1.0])
 def test_samplers_reject_a_rician_factor_not_finite_and_nonnegative(k):
     rng = np.random.Generator(np.random.Philox(3))

@@ -14,7 +14,9 @@ and names each one with its reason. With no run named, the script records
 only the runs missing from `corpus_digests.json`; a recorded run is
 re-recorded only when it is named, so no output change is absorbed
 silently. The digests were recorded with numpy 2.4.6 (CPython 3.11);
-another numpy may legitimately draw other bytes.
+another numpy may legitimately draw other bytes. `validate` is also rerun
+in a subprocess at each SIMD dispatch level below the host's that numpy
+reports, and must print the same bytes at each.
 """
 
 import contextlib
@@ -22,12 +24,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import irsfleet
 from irsfleet.cli import main
 from irsfleet.harness import KNOWN_STRATEGIES
 from irsfleet.scenario import Scenario, write_scenario
@@ -153,6 +159,46 @@ def test_every_run_is_recorded():
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_the_corpus(tmp_path, name):
     assert _run(name, tmp_path) == json.loads(DIGESTS.read_text())[name]
+
+
+def _lower_dispatch_levels() -> list[str]:
+    """One `NPY_DISABLE_CPU_FEATURES` value per SIMD dispatch level below
+    the one numpy runs at on this host. numpy lists the dispatch targets
+    it found on the host from lowest to highest; each value switches off
+    one of them and every one above it."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return [" ".join(found[i:]) for i in range(len(found))]
+
+
+def test_validate_matches_the_corpus_at_every_lower_dispatch_level(tmp_path):
+    # `validate` draws float32 `log` and `cos`, whose numpy kernels depend
+    # on the dispatch level; its printed digits must not.
+    levels = _lower_dispatch_levels()
+    if not levels:
+        pytest.skip("numpy found no SIMD dispatch target above its baseline "
+                    "on this host, so there is no lower level to run at")
+    code = (
+        "import json, sys; from pathlib import Path; from test_corpus import _run; "
+        "print(json.dumps(_run('validate', Path(sys.argv[1]))))"
+    )
+    src = Path(irsfleet.__file__).parents[1]
+    path = [str(src), str(DIGESTS.parent)]
+    path += os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    expect = json.loads(DIGESTS.read_text())["validate"]
+    for level in levels:
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, path)),
+            NPY_DISABLE_CPU_FEATURES=level,
+        )
+        # numpy only warns about a name it cannot switch off; -W error
+        # makes that a failure instead of a run at the default level.
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code, str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, (level, done.stderr)
+        assert json.loads(done.stdout) == expect, level
 
 
 if __name__ == "__main__":

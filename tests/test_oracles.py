@@ -44,13 +44,15 @@ def test_cascade_oracle_is_independent_of_worker_count(n_draws, monkeypatch):
     assert np.isfinite(value) and value > 0.0
 
 
-def test_cascade_oracle_matches_a_loop_over_chunk_streams(monkeypatch):
+@pytest.mark.parametrize("k", [0.0, 10.0])
+def test_cascade_oracle_matches_a_loop_over_chunk_streams(k, monkeypatch):
     # Reference: each chunk's amplitudes drawn from its own keyed PCG64
-    # stream in the sampler's order (a's exponentials, a's uniforms, then
-    # b's), built in float32 as |c + R e^(2 pi i U)| in scatter-scale units,
-    # the phase-aligned product summed per draw, accumulated in double
-    # precision and scaled by s^4 at the end.
-    n, k, n_draws = 4, 10.0, 2 * CHUNK + 3
+    # stream in the sampler's order (a's radius uniforms, a's phase
+    # uniforms, then b's; no phase at K = 0), built in float32 as
+    # |c + R e^(2 pi i U2)| with R = sqrt(-2 log(1 - U1)) in scatter-scale
+    # units, the phase-aligned product summed per draw, accumulated in
+    # double precision and scaled by s^4 at the end.
+    n, n_draws = 4, 2 * CHUNK + 3
     key = int(_caller().integers(2**63))
     c = np.float32(np.sqrt(2.0 * k))
     total = 0.0
@@ -60,9 +62,12 @@ def test_cascade_oracle_matches_a_loop_over_chunk_streams(monkeypatch):
         rng = np.random.Generator(np.random.PCG64(seed))
         amps = []
         for _ in range(2):
-            e = rng.standard_exponential((rows, n), dtype=np.float32)
             u = rng.random((rows, n), dtype=np.float32)
-            r = np.sqrt(e * np.float32(2))
+            r = np.sqrt(np.log(1 - u) * np.float32(-2))
+            if k == 0:
+                amps.append(r)
+                continue
+            u = rng.random((rows, n), dtype=np.float32)
             cos = np.cos(u * np.float32(np.pi))
             d = r - c
             amps.append(np.sqrt(d * d + cos * cos * r * (np.float32(4) * c)))
@@ -100,10 +105,11 @@ def test_polar_amplitudes_stay_finite_at_a_huge_factor_and_one_draw():
     assert np.isfinite(value) and value > 0.0
 
 
-def test_a_warm_worker_samples_a_chunk_in_place():
+@pytest.mark.parametrize("k", [0.0, 10.0])
+def test_a_warm_worker_samples_a_chunk_in_place(k):
     # Each worker holds three (rows, N) buffers and no temporaries, which
     # is what `_DRAWS_IN_FLIGHT` budgets for.
-    worker = oracles._CascadeWorker(256, 10.0, CHUNK)
+    worker = oracles._CascadeWorker(256, k, CHUNK)
     worker.chunk_sum(11, 0, CHUNK)
     tracemalloc.start()
     try:
