@@ -60,14 +60,16 @@ def empirical_mean_amplitude(
     return float(np.abs(sample_rician_fading(k_linear, n_draws, rng)).mean())
 
 
-# Draws per chunk of the cascade oracle. The chunk boundaries key the
-# random streams, so changing it changes the sampled values.
-_CHUNK_DRAWS = 2048
-# Most draws held at once across the worker threads. Each worker keeps
-# three float32 (chunk, N) buffers and samples in place; a 4096-draw chunk
-# sampled with temporaries peaks at six (4096, N) arrays, so this bound
-# keeps the oracle's peak memory at or below that.
-_DRAWS_IN_FLIGHT = 8192
+# Elements (draws x N) per chunk of the cascade oracle: a chunk holds
+# max(1, _CHUNK_ELEMENTS // N) draws, so a worker's three float32 buffers
+# hold at most 1.5 MiB at every N up to 2^17; above that a chunk is one
+# draw. The chunk boundaries key the random streams, so changing it
+# changes the sampled values.
+_CHUNK_ELEMENTS = 2**17
+# Most elements held at once across the worker threads: four chunks. Each
+# worker keeps three float32 buffers of one chunk and samples in place, so
+# the oracle's buffers peak at 6 MiB whatever N is (up to 2^17).
+_ELEMENTS_IN_FLIGHT = 2**19
 
 
 def _usable_cores() -> int:
@@ -175,16 +177,18 @@ def empirical_cascade_amplification(
     element; perfect phase compensation makes the element sum a sum of
     nonnegative amplitude products.
 
-    The draws are split into fixed chunks. Chunk c samples from its own
-    PCG64 stream keyed by (key, c), where key is one 63-bit draw from
-    `rng`, so `rng` always advances by exactly one draw. A chunk draws a's
-    radius uniforms, then a's phase uniforms, then b's, in polar form
-    (`_CascadeWorker`); at K = 0 it draws no phase. The radius's
-    exponential is cut at 24 ln 2 ~ 16.6, a tail of probability 2^-24.
-    Chunks run on a pool of one thread per usable core (at most one per
-    chunk and `_DRAWS_IN_FLIGHT // _CHUNK_DRAWS`), each pinned to its own
-    core and taking the next chunk when idle. The chunks' double-precision
-    sums are added in chunk order and scaled by s^4 = (1/(2(1+K)))^2 once,
+    The draws are split into chunks of max(1, 2^17 // N) draws, so a chunk
+    holds at most 2^17 elements at every N up to 2^17 and its buffers stop
+    growing with N. Chunk c samples from its own PCG64 stream keyed by
+    (key, c), where key is one 63-bit draw from `rng`, so `rng` always
+    advances by exactly one draw. A chunk draws a's radius uniforms, then
+    a's phase uniforms, then b's, in polar form (`_CascadeWorker`); at
+    K = 0 it draws no phase. The radius's exponential is cut at
+    24 ln 2 ~ 16.6, a tail of probability 2^-24. Chunks run on a pool of
+    one thread per usable core (at most one per chunk and
+    `_ELEMENTS_IN_FLIGHT // _CHUNK_ELEMENTS`), each pinned to its own core
+    and taking the next chunk when idle. The chunks' double-precision sums
+    are added in chunk order and scaled by s^4 = (1/(2(1+K)))^2 once,
     so the result is the same float for every thread count.
     """
     n = operator.index(n_elements)
@@ -194,16 +198,18 @@ def empirical_cascade_amplification(
         raise ValueError("element count must be at least 1")
     _require_draws(n_draws)
     key = int(rng.integers(2**63))
-    n_chunks = -(-n_draws // _CHUNK_DRAWS)
-    workers = max(1, min(_usable_cores(), n_chunks, _DRAWS_IN_FLIGHT // _CHUNK_DRAWS))
+    chunk = max(1, _CHUNK_ELEMENTS // n)
+    n_chunks = -(-n_draws // chunk)
+    in_flight = _ELEMENTS_IN_FLIGHT // _CHUNK_ELEMENTS
+    workers = max(1, min(_usable_cores(), n_chunks, in_flight))
 
     local = threading.local()
 
     def chunk_sum(c: int) -> float:
         worker = getattr(local, "worker", None)
         if worker is None:
-            worker = local.worker = _CascadeWorker(n, k, min(_CHUNK_DRAWS, n_draws))
-        return worker.chunk_sum(key, c, min(_CHUNK_DRAWS, n_draws - c * _CHUNK_DRAWS))
+            worker = local.worker = _CascadeWorker(n, k, min(chunk, n_draws))
+        return worker.chunk_sum(key, c, min(chunk, n_draws - c * chunk))
 
     # The pool hands each chunk to the next idle thread, so a thread on a
     # core slowed by other load takes fewer chunks instead of holding up

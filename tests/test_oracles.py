@@ -11,7 +11,13 @@ from irsfleet import oracles
 from irsfleet.channel import rician_amplitude_mean
 from irsfleet.oracles import empirical_cascade_amplification, sample_rician_fading
 
-CHUNK = oracles._CHUNK_DRAWS
+
+def _chunk(n):
+    """Draws per chunk at N elements: a fixed element budget, at least one draw."""
+    return max(1, oracles._CHUNK_ELEMENTS // n)
+
+
+CHUNK = _chunk(5)  # the worker-count test's N
 DRAW_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
 
 
@@ -52,12 +58,14 @@ def test_cascade_oracle_matches_a_loop_over_chunk_streams(k, monkeypatch):
     # |c + R e^(2 pi i U2)| with R = sqrt(-2 log(1 - U1)) in scatter-scale
     # units, the phase-aligned product summed per draw, accumulated in
     # double precision and scaled by s^4 at the end.
-    n, n_draws = 4, 2 * CHUNK + 3
+    n = 4
+    size = _chunk(n)
+    n_draws = 2 * size + 3
     key = int(_caller().integers(2**63))
     c = np.float32(np.sqrt(2.0 * k))
     total = 0.0
-    for chunk, start in enumerate(range(0, n_draws, CHUNK)):
-        rows = min(CHUNK, n_draws - start)
+    for chunk, start in enumerate(range(0, n_draws, size)):
+        rows = min(size, n_draws - start)
         seed = np.random.SeedSequence([key, chunk])
         rng = np.random.Generator(np.random.PCG64(seed))
         amps = []
@@ -108,22 +116,59 @@ def test_polar_amplitudes_stay_finite_at_a_huge_factor_and_one_draw():
 @pytest.mark.parametrize("k", [0.0, 10.0])
 def test_a_warm_worker_samples_a_chunk_in_place(k):
     # Each worker holds three (rows, N) buffers and no temporaries, which
-    # is what `_DRAWS_IN_FLIGHT` budgets for.
-    worker = oracles._CascadeWorker(256, k, CHUNK)
-    worker.chunk_sum(11, 0, CHUNK)
+    # is what `_ELEMENTS_IN_FLIGHT` budgets for.
+    for n in (256, 2304):
+        worker = oracles._CascadeWorker(n, k, _chunk(n))
+        worker.chunk_sum(11, 0, _chunk(n))
+        tracemalloc.start()
+        try:
+            worker.chunk_sum(11, 1, _chunk(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < worker.a.nbytes / 8, n
+
+
+@pytest.mark.parametrize("n", [1, 16, 64, 256, 2304, oracles._CHUNK_ELEMENTS + 1])
+def test_a_worker_holds_one_chunk_of_elements_at_every_element_count(n, monkeypatch):
+    built = []
+
+    class RecordingWorker(oracles._CascadeWorker):
+        def __init__(self, n, k, rows):
+            super().__init__(n, k, rows)
+            built.append(self)
+
+    monkeypatch.setattr(oracles, "_CascadeWorker", RecordingWorker)
+    _report_cores(monkeypatch, 2)
+    empirical_cascade_amplification(n, 0.0, 2 * _chunk(n) + 1, _caller())
+    assert built
+    for worker in built:
+        for buffer in (worker.a, worker.b, worker.t):
+            # Above the budget a chunk is one draw of all N elements.
+            assert buffer.shape == (_chunk(n), n)
+            assert buffer.size <= max(oracles._CHUNK_ELEMENTS, n)
+
+
+def test_the_oracle_peaks_within_its_workers_chunk_buffers(monkeypatch):
+    # At the scenario's 48x48 surface, five chunks on two workers: the
+    # call allocates the workers' three float32 buffers and little else.
+    workers, slack = 2, 64 * 1024
+    _report_cores(monkeypatch, workers)
+    n = 2304
     tracemalloc.start()
     try:
-        worker.chunk_sum(11, 1, CHUNK)
+        value = empirical_cascade_amplification(n, 10.0, 4 * _chunk(n) + 1, _caller())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < worker.a.nbytes / 8
+    assert np.isfinite(value)
+    assert peak <= workers * 3 * oracles._CHUNK_ELEMENTS * 4 + slack
 
 
 def test_more_workers_than_cores_under_rapid_switching_lose_no_chunk(monkeypatch):
     # Every chunk writes its own slot of the shared sum list; a lost or
     # misplaced write would change the total.
-    n_draws = 8 * CHUNK + 5
+    n_draws = 8 * _chunk(2) + 5
     _report_cores(monkeypatch, 1)
     serial = empirical_cascade_amplification(2, 0.0, n_draws, _caller())
     _report_cores(monkeypatch, 4)
@@ -147,15 +192,16 @@ def test_small_draw_counts_start_one_worker_and_leave_no_threads(monkeypatch):
     monkeypatch.setattr(oracles, "_CascadeWorker", CountingWorker)
     _report_cores(monkeypatch, 3)
     before = set(threading.enumerate())
-    empirical_cascade_amplification(8, 0.0, CHUNK - 1, _caller())
+    chunk = _chunk(8)
+    empirical_cascade_amplification(8, 0.0, chunk - 1, _caller())
     # One worker, with buffers no larger than the draws it makes.
-    assert built == [CHUNK - 1]
+    assert built == [chunk - 1]
     assert set(threading.enumerate()) == before
     built.clear()
-    empirical_cascade_amplification(8, 0.0, 3 * CHUNK + 17, _caller())
+    empirical_cascade_amplification(8, 0.0, 3 * chunk + 17, _caller())
     # At most one full-chunk worker per thread; an idle thread may take
     # no chunk and build none.
-    assert 1 <= len(built) <= 3 and set(built) == {CHUNK}
+    assert 1 <= len(built) <= 3 and set(built) == {chunk}
     assert set(threading.enumerate()) == before
 
 
@@ -166,7 +212,7 @@ def test_worker_errors_reach_the_caller(monkeypatch):
     monkeypatch.setattr(oracles._CascadeWorker, "chunk_sum", broken)
     _report_cores(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="chunk 0 failed"):
-        empirical_cascade_amplification(4, 0.0, 2 * CHUNK, _caller())
+        empirical_cascade_amplification(4, 0.0, 2 * _chunk(4), _caller())
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
@@ -181,7 +227,7 @@ def test_workers_are_pinned_to_distinct_cores_and_the_caller_is_not(monkeypatch)
 
     monkeypatch.setattr(oracles, "_CascadeWorker", RecordingWorker)
     _report_cores(monkeypatch, len(allowed))
-    empirical_cascade_amplification(2, 0.0, 8 * CHUNK, _caller())
+    empirical_cascade_amplification(2, 0.0, 8 * _chunk(2), _caller())
     assert all(len(mask) == 1 and mask <= allowed for mask in masks)
     assert len(set(map(frozenset, masks))) == len(masks)
     assert os.sched_getaffinity(0) == allowed
