@@ -246,13 +246,6 @@ def rician_factor(k_linear: float) -> float:
     return k
 
 
-def _laguerre_half(k: float) -> float:
-    # Degree-1/2 Laguerre polynomial at -k via exponentially scaled Bessel
-    # functions; stable for k up to at least 1e6.
-    half = k / 2.0
-    return (1.0 + k) * _i0e(half) + k * _i1e(half)
-
-
 def rician_amplitude_mean(k_linear: float) -> float:
     """Mean-amplitude factor of a unit-power Rician variate.
 
@@ -262,34 +255,25 @@ def rician_amplitude_mean(k_linear: float) -> float:
     finite and nonnegative.
     """
     k = rician_factor(k_linear)
-    return math.sqrt(1.0 / (1.0 + k)) * _laguerre_half(k)
+    # The polynomial through exponentially scaled Bessel functions is
+    # stable for K up to at least 1e6.
+    half = k / 2.0
+    laguerre = (1.0 + k) * _i0e(half) + k * _i1e(half)
+    return math.sqrt(1.0 / (1.0 + k)) * laguerre
 
 
-def cascade_amplification(
-    n_elements: int,
-    k_c_linear: float,
-    mean_in_denominator: bool = False,
-) -> float:
+def cascade_amplification(n_elements: int, k_c_linear: float) -> float:
     """Power amplification of an N-element phase-aligned reflected link.
 
     N + (pi^2/16) * (N^2 - N) * m^4, with m the unit-power Rician
     mean-amplitude factor of each hop. Lies in [N, N^2] and is monotone in
     both arguments; the N^2 ceiling is coherent combining.
-
-    `mean_in_denominator` divides by the bracket instead: the unbounded
-    variant, reachable only through this keyword, which `irsfleet validate`
-    uses to show the ceiling violation. It coincides with the standard form
-    at K = 0 and blows past N^2 for realistic K.
     """
     n = float(n_elements)
     if n < 1:
         raise ValueError("need at least one reflecting element")
     pairwise = (math.pi**2 / 16.0) * (n * n - n)
-    k = rician_factor(k_c_linear)
-    if mean_in_denominator:
-        bracket = math.sqrt(1.0 / (1.0 + k)) / _laguerre_half(k)
-        return n + pairwise / bracket**4
-    return n + pairwise * rician_amplitude_mean(k) ** 4
+    return n + pairwise * rician_amplitude_mean(k_c_linear) ** 4
 
 
 def cascaded_path_loss_db(r_m, d_m, params: RadioParams):

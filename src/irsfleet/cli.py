@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -86,7 +87,7 @@ def _cmd_energy(args) -> int:
     scenario = _load(args)
     platform = scenario.platform
     radio = scenario.radio
-    d_min = args.min_distance if args.min_distance is not None else scenario.geometry.h3_m
+    d_min = scenario.geometry.h3_m
 
     # Everything that can refuse the input runs before the first line prints.
     ledger = mission_ledger(args.distance, platform)
@@ -110,7 +111,7 @@ def _cmd_energy(args) -> int:
         f"residual_j = {ledger.residual_j:.1f} feasible = "
         f"{str(ledger.feasible).lower()}"
     )
-    side = int(round(radio.n_elements**0.5))
+    side = math.isqrt(radio.n_elements)
     print(
         f"configured surface: {side}x{side} elements, fraunhofer_m = "
         f"{fraunhofer_distance(side, radio.wavelength_m):.3f}"
@@ -171,11 +172,14 @@ def _cmd_validate(args) -> int:
                 failures,
             )
 
-    unbounded = cascade_amplification(2304, 10.0, mean_in_denominator=True)
+    # The variant that divides by the mean-amplitude bracket instead: its
+    # pairwise term is the standard one times (1 + K)^4.
+    n, k = 2304, 10.0
+    unbounded = n + (cascade_amplification(n, k) - n) * (1.0 + k) ** 4
     _check(
         "denominator-variant-exceeds-ceiling",
-        unbounded > 2304.0**2,
-        f"{unbounded:.3g} > N^2 = {2304.0**2:.3g} (expected violation)",
+        unbounded > n**2,
+        f"{unbounded:.3g} > N^2 = {n**2:.3g} (expected violation)",
         failures,
     )
 
@@ -234,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="run a single trial and emit its artifacts")
     plan.add_argument("--config", help="scenario file (defaults built in)")
-    plan.add_argument("--seed", type=int, default=1, help="master seed")
+    plan.add_argument(
+        "--seed", type=int, default=ExperimentConfig.master_seed, help="master seed"
+    )
     plan.add_argument("--sigma", type=float, default=2.8, help="traffic sigma")
     plan.add_argument(
         "--strategy", default="robotic", choices=KNOWN_STRATEGIES
@@ -262,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     energy.add_argument(
         "--distance", type=float, default=1000.0,
         help="mission flight distance for the ledger line (m)",
-    )
-    energy.add_argument(
-        "--min-distance", type=float, default=None,
-        help="transceiver clearance for the sizing rule (default: h3)",
     )
     energy.set_defaults(func=_cmd_energy)
 

@@ -6,6 +6,7 @@ gaps are ignored, which upper-bounds both terms).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +105,18 @@ def mission_ledger(distance_m, params: PlatformParams) -> EnergyLedger:
     )
 
 
+def _check_wavelength(wavelength_m: float) -> None:
+    if not 0 < wavelength_m < math.inf:  # NaN fails this too
+        raise ValueError("wavelength must be finite and positive")
+
+
 def fraunhofer_distance(n_r: int, wavelength_m: float) -> float:
     """Far-field boundary of a square surface with half-wavelength spacing:
     (wavelength / 2) * n_r^2."""
+    n_r = operator.index(n_r)
     if n_r < 1:
         raise ValueError("element count per side must be at least 1")
-    if wavelength_m <= 0:
-        raise ValueError("wavelength must be positive")
+    _check_wavelength(wavelength_m)
     return 0.5 * wavelength_m * n_r * n_r
 
 
@@ -126,8 +132,7 @@ def size_irs(d_min_m: float, wavelength_m: float) -> IrsSizing:
     boundary stays within the minimum transceiver clearance."""
     if not 0 < d_min_m < math.inf:  # NaN fails this too
         raise ValueError("minimum clearance must be finite and positive")
-    if not 0 < wavelength_m < math.inf:
-        raise ValueError("wavelength must be finite and positive")
+    _check_wavelength(wavelength_m)
     n_r = int(math.sqrt(2.0 * d_min_m / wavelength_m) + 1e-9)
     while n_r > 0 and fraunhofer_distance(max(n_r, 1), wavelength_m) > d_min_m:
         n_r -= 1

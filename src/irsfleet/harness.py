@@ -32,7 +32,7 @@ import math
 import operator
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ from .planner import (
     solve_random_plan,
 )
 from .routing import TrajectoryPlan, evaluate_trajectory, trajectory_machine
-from .scenario import Scenario, scenario_as_dict
+from .scenario import Scenario
 from .traffic import check_sigma, sample_traffic
 from .channel import link_budget, realize_channel
 
@@ -499,7 +499,7 @@ def write_metadata(config: ExperimentConfig, path) -> None:
         "trials": config.trials,
         "sigma_list": list(config.sigma_list),
         "strategies": list(config.strategies),
-        "scenario": scenario_as_dict(config.scenario),
+        "scenario": asdict(config.scenario),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -78,7 +78,8 @@ __all__ = [
 
 # Most cells of solver state one stack of one width holds, counted as
 # problems x the width or the most rows of any of them, whichever is
-# more, and most cost cells the solver gathers at once. A sweep block holds this over grid cells x sites units
+# more, and most cost cells the solver gathers at once. A sweep block
+# holds this over grid cells x sites units
 # (`harness._TrialEngine.block_units`), so its placement round is one stack
 # whenever epochs + 1 <= grid cells. A larger single problem or unit still
 # runs alone.

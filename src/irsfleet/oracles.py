@@ -23,7 +23,6 @@ __all__ = [
     "sample_rician_fading",
     "empirical_mean_amplitude",
     "empirical_cascade_amplification",
-    "best_exact_size_weight",
     "best_exact_size_cost",
 ]
 
@@ -223,22 +222,17 @@ def empirical_cascade_amplification(
     return total * (0.5 / (1.0 + k)) ** 2 / float(n_draws)
 
 
-def best_exact_size_weight(weights, size: int) -> float:
-    """Max total weight over matchings with exactly `size` pairs."""
-    w = np.asarray(weights, dtype=float)
-    rows, cols = w.shape
+def best_exact_size_cost(cost, size: int) -> float:
+    """Min total cost over matchings with exactly `size` pairs."""
+    c = np.asarray(cost, dtype=float)
+    rows, cols = c.shape
     if size == 0:
         return 0.0
-    best = -np.inf
+    best = np.inf
     for rsel in combinations(range(rows), size):
         for csel in combinations(range(cols), size):
             for perm in permutations(csel):
-                total = sum(w[r, c] for r, c in zip(rsel, perm))
-                if total > best:
+                total = sum(c[r, col] for r, col in zip(rsel, perm))
+                if total < best:
                     best = total
     return float(best)
-
-
-def best_exact_size_cost(cost, size: int) -> float:
-    """Min total cost over matchings with exactly `size` pairs."""
-    return -best_exact_size_weight(-np.asarray(cost, dtype=float), size)

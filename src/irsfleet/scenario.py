@@ -24,7 +24,6 @@ __all__ = [
     "Scenario",
     "default_scenario",
     "load_scenario",
-    "scenario_as_dict",
     "write_scenario",
 ]
 
@@ -133,15 +132,10 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def scenario_as_dict(scenario: Scenario) -> dict[str, dict]:
-    """Every parameter by file section and key, defaults included."""
-    return asdict(scenario)
-
-
 def write_scenario(scenario: Scenario, path) -> None:
     """Serialize a scenario with every parameter explicit, defaults included."""
     lines = []
-    for section, values in scenario_as_dict(scenario).items():
+    for section, values in asdict(scenario).items():
         lines.append(f"[{section}]")
         for key, value in values.items():
             lines.append(f"{key} = {_format_value(value)}")

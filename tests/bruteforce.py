@@ -2,8 +2,8 @@
 
 These deliberately re-derive every optimum from first principles
 (enumerate all feasible supports / permutations) so the solvers are
-checked against an independent route. The exact-size matching optima
-live in `irsfleet.oracles`, where `irsfleet validate` uses them too.
+checked against an independent route. The exact-size matching optimum
+lives in `irsfleet.oracles`, where `irsfleet validate` uses it too.
 `rescan_matching_with_duals` is the matching solver as it was before it
 kept column minima across augmentations: the reference for bit-for-bit
 equality of pairs, totals and duals. `certify_matching` checks a solve
@@ -17,10 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from irsfleet.oracles import (  # noqa: F401  (re-exported for the tests)
-    best_exact_size_cost,
-    best_exact_size_weight,
-)
+from irsfleet.oracles import best_exact_size_cost  # noqa: F401  (re-exported)
 
 
 def best_assignment(cost) -> tuple[tuple[int, ...], float]:

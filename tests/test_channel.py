@@ -296,15 +296,6 @@ def test_cascade_amplification_values():
         cascade_amplification(0, 10.0)
 
 
-def test_cascade_amplification_variant_forms():
-    # the denominator variant coincides with the standard form at K = 0
-    assert cascade_amplification(64, 0.0, mean_in_denominator=True) == pytest.approx(
-        cascade_amplification(64, 0.0), rel=1e-12
-    )
-    # and explodes past the coherent ceiling at the default operating point
-    assert cascade_amplification(2304, 10.0, mean_in_denominator=True) > 2304.0**2
-
-
 @given(
     n=st.integers(min_value=1, max_value=4096),
     k=st.floats(min_value=0.0, max_value=1e4),

@@ -167,12 +167,8 @@ def test_energy_subcommand(capsys):
         (["--distance", "nan"], "distance must be finite and nonnegative"),
         (["--distance", "-5"], "distance must be finite and nonnegative"),
         (["--distance", "inf"], "distance must be finite and nonnegative"),
-        (["--min-distance", "nan"], "minimum clearance must be finite and positive"),
-        (["--min-distance", "inf"], "minimum clearance must be finite and positive"),
-        (["--min-distance", "0"], "minimum clearance must be finite and positive"),
     ],
-    ids=["distance-nan", "distance-negative", "distance-inf",
-         "clearance-nan", "clearance-inf", "clearance-zero"],
+    ids=["distance-nan", "distance-negative", "distance-inf"],
 )
 def test_energy_refuses_bad_input_before_printing(capsys, argv, message):
     assert main(["energy"] + argv) == 2
@@ -192,8 +188,22 @@ def test_energy_refuses_a_bad_geometry_file(tmp_path, capsys):
     ]
 
 
-def test_energy_reports_an_infeasible_clearance(capsys):
-    assert main(["energy", "--min-distance", "0.01", "--distance", "0"]) == 0
+@pytest.mark.parametrize("h3", ["nan", "inf", "0"])
+def test_energy_refuses_a_bad_clearance_file(tmp_path, capsys, h3):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[geometry]\nh3_m = {h3}\n")
+    assert main(["energy", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "height differences must be finite and positive"}
+    ]
+
+
+def test_energy_reports_an_infeasible_clearance(tmp_path, capsys):
+    config = tmp_path / "near.ini"
+    config.write_text("[geometry]\nh3_m = 0.01\n")
+    assert main(["energy", "--config", str(config), "--distance", "0"]) == 0
     out = capsys.readouterr().out
     assert "e_fly_j = 0.0" in out
     assert out.splitlines()[-1].startswith("sizing rule @ clearance 0.01 m: infeasible")

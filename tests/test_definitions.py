@@ -38,6 +38,21 @@ ALLOWED = {
 }
 
 
+def _definitions(path: Path, tree: ast.Module):
+    """Every function and class a package module defines, nested ones
+    included, as (module.qualified name, node, whether it is a class
+    member)."""
+    pending = [(tree, path.stem)]
+    while pending:
+        node, prefix = pending.pop()
+        for child in ast.iter_child_nodes(node):
+            qualified = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = f"{prefix}.{child.name}"
+                yield qualified, child, isinstance(node, ast.ClassDef)
+            pending.append((child, qualified))
+
+
 def _definitions_and_loads() -> tuple[dict[str, tuple[str, bool]], set, set]:
     """Every definition as {module.qualified name: (bare name, whether it
     is a class member)}, and the names the package loads bare and as
@@ -47,18 +62,8 @@ def _definitions_and_loads() -> tuple[dict[str, tuple[str, bool]], set, set]:
     attributes: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        pending = [(tree, path.stem)]
-        while pending:
-            node, prefix = pending.pop()
-            for child in ast.iter_child_nodes(node):
-                qualified = prefix
-                if isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    qualified = f"{prefix}.{child.name}"
-                    member = isinstance(node, ast.ClassDef)
-                    definitions[qualified] = (child.name, member)
-                pending.append((child, qualified))
+        for qualified, child, member in _definitions(path, tree):
+            definitions[qualified] = (child.name, member)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 bare.add(node.id)
@@ -79,6 +84,38 @@ def test_every_definition_is_loaded_by_the_package():
     assert [q for q in unloaded if q not in ALLOWED] == []
     # An allowance whose definition is gone or used again is stale.
     assert sorted(ALLOWED) == [q for q in unloaded if q in ALLOWED]
+
+
+# Parameters that keep a default, each with its reason.
+DEFAULTS_ALLOWED = {
+    "cli.main.argv": (
+        "the console-script entry calls `main()` bare, so argparse reads "
+        "`sys.argv`; the tests pass their own argument lists"
+    ),
+}
+
+
+def test_no_package_parameter_has_a_default():
+    # A default is a second door to its value: callers that omit it and
+    # callers that pass it reach one parameter two ways. A value that two
+    # callers need set differently is passed by both.
+    defaulted = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualified, node, _ in _definitions(path, tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults) :] + [
+                arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            defaulted += [f"{qualified}.{arg.arg}" for arg in with_default]
+    assert sorted(set(defaulted) - set(DEFAULTS_ALLOWED)) == []
+    # An allowance whose parameter is gone or has lost its default is stale.
+    assert sorted(set(DEFAULTS_ALLOWED) - set(defaulted)) == []
 
 
 # Dataclass fields kept although no package code loads them, each with its

@@ -112,8 +112,11 @@ def test_fraunhofer_distance():
     assert fraunhofer_distance(44, WAVELENGTH) <= 10.5
     with pytest.raises(ValueError):
         fraunhofer_distance(0, WAVELENGTH)
-    with pytest.raises(ValueError, match="wavelength must be positive"):
-        fraunhofer_distance(4, 0.0)
+    for wavelength in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="wavelength must be finite and positive"):
+            fraunhofer_distance(4, wavelength)
+    with pytest.raises(TypeError):
+        fraunhofer_distance(4.5, WAVELENGTH)
 
 
 def test_size_irs_default_clearance():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bruteforce import best_exact_size_weight, dyadic_matrix, placement_ilp
+from bruteforce import best_exact_size_cost, dyadic_matrix, placement_ilp
 from conftest import make_tensor, solve_matching
 from irsfleet import run_trial
 from irsfleet.channel import (
@@ -210,7 +210,7 @@ def test_epoch_placement_matches_brute_force():
         m = int(rng.integers(0, min(nq, nj) + 1))
         gains = 1.0 + np.abs(dyadic_matrix(rng, (nq, nj)))
         _, weight = _lone_solve(gains, m)
-        assert weight == best_exact_size_weight(gains - 1.0, m)
+        assert weight == -best_exact_size_cost(1.0 - gains, m)
 
 
 def _gated_gains(rng, kind):
